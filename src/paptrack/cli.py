@@ -2,7 +2,8 @@
 
 Subcommands: generate (scenario -> file), run (config -> reports),
 compare (two report dirs -> summary), sweep (rho sweep), replay (debug
-dump -> report).  Exit codes: 0 success, 2 config error, 3 I/O error.
+dump -> report).  Exit codes: 0 success, 2 config error, 3 I/O error;
+any other exception is a program fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ EXIT_IO = 3
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override: run only this seed")
-    p.add_argument("--out", type=Path, default=None, help="output directory")
+    p.add_argument("--out", type=Path, default=None, help="output directory (default: .)")
     p.add_argument("--dump-debug", action="store_true", help="write per-frame JSONL traces")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
 
@@ -58,7 +59,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_cfg(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("--config is required")
-    cfg = load_config(args.config)
+    try:
+        cfg = load_config(args.config)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
     if args.seed is not None:
         cfg.seeds = [args.seed]
     return cfg
@@ -84,30 +88,13 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args, mode: str | None = None) -> int:
     cfg = _load_cfg(args)
-    if args.dump_debug:
-        out = args.out or Path(".")
-        out.mkdir(parents=True, exist_ok=True)
-        arms = {}
-        arm_specs = {"baseline": 0.0, "pap": cfg.policy.rho}
-        if cfg.mode == "baseline":
-            arm_specs = {"baseline": 0.0}
-        elif cfg.mode == "pap":
-            arm_specs = {"pap": cfg.policy.rho}
-        for arm, rho in arm_specs.items():
-            arms[arm] = []
-            for seed in cfg.seeds:
-                dump = out / f"dump_{arm}_seed{seed}.jsonl"
-                report = harness.run_single(cfg, seed, rho=rho, arm=arm, dump_path=dump)
-                (out / f"report_{arm}_seed{seed}.json").write_text(report_to_json(report), encoding="utf-8")
-                arms[arm].append(report)
-        if "baseline" in arms and "pap" in arms:
-            summary = harness.compare(arms["baseline"], arms["pap"])
-            (out / "comparison.json").write_text(json.dumps(summary, indent=2, sort_keys=True), encoding="utf-8")
-    else:
-        harness.run_experiment(cfg, out_dir=args.out, jobs=args.jobs)
-    print(f"ran mode={cfg.mode} seeds={cfg.seeds}")
+    if mode is not None:
+        cfg.mode = mode
+    out = args.out or Path(".")
+    harness.run_experiment(cfg, out, args.jobs, args.dump_debug)
+    print(f"ran mode={cfg.mode} seeds={cfg.seeds} into {out}")
     return EXIT_OK
 
 
@@ -123,14 +110,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    cfg = _load_cfg(args)
-    rows = harness.sweep_rho(cfg, cfg.rho_values, jobs=args.jobs)
-    out = args.out or Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    harness._write_sweep_csv(out / "sweep.csv", rows)
-    (out / "sweep.json").write_text(json.dumps(rows, indent=2, sort_keys=True), encoding="utf-8")
-    print(f"wrote {out / 'sweep.csv'}")
-    return EXIT_OK
+    return _cmd_run(args, mode="rho_sweep")
 
 
 def _cmd_replay(args) -> int:
@@ -158,9 +138,6 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

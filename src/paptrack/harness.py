@@ -69,6 +69,12 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if any(not 0.0 <= r <= 1.0 for r in self.rho_values):
             raise ConfigError("rho_values must lie in [0, 1]")
+        if self.embedding_dim < 3:
+            raise ConfigError("embedding_dim must be >= 3 (2 center slots + tail)")
+        if self.metrics.match_distance <= 0:
+            raise ConfigError("metrics.match_distance must be positive")
+        if self.metrics.n_recall_points < 1:
+            raise ConfigError("metrics.n_recall_points must be >= 1")
         self.scenario.validate()
         self.sensor.validate()
         self.policy.validate()
@@ -350,35 +356,45 @@ def recompute_cost_evaluations(path) -> list[int]:
 
 
 def _run_job(args):
-    cfg, seed, rho, arm = args
-    return run_single(cfg, seed, rho=rho, arm=arm)
+    cfg, seed, rho, arm, dump_path = args
+    return run_single(cfg, seed, rho=rho, arm=arm, dump_path=dump_path)
 
 
-def _run_arm(cfg: ExperimentConfig, rho: float, arm: str, jobs: int = 1) -> list[dict]:
-    tasks = [(cfg, seed, rho, arm) for seed in cfg.seeds]
+def _run_arm(cfg: ExperimentConfig, rho: float, arm: str, jobs: int = 1, dump_dir=None) -> list[dict]:
+    tasks = [
+        (cfg, seed, rho, arm, None if dump_dir is None else Path(dump_dir) / f"dump_{arm}_seed{seed}.jsonl")
+        for seed in cfg.seeds
+    ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(_run_job, tasks))
     return [_run_job(t) for t in tasks]
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1) -> dict[str, list[dict]]:
-    """Run the configured experiment; returns reports per arm, writes JSON if out_dir set."""
+def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, dump_debug: bool = False) -> dict[str, list[dict]]:
+    """Run the configured experiment; returns reports per arm, writes JSON if out_dir set.
+
+    With `dump_debug`, every run also writes ``dump_{arm}_seed{seed}.jsonl``
+    into `out_dir`, which is then required.
+    """
     cfg.validate()
+    if dump_debug and out_dir is None:
+        raise ValueError("dump_debug requires out_dir")
+    out = None if out_dir is None else Path(out_dir)
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
+    dump_dir = out if dump_debug else None
     arms: dict[str, list[dict]] = {}
     if cfg.mode == "baseline":
-        arms["baseline"] = _run_arm(cfg, 0.0, "baseline", jobs)
+        arms["baseline"] = _run_arm(cfg, 0.0, "baseline", jobs, dump_dir)
     elif cfg.mode == "pap":
-        arms["pap"] = _run_arm(cfg, cfg.policy.rho, "pap", jobs)
+        arms["pap"] = _run_arm(cfg, cfg.policy.rho, "pap", jobs, dump_dir)
     elif cfg.mode == "ab_compare":
-        arms["baseline"] = _run_arm(cfg, 0.0, "baseline", jobs)
-        arms["pap"] = _run_arm(cfg, cfg.policy.rho, "pap", jobs)
+        arms["baseline"] = _run_arm(cfg, 0.0, "baseline", jobs, dump_dir)
+        arms["pap"] = _run_arm(cfg, cfg.policy.rho, "pap", jobs, dump_dir)
     elif cfg.mode == "rho_sweep":
-        rows = sweep_rho(cfg, cfg.rho_values, jobs)
-        arms["sweep"] = rows
-    if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        arms["sweep"] = sweep_rho(cfg, cfg.rho_values, jobs, dump_dir)
+    if out is not None:
         for arm, reports in arms.items():
             if arm == "sweep":
                 _write_sweep_csv(out / "sweep.csv", reports)
@@ -457,13 +473,13 @@ def sign_test_pvalue(baseline_vals, pap_vals, alternative: str = "greater") -> f
     return float(binomtest(wins, n, 0.5, alternative=alternative).pvalue)
 
 
-def sweep_rho(cfg: ExperimentConfig, rho_values, jobs: int = 1) -> list[dict]:
+def sweep_rho(cfg: ExperimentConfig, rho_values, jobs: int = 1, dump_dir=None) -> list[dict]:
     """One comparable row per rho, identical seeds throughout."""
     if any(not 0.0 <= r <= 1.0 for r in rho_values):
         raise ConfigError("rho_values must lie in [0, 1]")
     rows = []
     for rho in sorted(rho_values):
-        reports = _run_arm(cfg, rho, f"rho={rho}", jobs)
+        reports = _run_arm(cfg, rho, f"rho={rho}", jobs, dump_dir)
         row = {"rho": float(rho), "seeds": [int(s) for s in cfg.seeds]}
         for metric in COMPARE_METRICS:
             vals = [r["aggregate"][metric] for r in reports]

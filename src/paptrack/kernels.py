@@ -1,67 +1,19 @@
 """Hot numeric kernels: gated query/measurement cost matrices.
 
-The gating kernel runs once per frame over every (query, measurement) pair
-and dominates the per-frame cost for realistic query counts, so it carries
-a numba ``@njit`` implementation with a pure-numpy fallback.  Selection:
-
-* env var ``PAPTRACK_NUMBA=0`` forces the numpy path,
-* otherwise numba is used when importable.
-
-Both paths return bit-identical results; ``benchmarks/bench_kernels.py``
-compares their throughput.
+The gating kernel runs once per frame over every (query, measurement)
+pair.  It is a single vectorised numpy pass; ``tests/oracles.py`` holds a
+pair-by-pair loop that it must match bit for bit.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    _HAS_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAS_NUMBA = False
-
-USE_NUMBA = _HAS_NUMBA and os.environ.get("PAPTRACK_NUMBA", "1") != "0"
+# read by perfbench/run.py:environment(), which stamps it on every result
+USE_NUMBA = False
 
 # class code -1 on a query means "matches any measurement class"
 ANY_CLASS = -1
-
-
-def _gated_costs_numpy(q_xy, q_cls, m_xy, m_cls, gate):
-    nq, nm = q_xy.shape[0], m_xy.shape[0]
-    costs = np.full((nq, nm), np.inf)
-    if nq == 0 or nm == 0:
-        return costs, 0
-    compat = (q_cls[:, None] == ANY_CLASS) | (q_cls[:, None] == m_cls[None, :])
-    dx = q_xy[:, 0:1] - m_xy[None, :, 0]
-    dy = q_xy[:, 1:2] - m_xy[None, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
-    np.copyto(costs, dist, where=compat & (dist <= gate))
-    return costs, int(compat.sum())
-
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _gated_costs_numba(q_xy, q_cls, m_xy, m_cls, gate):  # pragma: no cover - jitted
-        nq = q_xy.shape[0]
-        nm = m_xy.shape[0]
-        costs = np.full((nq, nm), np.inf)
-        n_eval = 0
-        for i in range(nq):
-            for j in range(nm):
-                if q_cls[i] != ANY_CLASS and q_cls[i] != m_cls[j]:
-                    continue
-                n_eval += 1
-                dx = q_xy[i, 0] - m_xy[j, 0]
-                dy = q_xy[i, 1] - m_xy[j, 1]
-                d = np.sqrt(dx * dx + dy * dy)
-                if d <= gate:
-                    costs[i, j] = d
-        return costs, n_eval
 
 
 def gated_costs(
@@ -82,7 +34,13 @@ def gated_costs(
     m_xy = np.ascontiguousarray(m_xy, dtype=np.float64)
     q_cls = np.ascontiguousarray(q_cls, dtype=np.int64)
     m_cls = np.ascontiguousarray(m_cls, dtype=np.int64)
-    if USE_NUMBA:
-        costs, n_eval = _gated_costs_numba(q_xy, q_cls, m_xy, m_cls, float(gate))
-        return costs, int(n_eval)
-    return _gated_costs_numpy(q_xy, q_cls, m_xy, m_cls, float(gate))
+    nq, nm = q_xy.shape[0], m_xy.shape[0]
+    costs = np.full((nq, nm), np.inf)
+    if nq == 0 or nm == 0:
+        return costs, 0
+    compat = (q_cls[:, None] == ANY_CLASS) | (q_cls[:, None] == m_cls[None, :])
+    dx = q_xy[:, 0:1] - m_xy[None, :, 0]
+    dy = q_xy[:, 1:2] - m_xy[None, :, 1]
+    dist = np.sqrt(dx * dx + dy * dy)
+    np.copyto(costs, dist, where=compat & (dist <= float(gate)))
+    return costs, int(compat.sum())

@@ -29,7 +29,6 @@ _CONTINUITY_EPS = 1e-9
 
 @dataclass
 class FrameEvents:
-    frame: int
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -69,8 +68,7 @@ def match_frame(
     """
     if match_distance <= 0:
         raise ValueError("match_distance must be positive")
-    frame = -1
-    events = FrameEvents(frame=frame)
+    events = FrameEvents()
     ng, nh = len(gt), len(hyps)
     if ng == 0 or nh == 0:
         events.fp = nh

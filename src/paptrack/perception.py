@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from paptrack.kernels import ANY_CLASS, gated_costs
 from paptrack.queries import PREDICTED, RANDOM, CodecConfig, Query, QueryBank, decode_reference, embed_center
-from paptrack.world import CLASS_INDEX, Measurement
+from paptrack.world import CLASS_INDEX, ConfigError, Measurement
 
 TENTATIVE = "tentative"
 CONFIRMED = "confirmed"
@@ -37,11 +37,11 @@ class QueryAssemblyPolicy:
 
     def validate(self) -> None:
         if self.n_queries < 1:
-            raise ValueError("n_queries must be >= 1")
+            raise ConfigError("n_queries must be >= 1")
         if not 0.0 <= self.rho <= 1.0:
-            raise ValueError("rho must be in [0, 1]")
+            raise ConfigError("rho must be in [0, 1]")
         if self.mode not in ("fixed", "reduced"):
-            raise ValueError("mode must be 'fixed' or 'reduced'")
+            raise ConfigError("mode must be 'fixed' or 'reduced'")
 
 
 @dataclass
@@ -117,7 +117,6 @@ class Detection:
 class FrameResult:
     tracks: list[Track]
     detections: list[Detection]
-    refined_queries: list[Query]
     queries: list[Query]
     assignment: Assignment
     stats: dict
@@ -149,10 +148,7 @@ def assemble_queries(
         n_random = max(policy.n_queries - 2 * k, 0)
     centers = rng.uniform(-world_half_extent, world_half_extent, size=(n_random, 2))
     tails = rng.standard_normal(size=(n_random, codec.dim - 2))
-    randoms = [
-        embed_center(centers[i], tails[i], codec, provenance=RANDOM, created_frame=frame)
-        for i in range(n_random)
-    ]
+    randoms = [embed_center(centers[i], tails[i], codec, provenance=RANDOM) for i in range(n_random)]
     return chosen + randoms
 
 
@@ -252,7 +248,7 @@ def update_tracks(
     dt: float,
     codec: CodecConfig,
     id_gen,
-) -> tuple[list[Track], list[Query]]:
+) -> list[Track]:
     """Fold one frame's assignment into track state.
 
     Predicted-query matches update their source track with the blended
@@ -320,22 +316,7 @@ def update_tracks(
         else:
             t.status = COASTING
             t.append_state(frame, t.center + t.velocity * dt, t.velocity, coasted=True)
-
-    refined = [
-        embed_center(
-            t.center,
-            t.tail,
-            codec,
-            provenance=PREDICTED,
-            source_track_id=t.track_id,
-            cls=t.cls,
-            confidence=t.confidence,
-            created_frame=frame,
-        )
-        for t in tracks
-        if t.live
-    ]
-    return tracks, refined
+    return tracks
 
 
 def perceive(
@@ -356,9 +337,7 @@ def perceive(
     costs, n_eval = gate_costs(queries, measurements, params.gate_threshold, codec)
     adjusted = apply_predicted_priority(costs, queries, params.predicted_priority_eps)
     assignment = associate(adjusted)
-    tracks, refined = update_tracks(
-        tracks, assignment, queries, measurements, frame, params, dt, codec, id_gen
-    )
+    tracks = update_tracks(tracks, assignment, queries, measurements, frame, params, dt, codec, id_gen)
     detections = [
         Detection(frame=frame, track_id=t.track_id, cls=t.cls, center=t.center.copy(), confidence=t.confidence)
         for t in tracks
@@ -373,7 +352,6 @@ def perceive(
     return FrameResult(
         tracks=tracks,
         detections=detections,
-        refined_queries=refined,
         queries=queries,
         assignment=assignment,
         stats=stats,

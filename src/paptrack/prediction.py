@@ -13,6 +13,7 @@ import numpy as np
 
 from paptrack.perception import COASTING, CONFIRMED, TERMINATED, Track
 from paptrack.queries import PREDICTED, CodecConfig, Query, QueryBank, embed_center
+from paptrack.world import ConfigError
 
 CONSTANT_VELOCITY = "constant_velocity"
 CONSTANT_TURN = "constant_turn"
@@ -28,11 +29,11 @@ class PredictorConfig:
 
     def validate(self) -> None:
         if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+            raise ConfigError("horizon must be >= 1")
         if not 1 <= self.feed_step <= self.horizon:
-            raise ValueError("feed_step must be in [1, horizon]")
+            raise ConfigError("feed_step must be in [1, horizon]")
         if self.model not in (CONSTANT_VELOCITY, CONSTANT_TURN):
-            raise ValueError(f"unknown predictor model {self.model!r}")
+            raise ConfigError(f"unknown predictor model {self.model!r}")
 
 
 @dataclass
@@ -86,7 +87,6 @@ def queries_from_forecast(
     source_tail: np.ndarray,
     cfg: PredictorConfig,
     codec: CodecConfig,
-    created_frame: int,
 ) -> list[Query]:
     """Embed the selected horizon points as predicted queries.
 
@@ -103,7 +103,6 @@ def queries_from_forecast(
             source_track_id=f.track_id,
             horizon_step=h,
             confidence=f.confidence,
-            created_frame=created_frame,
         )
         for h in steps
     ]
@@ -122,7 +121,7 @@ def predict_and_store(
         if track.status not in (CONFIRMED, COASTING):
             continue
         f = forecast(track, cfg)
-        qs = queries_from_forecast(f, track.tail, cfg, codec, created_frame=t)
+        qs = queries_from_forecast(f, track.tail, cfg, codec)
         for q in qs:
             q.cls = track.cls
         queries.extend(qs)

@@ -40,7 +40,6 @@ class Query:
     horizon_step: int | None = None
     cls: str | None = None  # class lock; None => matches any class
     confidence: float = 1.0
-    created_frame: int = 0
 
     def __post_init__(self):
         if self.provenance == PREDICTED and self.source_track_id is None:
@@ -73,7 +72,6 @@ def embed_center(
     horizon_step: int | None = None,
     cls: str | None = None,
     confidence: float = 1.0,
-    created_frame: int = 0,
 ) -> Query:
     """Inverse of :func:`decode_reference`: center into slots [0, 1], tail after."""
     center = np.asarray(center, dtype=float)
@@ -92,7 +90,6 @@ def embed_center(
         horizon_step=horizon_step,
         cls=cls,
         confidence=confidence,
-        created_frame=created_frame,
     )
 
 

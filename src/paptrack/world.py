@@ -303,6 +303,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "states": a.states.tolist(),
                 "spawn": a.spawn,
                 "despawn": a.despawn,
+                "model": a.model,
+                "turn_rate": a.turn_rate,
             }
             for a in scenario.agents
         ],
@@ -318,6 +320,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
             spawn=int(a["spawn"]),
             despawn=int(a["despawn"]),
             states=np.array(a["states"], dtype=float).reshape(int(a["despawn"]) - int(a["spawn"]), 5),
+            model=a["model"],
+            turn_rate=float(a["turn_rate"]),
         )
         for a in doc["agents"]
     ]

@@ -2,7 +2,8 @@
 
 These deliberately share no code with the package: assignment is solved
 by exhaustive permutation, the recall sweep is re-derived straight from
-the metric formula, and trajectories are re-integrated step by step.
+the metric formula, trajectories are re-integrated step by step, and the
+gate kernel is recomputed pair by pair.
 """
 
 from __future__ import annotations
@@ -12,6 +13,29 @@ import itertools
 import numpy as np
 
 CONTINUITY_EPS = 1e-9
+ANY_CLASS = -1
+
+
+def gated_costs_loop(q_xy, q_cls, m_xy, m_cls, gate):
+    """Gated cost matrix one (query, measurement) pair at a time.
+
+    Returns ``(costs, n_evaluations)`` with the same arithmetic as the
+    vectorised kernel, so the two must agree bit for bit.
+    """
+    nq, nm = q_xy.shape[0], m_xy.shape[0]
+    costs = np.full((nq, nm), np.inf)
+    n_eval = 0
+    for i in range(nq):
+        for j in range(nm):
+            if q_cls[i] != ANY_CLASS and q_cls[i] != m_cls[j]:
+                continue
+            n_eval += 1
+            dx = q_xy[i, 0] - m_xy[j, 0]
+            dy = q_xy[i, 1] - m_xy[j, 1]
+            d = np.sqrt(dx * dx + dy * dy)
+            if d <= gate:
+                costs[i, j] = d
+    return costs, n_eval
 
 
 def brute_force_assignment(costs: np.ndarray):

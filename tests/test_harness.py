@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from paptrack import harness
 from paptrack.cli import main
 from paptrack.harness import (
     ExperimentConfig,
@@ -112,6 +113,12 @@ def test_config_validation_failures():
         ExperimentConfig(mode="turbo").validate()
     with pytest.raises(ConfigError, match="rho"):
         ExperimentConfig(rho_values=[1.5]).validate()
+    with pytest.raises(ConfigError, match="embedding_dim"):
+        ExperimentConfig(embedding_dim=2).validate()
+    with pytest.raises(ConfigError, match="match_distance"):
+        ExperimentConfig(metrics=MetricConfig(match_distance=0.0)).validate()
+    with pytest.raises(ConfigError, match="n_recall_points"):
+        ExperimentConfig(metrics=MetricConfig(n_recall_points=0)).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +258,32 @@ def test_run_experiment_writes_reports_and_comparison(tmp_path):
 # CLI
 
 
-def write_cli_config(tmp_path):
-    doc = config_to_dict(small_config(seeds=(1,)))
+def write_cli_config(tmp_path, seeds=(1,), **overrides):
+    cfg = small_config(seeds=seeds)
+    for name, value in overrides.items():
+        setattr(cfg, name, value)
+    doc = config_to_dict(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def read_outputs(directory, pattern="*") -> dict:
+    """Output files' records by name, with the wall-clock counters removed."""
+    out = {}
+    for path in sorted(directory.glob(pattern)):
+        if path.suffix == ".jsonl":
+            records = [json.loads(line) for line in path.read_text().splitlines()]
+        elif path.suffix == ".json":
+            records = [json.loads(path.read_text())]
+        else:
+            records = [path.read_text()]
+        for rec in records:
+            if isinstance(rec, dict) and "counters" in rec and "wall_seconds" in rec["counters"]:
+                rec["counters"].pop("wall_seconds")
+                rec["counters"].pop("fps")
+        out[path.name] = records
+    return out
 
 
 def test_cli_run_success(tmp_path, capsys):
@@ -279,6 +307,38 @@ def test_cli_generate_and_replay_chain(tmp_path, capsys):
     assert replayed == original
 
 
+def test_cli_dump_debug_follows_the_configured_mode(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path, mode="rho_sweep", rho_values=[0.0, 0.8])
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--dump-debug"]) == 0
+    assert (out / "sweep.csv").exists()
+    assert [row["rho"] for row in json.loads((out / "sweep.json").read_text())] == [0.0, 0.8]
+    assert sorted(p.name for p in out.glob("dump_*.jsonl")) == ["dump_rho=0.0_seed1.jsonl", "dump_rho=0.8_seed1.jsonl"]
+    assert not list(out.glob("report_*"))
+
+
+def test_cli_dump_debug_output_independent_of_jobs(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path, seeds=(1, 2))
+    serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+    assert main(["run", "--config", str(cfg_path), "--out", str(serial), "--dump-debug"]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(parallel), "--dump-debug", "--jobs", "2"]) == 0
+    assert sorted(p.name for p in serial.iterdir()) == sorted(p.name for p in parallel.iterdir())
+    assert (parallel / "comparison.csv").exists()
+    assert len(list(parallel.glob("dump_*_seed*.jsonl"))) == 4
+    assert read_outputs(serial, "*_seed*") == read_outputs(parallel, "*_seed*")
+
+
+def test_cli_sweep_equals_run_in_rho_sweep_mode(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path, rho_values=[0.0, 1.0])
+    swept = tmp_path / "swept"
+    assert main(["sweep", "--config", str(cfg_path), "--out", str(swept)]) == 0
+    sweep_cfg = write_cli_config(tmp_path, mode="rho_sweep", rho_values=[0.0, 1.0])
+    ran = tmp_path / "ran"
+    assert main(["run", "--config", str(sweep_cfg), "--out", str(ran)]) == 0
+    assert sorted(p.name for p in swept.iterdir()) == ["sweep.csv", "sweep.json"]
+    assert read_outputs(swept) == read_outputs(ran)
+
+
 def test_cli_compare_directories(tmp_path, capsys):
     cfg_path = write_cli_config(tmp_path)
     out = tmp_path / "out"
@@ -299,6 +359,25 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     notjson.write_text("{broken")
     assert main(["run", "--config", str(notjson)]) == 2
     assert main(["run"]) == 2  # --config missing
+    doc = config_to_dict(small_config(seeds=(1,)))
+    doc["policy"]["n_queries"] = 0
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    doc = config_to_dict(small_config(seeds=(1,)))
+    doc["embedding_dim"] = 2
+    bad.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch):
+    def fault(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(harness, "run_single", fault)
+    cfg_path = write_cli_config(tmp_path)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert "config error" not in capsys.readouterr().err
 
 
 def test_cli_missing_file_exits_3(tmp_path, capsys):

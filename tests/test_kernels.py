@@ -5,6 +5,8 @@ import pytest
 
 from paptrack import kernels
 
+from oracles import gated_costs_loop
+
 
 def random_instance(rng, nq=64, nm=20, n_classes=7):
     q_xy = rng.uniform(-30, 30, size=(nq, 2))
@@ -19,39 +21,27 @@ def test_numpy_path_costs_and_count():
     q_cls = np.array([0, kernels.ANY_CLASS], dtype=np.int64)
     m_xy = np.array([[3.0, 4.0]])
     m_cls = np.array([1], dtype=np.int64)
-    costs, n_eval = kernels._gated_costs_numpy(q_xy, q_cls, m_xy, m_cls, 20.0)
+    costs, n_eval = kernels.gated_costs(q_xy, q_cls, m_xy, m_cls, 20.0)
     assert np.isinf(costs[0, 0])  # class 0 query never evaluates a class-1 measurement
     assert costs[1, 0] == pytest.approx(np.hypot(7.0, 4.0))
     assert n_eval == 1
 
 
-@pytest.mark.skipif(not kernels._HAS_NUMBA, reason="numba not installed")
-def test_compiled_and_numpy_backends_agree_exactly():
+def test_kernel_matches_loop_oracle_exactly():
     rng = np.random.default_rng(17)
     for _ in range(10):
         q_xy, q_cls, m_xy, m_cls = random_instance(rng)
         gate = float(rng.uniform(1.0, 40.0))
-        c_np, n_np = kernels._gated_costs_numpy(q_xy, q_cls, m_xy, m_cls, gate)
-        c_nb, n_nb = kernels._gated_costs_numba(q_xy, q_cls, m_xy, m_cls, gate)
-        assert n_np == n_nb
-        assert np.array_equal(c_np, c_nb)  # bitwise, including inf placement
+        c_np, n_np = kernels.gated_costs(q_xy, q_cls, m_xy, m_cls, gate)
+        c_loop, n_loop = gated_costs_loop(q_xy, q_cls, m_xy, m_cls, gate)
+        assert n_np == n_loop
+        assert np.array_equal(c_np, c_loop)  # bitwise, including inf placement
 
 
-@pytest.mark.skipif(not kernels._HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_on_empty_inputs():
+def test_kernel_and_loop_oracle_agree_on_empty_inputs():
     empty_xy = np.zeros((0, 2))
     empty_cls = np.zeros(0, dtype=np.int64)
-    c_np, n_np = kernels._gated_costs_numpy(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
-    c_nb, n_nb = kernels._gated_costs_numba(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
-    assert c_np.shape == c_nb.shape == (0, 0)
-    assert n_np == n_nb == 0
-
-
-def test_dispatch_respects_environment_flag(monkeypatch):
-    rng = np.random.default_rng(3)
-    q_xy, q_cls, m_xy, m_cls = random_instance(rng, nq=8, nm=4)
-    monkeypatch.setattr(kernels, "USE_NUMBA", False)
-    c_off, n_off = kernels.gated_costs(q_xy, q_cls, m_xy, m_cls, 10.0)
-    expected, n_expected = kernels._gated_costs_numpy(q_xy, q_cls, m_xy, m_cls, 10.0)
-    assert np.array_equal(c_off, expected)
-    assert n_off == n_expected
+    c_np, n_np = kernels.gated_costs(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
+    c_loop, n_loop = gated_costs_loop(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
+    assert c_np.shape == c_loop.shape == (0, 0)
+    assert n_np == n_loop == 0

@@ -213,19 +213,19 @@ def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
 
 def test_matched_predicted_query_blends_centers():
     track = make_track(center=(1.0, 0.0))
-    tracks, _ = run_update([track], [predicted_query(1, (1.0, 0.0))], [meas((2.0, 0.0), frame=1)])
+    tracks = run_update([track], [predicted_query(1, (1.0, 0.0))], [meas((2.0, 0.0), frame=1)])
     assert np.allclose(tracks[0].center, [1.7, 0.0], atol=1e-12)
     assert tracks[0].hits == 3
 
 
 def test_alpha_one_snaps_to_measurement():
     track = make_track(center=(1.0, 0.0))
-    tracks, _ = run_update([track], [predicted_query(1, (1.0, 0.0))], [meas((2.0, 0.0), frame=1)], alpha=1.0)
+    tracks = run_update([track], [predicted_query(1, (1.0, 0.0))], [meas((2.0, 0.0), frame=1)], alpha=1.0)
     assert np.allclose(tracks[0].center, [2.0, 0.0], atol=0)
 
 
 def test_unmatched_random_query_is_discarded():
-    tracks, _ = run_update([], [predicted_query(1, (0.0, 0.0))] , [])
+    tracks = run_update([], [predicted_query(1, (0.0, 0.0))] , [])
     assert tracks == []
 
 
@@ -233,7 +233,7 @@ def test_matched_random_query_births_tentative_track():
     rng = stream(0, "queries")
     qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=50, rho=0.0), CODEC, 5.0, rng)
     m = meas((0.0, 0.0), frame=0)
-    tracks, _ = run_update([], qs, [m], frame=0)
+    tracks = run_update([], qs, [m], frame=0)
     assert len(tracks) == 1
     assert tracks[0].status == "tentative"
     assert np.array_equal(tracks[0].center, m.center)
@@ -260,7 +260,7 @@ def test_unmatched_track_coasts_then_terminates():
 def test_terminated_tracks_stay_terminated():
     track = make_track(center=(0.0, 0.0))
     track.status = TERMINATED
-    tracks, _ = run_update([track], [predicted_query(1, (0.0, 0.0))], [meas((0.0, 0.0), frame=1)])
+    tracks = run_update([track], [predicted_query(1, (0.0, 0.0))], [meas((0.0, 0.0), frame=1)])
     assert track.status == TERMINATED
     assert len(track.frames) == 1  # no state appended
     assert len(tracks) == 2  # the measurement birthed a fresh track instead
@@ -277,7 +277,7 @@ def test_track_ids_never_reused():
         qs = assemble_queries(QueryBank(), frame, QueryAssemblyPolicy(n_queries=200, rho=0.0), CODEC, HALF_EXTENT, rng)
         costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
         assignment = associate(costs)
-        tracks, _ = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1, CODEC, ids)
+        tracks = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1, CODEC, ids)
         for t in tracks:
             seen.add(t.track_id)
     assert len(seen) == len({t.track_id for t in tracks} | seen)
@@ -354,7 +354,7 @@ def test_perceive_equals_manual_composition():
     costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
     ids_b = itertools.count(100).__next__
-    manual_tracks, manual_refined = update_tracks([copy.deepcopy(track)], assignment, qs, ms, 1, params, 0.1, CODEC, ids_b)
+    manual_tracks = update_tracks([copy.deepcopy(track)], assignment, qs, ms, 1, params, 0.1, CODEC, ids_b)
 
     assert [(m[0], m[1]) for m in result.assignment.matches] == [(m[0], m[1]) for m in assignment.matches]
     assert len(result.tracks) == len(manual_tracks)
@@ -362,9 +362,6 @@ def test_perceive_equals_manual_composition():
         assert ta.track_id == tb.track_id
         assert ta.status == tb.status
         assert np.array_equal(ta.center, tb.center)
-    assert len(result.refined_queries) == len(manual_refined)
-    for qa, qb in zip(result.refined_queries, manual_refined):
-        assert np.array_equal(qa.embedding, qb.embedding)
 
 
 def test_predicted_priority_wins_cost_ties():

@@ -104,19 +104,18 @@ def test_constant_turn_error_grows_with_horizon_against_true_circle():
 def test_queries_from_forecast_round_trip():
     f = Forecast(track_id=9, points=np.array([[1.5, -2.0]]), model=CONSTANT_VELOCITY, confidence=0.75)
     tail = np.arange(14, dtype=float)
-    (q,) = queries_from_forecast(f, tail, PredictorConfig(horizon=1), CODEC, created_frame=4)
+    (q,) = queries_from_forecast(f, tail, PredictorConfig(horizon=1), CODEC)
     assert q.provenance == PREDICTED
     assert q.source_track_id == 9
     assert q.horizon_step == 1
     assert q.confidence == 0.75
-    assert q.created_frame == 4
     assert np.max(np.abs(decode_reference(q, CODEC) - [1.5, -2.0])) < 1e-9
 
 
 def test_tail_carried_slot_for_slot():
     tail = np.linspace(-3.0, 3.0, 14)
     f = Forecast(track_id=1, points=np.array([[0.0, 0.0]]), model=CONSTANT_VELOCITY, confidence=1.0)
-    (q,) = queries_from_forecast(f, tail, PredictorConfig(horizon=1), CODEC, created_frame=0)
+    (q,) = queries_from_forecast(f, tail, PredictorConfig(horizon=1), CODEC)
     assert np.array_equal(q.tail, tail)
 
 
@@ -124,7 +123,7 @@ def test_feed_all_emits_one_query_per_horizon_step():
     track = make_track(velocity=(2.0, 1.0))
     cfg = PredictorConfig(horizon=6, feed_all=True)
     f = forecast(track, cfg)
-    qs = queries_from_forecast(f, track.tail, cfg, CODEC, created_frame=0)
+    qs = queries_from_forecast(f, track.tail, cfg, CODEC)
     assert [q.horizon_step for q in qs] == [1, 2, 3, 4, 5, 6]
     for q in qs:
         assert np.max(np.abs(decode_reference(q, CODEC) - f.points[q.horizon_step - 1])) < 1e-9
@@ -134,7 +133,7 @@ def test_feed_step_selects_single_horizon_point():
     track = make_track(velocity=(1.0, 0.0))
     cfg = PredictorConfig(horizon=6, feed_step=3, dt=0.1)
     f = forecast(track, cfg)
-    qs = queries_from_forecast(f, track.tail, cfg, CODEC, created_frame=0)
+    qs = queries_from_forecast(f, track.tail, cfg, CODEC)
     assert len(qs) == 1
     assert qs[0].horizon_step == 3
     assert np.max(np.abs(decode_reference(qs[0], CODEC) - [0.3, 0.0])) < 1e-9

@@ -186,10 +186,12 @@ def test_scenario_json_round_trip_lossless():
     assert np.array_equal(back.ego, scn.ego)
     for a, b in zip(scn.agents, back.agents):
         assert (a.agent_id, a.cls, a.spawn, a.despawn) == (b.agent_id, b.cls, b.spawn, b.despawn)
+        assert (a.model, a.turn_rate) == (b.model, b.turn_rate)
         assert np.array_equal(a.states, b.states)
+    assert any(a.turn_rate != 0.0 for a in back.agents)  # the turning fields were exercised
 
 
 def test_scenario_schema_keys():
     doc = scenario_to_dict(generate_scenario(single_car_config(), 7))
     assert set(doc) == {"scenario_id", "dt", "frame_count", "seed", "agents", "ego"}
-    assert set(doc["agents"][0]) == {"id", "class", "states", "spawn", "despawn"}
+    assert set(doc["agents"][0]) == {"id", "class", "states", "spawn", "despawn", "model", "turn_rate"}
