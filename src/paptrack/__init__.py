@@ -8,12 +8,11 @@ delta between running the loop closed (predicted queries recycled) and
 open (fresh random queries every frame).
 """
 
-from paptrack.queries import CodecConfig, Query, QueryBank, decode_reference, embed_center
+from paptrack.queries import CodecConfig, QueryBank, decode_reference, embed_center
 from paptrack.world import Measurement, Scenario, ScenarioConfig, SensorConfig, generate_scenario, sense
 
 __all__ = [
     "CodecConfig",
-    "Query",
     "QueryBank",
     "decode_reference",
     "embed_center",

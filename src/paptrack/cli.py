@@ -2,8 +2,9 @@
 
 Subcommands: generate (scenario -> file), run (config -> reports),
 compare (two report dirs -> summary), sweep (rho sweep), replay (debug
-dump -> report).  Exit codes: 0 success, 2 config error, 3 I/O error;
-any other exception is a program fault and propagates with its traceback.
+dump -> report).  Exit codes: 0 success, 2 config error, 3 I/O error,
+4 input error (a malformed dump, or report sets whose seeds differ); any
+other exception is a program fault and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -16,17 +17,22 @@ from pathlib import Path
 from paptrack import harness
 from paptrack.harness import ExperimentConfig, load_config
 from paptrack.metrics import report_to_json
-from paptrack.world import ConfigError, generate_scenario, save_scenario
+from paptrack.world import ConfigError, InputError, generate_scenario, save_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
+EXIT_INPUT = 4
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="experiment config JSON")
     p.add_argument("--seed", type=int, default=None, help="override: run only this seed")
     p.add_argument("--out", type=Path, default=None, help="output directory (default: .)")
+
+
+def _add_run_flags(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
     p.add_argument("--dump-debug", action="store_true", help="write per-frame JSONL traces")
     p.add_argument("--jobs", type=int, default=1, help="parallel workers across seeds")
 
@@ -39,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("run", help="run the configured experiment")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("compare", help="compare baseline and pap report directories")
     p.add_argument("baseline_dir", type=Path)
@@ -47,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None)
 
     p = sub.add_parser("sweep", help="rho sweep over the configured seeds")
-    _add_common(p)
+    _add_run_flags(p)
 
     p = sub.add_parser("replay", help="rebuild a report from a debug dump")
     p.add_argument("dump", type=Path)
@@ -143,6 +149,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InputError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

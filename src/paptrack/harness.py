@@ -23,11 +23,13 @@ from scipy.stats import binomtest
 from paptrack.metrics import GtBox, Hypothesis, build_report, evaluate_run, report_to_json
 from paptrack.perception import PerceptionParams, QueryAssemblyPolicy, perceive
 from paptrack.prediction import COASTING, CONFIRMED, PredictorConfig, forecast, predict_and_store
-from paptrack.queries import CodecConfig, QueryBank
+from paptrack.queries import ANY_CLASS, CodecConfig, QueryBank, decode_reference
 from paptrack.rng import stream
 from paptrack.world import (
     CLASS_INDEX,
+    CLASSES,
     ConfigError,
+    InputError,
     Scenario,
     ScenarioConfig,
     SensorConfig,
@@ -71,6 +73,8 @@ class ExperimentConfig:
             raise ConfigError("rho_values must lie in [0, 1]")
         if self.embedding_dim < 3:
             raise ConfigError("embedding_dim must be >= 3 (2 center slots + tail)")
+        if self.bank_capacity < 1:
+            raise ConfigError("bank_capacity must be >= 1")
         if self.metrics.match_distance <= 0:
             raise ConfigError("metrics.match_distance must be positive")
         if self.metrics.n_recall_points < 1:
@@ -172,7 +176,7 @@ def run_single(
     policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
     predictor = dataclasses.replace(cfg.predictor, dt=scenario.dt)
     params = cfg.perception
-    bank = QueryBank(capacity=cfg.bank_capacity)
+    bank = QueryBank(capacity=cfg.bank_capacity, dim=codec.dim)
     tracks = []
     id_gen = itertools.count(1).__next__
     sensor_rng = stream(seed, "sensor")
@@ -247,13 +251,11 @@ def run_single(
 
 
 def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> dict:
-    from paptrack.queries import decode_reference
-
+    queries = result.queries
     forecasts = []
     for t in sorted(tracks, key=lambda tr: tr.track_id):
         if t.status in (CONFIRMED, COASTING):
-            f = forecast(t, predictor)
-            forecasts.append({"track_id": t.track_id, "points": f.points.tolist()})
+            forecasts.append({"track_id": t.track_id, "points": forecast(t, predictor).tolist()})
     return {
         "type": "frame",
         "frame": frame,
@@ -261,12 +263,17 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
         "gt": [{"id": g.gt_id, "class": g.cls, "center": g.center.tolist()} for g in gt],
         "queries": [
             {
-                "provenance": q.provenance,
-                "source_track_id": q.source_track_id,
-                "class": q.cls,
-                "center": decode_reference(q, codec).tolist(),
+                "provenance": provenance,
+                "source_track_id": source if source >= 0 else None,
+                "class": CLASSES[cls] if cls != ANY_CLASS else None,
+                "center": center,
             }
-            for q in result.queries
+            for provenance, source, cls, center in zip(
+                queries["provenance"].tolist(),
+                queries["source_track_id"].tolist(),
+                queries["cls"].tolist(),
+                decode_reference(queries, codec).tolist(),
+            )
         ],
         "assignment": {
             "matches": [[qi, mj, cost] for qi, mj, cost in result.assignment.matches],
@@ -296,8 +303,11 @@ def replay_dump(path) -> dict:
     hyps: list[Hypothesis] = []
     n_frames = 0
     with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
+        for lineno, line in enumerate(f, start=1):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise InputError(f"dump {path} line {lineno} is not JSON: {exc}") from exc
             if rec["type"] == "header":
                 header = rec
             elif rec["type"] == "footer":
@@ -318,7 +328,7 @@ def replay_dump(path) -> dict:
                         )
                     )
     if header is None or footer is None:
-        raise ValueError(f"dump {path} is missing header or footer")
+        raise InputError(f"dump {path} is missing header or footer")
     echo = header["config_echo"]
     mcfg = echo.get("metrics", {})
     per_class = evaluate_run(
@@ -421,7 +431,7 @@ def _paired(baseline_reports, pap_reports):
     base = sorted(baseline_reports, key=key)
     pap = sorted(pap_reports, key=key)
     if [key(r) for r in base] != [key(r) for r in pap]:
-        raise ValueError("baseline and pap arms must cover identical seed sets")
+        raise InputError("baseline and pap arms must cover identical seed sets")
     return base, pap
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from paptrack.queries import ANY_CLASS
+
 # read by perfbench/run.py:environment(), which stamps it on every result
 USE_NUMBA = False
-
-# class code -1 on a query means "matches any measurement class"
-ANY_CLASS = -1
 
 
 def gated_costs(

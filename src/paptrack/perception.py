@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from paptrack.kernels import ANY_CLASS, gated_costs
-from paptrack.queries import PREDICTED, RANDOM, CodecConfig, Query, QueryBank, decode_reference, embed_center
+from paptrack.kernels import gated_costs
+from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center
 from paptrack.world import CLASS_INDEX, ConfigError, Measurement
 
 TENTATIVE = "tentative"
@@ -117,7 +117,7 @@ class Detection:
 class FrameResult:
     tracks: list[Track]
     detections: list[Detection]
-    queries: list[Query]
+    queries: np.recarray
     assignment: Assignment
     stats: dict
 
@@ -129,31 +129,30 @@ def assemble_queries(
     codec: CodecConfig,
     world_half_extent: float,
     rng: np.random.Generator,
-) -> list[Query]:
-    """Frame-T query set: recycled predicted queries, then fresh random ones.
+) -> np.recarray:
+    """Frame-T query table: recycled predicted queries, then fresh random ones.
 
     Predicted queries come from the bank entry at T-1, highest source-track
-    confidence first (ties by track id).  At T=0 the bank is necessarily
-    empty and the set is all-random; likewise rho=0 is the open-loop
-    baseline.
+    confidence first (ties by track id, then horizon step).  At T=0 the
+    bank is never consulted and the table is all-random; likewise rho=0 is
+    the open-loop baseline.
     """
     policy.validate()
-    predicted = bank.fetch(frame - 1) if frame > 0 else []
-    predicted.sort(key=lambda q: (-q.confidence, q.source_track_id, q.horizon_step or 0))
-    k = min(len(predicted), math.floor(policy.rho * policy.n_queries))
-    chosen = predicted[:k]
+    predicted = bank.fetch(frame - 1)
+    k = min(len(predicted), math.floor(policy.rho * policy.n_queries)) if frame > 0 else 0
+    order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
     if policy.mode == "fixed":
         n_random = policy.n_queries - k
     else:
         n_random = max(policy.n_queries - 2 * k, 0)
     centers = rng.uniform(-world_half_extent, world_half_extent, size=(n_random, 2))
     tails = rng.standard_normal(size=(n_random, codec.dim - 2))
-    randoms = [embed_center(centers[i], tails[i], codec, provenance=RANDOM) for i in range(n_random)]
-    return chosen + randoms
+    randoms = embed_center(centers, tails, codec)
+    return np.concatenate([predicted[order[:k]], randoms]).view(np.recarray)
 
 
 def gate_costs(
-    queries: list[Query],
+    queries: np.recarray,
     measurements: list[Measurement],
     gate_threshold: float,
     codec: CodecConfig,
@@ -167,26 +166,17 @@ def gate_costs(
     nq, nm = len(queries), len(measurements)
     if nq == 0 or nm == 0:
         return np.full((nq, nm), np.inf), 0
-    emb = np.stack([q.embedding[:2] for q in queries])
-    if not np.all(np.isfinite(emb)):
-        raise ValueError("non-finite embedding values")
-    q_xy = codec.scale * emb + np.asarray(codec.offset)
-    q_cls = np.array(
-        [CLASS_INDEX[q.cls] if q.cls is not None else ANY_CLASS for q in queries], dtype=np.int64
-    )
+    q_xy = decode_reference(queries, codec)
     m_xy = np.stack([m.center for m in measurements])
     m_cls = np.array([CLASS_INDEX[m.cls] for m in measurements], dtype=np.int64)
-    return gated_costs(q_xy, q_cls, m_xy, m_cls, gate_threshold)
+    return gated_costs(q_xy, queries["cls"], m_xy, m_cls, gate_threshold)
 
 
-def apply_predicted_priority(costs: np.ndarray, queries: list[Query], eps: float) -> np.ndarray:
+def apply_predicted_priority(costs: np.ndarray, queries: np.recarray, eps: float) -> np.ndarray:
     """Break cost ties in favor of predicted queries by subtracting `eps`."""
     out = costs.copy()
-    for i, q in enumerate(queries):
-        if q.provenance == PREDICTED:
-            row = out[i]
-            finite = np.isfinite(row)
-            row[finite] = np.maximum(row[finite] - eps, 0.0)
+    where = (queries["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
+    np.copyto(out, np.maximum(costs - eps, 0.0), where=where)
     return out
 
 
@@ -241,7 +231,7 @@ def _apply_hit(track: Track, frame: int, center: np.ndarray, dt: float, params: 
 def update_tracks(
     tracks: list[Track],
     assignment: Assignment,
-    queries: list[Query],
+    queries: np.recarray,
     measurements: list[Measurement],
     frame: int,
     params: PerceptionParams,
@@ -257,31 +247,31 @@ def update_tracks(
     Unmatched live tracks coast by dead reckoning until `max_misses` is
     exceeded; terminated tracks are never revived.
     """
-    for qi, mj, _cost in assignment.matches:
-        if not (0 <= qi < len(queries) and 0 <= mj < len(measurements)):
-            raise ValueError("assignment references out-of-range indices")
+    pairs = np.array([(qi, mj) for qi, mj, _cost in assignment.matches], dtype=np.intp).reshape(-1, 2)
+    if np.any((pairs < 0) | (pairs >= [len(queries), len(measurements)])):
+        raise ValueError("assignment references out-of-range indices")
+    # the matched queries' columns, read once
+    matched = queries[pairs[:, 0]]
+    centers = decode_reference(matched, codec)
+    tails = matched["embedding"][:, 2:]
+    predicted = (matched["provenance"] == PREDICTED).tolist()
+    sources = matched["source_track_id"].tolist()
     by_id = {t.track_id: t for t in tracks}
     updated: set[int] = set()
-    deferred: list[tuple[int, int]] = []
+    deferred: list[int] = []
 
-    for qi, mj, _cost in assignment.matches:
-        q = queries[qi]
-        if q.provenance != PREDICTED:
-            deferred.append((qi, mj))
-            continue
-        track = by_id.get(q.source_track_id)
+    for i, mj in enumerate(pairs[:, 1].tolist()):
+        track = by_id.get(sources[i]) if predicted[i] else None
         if track is None or not track.live or track.track_id in updated:
-            # stale query (track died) or a second query of the same track
-            deferred.append((qi, mj))
+            # a random query, a stale query (track died) or a second query of the same track
+            deferred.append(i)
             continue
-        predicted_center = decode_reference(q, codec)
-        measured = measurements[mj].center
-        blended = (1.0 - params.alpha) * predicted_center + params.alpha * measured
+        blended = (1.0 - params.alpha) * centers[i] + params.alpha * measurements[mj].center
         _apply_hit(track, frame, blended, dt, params)
         updated.add(track.track_id)
 
-    for qi, mj in deferred:
-        m = measurements[mj]
+    for i in deferred:
+        m = measurements[pairs[i, 1]]
         best = None
         best_key = None
         for t in tracks:
@@ -297,7 +287,7 @@ def update_tracks(
             _apply_hit(best, frame, np.array(m.center, dtype=float), dt, params)
             updated.add(best.track_id)
         else:
-            track = Track(track_id=id_gen(), cls=m.cls, tail=np.array(queries[qi].tail, dtype=float))
+            track = Track(track_id=id_gen(), cls=m.cls, tail=tails[i].copy())
             track.append_state(frame, np.array(m.center, dtype=float), np.zeros(2), coasted=False)
             if track.hits >= params.confirm_threshold:
                 track.ever_confirmed = True
@@ -347,7 +337,7 @@ def perceive(
         "cost_evaluations": n_eval,
         "query_refinements": len(queries),
         "n_queries": len(queries),
-        "n_predicted": sum(1 for q in queries if q.provenance == PREDICTED),
+        "n_predicted": int(np.count_nonzero(queries["provenance"] == PREDICTED)),
     }
     return FrameResult(
         tracks=tracks,

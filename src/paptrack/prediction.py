@@ -1,8 +1,9 @@
 """Kinematic motion forecasts and their conversion back into queries.
 
 The predictor extrapolates each live track's filtered state over a short
-horizon and re-embeds selected horizon points as predicted queries, which
-are stored in the time-indexed bank for the next frame's perception.
+horizon and re-embeds selected horizon points as one table of predicted
+queries, which is stored in the time-indexed bank for the next frame's
+perception.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from paptrack.perception import COASTING, CONFIRMED, TERMINATED, Track
-from paptrack.queries import PREDICTED, CodecConfig, Query, QueryBank, embed_center
-from paptrack.world import ConfigError
+from paptrack.queries import PREDICTED, CodecConfig, QueryBank, embed_center
+from paptrack.world import CLASS_INDEX, ConfigError
 
 CONSTANT_VELOCITY = "constant_velocity"
 CONSTANT_TURN = "constant_turn"
@@ -36,14 +37,6 @@ class PredictorConfig:
             raise ConfigError(f"unknown predictor model {self.model!r}")
 
 
-@dataclass
-class Forecast:
-    track_id: int
-    points: np.ndarray  # (horizon, 2); row h-1 is the step-h position
-    model: str
-    confidence: float
-
-
 def _estimate_turn_rate(track: Track, dt: float) -> float:
     if len(track.velocities) < 2:
         return 0.0
@@ -57,8 +50,11 @@ def _estimate_turn_rate(track: Track, dt: float) -> float:
     return float(da / span) if span > 0 else 0.0
 
 
-def forecast(track: Track, cfg: PredictorConfig) -> Forecast:
-    """Extrapolate a live track over the configured horizon."""
+def forecast(track: Track, cfg: PredictorConfig) -> np.ndarray:
+    """Extrapolate a live track over the configured horizon.
+
+    Returns ``(horizon, 2)`` points; row h-1 is the step-h position.
+    """
     cfg.validate()
     if track.status == TERMINATED:
         raise ValueError("cannot forecast a terminated track")
@@ -79,33 +75,7 @@ def forecast(track: Track, cfg: PredictorConfig) -> Forecast:
     else:
         steps = np.arange(1, cfg.horizon + 1)[:, None]
         points[:] = c[None, :] + steps * cfg.dt * v[None, :]
-    return Forecast(track_id=track.track_id, points=points, model=cfg.model, confidence=track.confidence)
-
-
-def queries_from_forecast(
-    f: Forecast,
-    source_tail: np.ndarray,
-    cfg: PredictorConfig,
-    codec: CodecConfig,
-) -> list[Query]:
-    """Embed the selected horizon points as predicted queries.
-
-    The source track's tail is carried slot-for-slot so temporal identity
-    features survive the loop.
-    """
-    steps = range(1, cfg.horizon + 1) if cfg.feed_all else [cfg.feed_step]
-    return [
-        embed_center(
-            f.points[h - 1],
-            source_tail,
-            codec,
-            provenance=PREDICTED,
-            source_track_id=f.track_id,
-            horizon_step=h,
-            confidence=f.confidence,
-        )
-        for h in steps
-    ]
+    return points
 
 
 def predict_and_store(
@@ -115,15 +85,26 @@ def predict_and_store(
     cfg: PredictorConfig,
     codec: CodecConfig,
 ) -> QueryBank:
-    """Forecast every confirmed/coasting track and bank the resulting queries."""
-    queries: list[Query] = []
-    for track in sorted(tracks, key=lambda tr: tr.track_id):
-        if track.status not in (CONFIRMED, COASTING):
-            continue
-        f = forecast(track, cfg)
-        qs = queries_from_forecast(f, track.tail, cfg, codec)
-        for q in qs:
-            q.cls = track.cls
-        queries.extend(qs)
+    """Forecast every confirmed/coasting track and bank the resulting queries.
+
+    Each track gives one row per fed horizon step (`feed_step`, or every
+    step with `feed_all`), in track-id order.  The row carries the source
+    track's tail slot-for-slot, so temporal identity features survive the
+    loop, and its class, so it only matches measurements of that class.
+    """
+    live = sorted((tr for tr in tracks if tr.status in (CONFIRMED, COASTING)), key=lambda tr: tr.track_id)
+    steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
+    points = np.array([forecast(tr, cfg)[steps - 1] for tr in live]).reshape(-1, 2)
+    rows = np.repeat(np.arange(len(live)), len(steps))  # table row -> index into live
+    queries = embed_center(
+        points,
+        np.array([tr.tail for tr in live]).reshape(-1, codec.dim - 2)[rows],
+        codec,
+        provenance=PREDICTED,
+        source_track_id=np.array([tr.track_id for tr in live], dtype=np.int64)[rows],
+        horizon_step=np.tile(steps, len(live)),
+        cls=np.array([CLASS_INDEX[tr.cls] for tr in live], dtype=np.int64)[rows],
+        confidence=np.array([tr.confidence for tr in live], dtype=float)[rows],
+    )
     bank.store(t, queries)
     return bank

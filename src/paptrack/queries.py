@@ -3,18 +3,24 @@
 A query is an embedding vector whose first two slots encode a BEV center
 hypothesis through a fixed invertible affine map (decode: ``c = A x + b``
 with ``A = scale * I``); the remaining slots are a feature tail that
-carries track identity across frames.  Predicted queries produced at time
-T are kept in a time-indexed bank and consumed by perception at T+1.
+carries track identity across frames.  A batch of queries is one query
+table: an ``np.recarray`` of :func:`query_dtype`, one row per query.
+Predicted queries produced at time T are kept in a time-indexed bank and
+consumed by perception at T+1.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 RANDOM = "random"
 PREDICTED = "predicted"
+
+# class code of a query that matches any measurement class
+ANY_CLASS = -1
 
 
 @dataclass(frozen=True)
@@ -32,85 +38,97 @@ class CodecConfig:
             raise ValueError("codec scale must be nonzero")
 
 
-@dataclass(slots=True, eq=False)  # identity equality; embeddings are arrays
-class Query:
-    embedding: np.ndarray
-    provenance: str = RANDOM
-    source_track_id: int | None = None
-    horizon_step: int | None = None
-    cls: str | None = None  # class lock; None => matches any class
-    confidence: float = 1.0
-
-    def __post_init__(self):
-        if self.provenance == PREDICTED and self.source_track_id is None:
-            raise ValueError("predicted query requires source_track_id")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError("confidence must be in [0, 1]")
-
-    @property
-    def tail(self) -> np.ndarray:
-        return self.embedding[2:]
+@functools.cache
+def query_dtype(dim: int) -> np.dtype:
+    """Row type of a query table whose embeddings have `dim` slots."""
+    return np.dtype(
+        [
+            ("embedding", np.float64, (dim,)),
+            ("provenance", "U9"),  # RANDOM or PREDICTED
+            ("source_track_id", np.int64),  # -1 for random queries
+            ("horizon_step", np.int64),  # 0 for random queries
+            ("cls", np.int64),  # world.CLASS_INDEX code; ANY_CLASS matches every class
+            ("confidence", np.float64),
+        ]
+    )
 
 
-def decode_reference(q: Query, codec: CodecConfig) -> np.ndarray:
-    """Decode the center hypothesis from a query's leading embedding slots."""
-    emb = q.embedding
-    if emb.shape != (codec.dim,):
-        raise ValueError(f"embedding has shape {emb.shape}, expected ({codec.dim},)")
-    if not np.all(np.isfinite(emb[:2])):
+def decode_reference(queries, codec: CodecConfig) -> np.ndarray:
+    """Decode center hypotheses: ``(2,)`` for one row, ``(n, 2)`` for a table."""
+    emb = queries["embedding"]
+    if emb.shape[-1:] != (codec.dim,):
+        raise ValueError(f"embedding has shape {emb.shape}, expected (..., {codec.dim})")
+    xy = emb[..., :2]
+    if not np.all(np.isfinite(xy)):
         raise ValueError("non-finite embedding values")
-    return codec.scale * emb[:2] + np.asarray(codec.offset)
+    return codec.scale * xy + np.asarray(codec.offset)
 
 
 def embed_center(
-    center: np.ndarray,
-    tail: np.ndarray,
+    centers: np.ndarray,
+    tails: np.ndarray,
     codec: CodecConfig,
     *,
     provenance: str = RANDOM,
-    source_track_id: int | None = None,
-    horizon_step: int | None = None,
-    cls: str | None = None,
-    confidence: float = 1.0,
-) -> Query:
-    """Inverse of :func:`decode_reference`: center into slots [0, 1], tail after."""
-    center = np.asarray(center, dtype=float)
-    tail = np.asarray(tail, dtype=float)
-    if center.shape != (2,):
-        raise ValueError(f"center has shape {center.shape}, expected (2,)")
-    if tail.shape != (codec.dim - 2,):
-        raise ValueError(f"tail has shape {tail.shape}, expected ({codec.dim - 2},)")
-    emb = np.empty(codec.dim)
-    emb[:2] = (center - np.asarray(codec.offset)) / codec.scale
-    emb[2:] = tail
-    return Query(
-        embedding=emb,
-        provenance=provenance,
-        source_track_id=source_track_id,
-        horizon_step=horizon_step,
-        cls=cls,
-        confidence=confidence,
-    )
+    source_track_id=-1,
+    horizon_step=0,
+    cls=ANY_CLASS,
+    confidence=1.0,
+) -> np.recarray:
+    """Inverse of :func:`decode_reference`: one table row per center.
+
+    `centers` is ``(n, 2)`` and `tails` ``(n, dim - 2)``; a single ``(2,)``
+    center with a ``(dim - 2,)`` tail gives a 1-row table.  The keyword
+    columns are scalars or length-n arrays.
+    """
+    centers = np.atleast_2d(np.asarray(centers, dtype=float))
+    tails = np.atleast_2d(np.asarray(tails, dtype=float))
+    n = centers.shape[0]
+    if centers.shape != (n, 2):
+        raise ValueError(f"centers have shape {centers.shape}, expected (n, 2)")
+    if tails.shape != (n, codec.dim - 2):
+        raise ValueError(f"tails have shape {tails.shape}, expected ({n}, {codec.dim - 2})")
+    table = np.empty(n, dtype=query_dtype(codec.dim))  # filled as a plain array, which is faster
+    emb = table["embedding"]
+    emb[:, :2] = (centers - np.asarray(codec.offset)) / codec.scale
+    emb[:, 2:] = tails
+    table["provenance"] = provenance
+    table["source_track_id"] = source_track_id
+    table["horizon_step"] = horizon_step
+    table["cls"] = cls
+    table["confidence"] = confidence
+    if np.any((table["provenance"] == PREDICTED) & (table["source_track_id"] < 0)):
+        raise ValueError("predicted query requires source_track_id")
+    conf = table["confidence"]
+    if not np.all((conf >= 0.0) & (conf <= 1.0)):
+        raise ValueError("confidence must be in [0, 1]")
+    return table.view(np.recarray)
 
 
 @dataclass
 class QueryBank:
-    """Time-indexed store of predicted queries.
+    """Time-indexed store of predicted queries, one table per frame.
 
     Holds at most `capacity` time indices; storing beyond capacity evicts
-    the smallest index.  Fetching an absent index returns an empty list.
+    the smallest index.  Fetching an absent index returns an empty table
+    of `dim`-slot queries.
     """
 
     capacity: int = 4
-    entries: dict[int, list[Query]] = field(default_factory=dict)
+    dim: int = 16
+    entries: dict[int, np.recarray] = field(default_factory=dict)
 
-    def store(self, t: int, queries: list[Query]) -> None:
-        for q in queries:
-            if q.provenance != PREDICTED:
-                raise ValueError("bank accepts only predicted-provenance queries")
-        self.entries[int(t)] = list(queries)
+    def __post_init__(self):
+        if self.capacity < 1:
+            raise ValueError("bank capacity must be >= 1")
+
+    def store(self, t: int, queries: np.recarray) -> None:
+        if np.any(queries["provenance"] != PREDICTED):
+            raise ValueError("bank accepts only predicted-provenance queries")
+        self.entries[int(t)] = queries
         while len(self.entries) > self.capacity:
             del self.entries[min(self.entries)]
 
-    def fetch(self, t: int) -> list[Query]:
-        return list(self.entries.get(int(t), []))
+    def fetch(self, t: int) -> np.recarray:
+        found = self.entries.get(int(t))
+        return np.recarray(0, dtype=query_dtype(self.dim)) if found is None else found.copy()

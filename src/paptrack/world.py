@@ -37,6 +37,10 @@ class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
 
 
+class InputError(ValueError):
+    """Malformed input data (a dump or a set of reports); the message names the file or field."""
+
+
 @dataclass
 class ScenarioConfig:
     frame_count: int = 200

@@ -1,0 +1,61 @@
+"""The names and result shapes the benchmark in ``perfbench/`` relies on.
+
+``perfbench/run.py`` wraps program functions by name and reads the
+objects they return. A renamed function or a changed return type does
+not crash the benchmark; it silently drops per-layer metrics. This test
+runs the benchmark's own traced pass on one short seed, so such a change
+fails here instead.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from paptrack import harness, kernels
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench_run():
+    """perfbench/run.py imported as a module, unmodified."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))  # run.py imports its sibling spans.py
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        mp.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+        spec.loader.exec_module(module)
+        yield module
+
+
+def test_traced_benchmark_pass_measures_every_per_layer_metric(bench_run, tmp_path):
+    doc = bench_run.WORKLOADS["suite_ab"].config_doc([1])
+    doc["scenario"]["frame_count"] = 30
+    cfg = harness.config_from_dict(doc)
+    bench = bench_run.Bench(harness, cfg, tmp_path)
+
+    # both arms, plainly and under the Tracer installed on TARGETS, then a dump and its replay
+    metrics, extra = bench_run.traced(bench, [1], tmp_path / "spans.npz")
+
+    assert bench.failed == 0
+    assert extra["missing_spans"] == []
+    assert extra["missing_counts"] == []
+    runs = extra["spans"]["runs"]
+    uncalled = [s for s in bench_run.TARGETS if s != "harness.replay" and runs.get(s, {}).get("calls", 0) < 1]
+    assert uncalled == []
+    assert extra["spans"]["replays"]["harness.replay"]["calls"] == 1
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert [m["name"] for m in spec["per_layer"] if m["name"] not in metrics] == []
+    assert metrics["perception.predicted_queries"] > 0
+    assert 0.0 < metrics["perception.recycled_hit_rate"] <= 1.0
+
+
+def test_environment_stamp_reads_the_kernel_flag(bench_run):
+    assert hasattr(kernels, "USE_NUMBA")
+    assert bench_run.environment()["use_numba"] is False

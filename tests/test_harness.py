@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -119,6 +120,9 @@ def test_config_validation_failures():
         ExperimentConfig(metrics=MetricConfig(match_distance=0.0)).validate()
     with pytest.raises(ConfigError, match="n_recall_points"):
         ExperimentConfig(metrics=MetricConfig(n_recall_points=0)).validate()
+    for capacity in (0, -2):
+        with pytest.raises(ConfigError, match="bank_capacity"):
+            ExperimentConfig(bank_capacity=capacity).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +227,36 @@ def test_replay_rejects_truncated_dump(tmp_path):
     truncated.write_text("\n".join(lines[:-1]) + "\n")
     with pytest.raises(ValueError, match="footer"):
         replay_dump(truncated)
+
+
+# ---------------------------------------------------------------------------
+# degenerate inputs
+
+
+@pytest.mark.parametrize(
+    "scenario, sensor, policy",
+    [
+        ({"class_counts": {}}, {"clutter_rate": 0.0}, {}),  # every frame empty
+        ({"class_counts": {}}, {"clutter_rate": 3.0}, {}),  # clutter only
+        ({}, {}, {"n_queries": 1}),
+        ({}, {}, {"rho": 1.0, "mode": "fixed"}),
+        ({}, {}, {"rho": 1.0, "mode": "reduced"}),
+    ],
+    ids=["empty_frames", "clutter_only", "one_query", "rho_one_fixed", "rho_one_reduced"],
+)
+def test_degenerate_inputs_run_and_replay(tmp_path, scenario, sensor, policy):
+    cfg = small_config(seeds=(1,))
+    cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=30, **scenario)
+    cfg.sensor = dataclasses.replace(cfg.sensor, **sensor)
+    cfg.policy = dataclasses.replace(cfg.policy, **policy)
+    dump = tmp_path / "dump.jsonl"
+    report = run_single(cfg, 1, arm="pap", dump_path=dump)
+    agg = report["aggregate"]
+    assert all(0.0 <= agg[k] <= 1.0 for k in ("amota", "amotp", "recall"))
+    assert agg["ids"] >= 0
+    for metrics in report["per_class"].values():
+        assert all(0.0 <= metrics[k] <= 1.0 for k in ("amota", "amotp", "recall"))
+    assert report_to_json(replay_dump(dump)) == report_to_json(report)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +412,56 @@ def test_cli_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal fault"):
         main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
     assert "config error" not in capsys.readouterr().err
+
+
+def test_cli_truncated_dump_exits_4(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--dump-debug"]) == 0
+    lines = (out / "dump_pap_seed1.jsonl").read_text().splitlines()
+    headless = tmp_path / "headless.jsonl"
+    headless.write_text("\n".join(lines[1:]) + "\n")
+    assert main(["replay", str(headless)]) == 4
+    footless = tmp_path / "footless.jsonl"
+    footless.write_text("\n".join(lines[:-1]) + "\n")
+    assert main(["replay", str(footless)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("input error:") == 2 and "missing header or footer" in err
+    assert "Traceback" not in err
+
+
+def test_cli_dump_line_that_is_not_json_exits_4(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--dump-debug"]) == 0
+    lines = (out / "dump_pap_seed1.jsonl").read_text().splitlines()
+    lines[3] = lines[3][: len(lines[3]) // 2]
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(broken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "line 4 is not JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_cli_compare_mismatched_seed_sets_exits_4(tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["run", "--config", str(write_cli_config(tmp_path, seeds=(1,))), "--out", str(one)]) == 0
+    assert main(["run", "--config", str(write_cli_config(tmp_path, seeds=(2,))), "--out", str(two)]) == 0
+    assert main(["compare", str(one), str(two)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "seed sets" in err
+
+
+def test_cli_generate_takes_only_the_flags_it_uses(tmp_path, capsys):
+    cfg_path = write_cli_config(tmp_path)
+    for extra in (["--jobs", "2"], ["--dump-debug"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "scn"), *extra])
+        assert exc.value.code == 2  # argparse usage error
+        assert "unrecognized arguments" in capsys.readouterr().err
+    assert main(["generate", "--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "scn")]) == 0
+    assert [p.name for p in (tmp_path / "scn").iterdir()] == ["scenario_seed3.json"]
 
 
 def test_cli_missing_file_exits_3(tmp_path, capsys):

@@ -19,9 +19,9 @@ from paptrack.perception import (
     update_tracks,
 )
 from paptrack.prediction import PredictorConfig, predict_and_store
-from paptrack.queries import PREDICTED, RANDOM, CodecConfig, QueryBank, decode_reference, embed_center
+from paptrack.queries import PREDICTED, RANDOM, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
 from paptrack.rng import stream
-from paptrack.world import Measurement
+from paptrack.world import CLASS_INDEX, Measurement
 
 from oracles import brute_force_assignment
 
@@ -30,6 +30,7 @@ HALF_EXTENT = 30.0
 
 
 def predicted_query(track_id, center=(0.0, 0.0), cls="car", confidence=1.0):
+    """A 1-row table holding one predicted query."""
     return embed_center(
         np.asarray(center, dtype=float),
         np.zeros(14),
@@ -37,9 +38,14 @@ def predicted_query(track_id, center=(0.0, 0.0), cls="car", confidence=1.0):
         provenance=PREDICTED,
         source_track_id=track_id,
         horizon_step=1,
-        cls=cls,
+        cls=CLASS_INDEX[cls],
         confidence=confidence,
     )
+
+
+def table(rows):
+    """One query table from a list of tables (an empty list gives an empty table)."""
+    return np.concatenate([np.recarray(0, dtype=query_dtype(CODEC.dim)), *rows]).view(np.recarray)
 
 
 def meas(center, cls="car", frame=0):
@@ -52,7 +58,7 @@ def meas(center, cls="car", frame=0):
 
 def test_first_frame_is_all_random():
     bank = QueryBank()
-    bank.store(0, [predicted_query(1)])  # ignored: frame 0 never consults the bank
+    bank.store(0, predicted_query(1))  # ignored: frame 0 never consults the bank
     qs = assemble_queries(bank, 0, QueryAssemblyPolicy(n_queries=12, rho=1.0), CODEC, HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 12
     assert all(q.provenance == RANDOM for q in qs)
@@ -60,7 +66,7 @@ def test_first_frame_is_all_random():
 
 def test_rho_zero_is_all_random_regardless_of_bank():
     bank = QueryBank()
-    bank.store(4, [predicted_query(i) for i in range(6)])
+    bank.store(4, table([predicted_query(i) for i in range(6)]))
     qs = assemble_queries(bank, 5, QueryAssemblyPolicy(n_queries=10, rho=0.0), CODEC, HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 10
     assert all(q.provenance == RANDOM for q in qs)
@@ -69,7 +75,7 @@ def test_rho_zero_is_all_random_regardless_of_bank():
 @pytest.mark.parametrize("n_banked, n_predicted", [(8, 5), (3, 3)])
 def test_replacement_count_is_min_of_bank_and_rho_slots(n_banked, n_predicted):
     bank = QueryBank()
-    bank.store(4, [predicted_query(i) for i in range(n_banked)])
+    bank.store(4, table([predicted_query(i) for i in range(n_banked)]))
     qs = assemble_queries(bank, 5, QueryAssemblyPolicy(n_queries=10, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 10
     assert sum(q.provenance == PREDICTED for q in qs) == n_predicted
@@ -77,7 +83,7 @@ def test_replacement_count_is_min_of_bank_and_rho_slots(n_banked, n_predicted):
 
 def test_predicted_ordered_by_confidence_then_track_id():
     bank = QueryBank()
-    bank.store(0, [predicted_query(3, confidence=0.5), predicted_query(1, confidence=0.9), predicted_query(2, confidence=0.9)])
+    bank.store(0, table([predicted_query(3, confidence=0.5), predicted_query(1, confidence=0.9), predicted_query(2, confidence=0.9)]))
     qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=4, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
     chosen = [q.source_track_id for q in qs if q.provenance == PREDICTED]
     assert chosen == [1, 2]
@@ -88,13 +94,13 @@ def test_output_cardinality_fixed_for_any_bank_state():
     rng = stream(1, "queries")
     for n_banked in range(0, 12):
         bank = QueryBank()
-        bank.store(9, [predicted_query(i) for i in range(n_banked)])
+        bank.store(9, table([predicted_query(i) for i in range(n_banked)]))
         assert len(assemble_queries(bank, 10, policy, CODEC, HALF_EXTENT, rng)) == 7
 
 
 def test_reduced_mode_shrinks_total():
     bank = QueryBank()
-    bank.store(0, [predicted_query(i) for i in range(4)])
+    bank.store(0, table([predicted_query(i) for i in range(4)]))
     qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=20, rho=0.8, mode="reduced"), CODEC, HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 16  # 4 predicted + (20 - 2*4) random
     assert sum(q.provenance == PREDICTED for q in qs) == 4
@@ -105,19 +111,19 @@ def test_reduced_mode_shrinks_total():
 
 
 def test_gate_cost_is_euclidean_distance():
-    costs, n_eval = gate_costs([predicted_query(1, (0.0, 0.0))], [meas((3.0, 4.0))], 10.0, CODEC)
+    costs, n_eval = gate_costs(predicted_query(1, (0.0, 0.0)), [meas((3.0, 4.0))], 10.0, CODEC)
     assert costs[0, 0] == pytest.approx(5.0, abs=1e-12)
     assert n_eval == 1
 
 
 def test_gate_excludes_beyond_threshold():
-    costs, _ = gate_costs([predicted_query(1, (0.0, 0.0))], [meas((3.0, 4.0))], 4.0, CODEC)
+    costs, _ = gate_costs(predicted_query(1, (0.0, 0.0)), [meas((3.0, 4.0))], 4.0, CODEC)
     assert np.isinf(costs[0, 0])
 
 
 def test_gate_class_locking():
     q = predicted_query(1, (0.0, 0.0), cls="car")
-    costs, n_eval = gate_costs([q], [meas((1.0, 0.0), cls="pedestrian")], 10.0, CODEC)
+    costs, n_eval = gate_costs(q, [meas((1.0, 0.0), cls="pedestrian")], 10.0, CODEC)
     assert np.isinf(costs[0, 0])
     assert n_eval == 0  # class-incompatible pairs are never evaluated
 
@@ -132,7 +138,7 @@ def test_random_queries_match_any_class():
 
 def test_gate_matrix_matches_recomputed_distances():
     rng = np.random.default_rng(5)
-    qs = [predicted_query(i, rng.uniform(-10, 10, 2)) for i in range(5)]
+    qs = table([predicted_query(i, rng.uniform(-10, 10, 2)) for i in range(5)])
     ms = [meas(rng.uniform(-10, 10, 2)) for _ in range(5)]
     costs, _ = gate_costs(qs, ms, 50.0, CODEC)
     for i, q in enumerate(qs):
@@ -213,19 +219,19 @@ def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
 
 def test_matched_predicted_query_blends_centers():
     track = make_track(center=(1.0, 0.0))
-    tracks = run_update([track], [predicted_query(1, (1.0, 0.0))], [meas((2.0, 0.0), frame=1)])
+    tracks = run_update([track], predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)])
     assert np.allclose(tracks[0].center, [1.7, 0.0], atol=1e-12)
     assert tracks[0].hits == 3
 
 
 def test_alpha_one_snaps_to_measurement():
     track = make_track(center=(1.0, 0.0))
-    tracks = run_update([track], [predicted_query(1, (1.0, 0.0))], [meas((2.0, 0.0), frame=1)], alpha=1.0)
+    tracks = run_update([track], predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)], alpha=1.0)
     assert np.allclose(tracks[0].center, [2.0, 0.0], atol=0)
 
 
 def test_unmatched_random_query_is_discarded():
-    tracks = run_update([], [predicted_query(1, (0.0, 0.0))] , [])
+    tracks = run_update([], predicted_query(1, (0.0, 0.0)), [])
     assert tracks == []
 
 
@@ -245,9 +251,9 @@ def test_unmatched_track_coasts_then_terminates():
     params = PerceptionParams(max_misses=2)
     ids = itertools.count(100).__next__
     for frame in range(1, 5):
-        costs, _ = gate_costs([], [], params.gate_threshold, CODEC)
+        costs, _ = gate_costs(table([]), [], params.gate_threshold, CODEC)
         assignment = associate(costs)
-        update_tracks([track], assignment, [], [], frame, params, 0.1, CODEC, ids)
+        update_tracks([track], assignment, table([]), [], frame, params, 0.1, CODEC, ids)
         if track.status == TERMINATED:
             break
     assert track.status == TERMINATED
@@ -260,7 +266,7 @@ def test_unmatched_track_coasts_then_terminates():
 def test_terminated_tracks_stay_terminated():
     track = make_track(center=(0.0, 0.0))
     track.status = TERMINATED
-    tracks = run_update([track], [predicted_query(1, (0.0, 0.0))], [meas((0.0, 0.0), frame=1)])
+    tracks = run_update([track], predicted_query(1, (0.0, 0.0)), [meas((0.0, 0.0), frame=1)])
     assert track.status == TERMINATED
     assert len(track.frames) == 1  # no state appended
     assert len(tracks) == 2  # the measurement birthed a fresh track instead
@@ -341,7 +347,7 @@ def test_perceive_equals_manual_composition():
     import copy
 
     bank = QueryBank()
-    bank.store(0, [predicted_query(1, (1.0, 0.0))])
+    bank.store(0, predicted_query(1, (1.0, 0.0)))
     track = make_track(center=(1.0, 0.0))
     ms = [meas((1.2, 0.0), frame=1), meas((5.0, 5.0), cls="pedestrian", frame=1)]
     policy = QueryAssemblyPolicy(n_queries=6, rho=0.5)
@@ -370,6 +376,7 @@ def test_predicted_priority_wins_cost_ties():
     q_rand = embed_center(np.zeros(2), np.zeros(14), CODEC)
     ms = [meas((1.0, 0.0), frame=1)]
     params = PerceptionParams()
-    costs, _ = gate_costs([q_rand, q_pred], ms, params.gate_threshold, CODEC)
-    assignment = associate(apply_predicted_priority(costs, [q_rand, q_pred], params.predicted_priority_eps))
+    qs = table([q_rand, q_pred])
+    costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
+    assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
     assert [(m[0], m[1]) for m in assignment.matches] == [(1, 0)]

@@ -7,13 +7,12 @@ from paptrack.perception import CONFIRMED, TENTATIVE, TERMINATED, Track
 from paptrack.prediction import (
     CONSTANT_TURN,
     CONSTANT_VELOCITY,
-    Forecast,
     PredictorConfig,
     forecast,
     predict_and_store,
-    queries_from_forecast,
 )
 from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference
+from paptrack.world import CLASS_INDEX
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 
@@ -30,13 +29,13 @@ def make_track(track_id=1, center=(0.0, 0.0), velocity=(1.0, 0.0), frame=0, stat
 def test_constant_velocity_extrapolation_exact():
     track = make_track(center=(0.0, 0.0), velocity=(10.0, 0.0))
     f = forecast(track, PredictorConfig(horizon=3, dt=0.1))
-    assert np.allclose(f.points, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], atol=0)
+    assert np.allclose(f, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], atol=0)
 
 
 def test_zero_velocity_stays_put():
     track = make_track(velocity=(0.0, 0.0))
     f = forecast(track, PredictorConfig(horizon=6, dt=0.1))
-    assert np.array_equal(f.points, np.zeros((6, 2)))
+    assert np.array_equal(f, np.zeros((6, 2)))
 
 
 def test_forecast_rejects_terminated_track():
@@ -70,11 +69,11 @@ def test_constant_turn_traces_circular_arc():
         ang = h * omega * dt
         rot = np.array([[np.cos(ang), -np.sin(ang)], [np.sin(ang), np.cos(ang)]])
         x = x + rot @ v0 * dt
-        assert np.max(np.abs(f.points[h] - x)) < 1e-9
+        assert np.max(np.abs(f[h] - x)) < 1e-9
 
     # sanity: the turning forecast bends away from the straight-line tangent
     straight = forecast(track, PredictorConfig(horizon=8, dt=dt, model=CONSTANT_VELOCITY))
-    assert np.linalg.norm(f.points[-1] - straight.points[-1]) > 0.01
+    assert np.linalg.norm(f[-1] - straight[-1]) > 0.01
 
 
 def test_constant_turn_error_grows_with_horizon_against_true_circle():
@@ -94,46 +93,61 @@ def test_constant_turn_error_grows_with_horizon_against_true_circle():
     for h in range(1, 11):
         theta = omega * h * dt
         true_point = np.array([radius * np.sin(theta), radius * (1.0 - np.cos(theta))])
-        errors.append(np.linalg.norm(f.points[h - 1] - true_point))
+        errors.append(np.linalg.norm(f[h - 1] - true_point))
     # discretization error of the polygonal arc is monotone in horizon
     assert all(b >= a - 1e-12 for a, b in zip(errors, errors[1:]))
     # first-order Euler error bound: ~ 0.5 * speed * omega * T * dt = 0.12 at T=1s
     assert errors[-1] < 0.5 * speed * omega * 1.0 * dt * 1.05
 
 
-def test_queries_from_forecast_round_trip():
-    f = Forecast(track_id=9, points=np.array([[1.5, -2.0]]), model=CONSTANT_VELOCITY, confidence=0.75)
-    tail = np.arange(14, dtype=float)
-    (q,) = queries_from_forecast(f, tail, PredictorConfig(horizon=1), CODEC)
+def banked(tracks, cfg, t=0):
+    """The table predict_and_store banks for `tracks` at frame `t`."""
+    return predict_and_store(tracks, QueryBank(), t, cfg, CODEC).fetch(t)
+
+
+def test_predict_and_store_row_round_trip():
+    track = make_track(track_id=9, center=(1.5, -2.0), velocity=(0.0, 0.0))
+    track.misses = 1  # confidence 3 / (3 + 1 + 1)
+    (q,) = banked([track], PredictorConfig(horizon=1))
     assert q.provenance == PREDICTED
     assert q.source_track_id == 9
     assert q.horizon_step == 1
-    assert q.confidence == 0.75
+    assert q.confidence == 0.6
     assert np.max(np.abs(decode_reference(q, CODEC) - [1.5, -2.0])) < 1e-9
 
 
 def test_tail_carried_slot_for_slot():
-    tail = np.linspace(-3.0, 3.0, 14)
-    f = Forecast(track_id=1, points=np.array([[0.0, 0.0]]), model=CONSTANT_VELOCITY, confidence=1.0)
-    (q,) = queries_from_forecast(f, tail, PredictorConfig(horizon=1), CODEC)
-    assert np.array_equal(q.tail, tail)
+    track = make_track()
+    track.tail = np.linspace(-3.0, 3.0, 14)
+    (q,) = banked([track], PredictorConfig(horizon=1))
+    assert np.array_equal(q.embedding[2:], track.tail)
 
 
 def test_feed_all_emits_one_query_per_horizon_step():
     track = make_track(velocity=(2.0, 1.0))
     cfg = PredictorConfig(horizon=6, feed_all=True)
     f = forecast(track, cfg)
-    qs = queries_from_forecast(f, track.tail, cfg, CODEC)
-    assert [q.horizon_step for q in qs] == [1, 2, 3, 4, 5, 6]
-    for q in qs:
-        assert np.max(np.abs(decode_reference(q, CODEC) - f.points[q.horizon_step - 1])) < 1e-9
+    qs = banked([track], cfg)
+    assert qs.horizon_step.tolist() == [1, 2, 3, 4, 5, 6]
+    assert np.max(np.abs(decode_reference(qs, CODEC) - f[qs.horizon_step - 1])) < 1e-9
+
+
+def test_feed_all_rows_are_grouped_by_track():
+    cfg = PredictorConfig(horizon=3, feed_all=True)
+    tracks = [make_track(track_id=4, velocity=(1.0, 0.0)), make_track(track_id=2, velocity=(0.0, 1.0))]
+    qs = banked(tracks, cfg)
+    assert qs.source_track_id.tolist() == [2, 2, 2, 4, 4, 4]
+    assert qs.horizon_step.tolist() == [1, 2, 3, 1, 2, 3]
+    for tr in tracks:
+        rows = qs[qs.source_track_id == tr.track_id]
+        assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(tr, cfg))) < 1e-9
+        assert np.array_equal(rows.embedding[:, 2:], np.tile(tr.tail, (3, 1)))
 
 
 def test_feed_step_selects_single_horizon_point():
     track = make_track(velocity=(1.0, 0.0))
     cfg = PredictorConfig(horizon=6, feed_step=3, dt=0.1)
-    f = forecast(track, cfg)
-    qs = queries_from_forecast(f, track.tail, cfg, CODEC)
+    qs = banked([track], cfg)
     assert len(qs) == 1
     assert qs[0].horizon_step == 3
     assert np.max(np.abs(decode_reference(qs[0], CODEC) - [0.3, 0.0])) < 1e-9
@@ -142,7 +156,7 @@ def test_feed_step_selects_single_horizon_point():
 def test_predict_and_store_empty_track_list():
     bank = QueryBank()
     predict_and_store([], bank, 5, PredictorConfig(), CODEC)
-    assert bank.fetch(5) == []
+    assert len(bank.fetch(5)) == 0
     assert 5 in bank.entries  # the slot exists, holding no queries
 
 
@@ -155,8 +169,8 @@ def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
     ]
     predict_and_store(tracks, bank, 0, PredictorConfig(), CODEC)
     qs = bank.fetch(0)
-    assert [q.source_track_id for q in qs] == [2, 3]  # sorted by track id
-    assert all(q.cls == "car" for q in qs)
+    assert qs.source_track_id.tolist() == [2, 3]  # sorted by track id
+    assert all(q.cls == CLASS_INDEX["car"] for q in qs)
 
 
 def test_bank_closure_decoded_center_is_dead_reckoned_position():

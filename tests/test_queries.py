@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from paptrack.queries import (
+    ANY_CLASS,
     PREDICTED,
     RANDOM,
     CodecConfig,
-    Query,
     QueryBank,
     decode_reference,
     embed_center,
+    query_dtype,
 )
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
+
+
+def zeros(n: int, dim: int = 16) -> np.recarray:
+    """An all-zero query table, built without the codec."""
+    return np.zeros(n, dtype=query_dtype(dim)).view(np.recarray)
 
 
 def test_round_trip_identity():
@@ -22,13 +28,14 @@ def test_round_trip_identity():
 
 
 def test_zero_embedding_decodes_to_origin():
-    q = Query(embedding=np.zeros(16))
-    assert np.array_equal(decode_reference(q, CODEC), [0.0, 0.0])
+    q = zeros(1)
+    assert np.array_equal(decode_reference(q, CODEC), [[0.0, 0.0]])
+    assert np.array_equal(decode_reference(q[0], CODEC), [0.0, 0.0])
 
 
 def test_zero_center_zero_tail_is_all_zeros():
     q = embed_center(np.zeros(2), np.zeros(14), CODEC)
-    assert np.array_equal(q.embedding, np.zeros(16))
+    assert np.array_equal(q.embedding, np.zeros((1, 16)))
 
 
 def test_round_trip_against_matrix_inverse_oracle():
@@ -38,13 +45,37 @@ def test_round_trip_against_matrix_inverse_oracle():
     b = np.asarray(CODEC.offset)
     for _ in range(100):
         center = rng.uniform(-30, 30, size=2)
-        q = embed_center(center, rng.standard_normal(14), CODEC)
+        (q,) = embed_center(center, rng.standard_normal(14), CODEC)
         assert np.max(np.abs(q.embedding[:2] - A_inv @ (center - b))) < 1e-9
         assert np.max(np.abs(decode_reference(q, CODEC) - center)) < 1e-9
 
 
+def test_batched_embed_matches_row_by_row_bit_for_bit():
+    rng = np.random.default_rng(1)
+    centers = rng.uniform(-30, 30, size=(50, 2))
+    tails = rng.standard_normal((50, 14))
+    table = embed_center(centers, tails, CODEC, provenance=PREDICTED, source_track_id=np.arange(50), confidence=0.5)
+    assert len(table) == 50
+    assert isinstance(table, np.recarray)
+    for i in range(50):
+        (row,) = embed_center(centers[i], tails[i], CODEC, provenance=PREDICTED, source_track_id=i, confidence=0.5)
+        assert np.array_equal(table[i].embedding, row.embedding)
+        assert table[i].provenance == PREDICTED and table[i].source_track_id == i
+    assert np.array_equal(decode_reference(table, CODEC), [decode_reference(row, CODEC) for row in table])
+
+
+def test_random_rows_default_to_sentinels():
+    (q,) = embed_center(np.zeros(2), np.zeros(14), CODEC)
+    assert q.provenance == RANDOM
+    assert q.source_track_id == -1
+    assert q.horizon_step == 0
+    assert q.cls == ANY_CLASS
+    assert q.confidence == 1.0
+
+
 def test_decode_rejects_non_finite():
-    q = Query(embedding=np.full(16, np.nan))
+    q = zeros(1)
+    q.embedding[:] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         decode_reference(q, CODEC)
 
@@ -55,21 +86,29 @@ def test_embed_rejects_bad_tail_shape():
 
 
 def test_decode_rejects_wrong_dimension():
-    q = Query(embedding=np.zeros(8))
+    q = zeros(1, dim=8)
     with pytest.raises(ValueError, match="shape"):
         decode_reference(q, CODEC)
 
 
 def test_predicted_provenance_requires_source_track():
     with pytest.raises(ValueError, match="source_track_id"):
-        Query(embedding=np.zeros(16), provenance=PREDICTED)
+        embed_center(np.zeros(2), np.zeros(14), CODEC, provenance=PREDICTED)
 
 
-def _predicted(track_id: int, confidence: float = 1.0) -> Query:
-    return Query(
-        embedding=np.zeros(16),
+def test_confidence_outside_unit_interval_is_rejected():
+    with pytest.raises(ValueError, match="confidence"):
+        embed_center(np.zeros((2, 2)), np.zeros((2, 14)), CODEC, confidence=[0.5, 1.5])
+
+
+def _predicted(*track_ids: int, confidence: float = 1.0) -> np.recarray:
+    n = len(track_ids)
+    return embed_center(
+        np.zeros((n, 2)),
+        np.zeros((n, 14)),
+        CODEC,
         provenance=PREDICTED,
-        source_track_id=track_id,
+        source_track_id=list(track_ids),
         horizon_step=1,
         confidence=confidence,
     )
@@ -77,20 +116,22 @@ def _predicted(track_id: int, confidence: float = 1.0) -> Query:
 
 def test_bank_store_then_fetch_round_trip():
     bank = QueryBank()
-    qs = [_predicted(1), _predicted(2)]
+    qs = _predicted(1, 2)
     bank.store(5, qs)
-    assert bank.fetch(5) == qs
+    assert np.array_equal(bank.fetch(5), qs)
 
 
 def test_bank_fetch_absent_is_empty():
-    assert QueryBank().fetch(99) == []
+    empty = QueryBank().fetch(99)
+    assert len(empty) == 0
+    assert empty.dtype == np.dtype((np.record, query_dtype(16)))
 
 
 def test_bank_eviction_drops_oldest():
     bank = QueryBank(capacity=3)
     for t in (1, 2, 3, 4):
-        bank.store(t, [_predicted(t)])
-    assert bank.fetch(1) == []
+        bank.store(t, _predicted(t))
+    assert len(bank.fetch(1)) == 0
     for t in (2, 3, 4):
         assert len(bank.fetch(t)) == 1
     assert len(bank.entries) == 3
@@ -99,14 +140,20 @@ def test_bank_eviction_drops_oldest():
 def test_bank_rejects_random_provenance():
     bank = QueryBank()
     with pytest.raises(ValueError, match="predicted"):
-        bank.store(0, [Query(embedding=np.zeros(16), provenance=RANDOM)])
+        bank.store(0, embed_center(np.zeros(2), np.zeros(14), CODEC, provenance=RANDOM))
 
 
 def test_bank_fetch_is_idempotent_and_read_only():
     bank = QueryBank()
-    bank.store(3, [_predicted(7)])
+    bank.store(3, _predicted(7))
     first = bank.fetch(3)
     second = bank.fetch(3)
-    assert first == second
-    first.append(_predicted(8))  # caller-side mutation must not leak
+    assert np.array_equal(first, second)
+    first.source_track_id[0] = 8  # caller-side mutation must not leak
     assert len(bank.fetch(3)) == 1
+    assert bank.fetch(3).source_track_id[0] == 7
+
+
+def test_bank_rejects_capacity_below_one():
+    with pytest.raises(ValueError, match="capacity"):
+        QueryBank(capacity=0)
