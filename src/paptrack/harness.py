@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -21,7 +20,7 @@ import numpy as np
 from scipy.stats import binomtest
 
 from paptrack.metrics import GtBox, Hypothesis, build_report, evaluate_run, report_to_json
-from paptrack.perception import PerceptionParams, QueryAssemblyPolicy, perceive
+from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
 from paptrack.prediction import COASTING, CONFIRMED, PredictorConfig, forecast, predict_and_store
 from paptrack.queries import ANY_CLASS, CodecConfig, QueryBank, decode_reference
 from paptrack.rng import stream
@@ -83,6 +82,7 @@ class ExperimentConfig:
         self.sensor.validate()
         self.policy.validate()
         self.predictor.validate()
+        self.perception.validate()
 
     def codec(self) -> CodecConfig:
         return CodecConfig(dim=self.embedding_dim, scale=1.0 / self.scenario.world_half_extent)
@@ -177,8 +177,7 @@ def run_single(
     predictor = dataclasses.replace(cfg.predictor, dt=scenario.dt)
     params = cfg.perception
     bank = QueryBank(capacity=cfg.bank_capacity, dim=codec.dim)
-    tracks = []
-    id_gen = itertools.count(1).__next__
+    tracks = np.zeros(0, track_dtype(codec.dim, params.velocity_window))
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
     hasher = hashlib.sha256()
@@ -214,12 +213,10 @@ def run_single(
             query_rng,
             frame,
             scenario.dt,
-            id_gen,
         )
         tracks = result.tracks
         predict_and_store(tracks, bank, frame, predictor, codec)
-        for d in result.detections:
-            detections.append(Hypothesis(frame=d.frame, track_id=d.track_id, cls=d.cls, center=d.center, confidence=d.confidence))
+        detections.extend(result.detections)
         counters["query_refinements"] += result.stats["query_refinements"]
         counters["cost_evaluations"] += result.stats["cost_evaluations"]
         per_frame_cost_evals.append(result.stats["cost_evaluations"])
@@ -252,10 +249,8 @@ def run_single(
 
 def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> dict:
     queries = result.queries
-    forecasts = []
-    for t in sorted(tracks, key=lambda tr: tr.track_id):
-        if t.status in (CONFIRMED, COASTING):
-            forecasts.append({"track_id": t.track_id, "points": forecast(t, predictor).tolist()})
+    status = tracks["status"]
+    fed = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
     return {
         "type": "frame",
         "frame": frame,
@@ -284,9 +279,13 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
             {"track_id": d.track_id, "class": d.cls, "center": d.center.tolist(), "confidence": d.confidence}
             for d in result.detections
         ],
-        "forecasts": forecasts,
+        "forecasts": [
+            {"track_id": row + 1, "points": points}
+            for row, points in zip(fed.tolist(), forecast(tracks[fed], predictor).tolist())
+        ],
         "tracks": [
-            {"id": t.track_id, "status": t.status, "center": t.center.tolist()} for t in tracks if t.frames
+            {"id": row + 1, "status": STATUS_NAMES[code], "center": center}
+            for row, (code, center) in enumerate(zip(status.tolist(), tracks["centers"][:, -1].tolist()))
         ],
     }
 
@@ -296,41 +295,48 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
 
 
 def replay_dump(path) -> dict:
-    """Rebuild a run's report from its frame-by-frame debug dump."""
-    header = None
+    """Rebuild a run's report from its frame-by-frame debug dump.
+
+    A line that is not JSON, not a header, frame or footer record, or
+    lacks a field read here is an `InputError` naming the line.
+    """
+    echo = None
     footer = None
     gt: list[GtBox] = []
     hyps: list[Hypothesis] = []
-    n_frames = 0
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             try:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise InputError(f"dump {path} line {lineno} is not JSON: {exc}") from exc
-            if rec["type"] == "header":
-                header = rec
-            elif rec["type"] == "footer":
-                footer = rec
-            elif rec["type"] == "frame":
-                n_frames += 1
-                frame = rec["frame"]
-                for g in rec["gt"]:
-                    gt.append(GtBox(frame=frame, gt_id=g["id"], cls=g["class"], center=np.array(g["center"])))
-                for d in rec["detections"]:
-                    hyps.append(
-                        Hypothesis(
-                            frame=frame,
-                            track_id=d["track_id"],
-                            cls=d["class"],
-                            center=np.array(d["center"]),
-                            confidence=d["confidence"],
+            kind = rec.get("type") if isinstance(rec, dict) else None
+            if kind not in ("header", "frame", "footer"):
+                raise InputError(f"dump {path} line {lineno} is not a header, frame or footer record")
+            try:
+                if kind == "header":
+                    echo = rec["config_echo"]
+                    mcfg = echo.get("metrics", {})
+                elif kind == "footer":
+                    footer = {k: rec[k] for k in ("counters", "measurement_hash", "per_frame_cost_evaluations")}
+                else:
+                    frame = rec["frame"]
+                    for g in rec["gt"]:
+                        gt.append(GtBox(frame=frame, gt_id=g["id"], cls=g["class"], center=np.array(g["center"])))
+                    for d in rec["detections"]:
+                        hyps.append(
+                            Hypothesis(
+                                frame=frame,
+                                track_id=d["track_id"],
+                                cls=d["class"],
+                                center=np.array(d["center"]),
+                                confidence=d["confidence"],
+                            )
                         )
-                    )
-    if header is None or footer is None:
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise InputError(f"dump {path} line {lineno} is a {kind} record without a field replay reads: {exc!r}") from exc
+    if echo is None or footer is None:
         raise InputError(f"dump {path} is missing header or footer")
-    echo = header["config_echo"]
-    mcfg = echo.get("metrics", {})
     per_class = evaluate_run(
         gt,
         hyps,
@@ -338,9 +344,7 @@ def replay_dump(path) -> dict:
         match_distance=mcfg.get("match_distance", 2.0),
     )
     report = build_report(per_class, footer["counters"], echo)
-    report["counters"] = footer["counters"]  # wall time is not re-measured on replay
-    report["measurement_hash"] = footer["measurement_hash"]
-    report["per_frame_cost_evaluations"] = footer["per_frame_cost_evaluations"]
+    report.update(footer)  # wall time is not re-measured on replay
     return report
 
 

@@ -3,6 +3,8 @@
 Per frame: assemble the query set (recycled predicted queries first, then
 fresh random ones), gate query center hypotheses against measurements,
 solve the optimal assignment, and fold the matches into track state.
+The tracks of a run are one track table (a structured array of
+:func:`track_dtype`): row i is track id i + 1, and rows are never removed.
 Attention-based matching is replaced by distance gating plus an optimal
 assignment, which keeps every step deterministic and oracle-checkable
 while preserving what the closed loop actually varies: where queries are
@@ -11,20 +13,21 @@ initialized.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from paptrack.kernels import gated_costs
+from paptrack.metrics import Hypothesis
 from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center
-from paptrack.world import CLASS_INDEX, ConfigError, Measurement
+from paptrack.world import CLASS_INDEX, CLASSES, ConfigError, Measurement
 
-TENTATIVE = "tentative"
-CONFIRMED = "confirmed"
-COASTING = "coasting"
-TERMINATED = "terminated"
+# track status codes; STATUS_NAMES[code] is the name a dump records
+TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)
+STATUS_NAMES = ("tentative", "confirmed", "coasting", "terminated")
 
 _BIG = 1e12  # sentinel replacement; far above any sum of gated distances
 
@@ -53,6 +56,14 @@ class PerceptionParams:
     predicted_priority_eps: float = 1e-6
     velocity_window: int = 5
 
+    def validate(self) -> None:
+        if self.velocity_window < 1:
+            raise ConfigError("velocity_window must be >= 1")
+        if not self.gate_threshold > 0:
+            raise ConfigError("gate_threshold must be positive")
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ConfigError("alpha must be in [0, 1]")
+
 
 @dataclass
 class Assignment:
@@ -61,62 +72,41 @@ class Assignment:
     unmatched_measurements: list[int]
 
 
-@dataclass
-class Track:
-    track_id: int
-    cls: str
-    tail: np.ndarray
-    status: str = TENTATIVE
-    hits: int = 1  # consecutive matches
-    misses: int = 0  # consecutive misses
-    ever_confirmed: bool = False
-    frames: list[int] = field(default_factory=list)
-    centers: list[np.ndarray] = field(default_factory=list)
-    velocities: list[np.ndarray] = field(default_factory=list)
-    coasted: list[bool] = field(default_factory=list)
+@functools.cache
+def track_dtype(dim: int, velocity_window: int) -> np.dtype:
+    """Row type of a track table for `dim`-slot queries.
 
-    @property
-    def center(self) -> np.ndarray:
-        return self.centers[-1]
-
-    @property
-    def velocity(self) -> np.ndarray:
-        return self.velocities[-1]
-
-    @property
-    def last_frame(self) -> int:
-        return self.frames[-1]
-
-    @property
-    def confidence(self) -> float:
-        return min(1.0, self.hits / (self.hits + self.misses + 1))
-
-    @property
-    def live(self) -> bool:
-        return self.status != TERMINATED
-
-    def append_state(self, frame: int, center: np.ndarray, velocity: np.ndarray, coasted: bool) -> None:
-        if self.frames and frame <= self.frames[-1]:
-            raise ValueError("track state frames must be strictly increasing")
-        self.frames.append(frame)
-        self.centers.append(np.asarray(center, dtype=float))
-        self.velocities.append(np.asarray(velocity, dtype=float))
-        self.coasted.append(coasted)
+    A row keeps its last ``max(velocity_window, 2)`` states in `frames`,
+    `centers`, `velocities` and `coasted`, newest last: all that the
+    velocity and turn-rate estimates read.  A newborn row's older slots
+    repeat its birth state, which gives both estimates the same result as
+    a history of one state.
+    """
+    depth = max(velocity_window, 2)
+    return np.dtype(
+        [
+            ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
+            ("cls", np.int64),  # world.CLASS_INDEX code
+            ("tail", np.float64, (dim - 2,)),
+            ("hits", np.int64),  # consecutive matches
+            ("misses", np.int64),  # consecutive misses
+            ("ever_confirmed", np.bool_),
+            ("frames", np.int64, (depth,)),
+            ("centers", np.float64, (depth, 2)),
+            ("velocities", np.float64, (depth, 2)),
+            ("coasted", np.bool_, (depth,)),
+        ]
+    )
 
 
-@dataclass
-class Detection:
-    frame: int
-    track_id: int
-    cls: str
-    center: np.ndarray
-    confidence: float
+def track_confidence(hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
+    return np.minimum(1.0, hits / (hits + misses + 1))
 
 
 @dataclass
 class FrameResult:
-    tracks: list[Track]
-    detections: list[Detection]
+    tracks: np.ndarray
+    detections: list[Hypothesis]
     queries: np.recarray
     assignment: Assignment
     stats: dict
@@ -199,37 +189,10 @@ def associate(costs: np.ndarray) -> Assignment:
     )
 
 
-def _estimate_velocity(track: Track, frame: int, center: np.ndarray, dt: float, window: int) -> np.ndarray:
-    if not track.frames:
-        return np.zeros(2)
-    # finite difference against the oldest non-coasted state in the window;
-    # coasted states are dead-reckoned and would bias the estimate
-    lo = max(0, len(track.frames) - window)
-    idx = None
-    for i in range(lo, len(track.frames)):
-        if not track.coasted[i]:
-            idx = i
-            break
-    if idx is None:
-        idx = lo
-    span = (frame - track.frames[idx]) * dt
-    if span <= 0:
-        return np.zeros(2)
-    return (center - track.centers[idx]) / span
-
-
-def _apply_hit(track: Track, frame: int, center: np.ndarray, dt: float, params: PerceptionParams) -> None:
-    vel = _estimate_velocity(track, frame, center, dt, params.velocity_window)
-    track.append_state(frame, center, vel, coasted=False)
-    track.misses = 0
-    track.hits += 1
-    if track.hits >= params.confirm_threshold:
-        track.ever_confirmed = True
-    track.status = CONFIRMED if track.ever_confirmed else TENTATIVE
 
 
 def update_tracks(
-    tracks: list[Track],
+    tracks: np.ndarray,
     assignment: Assignment,
     queries: np.recarray,
     measurements: list[Measurement],
@@ -237,82 +200,119 @@ def update_tracks(
     params: PerceptionParams,
     dt: float,
     codec: CodecConfig,
-    id_gen,
-) -> list[Track]:
-    """Fold one frame's assignment into track state.
+) -> np.ndarray:
+    """Fold one frame's assignment into the track table.
 
     Predicted-query matches update their source track with the blended
-    center.  Random-query matches continue the nearest not-yet-updated
-    live track within the gate, else they birth a new tentative track.
-    Unmatched live tracks coast by dead reckoning until `max_misses` is
-    exceeded; terminated tracks are never revived.
+    center.  The other matches, in match order, continue the nearest live
+    track not yet updated this frame within the gate (ties to the lowest
+    id), else birth a new tentative track.  Unmatched live tracks coast by
+    dead reckoning until `max_misses` is exceeded; terminated tracks are
+    never revived.  The rows are updated in place, and the table is
+    returned, grown by one row per birth.
     """
-    pairs = np.array([(qi, mj) for qi, mj, _cost in assignment.matches], dtype=np.intp).reshape(-1, 2)
-    if np.any((pairs < 0) | (pairs >= [len(queries), len(measurements)])):
+    window = params.velocity_window
+    if tracks.dtype["frames"].shape[0] < window:
+        raise ValueError("track table keeps fewer states than velocity_window")
+    if len(tracks) and tracks["frames"][:, -1].max() >= frame:
+        raise ValueError("track state frames must be strictly increasing")
+    nq, nm = len(queries), len(measurements)
+    if not all(0 <= qi < nq and 0 <= mj < nm for qi, mj, _cost in assignment.matches):
         raise ValueError("assignment references out-of-range indices")
-    # the matched queries' columns, read once
-    matched = queries[pairs[:, 0]]
-    centers = decode_reference(matched, codec)
-    tails = matched["embedding"][:, 2:]
+    pairs = np.array([(qi, mj) for qi, mj, _cost in assignment.matches], dtype=np.intp).reshape(-1, 2)
+    n = len(tracks)
+    matched = np.asarray(queries)[pairs[:, 0]]  # a plain array: recarray field access is slow
+    m_xy = np.array([measurements[j].center for j in pairs[:, 1].tolist()], dtype=float).reshape(-1, 2)
+    live = tracks["status"] != TERMINATED
+
+    # a predicted match updates its live source track; the first one in match order wins
+    first, deferred = {}, []  # source row -> its match; the other matches
+    is_live = live.tolist()
     predicted = (matched["provenance"] == PREDICTED).tolist()
-    sources = matched["source_track_id"].tolist()
-    by_id = {t.track_id: t for t in tracks}
-    updated: set[int] = set()
-    deferred: list[int] = []
-
-    for i, mj in enumerate(pairs[:, 1].tolist()):
-        track = by_id.get(sources[i]) if predicted[i] else None
-        if track is None or not track.live or track.track_id in updated:
-            # a random query, a stale query (track died) or a second query of the same track
-            deferred.append(i)
-            continue
-        blended = (1.0 - params.alpha) * centers[i] + params.alpha * measurements[mj].center
-        _apply_hit(track, frame, blended, dt, params)
-        updated.add(track.track_id)
-
-    for i in deferred:
-        m = measurements[pairs[i, 1]]
-        best = None
-        best_key = None
-        for t in tracks:
-            if not t.live or t.track_id in updated:
-                continue
-            d = float(np.hypot(*(t.center - m.center)))
-            if d <= params.gate_threshold:
-                key = (d, t.track_id)
-                if best_key is None or key < best_key:
-                    best, best_key = t, key
-        if best is not None:
-            # continuation without a current-frame prediction: snap to the measurement
-            _apply_hit(best, frame, np.array(m.center, dtype=float), dt, params)
-            updated.add(best.track_id)
+    for i, row in enumerate((matched["source_track_id"] - 1).tolist()):
+        if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
+            first[row] = i
         else:
-            track = Track(track_id=id_gen(), cls=m.cls, tail=tails[i].copy())
-            track.append_state(frame, np.array(m.center, dtype=float), np.zeros(2), coasted=False)
-            if track.hits >= params.confirm_threshold:
-                track.ever_confirmed = True
-                track.status = CONFIRMED
-            tracks.append(track)
-            updated.add(track.track_id)
-            by_id[track.track_id] = track
+            deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
+    hit_rows = np.array(list(first), dtype=np.intp)
+    by_prediction = list(first.values())
+    q_xy = decode_reference(matched, codec)[by_prediction]
+    hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
 
-    for t in tracks:
-        if not t.live or t.track_id in updated:
-            continue
-        t.misses += 1
-        t.hits = 0
-        if t.misses > params.max_misses:
-            t.status = TERMINATED
+    # the rest continue the nearest free live track in the gate, greedily in match order, else are born
+    free = live.copy()
+    free[hit_rows] = False
+    diff = tracks["centers"][None, :, -1] - m_xy[deferred][:, None, :]
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    d[~(free & (d <= params.gate_threshold))] = np.inf
+    continued, born = [], []
+    for k, i in enumerate(deferred):
+        j = int(d[k].argmin()) if n else 0
+        if n and d[k, j] < np.inf:
+            d[:, j] = np.inf
+            continued.append((j, i))
         else:
-            t.status = COASTING
-            t.append_state(frame, t.center + t.velocity * dt, t.velocity, coasted=True)
+            born.append(i)
+    if continued:
+        more_rows, snapped = np.array(continued).T
+        hit_rows = np.concatenate([hit_rows, more_rows])
+        hit_centers = np.concatenate([hit_centers, m_xy[snapped]])  # no current-frame prediction: snap to it
+
+    # the touched rows are edited in one copy, ordered hits, coasting rows, rows that terminate
+    # now, so that each group is a slice of it
+    idle = free  # live rows not updated this frame
+    idle[hit_rows] = False
+    idle_rows = idle.nonzero()[0]
+    coasting = tracks["misses"][idle_rows] < params.max_misses  # before this miss
+    rows = np.concatenate([hit_rows, idle_rows[coasting], idle_rows[~coasting]])
+    h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
+    sub = tracks[rows]
+
+    # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
+    ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
+    span = (frame - sub["frames"][ref]) * dt  # > 0 unless dt <= 0: every state precedes `frame`
+    moved = hit_centers - sub["centers"][ref]
+    hit_velocities = moved / span[:, None] if dt > 0 else np.zeros_like(moved)
+
+    sub["hits"][:h] += 1
+    sub["misses"][:h] = 0
+    sub["ever_confirmed"][:h] |= sub["hits"][:h] >= params.confirm_threshold
+    sub["status"][:h] = np.where(sub["ever_confirmed"][:h], CONFIRMED, TENTATIVE)
+    sub["hits"][h:] = 0
+    sub["misses"][h:] += 1
+    sub["status"][h:c] = COASTING
+    sub["status"][c:] = TERMINATED
+
+    # one state appended per hit and coasting row, the oldest dropped
+    coast_v = sub["velocities"][h:c, -1]
+    centers = np.concatenate([hit_centers, sub["centers"][h:c, -1] + coast_v * dt])
+    velocities = np.concatenate([hit_velocities, coast_v])
+    for name, value in (("frames", frame), ("centers", centers), ("velocities", velocities), ("coasted", np.arange(c) >= h)):
+        history = sub[name]
+        history[:c, :-1] = history[:c, 1:]
+        history[:c, -1] = value
+    tracks[rows] = sub
+
+    if not born:
+        return tracks
+    # grown as raw bytes: numpy copies structured rows field by field, several times slower
+    raw = np.dtype((np.void, tracks.dtype.itemsize))
+    tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
+    newborn = tracks[n:]
+    newborn["cls"] = [CLASS_INDEX[measurements[pairs[i, 1]].cls] for i in born]
+    newborn["tail"] = matched["embedding"][born, 2:]
+    newborn["hits"] = 1
+    newborn["ever_confirmed"] = 1 >= params.confirm_threshold
+    newborn["status"] = np.where(newborn["ever_confirmed"], CONFIRMED, TENTATIVE)
+    newborn["frames"] = frame
+    newborn["centers"] = m_xy[born, None, :]
     return tracks
 
 
 def perceive(
     measurements: list[Measurement],
     bank: QueryBank,
-    tracks: list[Track],
+    tracks: np.ndarray,
     policy: QueryAssemblyPolicy,
     params: PerceptionParams,
     codec: CodecConfig,
@@ -320,18 +320,19 @@ def perceive(
     rng: np.random.Generator,
     frame: int,
     dt: float,
-    id_gen,
 ) -> FrameResult:
     """One full perception step: assemble -> gate -> associate -> update."""
     queries = assemble_queries(bank, frame, policy, codec, world_half_extent, rng)
     costs, n_eval = gate_costs(queries, measurements, params.gate_threshold, codec)
     adjusted = apply_predicted_priority(costs, queries, params.predicted_priority_eps)
     assignment = associate(adjusted)
-    tracks = update_tracks(tracks, assignment, queries, measurements, frame, params, dt, codec, id_gen)
+    tracks = update_tracks(tracks, assignment, queries, measurements, frame, params, dt, codec)
+    # a track is detected in the frames it is matched in; a terminated one keeps an older last state
+    seen = ((tracks["frames"][:, -1] == frame) & ~tracks["coasted"][:, -1]).nonzero()[0]
+    confidence = track_confidence(tracks["hits"][seen], tracks["misses"][seen])
     detections = [
-        Detection(frame=frame, track_id=t.track_id, cls=t.cls, center=t.center.copy(), confidence=t.confidence)
-        for t in tracks
-        if t.live and t.frames and t.last_frame == frame and not t.coasted[-1]
+        Hypothesis(frame=frame, track_id=row + 1, cls=CLASSES[cls], center=center, confidence=conf)
+        for row, cls, center, conf in zip(seen.tolist(), tracks["cls"][seen].tolist(), tracks["centers"][seen, -1], confidence.tolist())
     ]
     stats = {
         "cost_evaluations": n_eval,

@@ -1,9 +1,9 @@
 """Kinematic motion forecasts and their conversion back into queries.
 
-The predictor extrapolates each live track's filtered state over a short
-horizon and re-embeds selected horizon points as one table of predicted
-queries, which is stored in the time-indexed bank for the next frame's
-perception.
+The predictor extrapolates the filtered state of every live row of the
+track table over a short horizon in one call, and re-embeds selected
+horizon points as one table of predicted queries, which is stored in the
+time-indexed bank for the next frame's perception.
 """
 
 from __future__ import annotations
@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from paptrack.perception import COASTING, CONFIRMED, TERMINATED, Track
+from paptrack.perception import COASTING, CONFIRMED, TERMINATED, track_confidence
 from paptrack.queries import PREDICTED, CodecConfig, QueryBank, embed_center
-from paptrack.world import CLASS_INDEX, ConfigError
+from paptrack.world import ConfigError
 
 CONSTANT_VELOCITY = "constant_velocity"
 CONSTANT_TURN = "constant_turn"
@@ -37,49 +37,40 @@ class PredictorConfig:
             raise ConfigError(f"unknown predictor model {self.model!r}")
 
 
-def _estimate_turn_rate(track: Track, dt: float) -> float:
-    if len(track.velocities) < 2:
-        return 0.0
-    v0, v1 = track.velocities[-2], track.velocities[-1]
-    if np.hypot(*v0) < 1e-9 or np.hypot(*v1) < 1e-9:
-        return 0.0
-    a0 = np.arctan2(v0[1], v0[0])
-    a1 = np.arctan2(v1[1], v1[0])
-    da = (a1 - a0 + np.pi) % (2.0 * np.pi) - np.pi
-    span = (track.frames[-1] - track.frames[-2]) * dt
-    return float(da / span) if span > 0 else 0.0
+def _turn_rates(tracks: np.ndarray, dt: float) -> np.ndarray:
+    """Heading change per second between each row's last two velocities."""
+    v0, v1 = tracks["velocities"][:, -2], tracks["velocities"][:, -1]
+    moving = (np.hypot(v0[:, 0], v0[:, 1]) >= 1e-9) & (np.hypot(v1[:, 0], v1[:, 1]) >= 1e-9)
+    da = (np.arctan2(v1[:, 1], v1[:, 0]) - np.arctan2(v0[:, 1], v0[:, 0]) + np.pi) % (2.0 * np.pi) - np.pi
+    span = (tracks["frames"][:, -1] - tracks["frames"][:, -2]) * dt
+    return np.where(moving & (span > 0), da / np.where(span > 0, span, 1.0), 0.0)
 
 
-def forecast(track: Track, cfg: PredictorConfig) -> np.ndarray:
-    """Extrapolate a live track over the configured horizon.
+def forecast(tracks: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
+    """Extrapolate every row of a track table over the configured horizon.
 
-    Returns ``(horizon, 2)`` points; row h-1 is the step-h position.
+    Returns ``(n, horizon, 2)`` points; ``[i, h-1]`` is row i's step-h position.
     """
     cfg.validate()
-    if track.status == TERMINATED:
+    if np.any(tracks["status"] == TERMINATED):
         raise ValueError("cannot forecast a terminated track")
-    if not track.frames:
-        raise ValueError("track has no state")
-    c = track.center
-    v = track.velocity
-    points = np.empty((cfg.horizon, 2))
+    c, v = tracks["centers"][:, -1], tracks["velocities"][:, -1]
     if cfg.model == CONSTANT_TURN:
-        omega = _estimate_turn_rate(track, cfg.dt)
+        omega = _turn_rates(tracks, cfg.dt)
         rot_c, rot_s = np.cos(omega * cfg.dt), np.sin(omega * cfg.dt)
-        x = np.array(c, dtype=float)
-        vv = np.array(v, dtype=float)
+        points = np.empty((len(tracks), cfg.horizon, 2))
+        x = c
         for h in range(cfg.horizon):
-            x = x + vv * cfg.dt
-            vv = np.array([rot_c * vv[0] - rot_s * vv[1], rot_s * vv[0] + rot_c * vv[1]])
-            points[h] = x
-    else:
-        steps = np.arange(1, cfg.horizon + 1)[:, None]
-        points[:] = c[None, :] + steps * cfg.dt * v[None, :]
-    return points
+            x = x + v * cfg.dt
+            v = np.stack([rot_c * v[:, 0] - rot_s * v[:, 1], rot_s * v[:, 0] + rot_c * v[:, 1]], axis=1)
+            points[:, h] = x
+        return points
+    steps = np.arange(1, cfg.horizon + 1)[:, None]
+    return c[:, None, :] + (steps * cfg.dt)[None] * v[:, None, :]
 
 
 def predict_and_store(
-    tracks: list[Track],
+    tracks: np.ndarray,
     bank: QueryBank,
     t: int,
     cfg: PredictorConfig,
@@ -92,19 +83,19 @@ def predict_and_store(
     track's tail slot-for-slot, so temporal identity features survive the
     loop, and its class, so it only matches measurements of that class.
     """
-    live = sorted((tr for tr in tracks if tr.status in (CONFIRMED, COASTING)), key=lambda tr: tr.track_id)
+    live = np.flatnonzero((tracks["status"] == CONFIRMED) | (tracks["status"] == COASTING))
+    fed = tracks[live]
     steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
-    points = np.array([forecast(tr, cfg)[steps - 1] for tr in live]).reshape(-1, 2)
-    rows = np.repeat(np.arange(len(live)), len(steps))  # table row -> index into live
+    rows = np.repeat(np.arange(len(live)), len(steps))  # query row -> row of `fed`
     queries = embed_center(
-        points,
-        np.array([tr.tail for tr in live]).reshape(-1, codec.dim - 2)[rows],
+        forecast(fed, cfg)[:, steps - 1].reshape(-1, 2),
+        fed["tail"][rows],
         codec,
         provenance=PREDICTED,
-        source_track_id=np.array([tr.track_id for tr in live], dtype=np.int64)[rows],
+        source_track_id=live[rows] + 1,
         horizon_step=np.tile(steps, len(live)),
-        cls=np.array([CLASS_INDEX[tr.cls] for tr in live], dtype=np.int64)[rows],
-        confidence=np.array([tr.confidence for tr in live], dtype=float)[rows],
+        cls=fed["cls"][rows],
+        confidence=track_confidence(fed["hits"], fed["misses"])[rows],
     )
     bank.store(t, queries)
     return bank

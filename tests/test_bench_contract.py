@@ -59,3 +59,15 @@ def test_traced_benchmark_pass_measures_every_per_layer_metric(bench_run, tmp_pa
 def test_environment_stamp_reads_the_kernel_flag(bench_run):
     assert hasattr(kernels, "USE_NUMBA")
     assert bench_run.environment()["use_numba"] is False
+
+
+def test_timed_setup_loads_the_suite_config_in_a_fresh_interpreter(bench_run, tmp_path):
+    doc = bench_run.WORKLOADS["suite_ab"].config_doc([1])
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    bench = bench_run.Bench(harness, harness.config_from_dict(doc), tmp_path)
+
+    seconds = bench.setup(config_path)  # runs SETUP_CODE, which imports paptrack.cli
+
+    assert bench.failed == 0
+    assert isinstance(seconds, float) and seconds > 0.0

@@ -22,7 +22,7 @@ from paptrack.harness import (
     sweep_rho,
 )
 from paptrack.metrics import report_to_json
-from paptrack.perception import QueryAssemblyPolicy
+from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
 from paptrack.world import ConfigError, ScenarioConfig, SensorConfig
 
 
@@ -123,6 +123,15 @@ def test_config_validation_failures():
     for capacity in (0, -2):
         with pytest.raises(ConfigError, match="bank_capacity"):
             ExperimentConfig(bank_capacity=capacity).validate()
+    for params, msg in (
+        (PerceptionParams(velocity_window=0), "velocity_window"),
+        (PerceptionParams(gate_threshold=0.0), "gate_threshold"),
+        (PerceptionParams(gate_threshold=-1.0), "gate_threshold"),
+        (PerceptionParams(alpha=2.0), "alpha"),
+        (PerceptionParams(alpha=-0.1), "alpha"),
+    ):
+        with pytest.raises(ConfigError, match=msg):
+            ExperimentConfig(perception=params).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +450,23 @@ def test_cli_dump_line_that_is_not_json_exits_4(tmp_path, capsys):
     assert main(["replay", str(broken)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "line 4 is not JSON" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "record, problem",
+    [("[]", "line 2 is not a header, frame or footer record"), ('{"frame": 3}', "line 2 is not a header, frame or footer record"),
+     ('{"type": "frame", "frame": 3}', "line 2 is a frame record without a field")],
+    ids=["list", "untyped_object", "frame_without_gt"],
+)
+def test_cli_dump_line_that_is_not_a_record_exits_4(tmp_path, capsys, record, problem):
+    header = {"type": "header", "config_echo": {}}
+    footer = {"type": "footer", "counters": {}, "measurement_hash": "", "per_frame_cost_evaluations": []}
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join([json.dumps(header), record, json.dumps(footer)]) + "\n")
+    assert main(["replay", str(broken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and problem in err
     assert len(err.strip().splitlines()) == 1
 
 

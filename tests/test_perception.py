@@ -1,16 +1,15 @@
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 import pytest
 
 from paptrack.perception import (
+    COASTING,
     CONFIRMED,
+    TENTATIVE,
     TERMINATED,
     PerceptionParams,
     QueryAssemblyPolicy,
-    Track,
     apply_predicted_priority,
     assemble_queries,
     associate,
@@ -24,6 +23,7 @@ from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX, Measurement
 
 from oracles import brute_force_assignment
+from tables import centers, track_table
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 HALF_EXTENT = 30.0
@@ -199,94 +199,105 @@ def test_associate_matches_brute_force_on_small_instances():
 # update_tracks
 
 
-def make_track(track_id=1, center=(1.0, 0.0), cls="car", frame=0, hits=2):
-    t = Track(track_id=track_id, cls=cls, tail=np.arange(14, dtype=float))
-    t.append_state(frame, np.asarray(center, dtype=float), np.zeros(2), coasted=False)
-    t.hits = hits
-    if hits >= 2:
-        t.ever_confirmed = True
-        t.status = CONFIRMED
-    return t
+def make_track(center=(1.0, 0.0), cls="car", frame=0, hits=2):
+    """A 1-row table: track 1 with one state."""
+    status = CONFIRMED if hits >= 2 else TENTATIVE
+    return track_table(dict(center=center, cls=cls, frame=frame, hits=hits, status=status, tail=np.arange(14, dtype=float)))
 
 
 def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
     params = PerceptionParams(alpha=alpha)
     costs, _ = gate_costs(queries, measurements, params.gate_threshold, CODEC)
     assignment = associate(apply_predicted_priority(costs, queries, params.predicted_priority_eps))
-    ids = itertools.count(100).__next__
-    return update_tracks(tracks, assignment, queries, measurements, frame, params, 0.1, CODEC, ids)
+    return update_tracks(tracks, assignment, queries, measurements, frame, params, 0.1, CODEC)
 
 
 def test_matched_predicted_query_blends_centers():
-    track = make_track(center=(1.0, 0.0))
-    tracks = run_update([track], predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)])
-    assert np.allclose(tracks[0].center, [1.7, 0.0], atol=1e-12)
-    assert tracks[0].hits == 3
+    tracks = run_update(make_track(center=(1.0, 0.0)), predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)])
+    assert np.allclose(centers(tracks)[0], [1.7, 0.0], atol=1e-12)
+    assert tracks["hits"][0] == 3
 
 
 def test_alpha_one_snaps_to_measurement():
-    track = make_track(center=(1.0, 0.0))
-    tracks = run_update([track], predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)], alpha=1.0)
-    assert np.allclose(tracks[0].center, [2.0, 0.0], atol=0)
+    tracks = run_update(make_track(center=(1.0, 0.0)), predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)], alpha=1.0)
+    assert np.allclose(centers(tracks)[0], [2.0, 0.0], atol=0)
 
 
 def test_unmatched_random_query_is_discarded():
-    tracks = run_update([], predicted_query(1, (0.0, 0.0)), [])
-    assert tracks == []
+    tracks = run_update(track_table(), predicted_query(1, (0.0, 0.0)), [])
+    assert len(tracks) == 0
 
 
 def test_matched_random_query_births_tentative_track():
     rng = stream(0, "queries")
     qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=50, rho=0.0), CODEC, 5.0, rng)
     m = meas((0.0, 0.0), frame=0)
-    tracks = run_update([], qs, [m], frame=0)
+    tracks = run_update(track_table(), qs, [m], frame=0)
     assert len(tracks) == 1
-    assert tracks[0].status == "tentative"
-    assert np.array_equal(tracks[0].center, m.center)
+    assert tracks["status"][0] == TENTATIVE
+    assert np.array_equal(centers(tracks)[0], m.center)
 
 
 def test_unmatched_track_coasts_then_terminates():
-    track = make_track(center=(0.0, 0.0))
-    track.velocities[-1] = np.array([1.0, 0.0])
+    tracks = track_table(dict(center=(0.0, 0.0), velocity=(1.0, 0.0), tail=np.arange(14, dtype=float)))
     params = PerceptionParams(max_misses=2)
-    ids = itertools.count(100).__next__
     for frame in range(1, 5):
         costs, _ = gate_costs(table([]), [], params.gate_threshold, CODEC)
         assignment = associate(costs)
-        update_tracks([track], assignment, table([]), [], frame, params, 0.1, CODEC, ids)
-        if track.status == TERMINATED:
+        tracks = update_tracks(tracks, assignment, table([]), [], frame, params, 0.1, CODEC)
+        if tracks["status"][0] == TERMINATED:
             break
-    assert track.status == TERMINATED
-    assert track.misses == 3
+    assert tracks["status"][0] == TERMINATED
+    assert tracks["misses"][0] == 3
     # coasted states advanced by dead reckoning and flagged
-    assert track.coasted[1:] == [True, True]
-    assert np.allclose(track.centers[1], [0.1, 0.0])
+    assert tracks["frames"][0, -3:].tolist() == [0, 1, 2]
+    assert tracks["coasted"][0, -3:].tolist() == [False, True, True]
+    assert np.allclose(tracks["centers"][0, -2], [0.1, 0.0])
 
 
 def test_terminated_tracks_stay_terminated():
-    track = make_track(center=(0.0, 0.0))
-    track.status = TERMINATED
-    tracks = run_update([track], predicted_query(1, (0.0, 0.0)), [meas((0.0, 0.0), frame=1)])
-    assert track.status == TERMINATED
-    assert len(track.frames) == 1  # no state appended
+    track = track_table(dict(center=(0.0, 0.0), status=TERMINATED))
+    before = track.copy()
+    tracks = run_update(track, predicted_query(1, (0.0, 0.0)), [meas((0.0, 0.0), frame=1)])
+    assert tracks["status"][0] == TERMINATED
+    assert tracks[:1].tobytes() == before.tobytes()  # no state appended
     assert len(tracks) == 2  # the measurement birthed a fresh track instead
 
 
 def test_track_ids_never_reused():
-    ids = itertools.count(100).__next__
     params = PerceptionParams()
-    seen = set()
-    tracks = []
+    tracks = track_table()
     for frame in range(5):
         ms = [meas((float(10 * frame), 0.0), frame=frame)]
         rng = stream(frame, "queries")
         qs = assemble_queries(QueryBank(), frame, QueryAssemblyPolicy(n_queries=200, rho=0.0), CODEC, HALF_EXTENT, rng)
         costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
         assignment = associate(costs)
-        tracks = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1, CODEC, ids)
-        for t in tracks:
-            seen.add(t.track_id)
-    assert len(seen) == len({t.track_id for t in tracks} | seen)
+        before = tracks.copy()
+        tracks = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1, CODEC)
+        # a row is never removed or given to another track: the old rows keep the tails they were born with
+        assert len(tracks) >= len(before)
+        assert np.array_equal(tracks["tail"][: len(before)], before["tail"])
+    assert len(tracks) > 1
+
+
+def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
+    # three live tracks; tracks 1 and 3 are equally near the measurement, track 2 is nearer but
+    # already updated by its own predicted query
+    tracks = track_table(
+        dict(center=(-1.0, 0.0)), dict(center=(0.5, 0.0)), dict(center=(1.0, 0.0)), dict(center=(0.0, 0.0), status=TERMINATED)
+    )
+    qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2), np.zeros(14), CODEC)])
+    ms = [meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1)]
+    params = PerceptionParams()
+    from paptrack.perception import Assignment
+
+    out = update_tracks(tracks, Assignment([(0, 0, 0.1), (1, 1, 0.0)], [], []), qs, ms, 1, params, 0.1, CODEC)
+    assert len(out) == 4  # no birth: the random match continued track 1
+    assert out["frames"][:, -1].tolist() == [1, 1, 1, 0]
+    assert out["coasted"][:, -1].tolist() == [False, False, True, False]
+    assert out["status"].tolist() == [CONFIRMED, CONFIRMED, COASTING, TERMINATED]
+    assert np.array_equal(centers(out)[0], [0.0, 0.0])  # snapped to the measurement
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +305,7 @@ def test_track_ids_never_reused():
 
 
 def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
-    """Single agent, exact sensor, recycled queries; returns the track list."""
+    """Single agent, exact sensor, recycled queries; returns the track table and every detection."""
     from paptrack.world import ScenarioConfig, SensorConfig, generate_scenario, sense
 
     cfg = ScenarioConfig(
@@ -309,65 +320,60 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     sensor_rng = stream(21, "sensor")
     query_rng = stream(21, "queries")
     bank = QueryBank()
-    tracks = []
-    ids = itertools.count(1).__next__
+    tracks = track_table()
+    detections = []
     policy = QueryAssemblyPolicy(n_queries=300, rho=0.8)
     params = PerceptionParams()
     predictor = PredictorConfig(dt=dt)
     for frame in range(n_frames):
         ms = sense(scenario, frame, sensor, sensor_rng)
-        result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt, ids)
+        result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt)
         tracks = result.tracks
+        detections.extend(result.detections)
         predict_and_store(tracks, bank, frame, predictor, codec)
-    return scenario, tracks
+    return scenario, tracks, detections
 
 
 def test_noise_free_closed_loop_tracks_ground_truth():
-    scenario, tracks = close_loop_noise_free()
-    confirmed = [t for t in tracks if t.ever_confirmed]
-    assert len(confirmed) == 1
+    scenario, tracks, detections = close_loop_noise_free()
     assert len(tracks) == 1  # no duplicate births
-    track = confirmed[0]
+    assert tracks["ever_confirmed"][0]
+    # one detection of the track in every frame: each frame was matched, none coasted
+    assert [(d.frame, d.track_id) for d in detections] == [(frame, 1) for frame in range(10)]
     agent = scenario.agents[0]
-    for frame, center, coasted in zip(track.frames, track.centers, track.coasted):
-        assert not coasted
-        assert np.max(np.abs(center - agent.state_at(frame)[0:2])) < 1e-9
+    for d in detections:
+        assert np.max(np.abs(d.center - agent.state_at(d.frame)[0:2])) < 1e-9
 
 
 def test_perceive_empty_inputs():
     result = perceive(
-        [], QueryBank(), [], QueryAssemblyPolicy(n_queries=5, rho=0.5), PerceptionParams(), CODEC, HALF_EXTENT,
-        stream(0, "queries"), 0, 0.1, itertools.count(1).__next__,
+        [], QueryBank(), track_table(), QueryAssemblyPolicy(n_queries=5, rho=0.5), PerceptionParams(), CODEC, HALF_EXTENT,
+        stream(0, "queries"), 0, 0.1,
     )
-    assert result.tracks == []
+    assert len(result.tracks) == 0
     assert result.detections == []
 
 
 def test_perceive_equals_manual_composition():
-    import copy
-
     bank = QueryBank()
     bank.store(0, predicted_query(1, (1.0, 0.0)))
     track = make_track(center=(1.0, 0.0))
     ms = [meas((1.2, 0.0), frame=1), meas((5.0, 5.0), cls="pedestrian", frame=1)]
     policy = QueryAssemblyPolicy(n_queries=6, rho=0.5)
     params = PerceptionParams()
-    ids_a = itertools.count(100).__next__
-    result = perceive(ms, bank, [copy.deepcopy(track)], policy, params, CODEC, HALF_EXTENT, stream(9, "queries"), 1, 0.1, ids_a)
+    result = perceive(ms, bank, track.copy(), policy, params, CODEC, HALF_EXTENT, stream(9, "queries"), 1, 0.1)
 
     # manual composition with an identical query stream
     qs = assemble_queries(bank, 1, policy, CODEC, HALF_EXTENT, stream(9, "queries"))
     costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
-    ids_b = itertools.count(100).__next__
-    manual_tracks = update_tracks([copy.deepcopy(track)], assignment, qs, ms, 1, params, 0.1, CODEC, ids_b)
+    manual_tracks = update_tracks(track.copy(), assignment, qs, ms, 1, params, 0.1, CODEC)
 
     assert [(m[0], m[1]) for m in result.assignment.matches] == [(m[0], m[1]) for m in assignment.matches]
     assert len(result.tracks) == len(manual_tracks)
-    for ta, tb in zip(sorted(result.tracks, key=lambda t: t.track_id), sorted(manual_tracks, key=lambda t: t.track_id)):
-        assert ta.track_id == tb.track_id
-        assert ta.status == tb.status
-        assert np.array_equal(ta.center, tb.center)
+    assert np.array_equal(result.tracks["status"], manual_tracks["status"])
+    assert np.array_equal(centers(result.tracks), centers(manual_tracks))
+    assert result.tracks.tobytes() == manual_tracks.tobytes()
 
 
 def test_predicted_priority_wins_cost_ties():

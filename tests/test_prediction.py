@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paptrack.perception import CONFIRMED, TENTATIVE, TERMINATED, Track
+from paptrack.perception import COASTING, CONFIRMED, TENTATIVE, TERMINATED
 from paptrack.prediction import (
     CONSTANT_TURN,
     CONSTANT_VELOCITY,
@@ -14,28 +14,33 @@ from paptrack.prediction import (
 from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference
 from paptrack.world import CLASS_INDEX
 
+from oracles import forecast_oracle
+from tables import track_table
+
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 
 
-def make_track(track_id=1, center=(0.0, 0.0), velocity=(1.0, 0.0), frame=0, status=CONFIRMED):
-    t = Track(track_id=track_id, cls="car", tail=np.full(14, float(track_id)))
-    t.append_state(frame, np.asarray(center, dtype=float), np.asarray(velocity, dtype=float), coasted=False)
-    t.hits = 3
-    t.ever_confirmed = True
-    t.status = status
-    return t
+def track_row(track_id=1, center=(0.0, 0.0), velocity=(1.0, 0.0), frame=0, status=CONFIRMED, **more):
+    """One row of `track_table`; `track_id` only sets the tail, the row's place sets the id."""
+    row = dict(center=center, velocity=velocity, frame=frame, status=status, hits=3, ever_confirmed=True, tail=np.full(14, float(track_id)))
+    return row | more
+
+
+def make_track(**kwargs):
+    """A 1-row table: track 1."""
+    return track_table(track_row(**kwargs))
 
 
 def test_constant_velocity_extrapolation_exact():
     track = make_track(center=(0.0, 0.0), velocity=(10.0, 0.0))
-    f = forecast(track, PredictorConfig(horizon=3, dt=0.1))
+    (f,) = forecast(track, PredictorConfig(horizon=3, dt=0.1))
     assert np.allclose(f, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], atol=0)
 
 
 def test_zero_velocity_stays_put():
     track = make_track(velocity=(0.0, 0.0))
     f = forecast(track, PredictorConfig(horizon=6, dt=0.1))
-    assert np.array_equal(f, np.zeros((6, 2)))
+    assert np.array_equal(f, np.zeros((1, 6, 2)))
 
 
 def test_forecast_rejects_terminated_track():
@@ -51,16 +56,14 @@ def test_constant_turn_traces_circular_arc():
     omega = 0.5
     dt = 0.1
     speed = 2.0
-    track = make_track(center=(0.0, 0.0), velocity=(speed, 0.0), frame=1)
     # give the track a velocity history that implies the turn rate
     prev_v = np.array([speed * np.cos(-omega * dt), speed * np.sin(-omega * dt)])
-    track.frames.insert(0, 0)
-    track.centers.insert(0, np.array([-prev_v[0] * dt, -prev_v[1] * dt]))
-    track.velocities.insert(0, prev_v)
-    track.coasted.insert(0, False)
+    track = track_table(
+        track_row(states=[(0, np.array([-prev_v[0] * dt, -prev_v[1] * dt]), prev_v, False), (1, (0.0, 0.0), (speed, 0.0), False)])
+    )
 
     cfg = PredictorConfig(horizon=8, dt=dt, model=CONSTANT_TURN)
-    f = forecast(track, cfg)
+    (f,) = forecast(track, cfg)
 
     # analytic chord sum: x_h = sum_{j=0}^{h-1} R(j*omega*dt) v0 dt
     v0 = np.array([speed, 0.0])
@@ -72,7 +75,7 @@ def test_constant_turn_traces_circular_arc():
         assert np.max(np.abs(f[h] - x)) < 1e-9
 
     # sanity: the turning forecast bends away from the straight-line tangent
-    straight = forecast(track, PredictorConfig(horizon=8, dt=dt, model=CONSTANT_VELOCITY))
+    (straight,) = forecast(track, PredictorConfig(horizon=8, dt=dt, model=CONSTANT_VELOCITY))
     assert np.linalg.norm(f[-1] - straight[-1]) > 0.01
 
 
@@ -81,14 +84,10 @@ def test_constant_turn_error_grows_with_horizon_against_true_circle():
     dt = 0.1
     speed = 3.0
     radius = speed / omega
-    track = make_track(center=(0.0, 0.0), velocity=(speed, 0.0), frame=1)
     prev_v = np.array([speed * np.cos(-omega * dt), speed * np.sin(-omega * dt)])
-    track.frames.insert(0, 0)
-    track.centers.insert(0, np.array([0.0, 0.0]) - prev_v * dt)
-    track.velocities.insert(0, prev_v)
-    track.coasted.insert(0, False)
+    track = track_table(track_row(states=[(0, np.array([0.0, 0.0]) - prev_v * dt, prev_v, False), (1, (0.0, 0.0), (speed, 0.0), False)]))
 
-    f = forecast(track, PredictorConfig(horizon=10, dt=dt, model=CONSTANT_TURN))
+    (f,) = forecast(track, PredictorConfig(horizon=10, dt=dt, model=CONSTANT_TURN))
     errors = []
     for h in range(1, 11):
         theta = omega * h * dt
@@ -100,15 +99,38 @@ def test_constant_turn_error_grows_with_horizon_against_true_circle():
     assert errors[-1] < 0.5 * speed * omega * 1.0 * dt * 1.05
 
 
+def test_batched_forecast_equals_per_track_oracle_bit_for_bit():
+    rng = np.random.default_rng(12)
+    rows = []
+    for i in range(300):
+        n = int(rng.integers(1, 5))  # 1 state: a newborn
+        frames = np.cumsum(rng.integers(1, 3, size=n)) + int(rng.integers(0, 50))
+        still = rng.random(size=(n, 1)) < 0.15  # zero velocities take the no-turn branch
+        velocities = np.where(still, 0.0, rng.normal(0.0, 3.0, size=(n, 2)))
+        if n == 1:
+            velocities[:] = 0.0
+        states = [(f, rng.uniform(-30, 30, 2), v, False) for f, v in zip(frames.tolist(), velocities)]
+        rows.append(track_row(status=COASTING if i % 3 else CONFIRMED, states=states))
+    tracks = track_table(*rows)
+    for model in (CONSTANT_VELOCITY, CONSTANT_TURN):
+        for horizon, dt in ((6, 0.1), (3, 0.05)):
+            points = forecast(tracks, PredictorConfig(horizon=horizon, dt=dt, model=model))
+            assert points.shape == (len(rows), horizon, 2)
+            for row, spec in enumerate(rows):
+                frames, centers, velocities, _ = zip(*spec["states"])
+                expected = forecast_oracle(frames, centers, velocities, horizon, dt, model == CONSTANT_TURN)
+                assert points[row].tobytes() == expected.tobytes()
+
+
 def banked(tracks, cfg, t=0):
     """The table predict_and_store banks for `tracks` at frame `t`."""
     return predict_and_store(tracks, QueryBank(), t, cfg, CODEC).fetch(t)
 
 
 def test_predict_and_store_row_round_trip():
-    track = make_track(track_id=9, center=(1.5, -2.0), velocity=(0.0, 0.0))
-    track.misses = 1  # confidence 3 / (3 + 1 + 1)
-    (q,) = banked([track], PredictorConfig(horizon=1))
+    # track 9 after eight tentative tracks, which feed no queries; confidence 3 / (3 + 1 + 1)
+    tracks = track_table(*[track_row(status=TENTATIVE)] * 8, track_row(track_id=9, center=(1.5, -2.0), velocity=(0.0, 0.0), misses=1))
+    (q,) = banked(tracks, PredictorConfig(horizon=1))
     assert q.provenance == PREDICTED
     assert q.source_track_id == 9
     assert q.horizon_step == 1
@@ -117,37 +139,41 @@ def test_predict_and_store_row_round_trip():
 
 
 def test_tail_carried_slot_for_slot():
-    track = make_track()
-    track.tail = np.linspace(-3.0, 3.0, 14)
-    (q,) = banked([track], PredictorConfig(horizon=1))
-    assert np.array_equal(q.embedding[2:], track.tail)
+    track = make_track(tail=np.linspace(-3.0, 3.0, 14))
+    (q,) = banked(track, PredictorConfig(horizon=1))
+    assert np.array_equal(q.embedding[2:], np.linspace(-3.0, 3.0, 14))
 
 
 def test_feed_all_emits_one_query_per_horizon_step():
     track = make_track(velocity=(2.0, 1.0))
     cfg = PredictorConfig(horizon=6, feed_all=True)
-    f = forecast(track, cfg)
-    qs = banked([track], cfg)
+    (f,) = forecast(track, cfg)
+    qs = banked(track, cfg)
     assert qs.horizon_step.tolist() == [1, 2, 3, 4, 5, 6]
     assert np.max(np.abs(decode_reference(qs, CODEC) - f[qs.horizon_step - 1])) < 1e-9
 
 
 def test_feed_all_rows_are_grouped_by_track():
     cfg = PredictorConfig(horizon=3, feed_all=True)
-    tracks = [make_track(track_id=4, velocity=(1.0, 0.0)), make_track(track_id=2, velocity=(0.0, 1.0))]
+    # tracks 2 and 4 feed the bank; the tentative tracks 1 and 3 do not
+    tracks = track_table(
+        track_row(track_id=1, status=TENTATIVE), track_row(track_id=2, velocity=(0.0, 1.0)),
+        track_row(track_id=3, status=TENTATIVE), track_row(track_id=4, velocity=(1.0, 0.0)),
+    )
     qs = banked(tracks, cfg)
     assert qs.source_track_id.tolist() == [2, 2, 2, 4, 4, 4]
     assert qs.horizon_step.tolist() == [1, 2, 3, 1, 2, 3]
-    for tr in tracks:
-        rows = qs[qs.source_track_id == tr.track_id]
-        assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(tr, cfg))) < 1e-9
-        assert np.array_equal(rows.embedding[:, 2:], np.tile(tr.tail, (3, 1)))
+    for track_id in (2, 4):
+        rows = qs[qs.source_track_id == track_id]
+        track = tracks[[track_id - 1]]
+        assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(track, cfg)[0])) < 1e-9
+        assert np.array_equal(rows.embedding[:, 2:], np.tile(track["tail"][0], (3, 1)))
 
 
 def test_feed_step_selects_single_horizon_point():
     track = make_track(velocity=(1.0, 0.0))
     cfg = PredictorConfig(horizon=6, feed_step=3, dt=0.1)
-    qs = banked([track], cfg)
+    qs = banked(track, cfg)
     assert len(qs) == 1
     assert qs[0].horizon_step == 3
     assert np.max(np.abs(decode_reference(qs[0], CODEC) - [0.3, 0.0])) < 1e-9
@@ -155,18 +181,19 @@ def test_feed_step_selects_single_horizon_point():
 
 def test_predict_and_store_empty_track_list():
     bank = QueryBank()
-    predict_and_store([], bank, 5, PredictorConfig(), CODEC)
+    predict_and_store(track_table(), bank, 5, PredictorConfig(), CODEC)
     assert len(bank.fetch(5)) == 0
     assert 5 in bank.entries  # the slot exists, holding no queries
 
 
 def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
     bank = QueryBank()
-    tracks = [
-        make_track(track_id=2, status=CONFIRMED),
-        make_track(track_id=1, status=TENTATIVE),
-        make_track(track_id=3, status="coasting"),
-    ]
+    tracks = track_table(
+        track_row(track_id=1, status=TENTATIVE),
+        track_row(track_id=2, status=CONFIRMED),
+        track_row(track_id=3, status=COASTING),
+        track_row(track_id=4, status=TERMINATED),
+    )
     predict_and_store(tracks, bank, 0, PredictorConfig(), CODEC)
     qs = bank.fetch(0)
     assert qs.source_track_id.tolist() == [2, 3]  # sorted by track id
@@ -177,7 +204,7 @@ def test_bank_closure_decoded_center_is_dead_reckoned_position():
     dt = 0.1
     track = make_track(center=(4.0, -1.0), velocity=(2.0, 3.0))
     bank = QueryBank()
-    predict_and_store([track], bank, 7, PredictorConfig(horizon=6, dt=dt), CODEC)
+    predict_and_store(track, bank, 7, PredictorConfig(horizon=6, dt=dt), CODEC)
     (q,) = bank.fetch(7)
     expected = np.array([4.0, -1.0]) + dt * np.array([2.0, 3.0])
     assert np.max(np.abs(decode_reference(q, CODEC) - expected)) < 1e-9
