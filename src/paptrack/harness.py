@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -294,11 +295,38 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
 # replay
 
 
+def _is_id(value) -> bool:
+    return type(value) is int and 0 <= value < 2**63
+
+
+def _is_finite_number(value) -> bool:
+    return (type(value) is int and abs(value) <= 2**53) or (type(value) is float and math.isfinite(value))
+
+
+# field -> (what a dump record's value must be, test); the fields replay evaluates
+_DUMP_FIELDS = {
+    "frame": ("a non-negative integer", _is_id),
+    "id": ("a non-negative integer", _is_id),
+    "track_id": ("a non-negative integer", _is_id),
+    "class": (f"one of {', '.join(CLASSES)}", lambda v: v in CLASSES),
+    "center": ("2 finite numbers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite_number, v))),
+    "confidence": ("a finite number in [0, 1]", lambda v: _is_finite_number(v) and 0 <= v <= 1),
+}
+
+
+def _check_fields(rec: dict, names: tuple[str, ...], where: str) -> None:
+    for name in names:
+        rule, valid = _DUMP_FIELDS[name]
+        if not valid(rec[name]):
+            raise InputError(f"{where} {name} {rec[name]!r} is not {rule}")
+
+
 def replay_dump(path) -> dict:
     """Rebuild a run's report from its frame-by-frame debug dump.
 
-    A line that is not JSON, not a header, frame or footer record, or
-    lacks a field read here is an `InputError` naming the line.
+    A line that is not JSON, not a header, frame or footer record, lacks
+    a field read here, or holds a frame number, id, class, center or
+    confidence that cannot be evaluated is an `InputError` naming the line.
     """
     echo = None
     footer = None
@@ -320,10 +348,14 @@ def replay_dump(path) -> dict:
                 elif kind == "footer":
                     footer = {k: rec[k] for k in ("counters", "measurement_hash", "per_frame_cost_evaluations")}
                 else:
+                    where = f"dump {path} line {lineno}:"
+                    _check_fields(rec, ("frame",), where)
                     frame = rec["frame"]
                     for g in rec["gt"]:
+                        _check_fields(g, ("id", "class", "center"), f"{where} gt box")
                         gt.append(GtBox(frame=frame, gt_id=g["id"], cls=g["class"], center=np.array(g["center"])))
                     for d in rec["detections"]:
+                        _check_fields(d, ("track_id", "class", "center", "confidence"), f"{where} detection")
                         hyps.append(
                             Hypothesis(
                                 frame=frame,
@@ -346,23 +378,6 @@ def replay_dump(path) -> dict:
     report = build_report(per_class, footer["counters"], echo)
     report.update(footer)  # wall time is not re-measured on replay
     return report
-
-
-def recompute_cost_evaluations(path) -> list[int]:
-    """Independent per-frame recount of class-compatible (query, measurement) pairs."""
-    per_frame = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            rec = json.loads(line)
-            if rec["type"] != "frame":
-                continue
-            n = 0
-            for q in rec["queries"]:
-                for m in rec["measurements"]:
-                    if q["class"] is None or q["class"] == m["class"]:
-                        n += 1
-            per_frame.append(n)
-    return per_frame
 
 
 # ---------------------------------------------------------------------------

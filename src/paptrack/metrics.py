@@ -13,7 +13,7 @@ recall points; IDS is reported at the best-recall operating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,15 +25,6 @@ DEFAULT_RECALL_POINTS = 40
 
 _BIG = 1e12
 _CONTINUITY_EPS = 1e-9
-
-
-@dataclass
-class FrameEvents:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-    ids: int = 0
-    tp_distances: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -53,55 +44,84 @@ class Hypothesis:
     confidence: float
 
 
-def match_frame(
-    gt: list[tuple[int, np.ndarray]],
-    hyps: list[tuple[int, np.ndarray]],
-    match_distance: float,
-    prev_matches: dict[int, int],
-) -> FrameEvents:
-    """CLEAR-MOT events for one frame (single class).
+# no match yet: prev[g, t] of a gt id g never matched at threshold level t
+NO_MATCH = np.iinfo(np.int64).min
 
-    `gt` is (gt_id, center) pairs, `hyps` is (track_id, center) pairs.
-    `prev_matches` maps gt_id -> track id of its most recent match; it is
-    updated in place and also drives both tie continuity and ID-switch
-    counting.
+
+@dataclass
+class FrameEvents:
+    """One frame's CLEAR-MOT events at every threshold level, each a length-T array.
+
+    `dist` is the sum of the matched distances, added up from 0 in gt order.
+    """
+
+    tp: np.ndarray
+    fp: np.ndarray
+    fn: np.ndarray
+    ids: np.ndarray
+    dist: np.ndarray
+
+
+def match_frame(
+    gt_rows: np.ndarray,
+    gt_xy: np.ndarray,
+    hyp_ids: np.ndarray,
+    hyp_xy: np.ndarray,
+    hyp_levels: np.ndarray,
+    match_distance: float,
+    prev: np.ndarray,
+) -> FrameEvents:
+    """CLEAR-MOT events for one frame (single class) at every confidence threshold.
+
+    Threshold level t keeps the hypotheses whose level is at most t.
+    `gt_rows` are the gt boxes' rows in `prev`, a ``(n_gt_ids, T)`` table
+    of the track id each gt id was last matched to at each level (NO_MATCH
+    before its first match); it is updated in place and drives both tie
+    continuity and ID-switch counting.  Each level gets the globally
+    optimal matching of gt boxes to kept hypotheses within `match_distance`
+    that prefers continuing the previous match on equal cost.
     """
     if match_distance <= 0:
         raise ValueError("match_distance must be positive")
-    events = FrameEvents()
-    ng, nh = len(gt), len(hyps)
-    if ng == 0 or nh == 0:
-        events.fp = nh
-        events.fn = ng
-        return events
-    costs = np.full((ng, nh), np.inf)
-    for i, (gid, gxy) in enumerate(gt):
-        for j, (tid, hxy) in enumerate(hyps):
-            d = float(np.hypot(gxy[0] - hxy[0], gxy[1] - hxy[1]))
-            if d <= match_distance:
-                c = d
-                if prev_matches.get(gid) == tid:
-                    c = max(d - _CONTINUITY_EPS, 0.0)
-                costs[i, j] = c
-    finite = np.isfinite(costs)
-    if not finite.any():
-        events.fp = nh
-        events.fn = ng
-        return events
-    rows, cols = linear_sum_assignment(np.where(finite, costs, _BIG))
-    for i, j in zip(rows, cols):
-        if not finite[i, j]:
-            continue
-        gid, gxy = gt[i]
-        tid, hxy = hyps[j]
-        events.tp += 1
-        events.tp_distances.append(float(np.hypot(gxy[0] - hxy[0], gxy[1] - hxy[1])))
-        if gid in prev_matches and prev_matches[gid] != tid:
-            events.ids += 1
-        prev_matches[gid] = tid
-    events.fp = nh - events.tp
-    events.fn = ng - events.tp
-    return events
+    n_levels = prev.shape[1]
+    tp = np.zeros(n_levels, dtype=np.int64)
+    ids = np.zeros(n_levels, dtype=np.int64)
+    dist = np.zeros(n_levels)
+    d = np.hypot(gt_xy[:, None, 0] - hyp_xy[:, 0], gt_xy[:, None, 1] - hyp_xy[:, 1])
+    candidate = d <= match_distance
+    rows, cols = candidate.nonzero()  # in gt order
+    if len(rows) == np.count_nonzero(candidate.any(axis=0)) == np.count_nonzero(candidate.any(axis=1)):
+        # no gt and no hypothesis has two candidates, so the optimal matching at a level takes
+        # every candidate whose hypothesis is kept, and continuity cannot change it
+        for i, j in zip(rows.tolist(), cols.tolist()):
+            level, tid = hyp_levels[j], hyp_ids[j]
+            last = prev[gt_rows[i], level:]
+            tp[level:] += 1
+            dist[level:] += d[i, j]
+            ids[level:] += (last != NO_MATCH) & (last != tid)
+            last[:] = tid
+    else:
+        for t in range(n_levels):
+            kept = np.flatnonzero(hyp_levels <= t)
+            cand, dk = candidate[:, kept], d[:, kept]
+            if not cand.any():
+                continue
+            costs = np.where(cand, dk, _BIG)
+            continuing = cand & (prev[gt_rows, t][:, None] == hyp_ids[kept])
+            costs[continuing] = np.maximum(dk[continuing] - _CONTINUITY_EPS, 0.0)
+            frame_dist = 0.0
+            for i, j in zip(*linear_sum_assignment(costs)):
+                if not cand[i, j]:
+                    continue
+                g, tid = gt_rows[i], hyp_ids[kept[j]]
+                tp[t] += 1
+                frame_dist += dk[i, j]
+                if prev[g, t] != NO_MATCH and prev[g, t] != tid:
+                    ids[t] += 1
+                prev[g, t] = tid
+            dist[t] = frame_dist
+    present = np.cumsum(np.bincount(hyp_levels, minlength=n_levels))
+    return FrameEvents(tp=tp, fp=present - tp, fn=len(gt_rows) - tp, ids=ids, dist=dist)
 
 
 def motar(ids: int, fp: int, fn: int, gt_count: int, recall: float) -> float:
@@ -114,23 +134,11 @@ def motar(ids: int, fp: int, fn: int, gt_count: int, recall: float) -> float:
     return max(0.0, min(1.0, value))
 
 
-def _accumulate(
-    gt_by_frame: dict[int, list[tuple[int, np.ndarray]]],
-    hyp_by_frame: dict[int, list[tuple[int, np.ndarray]]],
-    match_distance: float,
-) -> tuple[int, int, int, int, float]:
-    """Totals (tp, fp, fn, ids, sum of matched distances) over all frames."""
-    prev: dict[int, int] = {}
-    tp = fp = fn = ids = 0
-    dist_sum = 0.0
-    for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
-        ev = match_frame(gt_by_frame.get(frame, []), hyp_by_frame.get(frame, []), match_distance, prev)
-        tp += ev.tp
-        fp += ev.fp
-        fn += ev.fn
-        ids += ev.ids
-        dist_sum += sum(ev.tp_distances)
-    return tp, fp, fn, ids, dist_sum
+def _frame_slices(frames: np.ndarray, every_frame: np.ndarray) -> list[slice]:
+    """The slice of the sorted `frames` that holds each of `every_frame`."""
+    starts = np.searchsorted(frames, every_frame, side="left").tolist()
+    ends = np.searchsorted(frames, every_frame, side="right").tolist()
+    return [slice(a, b) for a, b in zip(starts, ends)]
 
 
 def amota_amotp(
@@ -139,31 +147,50 @@ def amota_amotp(
     n_recall_points: int = DEFAULT_RECALL_POINTS,
     match_distance: float = DEFAULT_MATCH_DISTANCE,
 ) -> dict | None:
-    """Recall-sweep metrics for one class; None when the class has no GT."""
+    """Recall-sweep metrics for one class; None when the class has no GT.
+
+    Every distinct confidence is a threshold.  The frames are matched once,
+    in frame order, for all thresholds together (see `match_frame`).
+    """
     if n_recall_points < 1:
         raise ValueError("n_recall_points must be >= 1")
     gt_count = len(gt)
     if gt_count == 0:
         return None
-    gt_by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for g in gt:
-        gt_by_frame.setdefault(g.frame, []).append((g.gt_id, g.center))
     if not hyps:
         return {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
 
     thresholds = sorted({h.confidence for h in hyps}, reverse=True)
-    operating_points = []
-    for thr in thresholds:
-        hyp_by_frame: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for h in hyps:
-            if h.confidence >= thr:
-                hyp_by_frame.setdefault(h.frame, []).append((h.track_id, h.center))
-        tp, fp, fn, ids, dist_sum = _accumulate(gt_by_frame, hyp_by_frame, match_distance)
-        recall = tp / gt_count
-        mean_dist = dist_sum / tp if tp > 0 else 0.0
-        operating_points.append(
-            {"threshold": thr, "tp": tp, "fp": fp, "fn": fn, "ids": ids, "recall": recall, "mean_dist": mean_dist}
-        )
+    level = {thr: t for t, thr in enumerate(thresholds)}
+    # boxes sorted by frame, in input order within a frame
+    gt = sorted(gt, key=lambda g: g.frame)
+    hyps = sorted(hyps, key=lambda h: h.frame)
+    gt_frames = np.array([g.frame for g in gt])
+    hyp_frames = np.array([h.frame for h in hyps])
+    gt_rows = np.unique([g.gt_id for g in gt], return_inverse=True)[1]
+    gt_xy = np.array([g.center for g in gt], dtype=float)
+    hyp_ids = np.array([h.track_id for h in hyps], dtype=np.int64)
+    hyp_xy = np.array([h.center for h in hyps], dtype=float)
+    hyp_levels = np.array([level[h.confidence] for h in hyps], dtype=np.intp)
+
+    n_levels = len(thresholds)
+    prev = np.full((gt_rows.max() + 1, n_levels), NO_MATCH, dtype=np.int64)
+    tp, fp, fn, ids = (np.zeros(n_levels, dtype=np.int64) for _ in range(4))
+    dist_sum = np.zeros(n_levels)
+    every_frame = np.union1d(gt_frames, hyp_frames)
+    for g, h in zip(_frame_slices(gt_frames, every_frame), _frame_slices(hyp_frames, every_frame)):
+        ev = match_frame(gt_rows[g], gt_xy[g], hyp_ids[h], hyp_xy[h], hyp_levels[h], match_distance, prev)
+        tp += ev.tp
+        fp += ev.fp
+        fn += ev.fn
+        ids += ev.ids
+        dist_sum += ev.dist
+
+    operating_points = [
+        {"threshold": thr, "tp": n_tp, "fp": n_fp, "fn": n_fn, "ids": n_ids, "recall": n_tp / gt_count,
+         "mean_dist": d / n_tp if n_tp > 0 else 0.0}
+        for thr, n_tp, n_fp, n_fn, n_ids, d in zip(thresholds, tp.tolist(), fp.tolist(), fn.tolist(), ids.tolist(), dist_sum.tolist())
+    ]
 
     motar_values = []
     amotp_values = []

@@ -3,14 +3,18 @@
 These deliberately share no code with the package: assignment is solved
 by exhaustive permutation, the recall sweep is re-derived straight from
 the metric formula, trajectories are re-integrated step by step, and the
-gate kernel is recomputed pair by pair.
+gate kernel is recomputed pair by pair.  `amota_amotp_loop_oracle` is the
+evaluation the package used before it matched all thresholds in one pass:
+one full CLEAR-MOT pass per threshold, pair by pair.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 CONTINUITY_EPS = 1e-9
 ANY_CLASS = -1
@@ -148,6 +152,124 @@ def amota_amotp_oracle(gt_boxes, hyps, n_recall_points, match_distance):
         "recall": float(best["recall"]),
         "ids": int(best["ids"]),
     }
+
+
+def _match_frame_loop(gt, hyps, match_distance, prev_matches):
+    """One frame's (tp, fp, fn, ids, matched distances) at one threshold.
+
+    `gt` is (gt_id, center) pairs, `hyps` is (track_id, center) pairs;
+    `prev_matches` maps gt_id -> track id of its most recent match and is
+    updated in place.
+    """
+    ng, nh = len(gt), len(hyps)
+    if ng == 0 or nh == 0:
+        return 0, nh, ng, 0, []
+    costs = np.full((ng, nh), np.inf)
+    for i, (gid, gxy) in enumerate(gt):
+        for j, (tid, hxy) in enumerate(hyps):
+            d = float(np.hypot(gxy[0] - hxy[0], gxy[1] - hxy[1]))
+            if d <= match_distance:
+                c = d
+                if prev_matches.get(gid) == tid:
+                    c = max(d - CONTINUITY_EPS, 0.0)
+                costs[i, j] = c
+    finite = np.isfinite(costs)
+    if not finite.any():
+        return 0, nh, ng, 0, []
+    rows, cols = linear_sum_assignment(np.where(finite, costs, 1e12))
+    tp = ids = 0
+    distances = []
+    for i, j in zip(rows, cols):
+        if not finite[i, j]:
+            continue
+        gid, gxy = gt[i]
+        tid, hxy = hyps[j]
+        tp += 1
+        distances.append(float(np.hypot(gxy[0] - hxy[0], gxy[1] - hxy[1])))
+        if gid in prev_matches and prev_matches[gid] != tid:
+            ids += 1
+        prev_matches[gid] = tid
+    return tp, nh - tp, ng - tp, ids, distances
+
+
+def _accumulate_loop(gt_by_frame, hyp_by_frame, match_distance):
+    """Totals (tp, fp, fn, ids, sum of matched distances) over all frames."""
+    prev = {}
+    tp = fp = fn = ids = 0
+    dist_sum = 0.0
+    for frame in sorted(set(gt_by_frame) | set(hyp_by_frame)):
+        f_tp, f_fp, f_fn, f_ids, distances = _match_frame_loop(
+            gt_by_frame.get(frame, []), hyp_by_frame.get(frame, []), match_distance, prev
+        )
+        tp += f_tp
+        fp += f_fp
+        fn += f_fn
+        ids += f_ids
+        dist_sum += sum(distances)
+    return tp, fp, fn, ids, dist_sum
+
+
+def amota_amotp_loop_oracle(gt, hyps, n_recall_points=40, match_distance=2.0):
+    """`metrics.amota_amotp` by one CLEAR-MOT pass over all frames per threshold.
+
+    Takes the same `GtBox`/`Hypothesis` lists and must give the same
+    result bit for bit.
+    """
+    gt_count = len(gt)
+    if gt_count == 0:
+        return None
+    gt_by_frame = {}
+    for g in gt:
+        gt_by_frame.setdefault(g.frame, []).append((g.gt_id, g.center))
+    if not hyps:
+        return {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
+    operating_points = []
+    for thr in sorted({h.confidence for h in hyps}, reverse=True):
+        hyp_by_frame = {}
+        for h in hyps:
+            if h.confidence >= thr:
+                hyp_by_frame.setdefault(h.frame, []).append((h.track_id, h.center))
+        tp, fp, fn, ids, dist_sum = _accumulate_loop(gt_by_frame, hyp_by_frame, match_distance)
+        operating_points.append(
+            {"threshold": thr, "fp": fp, "fn": fn, "ids": ids, "recall": tp / gt_count,
+             "mean_dist": dist_sum / tp if tp > 0 else 0.0}
+        )
+    motar_values = []
+    amotp_values = []
+    for i in range(1, n_recall_points + 1):
+        target = i / n_recall_points
+        achieved = [op for op in operating_points if op["recall"] >= target - 1e-12]
+        if not achieved:
+            motar_values.append(0.0)
+            continue
+        op = min(achieved, key=lambda o: (o["recall"], -o["threshold"]))
+        value = 1.0 - (op["ids"] + op["fp"] + op["fn"] - (1.0 - target) * gt_count) / (target * gt_count)
+        motar_values.append(max(0.0, min(1.0, value)))
+        amotp_values.append(op["mean_dist"])
+    best = max(operating_points, key=lambda o: (o["recall"], -o["threshold"]))
+    return {
+        "amota": float(np.mean(motar_values)),
+        "amotp": float(np.mean(amotp_values)) if amotp_values else 0.0,
+        "recall": float(best["recall"]),
+        "ids": int(best["ids"]),
+    }
+
+
+def recompute_cost_evaluations(path) -> list[int]:
+    """Independent per-frame recount of class-compatible (query, measurement) pairs in a dump."""
+    per_frame = []
+    with open(path, "r", encoding="utf-8") as f:
+        for line in f:
+            rec = json.loads(line)
+            if rec["type"] != "frame":
+                continue
+            n = 0
+            for q in rec["queries"]:
+                for m in rec["measurements"]:
+                    if q["class"] is None or q["class"] == m["class"]:
+                        n += 1
+            per_frame.append(n)
+    return per_frame
 
 
 def reintegrate(start, velocity, n, dt, turn_rate=0.0):

@@ -71,3 +71,20 @@ def test_timed_setup_loads_the_suite_config_in_a_fresh_interpreter(bench_run, tm
 
     assert bench.failed == 0
     assert isinstance(seconds, float) and seconds > 0.0
+
+
+def test_timed_mode_ends_with_a_result_line(bench_run, tmp_path, monkeypatch, capsys):
+    # every shipped workload document is a valid config
+    for name, workload in bench_run.WORKLOADS.items():
+        assert harness.config_from_dict(workload.config_doc(workload.seeds(0))).seeds == workload.seeds(0), name
+    monkeypatch.setitem(bench_run.WORKLOADS, "suite_ab",
+                        bench_run.Workload(seeds_per_run=1, overrides={"scenario": {"frame_count": 30}}))
+    monkeypatch.setattr(bench_run, "OUT", tmp_path)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # main() puts src/ in front
+
+    code = bench_run.main(["--workload", "suite_ab", "--seconds", "0"])
+
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert code == 0 and result["correct"] is True and result["failed"] == 0
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert sorted(result["metrics"]) == sorted(m["name"] for m in spec["end_to_end"])

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +15,6 @@ from paptrack.harness import (
     compare,
     config_from_dict,
     config_to_dict,
-    recompute_cost_evaluations,
     replay_dump,
     run_experiment,
     run_single,
@@ -24,6 +24,8 @@ from paptrack.harness import (
 from paptrack.metrics import report_to_json
 from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
 from paptrack.world import ConfigError, ScenarioConfig, SensorConfig
+
+from oracles import recompute_cost_evaluations
 
 
 def small_config(seeds=(1, 2), mode="ab_compare", **policy_kwargs) -> ExperimentConfig:
@@ -467,6 +469,49 @@ def test_cli_dump_line_that_is_not_a_record_exits_4(tmp_path, capsys, record, pr
     assert main(["replay", str(broken)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error:") and problem in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.fixture(scope="module")
+def suite_dump_lines(tmp_path_factory):
+    """The lines of a 20-frame dump of the shipped suite's first seed."""
+    doc = json.loads((Path(__file__).resolve().parent.parent / "configs" / "standard_suite.json").read_text())
+    cfg = config_from_dict(doc)
+    cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=20)
+    dump = tmp_path_factory.mktemp("suite") / "dump.jsonl"
+    run_single(cfg, 1, dump_path=dump)
+    return dump.read_text().splitlines()
+
+
+@pytest.mark.parametrize(
+    "side, field, value, problem",
+    [
+        ("detections", "confidence", "high", "confidence 'high' is not a finite number in [0, 1]"),
+        ("detections", "confidence", None, "confidence None is not a finite number in [0, 1]"),
+        ("detections", "confidence", float("nan"), "confidence nan is not a finite number in [0, 1]"),
+        ("detections", "confidence", 1.5, "confidence 1.5 is not a finite number in [0, 1]"),
+        ("detections", "center", [1.0], "detection center [1.0] is not 2 finite numbers"),
+        ("gt", "center", [1.0, float("inf")], "gt box center [1.0, inf] is not 2 finite numbers"),
+        ("detections", "class", "ufo", "detection class 'ufo' is not one of car,"),
+        ("gt", "class", "ufo", "gt box class 'ufo' is not one of car,"),
+        ("detections", "track_id", "7", "detection track_id '7' is not a non-negative integer"),
+        ("gt", "id", 2.0, "gt box id 2.0 is not a non-negative integer"),
+        (None, "frame", "3", "frame '3' is not a non-negative integer"),
+    ],
+    ids=["confidence_str", "confidence_null", "confidence_nan", "confidence_above_1", "detection_center_short",
+         "gt_center_inf", "detection_class", "gt_class", "track_id_str", "gt_id_float", "frame_str"],
+)
+def test_cli_dump_field_value_replay_cannot_evaluate_exits_4(tmp_path, capsys, suite_dump_lines, side, field, value, problem):
+    lines = list(suite_dump_lines)
+    lineno = next(n for n, line in enumerate(lines, start=1) if '"detections": [{' in line and '"gt": [{' in line)
+    rec = json.loads(lines[lineno - 1])
+    (rec if side is None else rec[side][0])[field] = value
+    lines[lineno - 1] = json.dumps(rec)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(broken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line {lineno}: " in err and problem in err
     assert len(err.strip().splitlines()) == 1
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from paptrack.metrics import (
+    NO_MATCH,
     GtBox,
     Hypothesis,
     amota_amotp,
@@ -17,7 +18,7 @@ from paptrack.metrics import (
     report_to_json,
 )
 
-from oracles import amota_amotp_oracle
+from oracles import amota_amotp_loop_oracle, amota_amotp_oracle
 
 
 def xy(x, y):
@@ -28,60 +29,107 @@ def xy(x, y):
 # match_frame
 
 
+def match(gt, hyps, prev, match_distance=2.0):
+    """match_frame on (gt_id, center) and (track_id, center[, level]) tuples; gt id g is row g of `prev`."""
+    return match_frame(
+        np.array([g for g, _ in gt], dtype=np.intp),
+        np.array([c for _, c in gt], dtype=float).reshape(-1, 2),
+        np.array([h[0] for h in hyps], dtype=np.int64),
+        np.array([h[1] for h in hyps], dtype=float).reshape(-1, 2),
+        np.array([h[2] if len(h) > 2 else 0 for h in hyps], dtype=np.intp),
+        match_distance,
+        prev,
+    )
+
+
+def unmatched(n_ids=3, n_levels=1):
+    return np.full((n_ids, n_levels), NO_MATCH, dtype=np.int64)
+
+
+def events(ev):
+    return (ev.tp.tolist(), ev.fp.tolist(), ev.fn.tolist(), ev.ids.tolist())
+
+
 def test_match_frame_perfect_overlap():
-    prev = {}
-    ev = match_frame([(1, xy(0, 0)), (2, xy(5, 5))], [(10, xy(0, 0)), (11, xy(5, 5))], 2.0, prev)
-    assert (ev.tp, ev.fp, ev.fn, ev.ids) == (2, 0, 0, 0)
-    assert ev.tp_distances == [0.0, 0.0]
-    assert prev == {1: 10, 2: 11}
+    prev = unmatched()
+    ev = match([(1, xy(0, 0)), (2, xy(5, 5))], [(10, xy(0, 0)), (11, xy(5, 5))], prev)
+    assert events(ev) == ([2], [0], [0], [0])
+    assert ev.dist.tolist() == [0.0]
+    assert prev[:, 0].tolist() == [NO_MATCH, 10, 11]
 
 
 def test_match_frame_beyond_gate_is_fp_plus_fn():
-    ev = match_frame([(1, xy(0, 0))], [(10, xy(0, 2.5))], 2.0, {})
-    assert (ev.tp, ev.fp, ev.fn, ev.ids) == (0, 1, 1, 0)
+    ev = match([(1, xy(0, 0))], [(10, xy(0, 2.5))], unmatched())
+    assert events(ev) == ([0], [1], [1], [0])
 
 
 def test_match_frame_empty_sides():
-    ev = match_frame([], [(10, xy(0, 0))], 2.0, {})
-    assert (ev.tp, ev.fp, ev.fn) == (0, 1, 0)
-    ev = match_frame([(1, xy(0, 0))], [], 2.0, {})
-    assert (ev.tp, ev.fp, ev.fn) == (0, 0, 1)
+    ev = match([], [(10, xy(0, 0))], unmatched())
+    assert events(ev)[:3] == ([0], [1], [0])
+    ev = match([(1, xy(0, 0))], [], unmatched())
+    assert events(ev)[:3] == ([0], [0], [1])
 
 
 def test_match_frame_counts_identity_switch():
-    prev = {}
-    match_frame([(1, xy(0, 0))], [(7, xy(0, 0))], 2.0, prev)
-    ev = match_frame([(1, xy(0, 0))], [(9, xy(0, 0))], 2.0, prev)
-    assert ev.ids == 1
-    assert prev[1] == 9
+    prev = unmatched()
+    match([(1, xy(0, 0))], [(7, xy(0, 0))], prev)
+    ev = match([(1, xy(0, 0))], [(9, xy(0, 0))], prev)
+    assert ev.ids.tolist() == [1]
+    assert prev[1, 0] == 9
     # switching back counts again
-    ev = match_frame([(1, xy(0, 0))], [(7, xy(0, 0))], 2.0, prev)
-    assert ev.ids == 1
+    ev = match([(1, xy(0, 0))], [(7, xy(0, 0))], prev)
+    assert ev.ids.tolist() == [1]
 
 
 def test_match_frame_prefers_continuing_previous_match_on_tie():
-    prev = {1: 7}
+    prev = unmatched()
+    prev[1, 0] = 7
     # two hypotheses equidistant from the single ground truth
-    ev = match_frame([(1, xy(0, 0))], [(9, xy(1.0, 0)), (7, xy(-1.0, 0))], 2.0, prev)
-    assert ev.ids == 0
-    assert prev[1] == 7
+    ev = match([(1, xy(0, 0))], [(9, xy(1.0, 0)), (7, xy(-1.0, 0))], prev)
+    assert ev.ids.tolist() == [0]
+    assert prev[1, 0] == 7
 
 
 def test_match_frame_hand_traced_switch_sequence():
     # gt 1 is followed by track 7 for two frames, then track 9 takes over,
     # then 9 keeps it: exactly one switch.
-    prev = {}
+    prev = unmatched()
     total_ids = 0
     script = [(7, 0.0), (7, 0.1), (9, 0.0), (9, 0.1)]
     for tid, off in script:
-        ev = match_frame([(1, xy(off, 0))], [(tid, xy(off, 0))], 2.0, prev)
-        total_ids += ev.ids
+        ev = match([(1, xy(off, 0))], [(tid, xy(off, 0))], prev)
+        total_ids += int(ev.ids[0])
     assert total_ids == 1
 
 
 def test_match_frame_rejects_bad_gate():
     with pytest.raises(ValueError, match="match_distance"):
-        match_frame([], [], 0.0, {})
+        match([], [], unmatched(), match_distance=0.0)
+
+
+def test_match_frame_keeps_one_matching_per_threshold_level():
+    # three levels; a hypothesis of level l is kept at levels l and above
+    prev = unmatched(n_levels=3)
+    # gt 1 has two candidates once track 7 (level 2) is kept: the solver picks the nearer one
+    first = [(1, xy(0, 0))], [(9, xy(1.5, 0), 0), (7, xy(0.5, 0), 2)]
+    ev = match(*first, prev)
+    assert events(ev) == ([1, 1, 1], [0, 0, 1], [0, 0, 0], [0, 0, 0])
+    assert ev.dist.tolist() == [1.5, 1.5, 0.5]
+    assert prev[1].tolist() == [9, 9, 7]
+    # one candidate each: track 7 continues gt 1 only at the level that matched it before
+    second = [(1, xy(0, 0)), (2, xy(10, 0))], [(7, xy(0, 0.2), 0), (8, xy(10, 1.0), 1)]
+    ev = match(*second, prev)
+    assert events(ev) == ([1, 2, 2], [0, 0, 0], [1, 0, 0], [1, 1, 0])
+    assert ev.dist.tolist() == [0.2, 0.2 + 1.0, 0.2 + 1.0]
+    assert prev[1:].tolist() == [[7, 7, 7], [NO_MATCH, 8, 8]]
+
+    # each level equals a one-level call on the hypotheses it keeps
+    for level in range(3):
+        prev_one = unmatched()
+        for gt, hyps in (first, second):
+            kept = [(tid, c) for tid, c, lv in hyps if lv <= level]
+            match(gt, kept, prev_one)
+        assert prev_one[:, 0].tolist() == prev[:, level].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +243,52 @@ def test_amota_matches_independent_oracle_on_random_cases():
         assert m["amotp"] == pytest.approx(o["amotp"], abs=1e-9)
         assert m["recall"] == pytest.approx(o["recall"], abs=1e-12)
         assert m["ids"] == o["ids"]
+
+
+def random_class_case(rng):
+    """GT boxes and hypotheses of one class that stress the matching rules.
+
+    Frames mix spread and dense layouts (two candidates per gt), points on
+    a 0.5 m grid with hypotheses mirrored about a gt (exactly equidistant,
+    so continuity breaks the tie), track ids from a small pool (switches),
+    confidences rounded to 1 decimal (many ties), and frames with gt only
+    or hypotheses only.
+    """
+    gt, hyps = [], []
+    for frame in rng.permutation(int(rng.integers(1, 10))).tolist():
+        layout = rng.random()
+        n_gt = 0 if layout < 0.1 else int(rng.integers(1, 6))
+        extent = 30.0 if layout < 0.4 else 3.0
+        for gid in rng.choice(8, n_gt, replace=False).tolist():
+            c = np.round(rng.uniform(-extent, extent, 2) * 2) / 2
+            gt.append(GtBox(frame=frame, gt_id=gid, cls="car", center=c))
+            if layout > 0.9:
+                continue  # gt only
+            offsets = []
+            if rng.random() < 0.8:
+                offsets.append(rng.normal(0, 0.8, 2))
+            if rng.random() < 0.4:
+                offsets.append(rng.normal(0, 1.2, 2))
+            if rng.random() < 0.3:
+                v = np.round(rng.uniform(-1.5, 1.5, 2) * 2) / 2
+                offsets += [v, -v]
+            for off in offsets:
+                hyps.append(Hypothesis(frame=frame, track_id=int(rng.integers(0, 6)), cls="car", center=c + off,
+                                       confidence=round(float(rng.uniform(0.05, 1.0)), 1)))
+        for _ in range(int(rng.poisson(1.0 if n_gt else 2.0))):  # clutter
+            hyps.append(Hypothesis(frame=frame, track_id=int(rng.integers(0, 9)), cls="car",
+                                   center=rng.uniform(-extent, extent, 2), confidence=round(float(rng.random()), 1)))
+    return gt, hyps
+
+
+def test_amota_equals_per_threshold_loop_oracle_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        gt, hyps = random_class_case(rng)
+        n_recall_points = int(rng.integers(1, 41))
+        got = amota_amotp(gt, hyps, n_recall_points=n_recall_points)
+        want = amota_amotp_loop_oracle(gt, hyps, n_recall_points=n_recall_points)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), case
 
 
 def test_result_invariant_to_input_order_and_track_relabeling():

@@ -106,6 +106,22 @@ def test_reduced_mode_shrinks_total():
     assert sum(q.provenance == PREDICTED for q in qs) == 4
 
 
+def test_assembled_table_is_the_chosen_banked_rows_then_random_rows():
+    bank = QueryBank()
+    banked = table([predicted_query(i, center=(i, -i), confidence=1.0 - 0.1 * i) for i in range(6)])
+    bank.store(0, banked)
+    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=8, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
+    assert isinstance(qs, np.recarray) and qs.dtype == banked.dtype
+    assert qs[:4].tobytes() == banked[:4].tobytes()
+    assert np.all(qs.provenance[4:] == RANDOM)
+
+
+def test_assembly_rejects_banked_queries_of_another_width():
+    bank = QueryBank(dim=8)
+    with pytest.raises(ValueError, match="banked queries"):
+        assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=4, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
+
+
 # ---------------------------------------------------------------------------
 # gate_costs
 
