@@ -9,6 +9,7 @@ per-seed deltas are attributable to query recycling alone.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import math
@@ -152,11 +153,15 @@ def scenario_ground_truth(scenario: Scenario) -> list[GtBox]:
     return gt
 
 
+_HASH_ROW = np.dtype([("center", np.float64, (2,)), ("cls", np.int64)])  # packed: 24 bytes a measurement
+
+
 def _hash_measurements(hasher, frame: int, measurements) -> None:
-    hasher.update(np.int64(frame).tobytes())
-    for m in measurements:
-        hasher.update(np.asarray(m.center, dtype=np.float64).tobytes())
-        hasher.update(np.int64(CLASS_INDEX[m.cls]).tobytes())
+    """Feed the frame number, then each measurement's center and class code."""
+    rows = np.empty(len(measurements), _HASH_ROW)
+    rows["center"] = np.array([m.center for m in measurements], dtype=np.float64).reshape(-1, 2)
+    rows["cls"] = [CLASS_INDEX[m.cls] for m in measurements]
+    hasher.update(np.int64(frame).tobytes() + rows.tobytes())
 
 
 def run_single(
@@ -199,31 +204,40 @@ def run_single(
     counters = {"frames": scenario.frame_count, "query_refinements": 0, "cost_evaluations": 0}
     per_frame_cost_evals: list[int] = []
 
+    # The frame loop makes no reference cycles, so the cyclic collector is paused while it runs, as
+    # timeit does: a full collection scans every object of the process (tens of ms in a large one),
+    # and would charge that to whichever run it happened to start in.
+    collecting = gc.isenabled()
+    gc.disable()
     t0 = time.perf_counter()
-    for frame in range(scenario.frame_count):
-        measurements = sense(scenario, frame, cfg.sensor, sensor_rng)
-        _hash_measurements(hasher, frame, measurements)
-        result = perceive(
-            measurements,
-            bank,
-            tracks,
-            policy,
-            params,
-            codec,
-            cfg.scenario.world_half_extent,
-            query_rng,
-            frame,
-            scenario.dt,
-        )
-        tracks = result.tracks
-        predict_and_store(tracks, bank, frame, predictor, codec)
-        detections.extend(result.detections)
-        counters["query_refinements"] += result.stats["query_refinements"]
-        counters["cost_evaluations"] += result.stats["cost_evaluations"]
-        per_frame_cost_evals.append(result.stats["cost_evaluations"])
-        if dump_file is not None:
-            dump_file.write(json.dumps(_frame_record(frame, measurements, gt_by_frame.get(frame, []), result, tracks, predictor, codec), sort_keys=True) + "\n")
-    counters["wall_seconds"] = time.perf_counter() - t0
+    try:
+        for frame in range(scenario.frame_count):
+            measurements = sense(scenario, frame, cfg.sensor, sensor_rng)
+            _hash_measurements(hasher, frame, measurements)
+            result = perceive(
+                measurements,
+                bank,
+                tracks,
+                policy,
+                params,
+                codec,
+                cfg.scenario.world_half_extent,
+                query_rng,
+                frame,
+                scenario.dt,
+            )
+            tracks = result.tracks
+            predict_and_store(tracks, bank, frame, predictor, codec)
+            detections.extend(result.detections)
+            counters["query_refinements"] += result.stats["query_refinements"]
+            counters["cost_evaluations"] += result.stats["cost_evaluations"]
+            per_frame_cost_evals.append(result.stats["cost_evaluations"])
+            if dump_file is not None:
+                dump_file.write(json.dumps(_frame_record(frame, measurements, gt_by_frame.get(frame, []), result, tracks, predictor, codec), sort_keys=True) + "\n")
+        counters["wall_seconds"] = time.perf_counter() - t0
+    finally:
+        if collecting:
+            gc.enable()
 
     per_class = evaluate_run(
         gt, detections, n_recall_points=cfg.metrics.n_recall_points, match_distance=cfg.metrics.match_distance

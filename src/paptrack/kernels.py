@@ -34,12 +34,14 @@ def gated_costs(
     q_cls = np.ascontiguousarray(q_cls, dtype=np.int64)
     m_cls = np.ascontiguousarray(m_cls, dtype=np.int64)
     nq, nm = q_xy.shape[0], m_xy.shape[0]
-    costs = np.full((nq, nm), np.inf)
     if nq == 0 or nm == 0:
-        return costs, 0
-    compat = (q_cls[:, None] == ANY_CLASS) | (q_cls[:, None] == m_cls[None, :])
+        return np.full((nq, nm), np.inf), 0
+    compat = q_cls[:, None] == m_cls[None, :]
+    compat |= (q_cls == ANY_CLASS)[:, None]
     dx = q_xy[:, 0:1] - m_xy[None, :, 0]
     dy = q_xy[:, 1:2] - m_xy[None, :, 1]
-    dist = np.sqrt(dx * dx + dy * dy)
-    np.copyto(costs, dist, where=compat & (dist <= float(gate)))
-    return costs, int(compat.sum())
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dist = np.sqrt(dx, out=dx)  # sqrt(dx * dx + dy * dy), computed in place
+    return np.where(compat & (dist <= float(gate)), dist, np.inf), int(np.count_nonzero(compat))

@@ -128,7 +128,7 @@ def assemble_queries(
     the open-loop baseline.
     """
     policy.validate()
-    predicted = bank.fetch(frame - 1)
+    predicted = np.asarray(bank.fetch(frame - 1))  # a plain array: recarray field access is slow
     k = min(len(predicted), math.floor(policy.rho * policy.n_queries)) if frame > 0 else 0
     order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
     if policy.mode == "fixed":
@@ -160,16 +160,17 @@ def gate_costs(
     nq, nm = len(queries), len(measurements)
     if nq == 0 or nm == 0:
         return np.full((nq, nm), np.inf), 0
-    q_xy = decode_reference(queries, codec)
-    m_xy = np.stack([m.center for m in measurements])
+    table = np.asarray(queries)
+    q_xy = decode_reference(table, codec)
+    m_xy = np.array([m.center for m in measurements], dtype=float)
     m_cls = np.array([CLASS_INDEX[m.cls] for m in measurements], dtype=np.int64)
-    return gated_costs(q_xy, queries["cls"], m_xy, m_cls, gate_threshold)
+    return gated_costs(q_xy, table["cls"], m_xy, m_cls, gate_threshold)
 
 
 def apply_predicted_priority(costs: np.ndarray, queries: np.recarray, eps: float) -> np.ndarray:
     """Break cost ties in favor of predicted queries by subtracting `eps`."""
     out = costs.copy()
-    where = (queries["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
+    where = (np.asarray(queries)["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
     np.copyto(out, np.maximum(costs - eps, 0.0), where=where)
     return out
 
@@ -177,19 +178,21 @@ def apply_predicted_priority(costs: np.ndarray, queries: np.recarray, eps: float
 def associate(costs: np.ndarray) -> Assignment:
     """Minimum-total-cost maximum matching over the finite entries."""
     nq, nm = costs.shape
-    if nq == 0 or nm == 0 or not np.any(np.isfinite(costs)):
-        return Assignment([], list(range(nq)), list(range(nm)))
     finite = np.isfinite(costs)
-    solvable = np.where(finite, costs, _BIG)
-    rows, cols = linear_sum_assignment(solvable)
-    matches = [(int(r), int(c), float(costs[r, c])) for r, c in zip(rows, cols) if finite[r, c]]
-    matches.sort(key=lambda m: (m[0], m[1]))
-    matched_q = {m[0] for m in matches}
-    matched_m = {m[1] for m in matches}
+    if nq == 0 or nm == 0 or not finite.any():
+        return Assignment([], list(range(nq)), list(range(nm)))
+    rows, cols = linear_sum_assignment(np.where(finite, costs, _BIG))
+    keep = finite[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    matches = sorted(zip(rows.tolist(), cols.tolist(), costs[rows, cols].tolist()), key=lambda m: (m[0], m[1]))
+    free_q = np.ones(nq, dtype=bool)
+    free_q[rows] = False
+    free_m = np.ones(nm, dtype=bool)
+    free_m[cols] = False
     return Assignment(
         matches=matches,
-        unmatched_queries=[i for i in range(nq) if i not in matched_q],
-        unmatched_measurements=[j for j in range(nm) if j not in matched_m],
+        unmatched_queries=np.flatnonzero(free_q).tolist(),
+        unmatched_measurements=np.flatnonzero(free_m).tolist(),
     )
 
 
@@ -225,6 +228,8 @@ def update_tracks(
         raise ValueError("assignment references out-of-range indices")
     pairs = np.array([(qi, mj) for qi, mj, _cost in assignment.matches], dtype=np.intp).reshape(-1, 2)
     n = len(tracks)
+    # rows are gathered and scattered as raw bytes: numpy copies structured rows field by field, several times slower
+    raw = np.dtype((np.void, tracks.dtype.itemsize))
     matched = np.asarray(queries)[pairs[:, 0]]  # a plain array: recarray field access is slow
     m_xy = np.array([measurements[j].center for j in pairs[:, 1].tolist()], dtype=float).reshape(-1, 2)
     live = tracks["status"] != TERMINATED
@@ -270,7 +275,7 @@ def update_tracks(
     coasting = tracks["misses"][idle_rows] < params.max_misses  # before this miss
     rows = np.concatenate([hit_rows, idle_rows[coasting], idle_rows[~coasting]])
     h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
-    sub = tracks[rows]
+    sub = tracks.view(raw)[rows].view(tracks.dtype)
 
     # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
     ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
@@ -295,12 +300,10 @@ def update_tracks(
         history = sub[name]
         history[:c, :-1] = history[:c, 1:]
         history[:c, -1] = value
-    tracks[rows] = sub
+    tracks.view(raw)[rows] = sub.view(raw)
 
     if not born:
         return tracks
-    # grown as raw bytes: numpy copies structured rows field by field, several times slower
-    raw = np.dtype((np.void, tracks.dtype.itemsize))
     tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
     newborn = tracks[n:]
     newborn["cls"] = [CLASS_INDEX[measurements[pairs[i, 1]].cls] for i in born]
@@ -342,7 +345,7 @@ def perceive(
         "cost_evaluations": n_eval,
         "query_refinements": len(queries),
         "n_queries": len(queries),
-        "n_predicted": int(np.count_nonzero(queries["provenance"] == PREDICTED)),
+        "n_predicted": int(np.count_nonzero(np.asarray(queries)["provenance"] == PREDICTED)),
     }
     return FrameResult(
         tracks=tracks,

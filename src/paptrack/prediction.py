@@ -83,17 +83,19 @@ def predict_and_store(
     track's tail slot-for-slot, so temporal identity features survive the
     loop, and its class, so it only matches measurements of that class.
     """
-    live = np.flatnonzero((tracks["status"] == CONFIRMED) | (tracks["status"] == COASTING))
-    fed = tracks[live]
+    status = tracks["status"]
+    live = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
+    # gathered as raw bytes: numpy copies structured rows field by field, several times slower
+    fed = tracks.view(np.dtype((np.void, tracks.dtype.itemsize)))[live].view(tracks.dtype)
     steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
-    rows = np.repeat(np.arange(len(live)), len(steps))  # query row -> row of `fed`
+    rows, which = np.divmod(np.arange(len(live) * len(steps)), len(steps))  # query row -> row of `fed`, step
     queries = embed_center(
-        forecast(fed, cfg)[:, steps - 1].reshape(-1, 2),
+        forecast(fed, cfg)[rows, steps[which] - 1],
         fed["tail"][rows],
         codec,
         provenance=PREDICTED,
         source_track_id=live[rows] + 1,
-        horizon_step=np.tile(steps, len(live)),
+        horizon_step=steps[which],
         cls=fed["cls"][rows],
         confidence=track_confidence(fed["hits"], fed["misses"])[rows],
     )

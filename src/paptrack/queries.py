@@ -53,13 +53,19 @@ def query_dtype(dim: int) -> np.dtype:
     )
 
 
+@functools.cache
+def _record_dtype(dim: int) -> np.dtype:
+    # a query table's dtype as a recarray holds it; viewing a plain structured array as one converts it, slowly
+    return np.dtype((np.record, query_dtype(dim)))
+
+
 def decode_reference(queries, codec: CodecConfig) -> np.ndarray:
     """Decode center hypotheses: ``(2,)`` for one row, ``(n, 2)`` for a table."""
     emb = queries["embedding"]
     if emb.shape[-1:] != (codec.dim,):
         raise ValueError(f"embedding has shape {emb.shape}, expected (..., {codec.dim})")
     xy = emb[..., :2]
-    if not np.all(np.isfinite(xy)):
+    if not np.isfinite(xy).all():
         raise ValueError("non-finite embedding values")
     return codec.scale * xy + np.asarray(codec.offset)
 
@@ -88,7 +94,7 @@ def embed_center(
         raise ValueError(f"centers have shape {centers.shape}, expected (n, 2)")
     if tails.shape != (n, codec.dim - 2):
         raise ValueError(f"tails have shape {tails.shape}, expected ({n}, {codec.dim - 2})")
-    table = np.empty(n, dtype=query_dtype(codec.dim))  # filled as a plain array, which is faster
+    table = np.empty(n, dtype=_record_dtype(codec.dim))  # filled as a plain array, which is faster
     emb = table["embedding"]
     emb[:, :2] = (centers - np.asarray(codec.offset)) / codec.scale
     emb[:, 2:] = tails
@@ -97,10 +103,12 @@ def embed_center(
     table["horizon_step"] = horizon_step
     table["cls"] = cls
     table["confidence"] = confidence
-    if np.any((table["provenance"] == PREDICTED) & (table["source_track_id"] < 0)):
+    # an all-random table needs no source check
+    random_only = isinstance(provenance, str) and provenance == RANDOM
+    if not random_only and np.any((table["provenance"] == PREDICTED) & (table["source_track_id"] < 0)):
         raise ValueError("predicted query requires source_track_id")
     conf = table["confidence"]
-    if not np.all((conf >= 0.0) & (conf <= 1.0)):
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("confidence must be in [0, 1]")
     return table.view(np.recarray)
 
@@ -123,7 +131,7 @@ class QueryBank:
             raise ValueError("bank capacity must be >= 1")
 
     def store(self, t: int, queries: np.recarray) -> None:
-        if np.any(queries["provenance"] != PREDICTED):
+        if np.any(np.asarray(queries)["provenance"] != PREDICTED):
             raise ValueError("bank accepts only predicted-provenance queries")
         self.entries[int(t)] = queries
         while len(self.entries) > self.capacity:
@@ -131,4 +139,4 @@ class QueryBank:
 
     def fetch(self, t: int) -> np.recarray:
         found = self.entries.get(int(t))
-        return np.recarray(0, dtype=query_dtype(self.dim)) if found is None else found.copy()
+        return np.empty(0, _record_dtype(self.dim)).view(np.recarray) if found is None else found.copy()

@@ -267,18 +267,24 @@ def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.G
         raise IndexError(f"frame {frame} out of range [0, {scenario.frame_count})")
     sensor.validate()
     ego_xy = scenario.ego[frame, 0:2]
-    out: list[Measurement] = []
-    for agent in scenario.live_agents(frame):
-        pos = agent.state_at(frame)[0:2]
-        dist = float(np.hypot(*(pos - ego_xy)))
+    live = scenario.live_agents(frame)
+    pos = np.array([agent.states[frame - agent.spawn, 0:2] for agent in live], dtype=float).reshape(-1, 2)
+    seen, draws, scores = [], [], []
+    for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):
         if dist > sensor.detection_range:
             continue
         if rng.random() < sensor.miss_probability:
             continue
-        noise = rng.normal(0.0, sensor.position_noise_sigma, size=2)
+        draws.append(rng.standard_normal(2))  # the draws of rng.normal(0.0, sigma, size=2)
         frac = min(dist / sensor.detection_range, 1.0)
-        score = sensor.score_near + (sensor.score_far - sensor.score_near) * frac
-        out.append(Measurement(frame=frame, center=pos + noise, cls=agent.cls, score=float(score), agent_id=agent.agent_id))
+        scores.append(sensor.score_near + (sensor.score_far - sensor.score_near) * frac)
+        seen.append(i)
+    # rng.normal(0.0, sigma) is 0.0 + sigma * z, elementwise
+    centers = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
+    out: list[Measurement] = [
+        Measurement(frame=frame, center=center, cls=live[i].cls, score=float(score), agent_id=live[i].agent_id)
+        for i, center, score in zip(seen, centers, scores)
+    ]
     n_clutter = int(rng.poisson(sensor.clutter_rate))
     for _ in range(n_clutter):
         r = sensor.detection_range * np.sqrt(rng.random())
