@@ -9,17 +9,17 @@ open (fresh random queries every frame).
 """
 
 from paptrack.queries import CodecConfig, QueryBank, decode_reference, embed_center
-from paptrack.world import Measurement, Scenario, ScenarioConfig, SensorConfig, generate_scenario, sense
+from paptrack.world import Scenario, ScenarioConfig, SensorConfig, box_dtype, generate_scenario, sense
 
 __all__ = [
     "CodecConfig",
     "QueryBank",
     "decode_reference",
     "embed_center",
-    "Measurement",
     "Scenario",
     "ScenarioConfig",
     "SensorConfig",
+    "box_dtype",
     "generate_scenario",
     "sense",
 ]

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import binomtest
 
-from paptrack.metrics import GtBox, Hypothesis, build_report, evaluate_run, report_to_json
+from paptrack.metrics import build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
 from paptrack.prediction import COASTING, CONFIRMED, PredictorConfig, forecast, predict_and_store
 from paptrack.queries import ANY_CLASS, CodecConfig, QueryBank, decode_reference
@@ -34,6 +34,7 @@ from paptrack.world import (
     Scenario,
     ScenarioConfig,
     SensorConfig,
+    box_dtype,
     generate_scenario,
     load_scenario,
     sense,
@@ -144,13 +145,19 @@ def load_config(path) -> ExperimentConfig:
 # single run
 
 
-def scenario_ground_truth(scenario: Scenario) -> list[GtBox]:
-    gt = []
-    for frame in range(scenario.frame_count):
-        for agent in scenario.live_agents(frame):
-            state = agent.state_at(frame)
-            gt.append(GtBox(frame=frame, gt_id=agent.agent_id, cls=agent.cls, center=state[0:2].copy()))
-    return gt
+def scenario_ground_truth(scenario: Scenario) -> np.ndarray:
+    """Every agent's box in every frame it lives, as a box table sorted by frame (agent order within one)."""
+    agents = scenario.agents
+    if not agents:
+        return np.zeros(0, box_dtype)
+    lengths = [a.despawn - a.spawn for a in agents]
+    gt = np.zeros(sum(lengths), box_dtype)
+    gt["frame"] = np.concatenate([np.arange(a.spawn, a.despawn) for a in agents])
+    gt["id"] = np.repeat([a.agent_id for a in agents], lengths)
+    gt["cls"] = np.repeat([CLASS_INDEX[a.cls] for a in agents], lengths)
+    gt["center"] = np.concatenate([a.states[:, 0:2] for a in agents])
+    gt = gt[(gt["frame"] >= 0) & (gt["frame"] < scenario.frame_count)]  # a loaded scenario may outlast frame_count
+    return gt[np.argsort(gt["frame"], kind="stable")]
 
 
 _HASH_ROW = np.dtype([("center", np.float64, (2,)), ("cls", np.int64)])  # packed: 24 bytes a measurement
@@ -159,8 +166,8 @@ _HASH_ROW = np.dtype([("center", np.float64, (2,)), ("cls", np.int64)])  # packe
 def _hash_measurements(hasher, frame: int, measurements) -> None:
     """Feed the frame number, then each measurement's center and class code."""
     rows = np.empty(len(measurements), _HASH_ROW)
-    rows["center"] = np.array([m.center for m in measurements], dtype=np.float64).reshape(-1, 2)
-    rows["cls"] = [CLASS_INDEX[m.cls] for m in measurements]
+    rows["center"] = measurements["center"]
+    rows["cls"] = measurements["cls"]
     hasher.update(np.int64(frame).tobytes() + rows.tobytes())
 
 
@@ -196,11 +203,9 @@ def run_single(
         dump_file.write(json.dumps({"type": "header", "schema_version": SCHEMA_VERSION, "config_echo": config_echo}, sort_keys=True) + "\n")
 
     gt = scenario_ground_truth(scenario)
-    gt_by_frame: dict[int, list[GtBox]] = {}
-    for g in gt:
-        gt_by_frame.setdefault(g.frame, []).append(g)
+    gt_bounds = np.searchsorted(gt["frame"], np.arange(scenario.frame_count + 1)).tolist()  # frame f is gt[bounds[f]:bounds[f + 1]]
 
-    detections: list[Hypothesis] = []
+    detections = []  # one box table per frame
     counters = {"frames": scenario.frame_count, "query_refinements": 0, "cost_evaluations": 0}
     per_frame_cost_evals: list[int] = []
 
@@ -228,17 +233,18 @@ def run_single(
             )
             tracks = result.tracks
             predict_and_store(tracks, bank, frame, predictor, codec)
-            detections.extend(result.detections)
+            detections.append(result.detections)
             counters["query_refinements"] += result.stats["query_refinements"]
             counters["cost_evaluations"] += result.stats["cost_evaluations"]
             per_frame_cost_evals.append(result.stats["cost_evaluations"])
             if dump_file is not None:
-                dump_file.write(json.dumps(_frame_record(frame, measurements, gt_by_frame.get(frame, []), result, tracks, predictor, codec), sort_keys=True) + "\n")
+                dump_file.write(json.dumps(_frame_record(frame, measurements, gt[gt_bounds[frame] : gt_bounds[frame + 1]], result, tracks, predictor, codec), sort_keys=True) + "\n")
         counters["wall_seconds"] = time.perf_counter() - t0
     finally:
         if collecting:
             gc.enable()
 
+    detections = np.concatenate(detections) if detections else np.zeros(0, box_dtype)
     per_class = evaluate_run(
         gt, detections, n_recall_points=cfg.metrics.n_recall_points, match_distance=cfg.metrics.match_distance
     )
@@ -263,14 +269,18 @@ def run_single(
 
 
 def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> dict:
-    queries = result.queries
+    queries, detections = result.queries, result.detections
     status = tracks["status"]
     fed = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
     return {
         "type": "frame",
         "frame": frame,
-        "measurements": [{"center": m.center.tolist(), "class": m.cls} for m in measurements],
-        "gt": [{"id": g.gt_id, "class": g.cls, "center": g.center.tolist()} for g in gt],
+        "measurements": [
+            {"center": c, "class": CLASSES[k]} for c, k in zip(measurements["center"].tolist(), measurements["cls"].tolist())
+        ],
+        "gt": [
+            {"id": i, "class": CLASSES[k], "center": c} for i, k, c in zip(gt["id"].tolist(), gt["cls"].tolist(), gt["center"].tolist())
+        ],
         "queries": [
             {
                 "provenance": provenance,
@@ -291,8 +301,10 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
             "unmatched_measurements": result.assignment.unmatched_measurements,
         },
         "detections": [
-            {"track_id": d.track_id, "class": d.cls, "center": d.center.tolist(), "confidence": d.confidence}
-            for d in result.detections
+            {"track_id": i, "class": CLASSES[k], "center": c, "confidence": score}
+            for i, k, c, score in zip(
+                detections["id"].tolist(), detections["cls"].tolist(), detections["center"].tolist(), detections["score"].tolist()
+            )
         ],
         "forecasts": [
             {"track_id": row + 1, "points": points}
@@ -319,6 +331,10 @@ def _is_finite_number(value) -> bool:
 
 # field -> (what a dump record's value must be, test); the fields replay evaluates
 _DUMP_FIELDS = {
+    "config_echo": ("an object", lambda v: isinstance(v, dict)),
+    "metrics": ("an object", lambda v: isinstance(v, dict)),
+    "match_distance": ("a finite number > 0", lambda v: _is_finite_number(v) and v > 0),
+    "n_recall_points": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "frame": ("a non-negative integer", _is_id),
     "id": ("a non-negative integer", _is_id),
     "track_id": ("a non-negative integer", _is_id),
@@ -339,13 +355,13 @@ def replay_dump(path) -> dict:
     """Rebuild a run's report from its frame-by-frame debug dump.
 
     A line that is not JSON, not a header, frame or footer record, lacks
-    a field read here, or holds a frame number, id, class, center or
-    confidence that cannot be evaluated is an `InputError` naming the line.
+    a field read here, or holds a metric setting, frame number, id, class,
+    center or confidence that cannot be evaluated is an `InputError`
+    naming the line.
     """
     echo = None
     footer = None
-    gt: list[GtBox] = []
-    hyps: list[Hypothesis] = []
+    gt, hyps = [], []  # box table rows
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             try:
@@ -355,39 +371,34 @@ def replay_dump(path) -> dict:
             kind = rec.get("type") if isinstance(rec, dict) else None
             if kind not in ("header", "frame", "footer"):
                 raise InputError(f"dump {path} line {lineno} is not a header, frame or footer record")
+            where = f"dump {path} line {lineno}:"
             try:
                 if kind == "header":
+                    _check_fields(rec, ("config_echo",), f"{where} header")
                     echo = rec["config_echo"]
-                    mcfg = echo.get("metrics", {})
+                    _check_fields({"metrics": {}, **echo}, ("metrics",), f"{where} header config_echo")
+                    metric_settings = {**dataclasses.asdict(MetricConfig()), **echo.get("metrics", {})}
+                    _check_fields(metric_settings, ("n_recall_points", "match_distance"), f"{where} header metrics")
                 elif kind == "footer":
                     footer = {k: rec[k] for k in ("counters", "measurement_hash", "per_frame_cost_evaluations")}
                 else:
-                    where = f"dump {path} line {lineno}:"
                     _check_fields(rec, ("frame",), where)
                     frame = rec["frame"]
                     for g in rec["gt"]:
                         _check_fields(g, ("id", "class", "center"), f"{where} gt box")
-                        gt.append(GtBox(frame=frame, gt_id=g["id"], cls=g["class"], center=np.array(g["center"])))
+                        gt.append((frame, g["id"], CLASS_INDEX[g["class"]], g["center"], 0.0))
                     for d in rec["detections"]:
                         _check_fields(d, ("track_id", "class", "center", "confidence"), f"{where} detection")
-                        hyps.append(
-                            Hypothesis(
-                                frame=frame,
-                                track_id=d["track_id"],
-                                cls=d["class"],
-                                center=np.array(d["center"]),
-                                confidence=d["confidence"],
-                            )
-                        )
+                        hyps.append((frame, d["track_id"], CLASS_INDEX[d["class"]], d["center"], d["confidence"]))
             except (KeyError, TypeError, AttributeError) as exc:
                 raise InputError(f"dump {path} line {lineno} is a {kind} record without a field replay reads: {exc!r}") from exc
     if echo is None or footer is None:
         raise InputError(f"dump {path} is missing header or footer")
     per_class = evaluate_run(
-        gt,
-        hyps,
-        n_recall_points=mcfg.get("n_recall_points", 40),
-        match_distance=mcfg.get("match_distance", 2.0),
+        np.array(gt, dtype=box_dtype),
+        np.array(hyps, dtype=box_dtype),
+        n_recall_points=metric_settings["n_recall_points"],
+        match_distance=metric_settings["match_distance"],
     )
     report = build_report(per_class, footer["counters"], echo)
     report.update(footer)  # wall time is not re-measured on replay

@@ -9,6 +9,10 @@ recall-normalized MOTA over a sweep of recall targets:
 
 AMOTP is the mean matched-center distance averaged over the achieved
 recall points; IDS is reported at the best-recall operating point.
+
+Ground truth and hypotheses are box tables (`world.box_dtype`): a gt
+box's `id` is its agent id, a hypothesis's `id` is its track id and its
+`score` is its confidence.
 """
 
 from __future__ import annotations
@@ -25,23 +29,6 @@ DEFAULT_RECALL_POINTS = 40
 
 _BIG = 1e12
 _CONTINUITY_EPS = 1e-9
-
-
-@dataclass
-class GtBox:
-    frame: int
-    gt_id: int
-    cls: str
-    center: np.ndarray
-
-
-@dataclass
-class Hypothesis:
-    frame: int
-    track_id: int
-    cls: str
-    center: np.ndarray
-    confidence: float
 
 
 # no match yet: prev[g, t] of a gt id g never matched at threshold level t
@@ -142,12 +129,12 @@ def _frame_slices(frames: np.ndarray, every_frame: np.ndarray) -> list[slice]:
 
 
 def amota_amotp(
-    gt: list[GtBox],
-    hyps: list[Hypothesis],
+    gt: np.ndarray,
+    hyps: np.ndarray,
     n_recall_points: int = DEFAULT_RECALL_POINTS,
     match_distance: float = DEFAULT_MATCH_DISTANCE,
 ) -> dict | None:
-    """Recall-sweep metrics for one class; None when the class has no GT.
+    """Recall-sweep metrics for one class's box tables; None when the class has no GT.
 
     Every distinct confidence is a threshold.  The frames are matched once,
     in frame order, for all thresholds together (see `match_frame`).
@@ -157,23 +144,20 @@ def amota_amotp(
     gt_count = len(gt)
     if gt_count == 0:
         return None
-    if not hyps:
+    if len(hyps) == 0:
         return {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
 
-    thresholds = sorted({h.confidence for h in hyps}, reverse=True)
-    level = {thr: t for t, thr in enumerate(thresholds)}
     # boxes sorted by frame, in input order within a frame
-    gt = sorted(gt, key=lambda g: g.frame)
-    hyps = sorted(hyps, key=lambda h: h.frame)
-    gt_frames = np.array([g.frame for g in gt])
-    hyp_frames = np.array([h.frame for h in hyps])
-    gt_rows = np.unique([g.gt_id for g in gt], return_inverse=True)[1]
-    gt_xy = np.array([g.center for g in gt], dtype=float)
-    hyp_ids = np.array([h.track_id for h in hyps], dtype=np.int64)
-    hyp_xy = np.array([h.center for h in hyps], dtype=float)
-    hyp_levels = np.array([level[h.confidence] for h in hyps], dtype=np.intp)
-
+    gt = gt[np.argsort(gt["frame"], kind="stable")]
+    hyps = hyps[np.argsort(hyps["frame"], kind="stable")]
+    confidences, inverse = np.unique(hyps["score"], return_inverse=True)
+    thresholds = confidences[::-1].tolist()  # high to low
     n_levels = len(thresholds)
+    hyp_levels = n_levels - 1 - inverse  # the index of each hypothesis's confidence in thresholds
+    gt_frames, hyp_frames = gt["frame"], hyps["frame"]
+    gt_rows = np.unique(gt["id"], return_inverse=True)[1]
+    gt_xy, hyp_ids, hyp_xy = gt["center"], hyps["id"], hyps["center"]
+
     prev = np.full((gt_rows.max() + 1, n_levels), NO_MATCH, dtype=np.int64)
     tp, fp, fn, ids = (np.zeros(n_levels, dtype=np.int64) for _ in range(4))
     dist_sum = np.zeros(n_levels)
@@ -214,17 +198,23 @@ def amota_amotp(
 
 
 def evaluate_run(
-    gt: list[GtBox],
-    hyps: list[Hypothesis],
+    gt: np.ndarray,
+    hyps: np.ndarray,
     n_recall_points: int = DEFAULT_RECALL_POINTS,
     match_distance: float = DEFAULT_MATCH_DISTANCE,
 ) -> dict[str, dict]:
-    """Per-class recall-sweep metrics; classes with no GT are omitted."""
+    """Per-class recall-sweep metrics of two box tables; classes with no GT are omitted."""
+    # each table sorted by class, in input order within a class
+    gt = gt[np.argsort(gt["cls"], kind="stable")]
+    hyps = hyps[np.argsort(hyps["cls"], kind="stable")]
+    codes = np.arange(len(CLASSES) + 1)
+    gt_bounds = np.searchsorted(gt["cls"], codes).tolist()
+    hyp_bounds = np.searchsorted(hyps["cls"], codes).tolist()
     per_class: dict[str, dict] = {}
-    for cls in CLASSES:
+    for code, cls in enumerate(CLASSES):
         result = amota_amotp(
-            [g for g in gt if g.cls == cls],
-            [h for h in hyps if h.cls == cls],
+            gt[gt_bounds[code] : gt_bounds[code + 1]],
+            hyps[hyp_bounds[code] : hyp_bounds[code + 1]],
             n_recall_points=n_recall_points,
             match_distance=match_distance,
         )

@@ -1,10 +1,12 @@
 """Query-based detection and tracking.
 
 Per frame: assemble the query set (recycled predicted queries first, then
-fresh random ones), gate query center hypotheses against measurements,
-solve the optimal assignment, and fold the matches into track state.
-The tracks of a run are one track table (a structured array of
-:func:`track_dtype`): row i is track id i + 1, and rows are never removed.
+fresh random ones), gate query center hypotheses against the frame's
+measurements, solve the optimal assignment, and fold the matches into
+track state.  The tracks of a run are one track table (a structured array
+of :func:`track_dtype`): row i is track id i + 1, and rows are never
+removed.  A frame's measurements come in, and its detections go out, as
+box tables (`world.box_dtype`).
 Attention-based matching is replaced by distance gating plus an optimal
 assignment, which keeps every step deterministic and oracle-checkable
 while preserving what the closed loop actually varies: where queries are
@@ -21,9 +23,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from paptrack.kernels import gated_costs
-from paptrack.metrics import Hypothesis
 from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center
-from paptrack.world import CLASS_INDEX, CLASSES, ConfigError, Measurement
+from paptrack.world import ConfigError, box_dtype
 
 # track status codes; STATUS_NAMES[code] is the name a dump records
 TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)
@@ -106,7 +107,7 @@ def track_confidence(hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
 @dataclass
 class FrameResult:
     tracks: np.ndarray
-    detections: list[Hypothesis]
+    detections: np.ndarray  # box table: id is the track id, score the confidence
     queries: np.recarray
     assignment: Assignment
     stats: dict
@@ -147,7 +148,7 @@ def assemble_queries(
 
 def gate_costs(
     queries: np.recarray,
-    measurements: list[Measurement],
+    measurements: np.ndarray,
     gate_threshold: float,
     codec: CodecConfig,
 ) -> tuple[np.ndarray, int]:
@@ -162,9 +163,7 @@ def gate_costs(
         return np.full((nq, nm), np.inf), 0
     table = np.asarray(queries)
     q_xy = decode_reference(table, codec)
-    m_xy = np.array([m.center for m in measurements], dtype=float)
-    m_cls = np.array([CLASS_INDEX[m.cls] for m in measurements], dtype=np.int64)
-    return gated_costs(q_xy, table["cls"], m_xy, m_cls, gate_threshold)
+    return gated_costs(q_xy, table["cls"], measurements["center"], measurements["cls"], gate_threshold)
 
 
 def apply_predicted_priority(costs: np.ndarray, queries: np.recarray, eps: float) -> np.ndarray:
@@ -196,13 +195,11 @@ def associate(costs: np.ndarray) -> Assignment:
     )
 
 
-
-
 def update_tracks(
     tracks: np.ndarray,
     assignment: Assignment,
     queries: np.recarray,
-    measurements: list[Measurement],
+    measurements: np.ndarray,
     frame: int,
     params: PerceptionParams,
     dt: float,
@@ -231,7 +228,7 @@ def update_tracks(
     # rows are gathered and scattered as raw bytes: numpy copies structured rows field by field, several times slower
     raw = np.dtype((np.void, tracks.dtype.itemsize))
     matched = np.asarray(queries)[pairs[:, 0]]  # a plain array: recarray field access is slow
-    m_xy = np.array([measurements[j].center for j in pairs[:, 1].tolist()], dtype=float).reshape(-1, 2)
+    m_xy = measurements["center"][pairs[:, 1]]
     live = tracks["status"] != TERMINATED
 
     # a predicted match updates its live source track; the first one in match order wins
@@ -306,7 +303,7 @@ def update_tracks(
         return tracks
     tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
     newborn = tracks[n:]
-    newborn["cls"] = [CLASS_INDEX[measurements[pairs[i, 1]].cls] for i in born]
+    newborn["cls"] = measurements["cls"][pairs[born, 1]]
     newborn["tail"] = matched["embedding"][born, 2:]
     newborn["hits"] = 1
     newborn["ever_confirmed"] = 1 >= params.confirm_threshold
@@ -317,7 +314,7 @@ def update_tracks(
 
 
 def perceive(
-    measurements: list[Measurement],
+    measurements: np.ndarray,
     bank: QueryBank,
     tracks: np.ndarray,
     policy: QueryAssemblyPolicy,
@@ -336,21 +333,16 @@ def perceive(
     tracks = update_tracks(tracks, assignment, queries, measurements, frame, params, dt, codec)
     # a track is detected in the frames it is matched in; a terminated one keeps an older last state
     seen = ((tracks["frames"][:, -1] == frame) & ~tracks["coasted"][:, -1]).nonzero()[0]
-    confidence = track_confidence(tracks["hits"][seen], tracks["misses"][seen])
-    detections = [
-        Hypothesis(frame=frame, track_id=row + 1, cls=CLASSES[cls], center=center, confidence=conf)
-        for row, cls, center, conf in zip(seen.tolist(), tracks["cls"][seen].tolist(), tracks["centers"][seen, -1], confidence.tolist())
-    ]
+    detections = np.zeros(len(seen), box_dtype)
+    detections["frame"] = frame
+    detections["id"] = seen + 1
+    detections["cls"] = tracks["cls"][seen]
+    detections["center"] = tracks["centers"][seen, -1]
+    detections["score"] = track_confidence(tracks["hits"][seen], tracks["misses"][seen])
     stats = {
         "cost_evaluations": n_eval,
         "query_refinements": len(queries),
         "n_queries": len(queries),
         "n_predicted": int(np.count_nonzero(np.asarray(queries)["provenance"] == PREDICTED)),
     }
-    return FrameResult(
-        tracks=tracks,
-        detections=detections,
-        queries=queries,
-        assignment=assignment,
-        stats=stats,
-    )
+    return FrameResult(tracks=tracks, detections=detections, queries=queries, assignment=assignment, stats=stats)

@@ -5,6 +5,10 @@ models (constant velocity or constant turn-rate, forward-Euler with
 rotated velocity), so ground truth can be re-integrated independently to
 machine precision.  The sensor adds Gaussian position noise, Bernoulli
 misses and Poisson clutter, all drawn from a dedicated stream.
+
+Every box of a run is a row of one box table, a structured array of
+:data:`box_dtype`: the sensor's measurements, the ground truth and the
+tracker's detections alike, from `sense` to the metrics.
 """
 
 from __future__ import annotations
@@ -103,17 +107,16 @@ class SensorConfig:
             raise ConfigError("detection_range must be positive")
 
 
-@dataclass
-class Measurement:
-    frame: int
-    center: np.ndarray  # (2,) BEV meters
-    cls: str
-    score: float
-    agent_id: int | None = None  # None => clutter
-
-    @property
-    def is_clutter(self) -> bool:
-        return self.agent_id is None
+# one box: a measurement, a ground-truth box or a detection
+box_dtype = np.dtype(
+    [
+        ("frame", np.int64),
+        ("id", np.int64),  # agent id of a measurement (-1 for clutter) or gt box; track id of a detection
+        ("cls", np.int64),  # CLASS_INDEX code
+        ("center", np.float64, (2,)),  # BEV meters
+        ("score", np.float64),  # sensor score of a measurement, confidence of a detection; 0 for a gt box
+    ]
+)
 
 
 @dataclass
@@ -258,10 +261,11 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     )
 
 
-def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.Generator) -> list[Measurement]:
-    """Noisy observation of one frame.
+def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Noisy observation of one frame, as a box table.
 
-    Output order is deterministic: live agents in id order, then clutter.
+    Output order is deterministic: live agents in id order, then clutter
+    (id -1).
     """
     if not 0 <= frame < scenario.frame_count:
         raise IndexError(f"frame {frame} out of range [0, {scenario.frame_count})")
@@ -279,20 +283,21 @@ def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.G
         frac = min(dist / sensor.detection_range, 1.0)
         scores.append(sensor.score_near + (sensor.score_far - sensor.score_near) * frac)
         seen.append(i)
+    out = np.zeros(len(seen) + int(rng.poisson(sensor.clutter_rate)), box_dtype)
+    out["frame"] = frame
+    observed, clutter = out[: len(seen)], out[len(seen) :]
+    observed["id"] = [live[i].agent_id for i in seen]
+    observed["cls"] = [CLASS_INDEX[live[i].cls] for i in seen]
     # rng.normal(0.0, sigma) is 0.0 + sigma * z, elementwise
-    centers = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
-    out: list[Measurement] = [
-        Measurement(frame=frame, center=center, cls=live[i].cls, score=float(score), agent_id=live[i].agent_id)
-        for i, center, score in zip(seen, centers, scores)
-    ]
-    n_clutter = int(rng.poisson(sensor.clutter_rate))
-    for _ in range(n_clutter):
+    observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
+    observed["score"] = scores
+    clutter["id"] = -1
+    for box in clutter:
         r = sensor.detection_range * np.sqrt(rng.random())
         theta = rng.random() * 2.0 * np.pi
-        center = ego_xy + r * np.array([np.cos(theta), np.sin(theta)])
-        cls = CLASSES[int(rng.integers(len(CLASSES)))]
-        score = float(rng.uniform(*sensor.clutter_score_range))
-        out.append(Measurement(frame=frame, center=center, cls=cls, score=score, agent_id=None))
+        box["center"] = ego_xy + r * np.array([np.cos(theta), np.sin(theta)])
+        box["cls"] = rng.integers(len(CLASSES))
+        box["score"] = rng.uniform(*sensor.clutter_score_range)
     return out
 
 

@@ -212,23 +212,23 @@ def _accumulate_loop(gt_by_frame, hyp_by_frame, match_distance):
 def amota_amotp_loop_oracle(gt, hyps, n_recall_points=40, match_distance=2.0):
     """`metrics.amota_amotp` by one CLEAR-MOT pass over all frames per threshold.
 
-    Takes the same `GtBox`/`Hypothesis` lists and must give the same
-    result bit for bit.
+    Takes the same box tables, reads them one row at a time, and must give
+    the same result bit for bit.
     """
     gt_count = len(gt)
     if gt_count == 0:
         return None
     gt_by_frame = {}
     for g in gt:
-        gt_by_frame.setdefault(g.frame, []).append((g.gt_id, g.center))
-    if not hyps:
+        gt_by_frame.setdefault(int(g["frame"]), []).append((int(g["id"]), g["center"]))
+    if len(hyps) == 0:
         return {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
     operating_points = []
-    for thr in sorted({h.confidence for h in hyps}, reverse=True):
+    for thr in sorted({float(h["score"]) for h in hyps}, reverse=True):
         hyp_by_frame = {}
         for h in hyps:
-            if h.confidence >= thr:
-                hyp_by_frame.setdefault(h.frame, []).append((h.track_id, h.center))
+            if h["score"] >= thr:
+                hyp_by_frame.setdefault(int(h["frame"]), []).append((int(h["id"]), h["center"]))
         tp, fp, fn, ids, dist_sum = _accumulate_loop(gt_by_frame, hyp_by_frame, match_distance)
         operating_points.append(
             {"threshold": thr, "fp": fp, "fn": fn, "ids": ids, "recall": tp / gt_count,

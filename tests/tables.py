@@ -1,11 +1,11 @@
-"""Track tables built by hand for tests."""
+"""Track and box tables built by hand for tests."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from paptrack.perception import CONFIRMED, TENTATIVE, track_dtype
-from paptrack.world import CLASS_INDEX
+from paptrack.world import CLASS_INDEX, box_dtype
 
 
 def track_table(*rows: dict, dim: int = 16, velocity_window: int = 5) -> np.ndarray:
@@ -39,3 +39,8 @@ def track_table(*rows: dict, dim: int = 16, velocity_window: int = 5) -> np.ndar
 def centers(tracks: np.ndarray) -> np.ndarray:
     """Each row's newest center, ``(n, 2)``."""
     return tracks["centers"][:, -1]
+
+
+def boxes(*rows) -> np.ndarray:
+    """A box table with one row per ``(frame, id, class name, center, score)``."""
+    return np.array([(frame, id_, CLASS_INDEX[cls], center, score) for frame, id_, cls, center, score in rows], dtype=box_dtype)

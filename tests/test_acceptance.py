@@ -16,12 +16,13 @@ import pytest
 
 from paptrack import kernels
 from paptrack.harness import compare, load_config, run_single, sign_test_pvalue
-from paptrack.metrics import GtBox, Hypothesis, amota_amotp, evaluate_run
+from paptrack.metrics import amota_amotp, evaluate_run
 from paptrack.perception import associate
 from paptrack.queries import CodecConfig, decode_reference, embed_center
 from paptrack.world import generate_scenario
 
 from oracles import amota_amotp_oracle, brute_force_assignment
+from tables import boxes
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -136,15 +137,15 @@ def test_criterion_3_metric_oracle_equivalence():
         for f in range(n_frames):
             for g in range(n_obj):
                 c = rng.uniform(-20, 20, 2)
-                gt_boxes.append(GtBox(frame=f, gt_id=g, cls="car", center=c))
+                gt_boxes.append((f, g, "car", c, 0.0))
                 oracle_gt.append((f, g, c))
                 if rng.random() < 0.8:
                     hc = c + rng.normal(0, 0.8, 2)
                     tid = int(rng.integers(0, n_obj + 2))
                     conf = round(float(rng.uniform(0.1, 1.0)), 1)
-                    hyps.append(Hypothesis(frame=f, track_id=tid, cls="car", center=hc, confidence=conf))
+                    hyps.append((f, tid, "car", hc, conf))
                     oracle_hyps.append((f, tid, hc, conf))
-        m = amota_amotp(gt_boxes, hyps, n_recall_points=8)
+        m = amota_amotp(boxes(*gt_boxes), boxes(*hyps), n_recall_points=8)
         o = amota_amotp_oracle(oracle_gt, oracle_hyps, 8, 2.0)
         n_cases += 1
         if not (
@@ -158,9 +159,9 @@ def test_criterion_3_metric_oracle_equivalence():
     # hand-traced switch sequence: one takeover -> exactly one switch
     gt_boxes, hyps = [], []
     for f, tid in enumerate([7, 7, 9, 9]):
-        gt_boxes.append(GtBox(frame=f, gt_id=1, cls="car", center=np.array([0.0, float(f)])))
-        hyps.append(Hypothesis(frame=f, track_id=tid, cls="car", center=np.array([0.0, float(f)]), confidence=0.9))
-    hand = amota_amotp(gt_boxes, hyps)
+        gt_boxes.append((f, 1, "car", np.array([0.0, float(f)]), 0.0))
+        hyps.append((f, tid, "car", np.array([0.0, float(f)]), 0.9))
+    hand = amota_amotp(boxes(*gt_boxes), boxes(*hyps))
     hand_ok = hand["ids"] == 1 and hand["recall"] == 1.0
     elapsed = time.perf_counter() - t0
     ok = all_ok and hand_ok and elapsed < 10.0
@@ -176,11 +177,9 @@ def test_criterion_4_perfect_tracker_identities(standard_suite):
         for frame in range(scenario.frame_count):
             for agent in scenario.live_agents(frame):
                 c = agent.state_at(frame)[0:2]
-                gt.append(GtBox(frame=frame, gt_id=agent.agent_id, cls=agent.cls, center=c.copy()))
-                hyps.append(
-                    Hypothesis(frame=frame, track_id=1000 + agent.agent_id, cls=agent.cls, center=c.copy(), confidence=0.9)
-                )
-        per_class = evaluate_run(gt, hyps, n_recall_points=cfg.metrics.n_recall_points)
+                gt.append((frame, agent.agent_id, agent.cls, c.copy(), 0.0))
+                hyps.append((frame, 1000 + agent.agent_id, agent.cls, c.copy(), 0.9))
+        per_class = evaluate_run(boxes(*gt), boxes(*hyps), n_recall_points=cfg.metrics.n_recall_points)
         for m in per_class.values():
             if not (abs(m["amota"] - 1.0) < 1e-12 and m["amotp"] == 0.0 and m["ids"] == 0):
                 ok = False
@@ -237,7 +236,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     params = PerceptionParams()
     bank = QueryBank()
     tracks = np.zeros(0, track_dtype(loop_codec.dim, params.velocity_window))
-    detections = []
+    detections = []  # one box table per frame
     sensor_rng = stream(6, "sensor")
     query_rng = stream(6, "queries")
     for frame in range(10):
@@ -247,15 +246,17 @@ def test_criterion_6_round_trip_and_loop_closure():
             loop_codec, 10.0, query_rng, frame, 0.1,
         )
         tracks = result.tracks
-        detections.extend(result.detections)
+        detections.append(result.detections)
         predict_and_store(tracks, bank, frame, PredictorConfig(dt=0.1), loop_codec)
+    detections = np.concatenate(detections)
     agent = scenario.agents[0]
     # a single track detected in every frame (matched, never coasted) implies zero ID switches
-    loop_ok = len(tracks) == 1 and [(d.frame, d.track_id) for d in detections] == [(frame, 1) for frame in range(10)]
+    detected = list(zip(detections["frame"].tolist(), detections["id"].tolist()))
+    loop_ok = len(tracks) == 1 and detected == [(frame, 1) for frame in range(10)]
     loop_err = 0.0
     if loop_ok:
         for d in detections:
-            loop_err = max(loop_err, float(np.max(np.abs(d.center - agent.state_at(d.frame)[0:2]))))
+            loop_err = max(loop_err, float(np.max(np.abs(d["center"] - agent.state_at(d["frame"])[0:2]))))
         loop_ok = loop_err < 1e-9
 
     ok = round_trip_ok and loop_ok

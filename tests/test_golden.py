@@ -1,0 +1,73 @@
+"""Golden digests: short runs of the shipped configs must keep their reports and dumps.
+
+Each case runs both shipped configs cut to 40 frames, seeds 1 and 2, both
+arms, with a debug dump, and compares the sha256 of the report JSON and of
+the dump with `tests/golden_digests.json`.  Wall time is the only part of
+a run that may differ between runs, so `counters.wall_seconds` and
+`counters.fps` are set to 0 in the report and in the dump's footer before
+hashing.  Each dump must also replay to its report.
+
+Regenerate the file with ``PYTHONPATH=src python tests/test_golden.py``.
+A change that alters reports or dumps on purpose regenerates it and says
+why in CHANGES.md; a refactor must pass without regenerating.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from paptrack.harness import config_from_dict, replay_dump, run_single
+from paptrack.metrics import report_to_json
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden_digests.json"
+CONFIGS = ("standard_suite", "standard_suite_reduced")
+SEEDS = (1, 2)
+ARMS = ("baseline", "pap")
+FRAMES = 40
+CASES = [f"{config}/seed{seed}/{arm}" for config in CONFIGS for seed in SEEDS for arm in ARMS]
+
+
+def _untimed(counters: dict) -> dict:
+    return {**counters, "wall_seconds": 0.0, "fps": 0.0}
+
+
+def run_case(case: str, tmp: Path) -> tuple[dict, dict, Path]:
+    """One case's (digests, report, dump path)."""
+    config, seed, arm = case.split("/")
+    cfg = config_from_dict(json.loads((ROOT / "configs" / f"{config}.json").read_text(encoding="utf-8")))
+    cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=FRAMES)
+    dump = tmp / f"{config}_{seed}_{arm}.jsonl"
+    rho = 0.0 if arm == "baseline" else cfg.policy.rho
+    report = run_single(cfg, int(seed.removeprefix("seed")), rho=rho, arm=arm, dump_path=dump)
+    lines = dump.read_text(encoding="utf-8").splitlines(keepends=True)
+    footer = json.loads(lines[-1])
+    footer["counters"] = _untimed(footer["counters"])
+    lines[-1] = json.dumps(footer, sort_keys=True) + "\n"
+    digests = {
+        "report": hashlib.sha256(report_to_json({**report, "counters": _untimed(report["counters"])}).encode()).hexdigest(),
+        "dump": hashlib.sha256("".join(lines).encode()).hexdigest(),
+    }
+    return digests, report, dump
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_report_and_dump_match_golden_digests(tmp_path, case):
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    digests, report, dump = run_case(case, tmp_path)
+    assert report_to_json(replay_dump(dump)) == report_to_json(report)
+    assert digests == golden[case]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {case: run_case(case, Path(tmp))[0] for case in CASES}
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(table)} cases to {GOLDEN}", file=sys.stderr)

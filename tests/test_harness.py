@@ -270,6 +270,29 @@ def test_degenerate_inputs_run_and_replay(tmp_path, scenario, sensor, policy):
     assert report_to_json(replay_dump(dump)) == report_to_json(report)
 
 
+def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
+    # two cars cross at the origin at t = 3 s; two pedestrians walk side by side 0.5 m apart
+    cfg = config_from_dict(json.loads((Path(__file__).resolve().parent.parent / "configs" / "standard_suite.json").read_text()))
+    cfg.scenario = dataclasses.replace(
+        cfg.scenario,
+        frame_count=60,
+        explicit_agents=[
+            {"class": "car", "start": [-6.0, 0.0], "velocity": [2.0, 0.0]},
+            {"class": "car", "start": [0.0, -6.0], "velocity": [0.0, 2.0]},
+            {"class": "pedestrian", "start": [-3.0, 5.0], "velocity": [1.0, 0.0]},
+            {"class": "pedestrian", "start": [-3.0, 5.5], "velocity": [1.0, 0.0]},
+        ],
+    )
+    ids = {"baseline": 0, "pap": 0}
+    for seed in range(1, 6):
+        for arm, rho in (("baseline", 0.0), ("pap", cfg.policy.rho)):
+            dump = tmp_path / f"dump_{arm}_seed{seed}.jsonl"
+            report = run_single(cfg, seed, rho=rho, arm=arm, dump_path=dump)
+            assert report_to_json(replay_dump(dump)) == report_to_json(report)
+            ids[arm] += report["aggregate"]["ids"]
+    assert ids["pap"] <= ids["baseline"]
+
+
 # ---------------------------------------------------------------------------
 # reduced query budget mode
 
@@ -513,6 +536,47 @@ def test_cli_dump_field_value_replay_cannot_evaluate_exits_4(tmp_path, capsys, s
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"line {lineno}: " in err and problem in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "section, field, value, problem",
+    [
+        ("metrics", "match_distance", "2", "header metrics match_distance '2' is not a finite number > 0"),
+        ("metrics", "match_distance", -1.0, "header metrics match_distance -1.0 is not a finite number > 0"),
+        ("metrics", "match_distance", 0, "header metrics match_distance 0 is not a finite number > 0"),
+        ("metrics", "n_recall_points", 40.0, "header metrics n_recall_points 40.0 is not an integer >= 1"),
+        ("metrics", "n_recall_points", True, "header metrics n_recall_points True is not an integer >= 1"),
+        ("config_echo", "metrics", [1], "header config_echo metrics [1] is not an object"),
+        (None, "config_echo", [], "header config_echo [] is not an object"),
+    ],
+    ids=["match_distance_str", "match_distance_negative", "match_distance_zero", "recall_points_float",
+         "recall_points_bool", "metrics_list", "config_echo_list"],
+)
+def test_cli_dump_header_metric_setting_replay_cannot_use_exits_4(tmp_path, capsys, suite_dump_lines, section, field, value, problem):
+    lines = list(suite_dump_lines)
+    header = json.loads(lines[0])
+    target = {None: header, "config_echo": header["config_echo"], "metrics": header["config_echo"]["metrics"]}[section]
+    target[field] = value
+    lines[0] = json.dumps(header)
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(broken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "line 1: " in err and problem in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_replay_header_without_metric_settings_uses_the_defaults(tmp_path, suite_dump_lines):
+    lines = list(suite_dump_lines)
+    header = json.loads(lines[0])
+    assert header["config_echo"]["metrics"] == {"match_distance": 2.0, "n_recall_points": 40}
+    del header["config_echo"]["metrics"]
+    lines[0] = json.dumps(header)
+    dump = tmp_path / "dump.jsonl"
+    dump.write_text("\n".join(lines) + "\n")
+    dump_with_settings = tmp_path / "dump_with_settings.jsonl"
+    dump_with_settings.write_text("\n".join(suite_dump_lines) + "\n")
+    assert replay_dump(dump)["per_class"] == replay_dump(dump_with_settings)["per_class"]
 
 
 def test_cli_compare_mismatched_seed_sets_exits_4(tmp_path, capsys):

@@ -7,8 +7,6 @@ import pytest
 
 from paptrack.metrics import (
     NO_MATCH,
-    GtBox,
-    Hypothesis,
     amota_amotp,
     build_report,
     evaluate_run,
@@ -19,6 +17,7 @@ from paptrack.metrics import (
 )
 
 from oracles import amota_amotp_loop_oracle, amota_amotp_oracle
+from tables import boxes
 
 
 def xy(x, y):
@@ -166,9 +165,9 @@ def perfect_case(n_frames=10, n_ids=3):
     for f in range(n_frames):
         for g in range(n_ids):
             c = xy(10 * g, f)
-            gt.append(GtBox(frame=f, gt_id=g, cls="car", center=c))
-            hyps.append(Hypothesis(frame=f, track_id=100 + g, cls="car", center=c.copy(), confidence=0.9))
-    return gt, hyps
+            gt.append((f, g, "car", c, 0.0))
+            hyps.append((f, 100 + g, "car", c.copy(), 0.9))
+    return boxes(*gt), boxes(*hyps)
 
 
 def test_perfect_tracking_scores_one():
@@ -182,19 +181,18 @@ def test_perfect_tracking_scores_one():
 
 def test_no_hypotheses_scores_zero():
     gt, _ = perfect_case()
-    m = amota_amotp(gt, [])
+    m = amota_amotp(gt, boxes())
     assert m == {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
 
 
 def test_no_ground_truth_returns_none():
     _, hyps = perfect_case()
-    assert amota_amotp([], hyps) is None
+    assert amota_amotp(boxes(), hyps) is None
 
 
 def test_amotp_reflects_constant_offset():
     gt, hyps = perfect_case()
-    for h in hyps:
-        h.center = h.center + np.array([0.6, 0.8])  # distance exactly 1.0
+    hyps["center"] += np.array([0.6, 0.8])  # distance exactly 1.0
     m = amota_amotp(gt, hyps)
     assert m["amotp"] == pytest.approx(1.0, abs=1e-9)
     assert m["recall"] == 1.0
@@ -206,10 +204,10 @@ def test_half_recall_hand_case_matches_formula():
     n_frames = 8
     gt, hyps = [], []
     for f in range(n_frames):
-        gt.append(GtBox(frame=f, gt_id=1, cls="car", center=xy(0, f)))
-        gt.append(GtBox(frame=f, gt_id=2, cls="car", center=xy(50, f)))
-        hyps.append(Hypothesis(frame=f, track_id=9, cls="car", center=xy(0, f), confidence=0.8))
-    m = amota_amotp(gt, hyps, n_recall_points=4)
+        gt.append((f, 1, "car", xy(0, f), 0.0))
+        gt.append((f, 2, "car", xy(50, f), 0.0))
+        hyps.append((f, 9, "car", xy(0, f), 0.8))
+    m = amota_amotp(boxes(*gt), boxes(*hyps), n_recall_points=4)
     P = 2 * n_frames
     expected = []
     for r in (0.25, 0.5, 0.75, 1.0):
@@ -229,15 +227,15 @@ def test_amota_matches_independent_oracle_on_random_cases():
         for f in range(6):
             for g in range(3):
                 c = rng.uniform(-20, 20, 2)
-                gt_boxes.append(GtBox(frame=f, gt_id=g, cls="car", center=c))
+                gt_boxes.append((f, g, "car", c, 0.0))
                 oracle_gt.append((f, g, c))
                 if rng.random() < 0.85:
                     hc = c + rng.normal(0, 0.7, 2)
                     tid = int(rng.integers(0, 4))
                     conf = round(float(rng.uniform(0.3, 1.0)), 2)
-                    hyps.append(Hypothesis(frame=f, track_id=tid, cls="car", center=hc, confidence=conf))
+                    hyps.append((f, tid, "car", hc, conf))
                     oracle_hyps.append((f, tid, hc, conf))
-        m = amota_amotp(gt_boxes, hyps, n_recall_points=10)
+        m = amota_amotp(boxes(*gt_boxes), boxes(*hyps), n_recall_points=10)
         o = amota_amotp_oracle(oracle_gt, oracle_hyps, 10, 2.0)
         assert m["amota"] == pytest.approx(o["amota"], abs=1e-9)
         assert m["amotp"] == pytest.approx(o["amotp"], abs=1e-9)
@@ -261,7 +259,7 @@ def random_class_case(rng):
         extent = 30.0 if layout < 0.4 else 3.0
         for gid in rng.choice(8, n_gt, replace=False).tolist():
             c = np.round(rng.uniform(-extent, extent, 2) * 2) / 2
-            gt.append(GtBox(frame=frame, gt_id=gid, cls="car", center=c))
+            gt.append((frame, gid, "car", c, 0.0))
             if layout > 0.9:
                 continue  # gt only
             offsets = []
@@ -273,12 +271,10 @@ def random_class_case(rng):
                 v = np.round(rng.uniform(-1.5, 1.5, 2) * 2) / 2
                 offsets += [v, -v]
             for off in offsets:
-                hyps.append(Hypothesis(frame=frame, track_id=int(rng.integers(0, 6)), cls="car", center=c + off,
-                                       confidence=round(float(rng.uniform(0.05, 1.0)), 1)))
+                hyps.append((frame, int(rng.integers(0, 6)), "car", c + off, round(float(rng.uniform(0.05, 1.0)), 1)))
         for _ in range(int(rng.poisson(1.0 if n_gt else 2.0))):  # clutter
-            hyps.append(Hypothesis(frame=frame, track_id=int(rng.integers(0, 9)), cls="car",
-                                   center=rng.uniform(-extent, extent, 2), confidence=round(float(rng.random()), 1)))
-    return gt, hyps
+            hyps.append((frame, int(rng.integers(0, 9)), "car", rng.uniform(-extent, extent, 2), round(float(rng.random()), 1)))
+    return boxes(*gt), boxes(*hyps)
 
 
 def test_amota_equals_per_threshold_loop_oracle_bit_for_bit():
@@ -293,12 +289,12 @@ def test_amota_equals_per_threshold_loop_oracle_bit_for_bit():
 
 def test_result_invariant_to_input_order_and_track_relabeling():
     gt, hyps = perfect_case()
-    for h in hyps:
-        h.center = h.center + np.array([0.3, 0.0])
+    hyps["center"] += np.array([0.3, 0.0])
     base = amota_amotp(gt, hyps)
     rng = np.random.default_rng(0)
-    gt2 = list(gt)
-    hyps2 = [Hypothesis(h.frame, h.track_id + 1000, h.cls, h.center, h.confidence) for h in hyps]
+    gt2 = gt.copy()
+    hyps2 = hyps.copy()
+    hyps2["id"] += 1000
     rng.shuffle(gt2)
     rng.shuffle(hyps2)
     again = amota_amotp(gt2, hyps2)
@@ -308,9 +304,7 @@ def test_result_invariant_to_input_order_and_track_relabeling():
 def test_added_false_positives_never_raise_amota():
     gt, hyps = perfect_case()
     base = amota_amotp(gt, hyps)
-    noisy = list(hyps)
-    for f in range(10):
-        noisy.append(Hypothesis(frame=f, track_id=999, cls="car", center=xy(200, 200), confidence=0.95))
+    noisy = np.concatenate([hyps, boxes(*[(f, 999, "car", xy(200, 200), 0.95) for f in range(10)])])
     worse = amota_amotp(gt, noisy)
     assert worse["amota"] <= base["amota"] + 1e-12
 
@@ -326,8 +320,8 @@ def test_absent_classes_are_omitted():
 
 
 def test_hypotheses_never_match_across_classes():
-    gt = [GtBox(frame=0, gt_id=1, cls="car", center=xy(0, 0))]
-    hyps = [Hypothesis(frame=0, track_id=5, cls="pedestrian", center=xy(0, 0), confidence=0.9)]
+    gt = boxes((0, 1, "car", xy(0, 0), 0.0))
+    hyps = boxes((0, 5, "pedestrian", xy(0, 0), 0.9))
     per_class = evaluate_run(gt, hyps)
     assert per_class["car"]["recall"] == 0.0
 

@@ -20,10 +20,10 @@ from paptrack.perception import (
 from paptrack.prediction import PredictorConfig, predict_and_store
 from paptrack.queries import PREDICTED, RANDOM, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
 from paptrack.rng import stream
-from paptrack.world import CLASS_INDEX, Measurement
+from paptrack.world import CLASS_INDEX
 
 from oracles import brute_force_assignment
-from tables import centers, track_table
+from tables import boxes, centers, track_table
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 HALF_EXTENT = 30.0
@@ -49,7 +49,8 @@ def table(rows):
 
 
 def meas(center, cls="car", frame=0):
-    return Measurement(frame=frame, center=np.asarray(center, dtype=float), cls=cls, score=0.9)
+    """One measurement row of an agent-less box table, for `boxes`."""
+    return (frame, -1, cls, np.asarray(center, dtype=float), 0.9)
 
 
 # ---------------------------------------------------------------------------
@@ -127,19 +128,19 @@ def test_assembly_rejects_banked_queries_of_another_width():
 
 
 def test_gate_cost_is_euclidean_distance():
-    costs, n_eval = gate_costs(predicted_query(1, (0.0, 0.0)), [meas((3.0, 4.0))], 10.0, CODEC)
+    costs, n_eval = gate_costs(predicted_query(1, (0.0, 0.0)), boxes(meas((3.0, 4.0))), 10.0, CODEC)
     assert costs[0, 0] == pytest.approx(5.0, abs=1e-12)
     assert n_eval == 1
 
 
 def test_gate_excludes_beyond_threshold():
-    costs, _ = gate_costs(predicted_query(1, (0.0, 0.0)), [meas((3.0, 4.0))], 4.0, CODEC)
+    costs, _ = gate_costs(predicted_query(1, (0.0, 0.0)), boxes(meas((3.0, 4.0))), 4.0, CODEC)
     assert np.isinf(costs[0, 0])
 
 
 def test_gate_class_locking():
     q = predicted_query(1, (0.0, 0.0), cls="car")
-    costs, n_eval = gate_costs(q, [meas((1.0, 0.0), cls="pedestrian")], 10.0, CODEC)
+    costs, n_eval = gate_costs(q, boxes(meas((1.0, 0.0), cls="pedestrian")), 10.0, CODEC)
     assert np.isinf(costs[0, 0])
     assert n_eval == 0  # class-incompatible pairs are never evaluated
 
@@ -148,18 +149,18 @@ def test_random_queries_match_any_class():
     rng = stream(3, "queries")
     qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=1, rho=0.0), CODEC, HALF_EXTENT, rng)
     center = decode_reference(qs[0], CODEC)
-    costs, _ = gate_costs(qs, [meas(center + [0.5, 0.0], cls="trailer")], 2.0, CODEC)
+    costs, _ = gate_costs(qs, boxes(meas(center + [0.5, 0.0], cls="trailer")), 2.0, CODEC)
     assert np.isfinite(costs[0, 0])
 
 
 def test_gate_matrix_matches_recomputed_distances():
     rng = np.random.default_rng(5)
     qs = table([predicted_query(i, rng.uniform(-10, 10, 2)) for i in range(5)])
-    ms = [meas(rng.uniform(-10, 10, 2)) for _ in range(5)]
+    ms = boxes(*[meas(rng.uniform(-10, 10, 2)) for _ in range(5)])
     costs, _ = gate_costs(qs, ms, 50.0, CODEC)
     for i, q in enumerate(qs):
         for j, m in enumerate(ms):
-            expected = np.linalg.norm(decode_reference(q, CODEC) - m.center)
+            expected = np.linalg.norm(decode_reference(q, CODEC) - m["center"])
             assert costs[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -229,38 +230,38 @@ def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
 
 
 def test_matched_predicted_query_blends_centers():
-    tracks = run_update(make_track(center=(1.0, 0.0)), predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)])
+    tracks = run_update(make_track(center=(1.0, 0.0)), predicted_query(1, (1.0, 0.0)), boxes(meas((2.0, 0.0), frame=1)))
     assert np.allclose(centers(tracks)[0], [1.7, 0.0], atol=1e-12)
     assert tracks["hits"][0] == 3
 
 
 def test_alpha_one_snaps_to_measurement():
-    tracks = run_update(make_track(center=(1.0, 0.0)), predicted_query(1, (1.0, 0.0)), [meas((2.0, 0.0), frame=1)], alpha=1.0)
+    tracks = run_update(make_track(center=(1.0, 0.0)), predicted_query(1, (1.0, 0.0)), boxes(meas((2.0, 0.0), frame=1)), alpha=1.0)
     assert np.allclose(centers(tracks)[0], [2.0, 0.0], atol=0)
 
 
 def test_unmatched_random_query_is_discarded():
-    tracks = run_update(track_table(), predicted_query(1, (0.0, 0.0)), [])
+    tracks = run_update(track_table(), predicted_query(1, (0.0, 0.0)), boxes())
     assert len(tracks) == 0
 
 
 def test_matched_random_query_births_tentative_track():
     rng = stream(0, "queries")
     qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=50, rho=0.0), CODEC, 5.0, rng)
-    m = meas((0.0, 0.0), frame=0)
-    tracks = run_update(track_table(), qs, [m], frame=0)
+    ms = boxes(meas((0.0, 0.0), frame=0))
+    tracks = run_update(track_table(), qs, ms, frame=0)
     assert len(tracks) == 1
     assert tracks["status"][0] == TENTATIVE
-    assert np.array_equal(centers(tracks)[0], m.center)
+    assert np.array_equal(centers(tracks)[0], ms["center"][0])
 
 
 def test_unmatched_track_coasts_then_terminates():
     tracks = track_table(dict(center=(0.0, 0.0), velocity=(1.0, 0.0), tail=np.arange(14, dtype=float)))
     params = PerceptionParams(max_misses=2)
     for frame in range(1, 5):
-        costs, _ = gate_costs(table([]), [], params.gate_threshold, CODEC)
+        costs, _ = gate_costs(table([]), boxes(), params.gate_threshold, CODEC)
         assignment = associate(costs)
-        tracks = update_tracks(tracks, assignment, table([]), [], frame, params, 0.1, CODEC)
+        tracks = update_tracks(tracks, assignment, table([]), boxes(), frame, params, 0.1, CODEC)
         if tracks["status"][0] == TERMINATED:
             break
     assert tracks["status"][0] == TERMINATED
@@ -274,7 +275,7 @@ def test_unmatched_track_coasts_then_terminates():
 def test_terminated_tracks_stay_terminated():
     track = track_table(dict(center=(0.0, 0.0), status=TERMINATED))
     before = track.copy()
-    tracks = run_update(track, predicted_query(1, (0.0, 0.0)), [meas((0.0, 0.0), frame=1)])
+    tracks = run_update(track, predicted_query(1, (0.0, 0.0)), boxes(meas((0.0, 0.0), frame=1)))
     assert tracks["status"][0] == TERMINATED
     assert tracks[:1].tobytes() == before.tobytes()  # no state appended
     assert len(tracks) == 2  # the measurement birthed a fresh track instead
@@ -284,7 +285,7 @@ def test_track_ids_never_reused():
     params = PerceptionParams()
     tracks = track_table()
     for frame in range(5):
-        ms = [meas((float(10 * frame), 0.0), frame=frame)]
+        ms = boxes(meas((float(10 * frame), 0.0), frame=frame))
         rng = stream(frame, "queries")
         qs = assemble_queries(QueryBank(), frame, QueryAssemblyPolicy(n_queries=200, rho=0.0), CODEC, HALF_EXTENT, rng)
         costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
@@ -304,7 +305,7 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
         dict(center=(-1.0, 0.0)), dict(center=(0.5, 0.0)), dict(center=(1.0, 0.0)), dict(center=(0.0, 0.0), status=TERMINATED)
     )
     qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2), np.zeros(14), CODEC)])
-    ms = [meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1)]
+    ms = boxes(meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1))
     params = PerceptionParams()
     from paptrack.perception import Assignment
 
@@ -337,7 +338,7 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     query_rng = stream(21, "queries")
     bank = QueryBank()
     tracks = track_table()
-    detections = []
+    detections = []  # one box table per frame
     policy = QueryAssemblyPolicy(n_queries=300, rho=0.8)
     params = PerceptionParams()
     predictor = PredictorConfig(dt=dt)
@@ -345,9 +346,9 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
         ms = sense(scenario, frame, sensor, sensor_rng)
         result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt)
         tracks = result.tracks
-        detections.extend(result.detections)
+        detections.append(result.detections)
         predict_and_store(tracks, bank, frame, predictor, codec)
-    return scenario, tracks, detections
+    return scenario, tracks, np.concatenate(detections)
 
 
 def test_noise_free_closed_loop_tracks_ground_truth():
@@ -355,26 +356,26 @@ def test_noise_free_closed_loop_tracks_ground_truth():
     assert len(tracks) == 1  # no duplicate births
     assert tracks["ever_confirmed"][0]
     # one detection of the track in every frame: each frame was matched, none coasted
-    assert [(d.frame, d.track_id) for d in detections] == [(frame, 1) for frame in range(10)]
+    assert list(zip(detections["frame"].tolist(), detections["id"].tolist())) == [(frame, 1) for frame in range(10)]
     agent = scenario.agents[0]
     for d in detections:
-        assert np.max(np.abs(d.center - agent.state_at(d.frame)[0:2])) < 1e-9
+        assert np.max(np.abs(d["center"] - agent.state_at(d["frame"])[0:2])) < 1e-9
 
 
 def test_perceive_empty_inputs():
     result = perceive(
-        [], QueryBank(), track_table(), QueryAssemblyPolicy(n_queries=5, rho=0.5), PerceptionParams(), CODEC, HALF_EXTENT,
+        boxes(), QueryBank(), track_table(), QueryAssemblyPolicy(n_queries=5, rho=0.5), PerceptionParams(), CODEC, HALF_EXTENT,
         stream(0, "queries"), 0, 0.1,
     )
     assert len(result.tracks) == 0
-    assert result.detections == []
+    assert len(result.detections) == 0
 
 
 def test_perceive_equals_manual_composition():
     bank = QueryBank()
     bank.store(0, predicted_query(1, (1.0, 0.0)))
     track = make_track(center=(1.0, 0.0))
-    ms = [meas((1.2, 0.0), frame=1), meas((5.0, 5.0), cls="pedestrian", frame=1)]
+    ms = boxes(meas((1.2, 0.0), frame=1), meas((5.0, 5.0), cls="pedestrian", frame=1))
     policy = QueryAssemblyPolicy(n_queries=6, rho=0.5)
     params = PerceptionParams()
     result = perceive(ms, bank, track.copy(), policy, params, CODEC, HALF_EXTENT, stream(9, "queries"), 1, 0.1)
@@ -396,7 +397,7 @@ def test_predicted_priority_wins_cost_ties():
     # a predicted and a random query at the same decoded center
     q_pred = predicted_query(1, (0.0, 0.0))
     q_rand = embed_center(np.zeros(2), np.zeros(14), CODEC)
-    ms = [meas((1.0, 0.0), frame=1)]
+    ms = boxes(meas((1.0, 0.0), frame=1))
     params = PerceptionParams()
     qs = table([q_rand, q_pred])
     costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)

@@ -3,7 +3,8 @@
 Each example runs one dumped `run_single` on at most 30 frames and checks
 invariants of the track lifecycle, the compute bound and the dump that
 must hold for any config, degenerate ones included (no agents, clutter
-only, one query, rho = 1 with an empty bank, no misses allowed).
+only, every agent missed so frames are empty or all clutter, one query,
+rho = 1 with an empty bank, no misses allowed).
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from paptrack.prediction import CONSTANT_TURN, CONSTANT_VELOCITY, PredictorConfi
 from paptrack.world import CLASSES, ScenarioConfig, SensorConfig
 
 configs = st.builds(
-    lambda frames, agents, clutter, n_queries, rho, mode, window, max_misses, model: ExperimentConfig(
+    lambda frames, agents, clutter, miss, n_queries, rho, mode, window, max_misses, model: ExperimentConfig(
         seeds=[1],
         scenario=ScenarioConfig(frame_count=frames, world_half_extent=15.0, class_counts=agents),
-        sensor=SensorConfig(clutter_rate=clutter),
+        sensor=SensorConfig(clutter_rate=clutter, miss_probability=miss),
         policy=QueryAssemblyPolicy(n_queries=n_queries, rho=rho, mode=mode),
         predictor=PredictorConfig(model=model),
         perception=PerceptionParams(velocity_window=window, max_misses=max_misses),
@@ -34,6 +35,7 @@ configs = st.builds(
     frames=st.integers(1, 30),
     agents=st.lists(st.sampled_from(CLASSES), max_size=4).map(lambda names: {c: names.count(c) for c in set(names)}),
     clutter=st.floats(0.0, 3.0),
+    miss=st.sampled_from([0.0, 0.1, 1.0]),
     n_queries=st.integers(1, 32),
     rho=st.floats(0.0, 1.0),
     mode=st.sampled_from(["fixed", "reduced"]),
