@@ -3,8 +3,9 @@
 Subcommands: generate (scenario -> file), run (config -> reports),
 compare (two report dirs -> summary), sweep (rho sweep), replay (debug
 dump -> report).  Exit codes: 0 success, 2 config error, 3 I/O error,
-4 input error (a malformed dump, or report sets whose seeds differ); any
-other exception is a program fault and propagates with its traceback.
+4 input error (a malformed dump or scenario file, or report sets whose
+seeds differ); any other exception is a program fault and propagates with
+its traceback.
 """
 
 from __future__ import annotations

@@ -13,6 +13,17 @@ recall points; IDS is reported at the best-recall operating point.
 Ground truth and hypotheses are box tables (`world.box_dtype`): a gt
 box's `id` is its agent id, a hypothesis's `id` is its track id and its
 `score` is its confidence.
+
+`amota_amotp` evaluates every confidence threshold in one pass over a
+class's frames, `CHUNK_FRAMES` at a time.  `gated_pairs` joins a chunk's gt
+boxes and hypotheses into the candidate pairs within the gate.  A frame in
+which a gt box or a hypothesis has two candidates is ambiguous and is a
+segment of its own; the frames between ambiguous ones are one segment, and
+`match_frame` returns a segment's events.  An unambiguous segment matches
+every kept candidate, so its events are counted in bulk; an ambiguous frame
+solves one assignment per threshold.  Matched distances are summed from 0
+in gt order within a frame and added to the total frame by frame, as a
+per-threshold pass adds them, so the results equal that pass bit for bit.
 """
 
 from __future__ import annotations
@@ -34,12 +45,18 @@ _CONTINUITY_EPS = 1e-9
 # no match yet: prev[g, t] of a gt id g never matched at threshold level t
 NO_MATCH = np.iinfo(np.int64).min
 
+# frames whose boxes are joined at once: bounds every temporary of an evaluation
+CHUNK_FRAMES = 32
+
 
 @dataclass
-class FrameEvents:
-    """One frame's CLEAR-MOT events at every threshold level, each a length-T array.
+class SegmentEvents:
+    """One segment's CLEAR-MOT events at every threshold level.
 
-    `dist` is the sum of the matched distances, added up from 0 in gt order.
+    `tp`, `fp`, `fn` and `ids` are the segment's totals, each a length-T
+    array.  `dist` has one length-T row per frame of the segment that has a
+    candidate pair, in frame order: the frame's matched distances, added up
+    from 0 in gt order.
     """
 
     tp: np.ndarray
@@ -49,66 +66,176 @@ class FrameEvents:
     dist: np.ndarray
 
 
-def match_frame(
-    gt_rows: np.ndarray,
+def gated_pairs(
+    gt_frames: np.ndarray,
     gt_xy: np.ndarray,
-    hyp_ids: np.ndarray,
+    hyp_frames: np.ndarray,
     hyp_xy: np.ndarray,
-    hyp_levels: np.ndarray,
     match_distance: float,
-    prev: np.ndarray,
-) -> FrameEvents:
-    """CLEAR-MOT events for one frame (single class) at every confidence threshold.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (gt box, hypothesis) pair of one frame whose centers are within `match_distance`.
 
-    Threshold level t keeps the hypotheses whose level is at most t.
-    `gt_rows` are the gt boxes' rows in `prev`, a ``(n_gt_ids, T)`` table
-    of the track id each gt id was last matched to at each level (NO_MATCH
-    before its first match); it is updated in place and drives both tie
-    continuity and ID-switch counting.  Each level gets the globally
-    optimal matching of gt boxes to kept hypotheses within `match_distance`
-    that prefers continuing the previous match on equal cost.
+    Both tables are sorted by frame.  Returns the candidate pairs' gt
+    indices, hypothesis indices and center distances, in gt order and, for
+    one gt box, in hypothesis order.
     """
     if match_distance <= 0:
         raise ValueError("match_distance must be positive")
+    first = np.searchsorted(hyp_frames, gt_frames, side="left")
+    counts = np.searchsorted(hyp_frames, gt_frames, side="right") - first
+    gt_idx = np.repeat(np.arange(len(gt_frames)), counts)
+    hyp_idx = np.arange(len(gt_idx)) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    d = np.hypot(gt_xy[gt_idx, 0] - hyp_xy[hyp_idx, 0], gt_xy[gt_idx, 1] - hyp_xy[hyp_idx, 1])
+    inside = d <= match_distance
+    return gt_idx[inside], hyp_idx[inside], d[inside]
+
+
+def match_frame(
+    gt_frames: np.ndarray,
+    gt_rows: np.ndarray,
+    hyp_ids: np.ndarray,
+    hyp_levels: np.ndarray,
+    pair_gt: np.ndarray,
+    pair_hyp: np.ndarray,
+    pair_dist: np.ndarray,
+    prev: np.ndarray,
+) -> SegmentEvents:
+    """CLEAR-MOT events for one segment of a class's frames at every confidence threshold.
+
+    A segment is a run of frames in which no gt box and no hypothesis has
+    two candidates, or one frame.  Its gt boxes (`gt_frames`, sorted, and
+    `gt_rows`, their rows in `prev`) and hypotheses (`hyp_ids`,
+    `hyp_levels`) are joined by the candidate pairs of `gated_pairs`.
+    Threshold level t keeps the hypotheses whose level is at most t.
+    `prev` is a ``(n_gt_ids, T)`` table of the track id each gt id was last
+    matched to at each level (NO_MATCH before its first match); it is
+    updated in place and drives both tie continuity and ID-switch counting.
+    Each frame gets, at each level, the globally optimal matching of gt
+    boxes to kept hypotheses that prefers continuing the previous match on
+    equal cost.  Where no box has two candidates, that matching takes every
+    kept candidate and continuity cannot change it, so such frames are
+    matched together without a solver.
+    """
     n_levels = prev.shape[1]
-    tp = np.zeros(n_levels, dtype=np.int64)
-    ids = np.zeros(n_levels, dtype=np.int64)
-    dist = np.zeros(n_levels)
-    d = np.hypot(gt_xy[:, None, 0] - hyp_xy[:, 0], gt_xy[:, None, 1] - hyp_xy[:, 1])
-    candidate = d <= match_distance
-    rows, cols = candidate.nonzero()  # in gt order
-    if len(rows) == np.count_nonzero(candidate.any(axis=0)) == np.count_nonzero(candidate.any(axis=1)):
-        # no gt and no hypothesis has two candidates, so the optimal matching at a level takes
-        # every candidate whose hypothesis is kept, and continuity cannot change it
-        for i, j in zip(rows.tolist(), cols.tolist()):
-            level, tid = hyp_levels[j], hyp_ids[j]
-            last = prev[gt_rows[i], level:]
-            tp[level:] += 1
-            dist[level:] += d[i, j]
-            ids[level:] += (last != NO_MATCH) & (last != tid)
-            last[:] = tid
-    else:
-        for t in range(n_levels):
-            kept = np.flatnonzero(hyp_levels <= t)
-            cand, dk = candidate[:, kept], d[:, kept]
-            if not cand.any():
-                continue
-            costs = np.where(cand, dk, _BIG)
-            continuing = cand & (prev[gt_rows, t][:, None] == hyp_ids[kept])
-            costs[continuing] = np.maximum(dk[continuing] - _CONTINUITY_EPS, 0.0)
-            frame_dist = 0.0
-            for i, j in zip(*linear_sum_assignment(costs)):
-                if not cand[i, j]:
-                    continue
-                g, tid = gt_rows[i], hyp_ids[kept[j]]
-                tp[t] += 1
-                frame_dist += dk[i, j]
-                if prev[g, t] != NO_MATCH and prev[g, t] != tid:
-                    ids[t] += 1
-                prev[g, t] = tid
-            dist[t] = frame_dist
     present = np.cumsum(np.bincount(hyp_levels, minlength=n_levels))
-    return FrameEvents(tp=tp, fp=present - tp, fn=len(gt_rows) - tp, ids=ids, dist=dist)
+    if len(pair_gt) == 0:
+        tp, ids = np.zeros(n_levels, dtype=np.int64), np.zeros(n_levels, dtype=np.int64)
+        dist = np.zeros((0, n_levels))
+    elif np.bincount(pair_gt).max() > 1 or np.bincount(pair_hyp).max() > 1:
+        if gt_frames[0] != gt_frames[-1]:
+            raise ValueError("a segment with a box of two candidates must be one frame")
+        tp, ids, dist = _solve_frame(gt_rows, hyp_ids, hyp_levels, pair_gt, pair_hyp, pair_dist, prev)
+    else:
+        tp, ids, dist = _take_candidates(gt_frames, gt_rows, hyp_ids, hyp_levels, pair_gt, pair_hyp, pair_dist, prev)
+    return SegmentEvents(tp=tp, fp=present - tp, fn=len(gt_rows) - tp, ids=ids, dist=dist)
+
+
+def _solve_frame(gt_rows, hyp_ids, hyp_levels, pair_gt, pair_hyp, pair_dist, prev):
+    """One frame's tp, ids and ``(1, T)`` dist, one assignment per threshold level."""
+    n_levels = prev.shape[1]
+    candidate = np.zeros((len(gt_rows), len(hyp_ids)), dtype=bool)
+    candidate[pair_gt, pair_hyp] = True
+    d = np.zeros(candidate.shape)
+    d[pair_gt, pair_hyp] = pair_dist
+    block = prev[gt_rows]  # the gt boxes' previous matches, as this frame finds them
+    # a level that keeps no more hypotheses than the one below it and finds the same previous
+    # matches poses the same assignment problem: it takes that level's matching
+    solve = np.bincount(hyp_levels, minlength=n_levels) > 0
+    solve[1:] |= (block[:, 1:] != block[:, :-1]).any(axis=0)
+    solve[0] = True
+    levels = np.flatnonzero(solve)
+    levels = levels[levels >= hyp_levels[pair_hyp].min()]  # below, no kept hypothesis has a candidate
+    # each level's costs: the gated distance, less a hair where it continues the previous match
+    costs = np.where(
+        block[:, levels].T[:, :, None] == hyp_ids,
+        np.where(candidate, np.maximum(d - _CONTINUITY_EPS, 0.0), _BIG),
+        np.where(candidate, d, _BIG),
+    )
+    level_of, kept = np.nonzero(hyp_levels <= levels[:, None])
+    bounds = np.searchsorted(level_of, np.arange(len(levels) + 1)).tolist()
+    rows, cols = [], []
+    for k in range(len(levels)):
+        kept_k = kept[bounds[k] : bounds[k + 1]]
+        r, c = linear_sum_assignment(costs[k][:, kept_k])
+        c = kept_k[c]
+        hit = candidate[r, c]
+        rows.append(r[hit])
+        cols.append(c[hit])
+    n_matched = [len(r) for r in rows]
+    level = np.repeat(levels, n_matched)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    tp = np.bincount(level, minlength=n_levels)
+    # each level's distances in gt order (the solver's row order), added up from 0
+    rank = np.arange(len(level)) - np.searchsorted(level, level)
+    padded = np.zeros((n_levels, max(n_matched)))
+    padded[level, rank] = d[rows, cols]
+    dist = np.cumsum(padded, axis=1)[None, :, -1]
+    # each match meets its gt id's previous match, or its earlier match at the same level
+    g, tid = gt_rows[rows], hyp_ids[cols]
+    order = np.lexsort((g, level))
+    g, tid, level, before = g[order], tid[order], level[order], block[rows[order], level[order]]
+    again = (g[1:] == g[:-1]) & (level[1:] == level[:-1])
+    before[1:][again] = tid[:-1][again]
+    ids = np.bincount(level[(before != NO_MATCH) & (before != tid)], minlength=n_levels)
+    last = np.concatenate((~again, [True]))
+    prev[g[last], level[last]] = tid[last]
+    source = np.maximum.accumulate(np.where(solve, np.arange(n_levels), 0))
+    prev[gt_rows] = prev[gt_rows][:, source]
+    return tp[source], ids[source], dist[:, source]
+
+
+def _take_candidates(gt_frames, gt_rows, hyp_ids, hyp_levels, pair_gt, pair_hyp, pair_dist, prev):
+    """tp, ids and per-frame dist of frames whose every kept candidate is matched.
+
+    Each pair is kept, and matched, from its hypothesis's level up.
+    """
+    levels = hyp_levels[pair_hyp]
+    tp = np.cumsum(np.bincount(levels, minlength=prev.shape[1]))
+    dist = _frame_sums(gt_frames[pair_gt], levels, pair_dist, prev.shape[1])
+    ids = _switches(gt_rows[pair_gt], hyp_ids[pair_hyp], levels, prev)
+    return tp, ids, dist
+
+
+def _frame_sums(frame, levels, gap, n_levels):
+    """Each frame's matched distances at every level, added up from 0 in pair order.
+
+    The pairs are laid out by (frame, rank, level): a running sum over the
+    levels keeps each pair from its own level up, and one over the ranks
+    adds up a frame.  Both are `np.cumsum`, which is sequential; `np.sum`
+    is pairwise and would round differently.
+    """
+    row = np.concatenate(([0], np.cumsum(frame[1:] != frame[:-1])))
+    rank = np.arange(len(row)) - np.searchsorted(row, row)
+    padded = np.zeros((row[-1] + 1, rank.max() + 1, n_levels))
+    padded[row, rank, levels] = gap
+    np.cumsum(padded, axis=2, out=padded)
+    np.cumsum(padded, axis=1, out=padded)
+    return padded[:, -1].copy()
+
+
+def _switches(g, tid, levels, prev):
+    """ID switches at every level of pairs of gt row `g` and track `tid`, in frame order; updates `prev`.
+
+    Each gt row's pairs follow a seed row that holds its `prev`; forward-filling
+    the last row that holds a match gives each pair the match before it.
+    """
+    every_level = np.arange(prev.shape[1])
+    order = np.argsort(g, kind="stable")
+    g, tid, levels = g[order], tid[order], levels[order]
+    kept = levels[:, None] <= every_level
+    new = g[1:] != g[:-1]
+    head, tail = np.concatenate(([True], new)), np.concatenate((new, [True]))
+    at = np.arange(len(g)) + np.concatenate(([1], np.cumsum(new) + 1))
+    n_rows = at[-1] + 1
+    matched = np.empty((n_rows, len(every_level)), dtype=np.int64)
+    matched[at[head] - 1] = prev[g[head]]
+    matched[at] = tid[:, None]
+    last = np.broadcast_to(np.arange(n_rows, dtype=np.int32)[:, None], matched.shape).copy()
+    last[at] *= kept
+    np.maximum.accumulate(last, axis=0, out=last)
+    before = matched[last[at - 1], every_level]
+    prev[g[head]] = matched[last[at[tail]], every_level]
+    return (kept & (before != NO_MATCH) & (before != tid[:, None])).sum(axis=0)
 
 
 def motar(ids: int, fp: int, fn: int, gt_count: int, recall: float) -> float:
@@ -121,11 +248,36 @@ def motar(ids: int, fp: int, fn: int, gt_count: int, recall: float) -> float:
     return max(0.0, min(1.0, value))
 
 
-def _frame_slices(frames: np.ndarray, every_frame: np.ndarray) -> list[slice]:
-    """The slice of the sorted `frames` that holds each of `every_frame`."""
-    starts = np.searchsorted(frames, every_frame, side="left").tolist()
-    ends = np.searchsorted(frames, every_frame, side="right").tolist()
-    return [slice(a, b) for a, b in zip(starts, ends)]
+def _segments(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance):
+    """Cut a class's frame-sorted boxes into the segments of `match_frame`, in frame order.
+
+    Yields each segment's gt slice, hypothesis slice and candidate pairs
+    (indices into the slices).  Frames are joined `CHUNK_FRAMES` at a time;
+    a frame in which a gt box or a hypothesis has two candidates is a
+    segment of its own, and the frames of a chunk between two such frames
+    are one segment.
+    """
+    every_frame = np.union1d(gt_frames, hyp_frames)
+    gt_bounds = np.searchsorted(gt_frames, every_frame).tolist() + [len(gt_frames)]
+    hyp_bounds = np.searchsorted(hyp_frames, every_frame).tolist() + [len(hyp_frames)]
+    for a in range(0, len(every_frame), CHUNK_FRAMES):
+        b = min(a + CHUNK_FRAMES, len(every_frame))
+        g0, h0 = gt_bounds[a], hyp_bounds[a]
+        gf, hf = gt_frames[g0 : gt_bounds[b]], hyp_frames[h0 : hyp_bounds[b]]
+        pair_gt, pair_hyp, pair_dist = gated_pairs(gf, gt_xy[g0 : gt_bounds[b]], hf, hyp_xy[h0 : hyp_bounds[b]], match_distance)
+        ambiguous = np.union1d(
+            gf[np.bincount(pair_gt, minlength=len(gf)) > 1], hf[np.bincount(pair_hyp, minlength=len(hf)) > 1]
+        )
+        at = a + np.searchsorted(every_frame[a:b], ambiguous)
+        cuts = np.unique(np.concatenate([[a, b], at, at + 1])).tolist()
+        pair_bounds = np.searchsorted(pair_gt, [gt_bounds[c] - g0 for c in cuts]).tolist()
+        for k, (s, e) in enumerate(zip(cuts, cuts[1:])):
+            p = slice(pair_bounds[k], pair_bounds[k + 1])
+            yield (
+                slice(gt_bounds[s], gt_bounds[e]),
+                slice(hyp_bounds[s], hyp_bounds[e]),
+                (pair_gt[p] - (gt_bounds[s] - g0), pair_hyp[p] - (hyp_bounds[s] - h0), pair_dist[p]),
+            )
 
 
 def amota_amotp(
@@ -161,14 +313,14 @@ def amota_amotp(
     prev = np.full((gt_rows.max() + 1, n_levels), NO_MATCH, dtype=np.int64)
     tp, fp, fn, ids = (np.zeros(n_levels, dtype=np.int64) for _ in range(4))
     dist_sum = np.zeros(n_levels)
-    every_frame = np.union1d(gt_frames, hyp_frames)
-    for g, h in zip(_frame_slices(gt_frames, every_frame), _frame_slices(hyp_frames, every_frame)):
-        ev = match_frame(gt_rows[g], gt_xy[g], hyp_ids[h], hyp_xy[h], hyp_levels[h], match_distance, prev)
+    for g, h, pairs in _segments(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance):
+        ev = match_frame(gt_frames[g], gt_rows[g], hyp_ids[h], hyp_levels[h], *pairs, prev)
         tp += ev.tp
         fp += ev.fp
         fn += ev.fn
         ids += ev.ids
-        dist_sum += ev.dist
+        # the frame sums join the running total one frame at a time, in frame order
+        dist_sum = np.cumsum(np.concatenate([dist_sum[None], ev.dist]), axis=0)[-1]
 
     operating_points = [
         {"threshold": thr, "tp": n_tp, "fp": n_fp, "fn": n_fn, "ids": n_ids, "recall": n_tp / gt_count,
@@ -204,17 +356,17 @@ def evaluate_run(
     match_distance: float = DEFAULT_MATCH_DISTANCE,
 ) -> dict[str, dict]:
     """Per-class recall-sweep metrics of two box tables; classes with no GT are omitted."""
-    # each table sorted by class, in input order within a class
-    gt = gt[np.argsort(gt["cls"], kind="stable")]
-    hyps = hyps[np.argsort(hyps["cls"], kind="stable")]
+    # each table's rows by class, in input order within a class; only one class's rows are copied at a time
+    gt_order = np.argsort(gt["cls"], kind="stable")
+    hyp_order = np.argsort(hyps["cls"], kind="stable")
     codes = np.arange(len(CLASSES) + 1)
-    gt_bounds = np.searchsorted(gt["cls"], codes).tolist()
-    hyp_bounds = np.searchsorted(hyps["cls"], codes).tolist()
+    gt_bounds = np.searchsorted(gt["cls"][gt_order], codes).tolist()
+    hyp_bounds = np.searchsorted(hyps["cls"][hyp_order], codes).tolist()
     per_class: dict[str, dict] = {}
     for code, cls in enumerate(CLASSES):
         result = amota_amotp(
-            gt[gt_bounds[code] : gt_bounds[code + 1]],
-            hyps[hyp_bounds[code] : hyp_bounds[code + 1]],
+            gt[gt_order[gt_bounds[code] : gt_bounds[code + 1]]],
+            hyps[hyp_order[hyp_bounds[code] : hyp_bounds[code + 1]]],
             n_recall_points=n_recall_points,
             match_distance=match_distance,
         )

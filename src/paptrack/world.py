@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 
 
 class InputError(ValueError):
-    """Malformed input data (a dump or a set of reports); the message names the file or field."""
+    """Malformed input data (a dump, a scenario file or a set of reports); the message names the file or field."""
 
 
 @dataclass
@@ -157,33 +157,33 @@ def integrate_states(x0: np.ndarray, v0: np.ndarray, n: int, dt: float, turn_rat
     """Forward-Euler trajectory: p += v*dt, then v rotates by turn_rate*dt.
 
     This recurrence *is* the ground-truth motion model, so re-integration
-    reproduces stored states exactly.
+    reproduces stored states exactly.  It steps in Python floats, whose
+    arithmetic is numpy's float64 arithmetic; yaw is the heading of each
+    velocity.
     """
+    c, s = float(np.cos(turn_rate * dt)), float(np.sin(turn_rate * dt))
+    x, y = map(float, x0)
+    vx, vy = map(float, v0)
+    rows = []
+    for _ in range(n):
+        rows.append((x, y, vx, vy))
+        x, y = x + vx * dt, y + vy * dt
+        vx, vy = c * vx - s * vy, s * vx + c * vy
     states = np.empty((n, 5))
-    x = np.array(x0, dtype=float)
-    v = np.array(v0, dtype=float)
-    c, s = np.cos(turn_rate * dt), np.sin(turn_rate * dt)
-    for k in range(n):
-        states[k, 0:2] = x
-        states[k, 2:4] = v
-        states[k, 4] = np.arctan2(v[1], v[0])
-        x = x + v * dt
-        v = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    states[:, 0:4] = np.array(rows, dtype=float).reshape(n, 4)
+    states[:, 4] = np.arctan2(states[:, 3], states[:, 2])
     return states
 
 
 def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     cfg.validate()
-    rng = stream(seed, "scenario")
     fc = cfg.frame_count
-    agents: list[AgentTrack] = []
-    agent_id = 0
-    span = cfg.world_half_extent - cfg.spawn_margin
-    if span <= 0:
-        span = cfg.world_half_extent * 0.5
+    ego = np.zeros((fc, 3))
+    # one spec per agent: class, start, velocity, spawn, despawn, turn rate
+    specs = []
     if cfg.explicit_agents is not None:
+        # an explicit layout has a standing ego, whatever `ego_speed` says
         for spec_agent in cfg.explicit_agents:
-            agent_id += 1
             cls = spec_agent["class"]
             if cls not in CLASSES:
                 raise ConfigError(f"explicit_agents contains unknown class {cls!r}")
@@ -192,73 +192,43 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
             if not 0 <= spawn < despawn <= fc:
                 raise ConfigError("explicit_agents spawn/despawn must satisfy 0 <= spawn < despawn <= frame_count")
             turn_rate = float(spec_agent.get("turn_rate", 0.0))
-            states = integrate_states(
-                np.asarray(spec_agent["start"], dtype=float),
-                np.asarray(spec_agent["velocity"], dtype=float),
-                despawn - spawn,
-                cfg.dt,
-                turn_rate,
-            )
-            agents.append(
-                AgentTrack(
-                    agent_id=agent_id,
-                    cls=cls,
-                    spawn=spawn,
-                    despawn=despawn,
-                    states=states,
-                    model="constant_turn" if turn_rate != 0.0 else "constant_velocity",
-                    turn_rate=turn_rate,
-                )
-            )
-        ego = np.zeros((fc, 3))
-        return Scenario(
-            scenario_id=f"scn-{seed}",
-            dt=cfg.dt,
-            frame_count=fc,
-            seed=int(seed),
-            agents=agents,
-            ego=ego,
+            start, velocity = (np.asarray(spec_agent[name], dtype=float) for name in ("start", "velocity"))
+            specs.append((cls, start, velocity, spawn, despawn, turn_rate))
+    else:
+        rng = stream(seed, "scenario")
+        span = cfg.world_half_extent - cfg.spawn_margin
+        if span <= 0:
+            span = cfg.world_half_extent * 0.5
+        for cls in CLASSES:
+            for _ in range(cfg.class_counts.get(cls, 0)):
+                pos = rng.uniform(-span, span, size=2)
+                speed = min(rng.uniform(*cfg.speed_range), CLASS_MAX_SPEED[cls])
+                heading = rng.uniform(0.0, 2.0 * np.pi)
+                turn_rate = 0.0
+                if rng.random() < cfg.turn_fraction:
+                    turn_rate = rng.uniform(*cfg.turn_rate_range) * (1.0 if rng.random() < 0.5 else -1.0)
+                spawn, despawn = 0, fc
+                if fc >= 4 and rng.random() < cfg.partial_lifespan_fraction:
+                    if rng.random() < 0.5:
+                        spawn = int(rng.integers(1, max(2, fc // 2)))
+                    else:
+                        despawn = int(rng.integers(fc // 2, fc))
+                specs.append((cls, pos, speed * np.array([np.cos(heading), np.sin(heading)]), spawn, despawn, turn_rate))
+        if cfg.ego_speed != 0.0:
+            ego[:, 0] = cfg.ego_speed * cfg.dt * np.arange(fc)
+    agents = [
+        AgentTrack(
+            agent_id=agent_id,
+            cls=cls,
+            spawn=spawn,
+            despawn=despawn,
+            states=integrate_states(start, velocity, despawn - spawn, cfg.dt, turn_rate),
+            model="constant_turn" if turn_rate != 0.0 else "constant_velocity",
+            turn_rate=turn_rate,
         )
-    for cls in CLASSES:
-        for _ in range(cfg.class_counts.get(cls, 0)):
-            agent_id += 1
-            pos = rng.uniform(-span, span, size=2)
-            speed = min(rng.uniform(*cfg.speed_range), CLASS_MAX_SPEED[cls])
-            heading = rng.uniform(0.0, 2.0 * np.pi)
-            vel = speed * np.array([np.cos(heading), np.sin(heading)])
-            turning = rng.random() < cfg.turn_fraction
-            turn_rate = 0.0
-            if turning:
-                turn_rate = rng.uniform(*cfg.turn_rate_range) * (1.0 if rng.random() < 0.5 else -1.0)
-            spawn, despawn = 0, fc
-            if fc >= 4 and rng.random() < cfg.partial_lifespan_fraction:
-                if rng.random() < 0.5:
-                    spawn = int(rng.integers(1, max(2, fc // 2)))
-                else:
-                    despawn = int(rng.integers(fc // 2, fc))
-            states = integrate_states(pos, vel, despawn - spawn, cfg.dt, turn_rate)
-            agents.append(
-                AgentTrack(
-                    agent_id=agent_id,
-                    cls=cls,
-                    spawn=spawn,
-                    despawn=despawn,
-                    states=states,
-                    model="constant_turn" if turning else "constant_velocity",
-                    turn_rate=turn_rate,
-                )
-            )
-    ego = np.zeros((fc, 3))
-    if cfg.ego_speed != 0.0:
-        ego[:, 0] = cfg.ego_speed * cfg.dt * np.arange(fc)
-    return Scenario(
-        scenario_id=f"scn-{seed}",
-        dt=cfg.dt,
-        frame_count=fc,
-        seed=int(seed),
-        agents=agents,
-        ego=ego,
-    )
+        for agent_id, (cls, start, velocity, spawn, despawn, turn_rate) in enumerate(specs, start=1)
+    ]
+    return Scenario(scenario_id=f"scn-{seed}", dt=cfg.dt, frame_count=fc, seed=int(seed), agents=agents, ego=ego)
 
 
 def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.Generator) -> np.ndarray:
@@ -327,26 +297,70 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    agents = [
-        AgentTrack(
-            agent_id=int(a["id"]),
-            cls=a["class"],
-            spawn=int(a["spawn"]),
-            despawn=int(a["despawn"]),
-            states=np.array(a["states"], dtype=float).reshape(int(a["despawn"]) - int(a["spawn"]), 5),
-            model=a["model"],
-            turn_rate=float(a["turn_rate"]),
+def _read(doc: dict, name: str, convert, where: str):
+    """`convert(doc[name])`; a missing field, or one that does not convert, raises `InputError` naming it."""
+    if name not in doc:
+        raise InputError(f"{where} lacks field {name!r}")
+    try:
+        return convert(doc[name])
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where} field {name!r} is not valid: {exc}") from exc
+
+
+def _objects(value) -> list[dict]:
+    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
+        raise TypeError("not a list of objects")
+    return value
+
+
+def _rows(n: int, width: int):
+    return lambda value: np.array(value, dtype=float).reshape(n, width)
+
+
+def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
+    """Rebuild a scenario from its JSON document.
+
+    A document that is not an object, lacks a field, holds a value that does
+    not convert or a `frame_count` below 1, names an unknown class, gives an
+    agent a lifespan outside ``0 <= spawn < despawn <= frame_count`` or
+    states that do not fit its lifespan raises `InputError` naming `source`
+    and the field.
+    """
+    if not isinstance(doc, dict):
+        raise InputError(f"{source} is not a JSON object")
+    frame_count = _read(doc, "frame_count", int, source)
+    if frame_count < 1:
+        raise InputError(f"{source} field 'frame_count' must be >= 1, got {frame_count}")
+    agents = []
+    for k, a in enumerate(_read(doc, "agents", _objects, source)):
+        where = f"{source} agent {k}"
+        cls = _read(a, "class", str, where)
+        if cls not in CLASSES:
+            raise InputError(f"{where} field 'class' names unknown class {cls!r}")
+        spawn, despawn = _read(a, "spawn", int, where), _read(a, "despawn", int, where)
+        if not 0 <= spawn < despawn <= frame_count:
+            raise InputError(
+                f"{where} fields 'spawn' and 'despawn' ({spawn}, {despawn}) must satisfy "
+                f"0 <= spawn < despawn <= frame_count ({frame_count})"
+            )
+        agents.append(
+            AgentTrack(
+                agent_id=_read(a, "id", int, where),
+                cls=cls,
+                spawn=spawn,
+                despawn=despawn,
+                states=_read(a, "states", _rows(despawn - spawn, 5), where),
+                model=_read(a, "model", str, where),
+                turn_rate=_read(a, "turn_rate", float, where),
+            )
         )
-        for a in doc["agents"]
-    ]
     return Scenario(
-        scenario_id=doc["scenario_id"],
-        dt=float(doc["dt"]),
-        frame_count=int(doc["frame_count"]),
-        seed=int(doc["seed"]),
+        scenario_id=_read(doc, "scenario_id", str, source),
+        dt=_read(doc, "dt", float, source),
+        frame_count=frame_count,
+        seed=_read(doc, "seed", int, source),
         agents=agents,
-        ego=np.array(doc["ego"], dtype=float).reshape(int(doc["frame_count"]), 3),
+        ego=_read(doc, "ego", _rows(frame_count, 3), source),
     )
 
 
@@ -356,5 +370,10 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 
 def load_scenario(path) -> Scenario:
+    """Read a scenario file; one that is not JSON or not a scenario raises `InputError`."""
     with open(path, "r", encoding="utf-8") as f:
-        return scenario_from_dict(json.load(f))
+        try:
+            doc = json.load(f)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise InputError(f"scenario file {path} is not JSON: {exc}") from exc
+    return scenario_from_dict(doc, f"scenario file {path}")

@@ -6,6 +6,8 @@ the metric formula, trajectories are re-integrated step by step, and the
 gate kernel is recomputed pair by pair.  `amota_amotp_loop_oracle` is the
 evaluation the package used before it matched all thresholds in one pass:
 one full CLEAR-MOT pass per threshold, pair by pair.
+`integrate_states_oracle` is the numpy loop the scenario generator used
+before it stepped in Python floats.
 """
 
 from __future__ import annotations
@@ -270,6 +272,21 @@ def recompute_cost_evaluations(path) -> list[int]:
                         n += 1
             per_frame.append(n)
     return per_frame
+
+
+def integrate_states_oracle(x0, v0, n, dt, turn_rate):
+    """`world.integrate_states` as a loop of numpy steps: ``(n, 5)`` states x, y, vx, vy, yaw."""
+    states = np.empty((n, 5))
+    x = np.array(x0, dtype=float)
+    v = np.array(v0, dtype=float)
+    c, s = np.cos(turn_rate * dt), np.sin(turn_rate * dt)
+    for k in range(n):
+        states[k, 0:2] = x
+        states[k, 2:4] = v
+        states[k, 4] = np.arctan2(v[1], v[0])
+        x = x + v * dt
+        v = np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
+    return states
 
 
 def reintegrate(start, velocity, n, dt, turn_rate=0.0):

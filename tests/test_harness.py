@@ -23,7 +23,7 @@ from paptrack.harness import (
 )
 from paptrack.metrics import report_to_json
 from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
-from paptrack.world import ConfigError, ScenarioConfig, SensorConfig
+from paptrack.world import ConfigError, ScenarioConfig, SensorConfig, generate_scenario, scenario_to_dict
 
 from oracles import recompute_cost_evaluations
 
@@ -586,6 +586,45 @@ def test_cli_compare_mismatched_seed_sets_exits_4(tmp_path, capsys):
     assert main(["compare", str(one), str(two)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "seed sets" in err
+
+
+def _without(doc, name):
+    doc.pop(name)
+    return doc
+
+
+def _agent(doc, **fields):
+    doc["agents"][0].update(fields)
+    return doc
+
+
+def _agent_without(doc, name):
+    doc["agents"][0].pop(name)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda doc: json.dumps(doc)[:200], "is not JSON"),
+        (lambda doc: _without(doc, "agents"), "lacks field 'agents'"),
+        (lambda doc: _agent_without(doc, "states"), "agent 0 lacks field 'states'"),
+        (lambda doc: _agent(doc, **{"class": "dragon"}), "unknown class 'dragon'"),
+        (lambda doc: _agent(doc, states=doc["agents"][0]["states"][:-1]), "agent 0 field 'states' is not valid"),
+        (lambda doc: _agent(doc, despawn=doc["frame_count"] + 1), "0 <= spawn < despawn <= frame_count"),
+        (lambda doc: _agent(doc, spawn=doc["agents"][0]["despawn"]), "0 <= spawn < despawn <= frame_count"),
+    ],
+    ids=["truncated", "no-agents", "agent-without-states", "unknown-class", "short-states", "despawn-past-end", "empty-lifespan"],
+)
+def test_cli_run_on_bad_scenario_file_exits_4(tmp_path, capsys, edit, problem):
+    cfg = small_config(seeds=(1,))
+    edited = edit(scenario_to_dict(generate_scenario(cfg.scenario, 1)))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(edited if isinstance(edited, str) else json.dumps(edited))
+    cfg_path = write_cli_config(tmp_path, scenario_path=str(scenario))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error: scenario file") and problem in err
 
 
 def test_cli_generate_takes_only_the_flags_it_uses(tmp_path, capsys):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from paptrack.metrics import (
+    CHUNK_FRAMES,
     NO_MATCH,
     amota_amotp,
     build_report,
     evaluate_run,
+    gated_pairs,
     match_frame,
     motar,
     report_to_csv_rows,
@@ -28,17 +30,31 @@ def xy(x, y):
 # match_frame
 
 
-def match(gt, hyps, prev, match_distance=2.0):
-    """match_frame on (gt_id, center) and (track_id, center[, level]) tuples; gt id g is row g of `prev`."""
+def match_segment(frames, prev, match_distance=2.0):
+    """match_frame on one segment: a list of (gt, hyps) frames, numbered from 0.
+
+    `gt` is (gt_id, center) tuples and `hyps` is (track_id, center[, level])
+    tuples; gt id g is row g of `prev`.
+    """
+    gt = [(f, g, c) for f, (frame_gt, _) in enumerate(frames) for g, c in frame_gt]
+    hyps = [(f, *h) for f, (_, frame_hyps) in enumerate(frames) for h in frame_hyps]
+    gt_frames = np.array([f for f, _, _ in gt], dtype=np.int64)
+    gt_xy = np.array([c for _, _, c in gt], dtype=float).reshape(-1, 2)
+    hyp_frames = np.array([h[0] for h in hyps], dtype=np.int64)
+    hyp_xy = np.array([h[2] for h in hyps], dtype=float).reshape(-1, 2)
     return match_frame(
-        np.array([g for g, _ in gt], dtype=np.intp),
-        np.array([c for _, c in gt], dtype=float).reshape(-1, 2),
-        np.array([h[0] for h in hyps], dtype=np.int64),
-        np.array([h[1] for h in hyps], dtype=float).reshape(-1, 2),
-        np.array([h[2] if len(h) > 2 else 0 for h in hyps], dtype=np.intp),
-        match_distance,
+        gt_frames,
+        np.array([g for _, g, _ in gt], dtype=np.intp),
+        np.array([h[1] for h in hyps], dtype=np.int64),
+        np.array([h[3] if len(h) > 3 else 0 for h in hyps], dtype=np.intp),
+        *gated_pairs(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance),
         prev,
     )
+
+
+def match(gt, hyps, prev, match_distance=2.0):
+    """match_frame on one frame, a segment of one."""
+    return match_segment([(gt, hyps)], prev, match_distance)
 
 
 def unmatched(n_ids=3, n_levels=1):
@@ -53,7 +69,7 @@ def test_match_frame_perfect_overlap():
     prev = unmatched()
     ev = match([(1, xy(0, 0)), (2, xy(5, 5))], [(10, xy(0, 0)), (11, xy(5, 5))], prev)
     assert events(ev) == ([2], [0], [0], [0])
-    assert ev.dist.tolist() == [0.0]
+    assert ev.dist.tolist() == [[0.0]]
     assert prev[:, 0].tolist() == [NO_MATCH, 10, 11]
 
 
@@ -113,13 +129,13 @@ def test_match_frame_keeps_one_matching_per_threshold_level():
     first = [(1, xy(0, 0))], [(9, xy(1.5, 0), 0), (7, xy(0.5, 0), 2)]
     ev = match(*first, prev)
     assert events(ev) == ([1, 1, 1], [0, 0, 1], [0, 0, 0], [0, 0, 0])
-    assert ev.dist.tolist() == [1.5, 1.5, 0.5]
+    assert ev.dist.tolist() == [[1.5, 1.5, 0.5]]
     assert prev[1].tolist() == [9, 9, 7]
     # one candidate each: track 7 continues gt 1 only at the level that matched it before
     second = [(1, xy(0, 0)), (2, xy(10, 0))], [(7, xy(0, 0.2), 0), (8, xy(10, 1.0), 1)]
     ev = match(*second, prev)
     assert events(ev) == ([1, 2, 2], [0, 0, 0], [1, 0, 0], [1, 1, 0])
-    assert ev.dist.tolist() == [0.2, 0.2 + 1.0, 0.2 + 1.0]
+    assert ev.dist.tolist() == [[0.2, 0.2 + 1.0, 0.2 + 1.0]]
     assert prev[1:].tolist() == [[7, 7, 7], [NO_MATCH, 8, 8]]
 
     # each level equals a one-level call on the hypotheses it keeps
@@ -129,6 +145,53 @@ def test_match_frame_keeps_one_matching_per_threshold_level():
             kept = [(tid, c) for tid, c, lv in hyps if lv <= level]
             match(gt, kept, prev_one)
         assert prev_one[:, 0].tolist() == prev[:, level].tolist()
+
+
+def test_match_frame_sums_each_frame_from_zero_in_gt_order():
+    # twelve matches a frame, drawn so that numpy's pairwise sum rounds differently from the running sum
+    rng = np.random.default_rng(4)
+    gt = [(g, xy(10 * g, 0)) for g in range(12)]
+    hyps = [(100 + g, c + rng.uniform(-1.0, 1.0, 2)) for g, c in gt]
+    gaps = [float(np.hypot(*(h - c))) for (_, c), (_, h) in zip(gt, hyps)]
+    expected = 0.0
+    for gap in gaps:
+        expected += gap
+    ev = match(gt, hyps, unmatched(n_ids=12))
+    assert ev.dist.tolist() == [[expected]]
+    # the same frame made ambiguous by a farther second candidate for gt 0
+    ev = match(gt, hyps + [(99, xy(0, 1.9))], unmatched(n_ids=12))
+    assert events(ev)[0] == [12]
+    assert ev.dist.tolist() == [[expected]]
+
+
+def test_match_frame_segment_equals_its_frames_one_at_a_time():
+    # two levels; gt 1 is followed by track 7, missed, then taken by track 9 (a switch at each
+    # level); gt 2 is followed by track 5, kept at level 1 until frame 4 keeps it at level 0 too;
+    # frame 2 holds gt only and frame 3 hypotheses only
+    frames = [
+        ([(1, xy(0, 0)), (2, xy(10, 0))], [(7, xy(0, 0.5), 0), (5, xy(10, 1.5), 1)]),
+        ([(1, xy(0, 1)), (2, xy(10, 1))], [(5, xy(10, 1.25), 1)]),
+        ([(1, xy(0, 2))], []),
+        ([], [(6, xy(50, 50), 0)]),
+        ([(1, xy(0, 3)), (2, xy(10, 3))], [(9, xy(0, 3.25), 0), (5, xy(10, 3), 0)]),
+    ]
+    prev = unmatched(n_levels=2)
+    ev = match_segment(frames, prev)
+    assert events(ev) == ([3, 5], [1, 1], [4, 2], [1, 1])
+    assert ev.dist.tolist() == [[0.5, 0.5 + 1.5], [0.0, 0.25], [0.25, 0.25 + 0.0]]  # frames 0, 1 and 4
+    # the same as one call per frame
+    prev_one, totals, rows = unmatched(n_levels=2), np.zeros((4, 2), dtype=np.int64), []
+    for frame in frames:
+        one = match(*frame, prev_one)
+        totals += np.array(events(one))
+        rows += one.dist.tolist()
+    assert totals.tolist() == list(events(ev))
+    assert rows == ev.dist.tolist()
+    assert prev.tolist() == prev_one.tolist() == [[NO_MATCH] * 2, [9, 9], [5, 5]]
+    # a second candidate for gt 1 in frame 4 makes the frames no segment
+    ambiguous = frames[:4] + [(frames[4][0], frames[4][1] + [(8, xy(0.5, 3), 1)])]
+    with pytest.raises(ValueError, match="one frame"):
+        match_segment(ambiguous, unmatched(n_levels=2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +347,72 @@ def test_amota_equals_per_threshold_loop_oracle_bit_for_bit():
         n_recall_points = int(rng.integers(1, 41))
         got = amota_amotp(gt, hyps, n_recall_points=n_recall_points)
         want = amota_amotp_loop_oracle(gt, hyps, n_recall_points=n_recall_points)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), case
+
+
+def long_class_case(rng):
+    """GT boxes and hypotheses of one class over 20-120 frames, cut into many segments.
+
+    gt ids persist and move smoothly on a 0.5 m grid, 12 m apart, so most
+    frames are unambiguous.  A few frames are made ambiguous: always the
+    first and last frame and the frames on both sides of the first two
+    chunk boundaries, plus a few at random.  There a gt box gets two extra
+    hypotheses mirrored about it (exactly equidistant, so continuity breaks
+    the tie), or a second gt box arrives beside it.  Frame numbers have
+    gaps; gt id 0 leaves for a few frames around an ambiguous frame and
+    returns; some frames hold hypotheses only; track ids switch now and
+    then; and some cases put every hypothesis at one confidence.
+    """
+    n_frames = int(rng.integers(20, 121))
+    frames = (np.cumsum(rng.choice([1, 1, 1, 2, 5], n_frames)) + int(rng.integers(0, 3))).tolist()
+    edges = (0, n_frames - 1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES, 2 * CHUNK_FRAMES + 1)
+    ambiguous = {i for i in edges if i < n_frames} | set(rng.choice(n_frames, 3).tolist())
+    hyp_only = set(rng.choice(n_frames, 2).tolist()) - ambiguous
+    leave = int(rng.choice(sorted(ambiguous - {0, n_frames - 1})))
+    away = range(leave - int(rng.integers(0, 3)), leave + int(rng.integers(1, 4)))
+    n_ids = int(rng.integers(2, 11))
+    origin = np.stack([12.0 * np.arange(n_ids), rng.uniform(-5, 5, n_ids)], axis=1)
+    velocity = rng.uniform(-0.5, 0.5, (n_ids, 2))
+    tids = list(range(100, 100 + n_ids))
+    one_confidence = rng.random() < 0.25
+
+    def confidence():
+        return 0.5 if one_confidence else round(float(rng.uniform(0.05, 1.0)), 1)
+
+    gt, hyps = [], []
+    for i, frame in enumerate(frames):
+        if i in hyp_only:
+            for _ in range(2):
+                hyps.append((frame, int(rng.integers(0, 200)), "car", rng.uniform(-20, 140, 2), confidence()))
+            continue
+        present = [g for g in range(n_ids) if not (g == 0 and i in away)]
+        for g in present:
+            c = np.round((origin[g] + velocity[g] * i) * 2) / 2
+            gt.append((frame, g, "car", c, 0.0))
+            if rng.random() < 0.03:
+                tids[g] = int(rng.integers(100, 100 + 2 * n_ids))
+            if rng.random() < 0.85:
+                hyps.append((frame, tids[g], "car", c + rng.normal(0, 0.4, 2), confidence()))
+        if i in ambiguous:
+            g = int(rng.choice(present))
+            c = np.round((origin[g] + velocity[g] * i) * 2) / 2
+            if rng.random() < 0.7:
+                v = np.round(rng.uniform(-1.5, 1.5, 2) * 2) / 2
+                hyps.append((frame, int(rng.integers(100, 100 + 2 * n_ids)), "car", c + v, confidence()))
+                hyps.append((frame, tids[g], "car", c - v, confidence()))
+            else:
+                gt.append((frame, n_ids, "car", c + np.round(rng.uniform(-1.0, 1.0, 2) * 2) / 2, 0.0))
+        for _ in range(int(rng.poisson(0.5))):
+            hyps.append((frame, int(rng.integers(0, 200)), "car", rng.uniform(-20, 140, 2), confidence()))
+    return boxes(*gt), boxes(*hyps)
+
+
+def test_amota_equals_loop_oracle_across_segments_and_chunks():
+    rng = np.random.default_rng(5)
+    for case in range(60):
+        gt, hyps = long_class_case(rng)
+        got = amota_amotp(gt, hyps)
+        want = amota_amotp_loop_oracle(gt, hyps)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), case
 
 

@@ -11,12 +11,13 @@ from paptrack.world import (
     ScenarioConfig,
     SensorConfig,
     generate_scenario,
+    integrate_states,
     scenario_from_dict,
     scenario_to_dict,
     sense,
 )
 
-from oracles import reintegrate
+from oracles import integrate_states_oracle, reintegrate
 
 
 def single_car_config(frame_count=10, dt=0.5):
@@ -57,6 +58,19 @@ def test_mixed_scenario_reintegration_oracle():
         # per-frame displacement equals stored velocity * dt
         disp = agent.states[1:, 0:2] - agent.states[:-1, 0:2]
         assert np.max(np.abs(disp - agent.states[:-1, 2:4] * cfg.dt)) < 1e-9
+
+
+def test_integrate_states_equals_numpy_loop_byte_for_byte():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 200))
+        dt = float(rng.choice([0.05, 0.1, 0.2, rng.uniform(0.01, 0.5)]))
+        turn_rate = 0.0 if rng.random() < 0.5 else float(rng.uniform(-1.0, 1.0))
+        x0, v0 = rng.uniform(-30.0, 30.0, 2), rng.uniform(-15.0, 15.0, 2)
+        got = integrate_states(x0, v0, n, dt, turn_rate)
+        want = integrate_states_oracle(x0, v0, n, dt, turn_rate)
+        assert got.shape == want.shape == (n, 5)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_agent_speed_respects_class_cap():
