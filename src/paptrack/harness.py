@@ -24,7 +24,7 @@ from scipy.stats import binomtest
 from paptrack.metrics import build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
 from paptrack.prediction import COASTING, CONFIRMED, PredictorConfig, forecast, predict_and_store
-from paptrack.queries import ANY_CLASS, CodecConfig, QueryBank, decode_reference
+from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, CodecConfig, QueryBank, decode_reference
 from paptrack.rng import stream
 from paptrack.world import (
     CLASS_INDEX,
@@ -283,7 +283,7 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
         ],
         "queries": [
             {
-                "provenance": provenance,
+                "provenance": PROVENANCE_NAMES[provenance],
                 "source_track_id": source if source >= 0 else None,
                 "class": CLASSES[cls] if cls != ANY_CLASS else None,
                 "center": center,

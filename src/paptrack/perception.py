@@ -183,7 +183,7 @@ def associate(costs: np.ndarray) -> Assignment:
     rows, cols = linear_sum_assignment(np.where(finite, costs, _BIG))
     keep = finite[rows, cols]
     rows, cols = rows[keep], cols[keep]
-    matches = sorted(zip(rows.tolist(), cols.tolist(), costs[rows, cols].tolist()), key=lambda m: (m[0], m[1]))
+    matches = list(zip(rows.tolist(), cols.tolist(), costs[rows, cols].tolist()))  # scipy sorts `rows`: query order
     free_q = np.ones(nq, dtype=bool)
     free_q[rows] = False
     free_m = np.ones(nm, dtype=bool)
@@ -214,6 +214,10 @@ def update_tracks(
     dead reckoning until `max_misses` is exceeded; terminated tracks are
     never revived.  The rows are updated in place, and the table is
     returned, grown by one row per birth.
+
+    The matches are those of a cost matrix from :func:`gate_costs`, which
+    decoded their queries and found the centers finite; they are not
+    checked again.
     """
     window = params.velocity_window
     if tracks.dtype["frames"].shape[0] < window:
@@ -227,84 +231,96 @@ def update_tracks(
     n = len(tracks)
     # rows are gathered and scattered as raw bytes: numpy copies structured rows field by field, several times slower
     raw = np.dtype((np.void, tracks.dtype.itemsize))
-    matched = np.asarray(queries)[pairs[:, 0]]  # a plain array: recarray field access is slow
+    table = np.asarray(queries)  # a plain array: recarray field access is slow
+    q_idx = pairs[:, 0]
     m_xy = measurements["center"][pairs[:, 1]]
     live = tracks["status"] != TERMINATED
 
     # a predicted match updates its live source track; the first one in match order wins
     first, deferred = {}, []  # source row -> its match; the other matches
     is_live = live.tolist()
-    predicted = (matched["provenance"] == PREDICTED).tolist()
-    for i, row in enumerate((matched["source_track_id"] - 1).tolist()):
+    predicted = (table["provenance"][q_idx] == PREDICTED).tolist()
+    for i, row in enumerate((table["source_track_id"][q_idx] - 1).tolist()):
         if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
             first[row] = i
         else:
             deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
     hit_rows = np.array(list(first), dtype=np.intp)
     by_prediction = list(first.values())
-    q_xy = decode_reference(matched, codec)[by_prediction]
+    q_xy = codec.scale * table["embedding"][q_idx[by_prediction], :2] + np.asarray(codec.offset)  # decode_reference's map
     hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
 
     # the rest continue the nearest free live track in the gate, greedily in match order, else are born
     free = live.copy()
     free[hit_rows] = False
-    diff = tracks["centers"][None, :, -1] - m_xy[deferred][:, None, :]
-    d = np.hypot(diff[..., 0], diff[..., 1])
-    d[~(free & (d <= params.gate_threshold))] = np.inf
-    continued, born = [], []
-    for k, i in enumerate(deferred):
-        j = int(d[k].argmin()) if n else 0
-        if n and d[k, j] < np.inf:
-            d[:, j] = np.inf
-            continued.append((j, i))
-        else:
-            born.append(i)
-    if continued:
-        more_rows, snapped = np.array(continued).T
-        hit_rows = np.concatenate([hit_rows, more_rows])
-        hit_centers = np.concatenate([hit_centers, m_xy[snapped]])  # no current-frame prediction: snap to it
+    cand = free.nonzero()[0]  # the free live rows, in id order
+    born = deferred  # with no free row, every one of them
+    if deferred and len(cand):
+        diff = tracks["centers"][cand, -1][None] - m_xy[deferred][:, None, :]
+        d = np.hypot(diff[..., 0], diff[..., 1])
+        near = [[] for _ in deferred]  # each deferred match's (distance, column of `cand`) in the gate
+        ks, js = (d <= params.gate_threshold).nonzero()
+        for k, j, dist in zip(ks.tolist(), js.tolist(), d[ks, js].tolist()):
+            near[k].append((dist, j))
+        taken, continued, born = set(), [], []
+        for k, i in enumerate(deferred):
+            options = [option for option in near[k] if option[1] not in taken]
+            if options:
+                j = min(options)[1]  # the nearest; of equal distances, the lowest id
+                taken.add(j)
+                continued.append((cand[j], i))
+            else:
+                born.append(i)
+        if continued:
+            more_rows, snapped = np.array(continued).T
+            free[more_rows] = False
+            hit_rows = np.concatenate([hit_rows, more_rows])
+            hit_centers = np.concatenate([hit_centers, m_xy[snapped]])  # no current-frame prediction: snap to it
+            cand = free.nonzero()[0]
 
     # the touched rows are edited in one copy, ordered hits, coasting rows, rows that terminate
     # now, so that each group is a slice of it
-    idle = free  # live rows not updated this frame
-    idle[hit_rows] = False
-    idle_rows = idle.nonzero()[0]
+    idle_rows = cand  # live rows not updated this frame
     coasting = tracks["misses"][idle_rows] < params.max_misses  # before this miss
     rows = np.concatenate([hit_rows, idle_rows[coasting], idle_rows[~coasting]])
     h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
-    sub = tracks.view(raw)[rows].view(tracks.dtype)
+    if len(rows):
+        sub = tracks.view(raw)[rows].view(tracks.dtype)
+        states = []  # (centers, velocities) of the state appended to each hit and coasting row
+        if h:
+            # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
+            ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
+            span = (frame - sub["frames"][ref]) * dt  # > 0 unless dt <= 0: every state precedes `frame`
+            moved = hit_centers - sub["centers"][ref]
+            states.append((hit_centers, moved / span[:, None] if dt > 0 else np.zeros_like(moved)))
+            sub["hits"][:h] += 1
+            sub["misses"][:h] = 0
+            sub["ever_confirmed"][:h] |= sub["hits"][:h] >= params.confirm_threshold
+            sub["status"][:h] = np.where(sub["ever_confirmed"][:h], CONFIRMED, TENTATIVE)
+        if c > h:
+            coast_v = sub["velocities"][h:c, -1]
+            states.append((sub["centers"][h:c, -1] + coast_v * dt, coast_v))
+        if h < len(rows):
+            sub["hits"][h:] = 0
+            sub["misses"][h:] += 1
+            sub["status"][h:c] = COASTING
+            sub["status"][c:] = TERMINATED
 
-    # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
-    ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
-    span = (frame - sub["frames"][ref]) * dt  # > 0 unless dt <= 0: every state precedes `frame`
-    moved = hit_centers - sub["centers"][ref]
-    hit_velocities = moved / span[:, None] if dt > 0 else np.zeros_like(moved)
-
-    sub["hits"][:h] += 1
-    sub["misses"][:h] = 0
-    sub["ever_confirmed"][:h] |= sub["hits"][:h] >= params.confirm_threshold
-    sub["status"][:h] = np.where(sub["ever_confirmed"][:h], CONFIRMED, TENTATIVE)
-    sub["hits"][h:] = 0
-    sub["misses"][h:] += 1
-    sub["status"][h:c] = COASTING
-    sub["status"][c:] = TERMINATED
-
-    # one state appended per hit and coasting row, the oldest dropped
-    coast_v = sub["velocities"][h:c, -1]
-    centers = np.concatenate([hit_centers, sub["centers"][h:c, -1] + coast_v * dt])
-    velocities = np.concatenate([hit_velocities, coast_v])
-    for name, value in (("frames", frame), ("centers", centers), ("velocities", velocities), ("coasted", np.arange(c) >= h)):
-        history = sub[name]
-        history[:c, :-1] = history[:c, 1:]
-        history[:c, -1] = value
-    tracks.view(raw)[rows] = sub.view(raw)
+        # one state appended per hit and coasting row, the oldest dropped
+        if c:
+            centers, velocities = (np.concatenate(column) for column in zip(*states))
+            for name, value in (("frames", frame), ("centers", centers), ("velocities", velocities), ("coasted", np.arange(c) >= h)):
+                history = sub[name]
+                history[:c, :-1] = history[:c, 1:]
+                history[:c, -1] = value
+        tracks.view(raw)[rows] = sub.view(raw)
 
     if not born:
         return tracks
     tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
     newborn = tracks[n:]
     newborn["cls"] = measurements["cls"][pairs[born, 1]]
-    newborn["tail"] = matched["embedding"][born, 2:]
+    newborn["tail"] = table["embedding"][q_idx[born], 2:]
     newborn["hits"] = 1
     newborn["ever_confirmed"] = 1 >= params.confirm_threshold
     newborn["status"] = np.where(newborn["ever_confirmed"], CONFIRMED, TENTATIVE)

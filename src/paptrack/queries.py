@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-RANDOM = "random"
-PREDICTED = "predicted"
+# query provenance codes; PROVENANCE_NAMES[code] is the name a dump records
+RANDOM, PREDICTED = 0, 1
+PROVENANCE_NAMES = ("random", "predicted")
 
 # class code of a query that matches any measurement class
 ANY_CLASS = -1
@@ -44,7 +45,7 @@ def query_dtype(dim: int) -> np.dtype:
     return np.dtype(
         [
             ("embedding", np.float64, (dim,)),
-            ("provenance", "U9"),  # RANDOM or PREDICTED
+            ("provenance", np.int8),  # RANDOM or PREDICTED
             ("source_track_id", np.int64),  # -1 for random queries
             ("horizon_step", np.int64),  # 0 for random queries
             ("cls", np.int64),  # world.CLASS_INDEX code; ANY_CLASS matches every class
@@ -75,7 +76,7 @@ def embed_center(
     tails: np.ndarray,
     codec: CodecConfig,
     *,
-    provenance: str = RANDOM,
+    provenance=RANDOM,
     source_track_id=-1,
     horizon_step=0,
     cls=ANY_CLASS,
@@ -104,7 +105,7 @@ def embed_center(
     table["cls"] = cls
     table["confidence"] = confidence
     # an all-random table needs no source check
-    random_only = isinstance(provenance, str) and provenance == RANDOM
+    random_only = isinstance(provenance, int) and provenance == RANDOM
     if not random_only and np.any((table["provenance"] == PREDICTED) & (table["source_track_id"] < 0)):
         raise ValueError("predicted query requires source_track_id")
     conf = table["confidence"]

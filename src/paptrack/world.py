@@ -14,6 +14,8 @@ tracker's detections alike, from `sense` to the metrics.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,6 +86,39 @@ class ScenarioConfig:
             raise ConfigError("turn_fraction must be in [0, 1]")
         if not 0.0 <= self.partial_lifespan_fraction <= 1.0:
             raise ConfigError("partial_lifespan_fraction must be in [0, 1]")
+        if self.explicit_agents is not None:
+            if not isinstance(self.explicit_agents, list):
+                raise ConfigError("explicit_agents must be a list of objects")
+            for k, agent in enumerate(self.explicit_agents):
+                _check_explicit_agent(agent, f"explicit_agents[{k}]", self.frame_count)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
+
+
+def _check_explicit_agent(agent, where: str, frame_count: int) -> None:
+    """Raise `ConfigError` naming the field if `agent` is not a valid explicit agent spec."""
+    if not isinstance(agent, dict):
+        raise ConfigError(f"{where} must be an object")
+    for name in ("class", "start", "velocity"):
+        if name not in agent:
+            raise ConfigError(f"{where} lacks field {name!r}")
+    if agent["class"] not in CLASSES:
+        raise ConfigError(f"{where} field 'class' names unknown class {agent['class']!r}")
+    for name in ("start", "velocity"):
+        value = agent[name]
+        if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(_is_number(x) for x in value)):
+            raise ConfigError(f"{where} field {name!r} must be 2 finite numbers, got {value!r}")
+    if not _is_number(agent.get("turn_rate", 0.0)):
+        raise ConfigError(f"{where} field 'turn_rate' must be a finite number, got {agent['turn_rate']!r}")
+    spawn, despawn = agent.get("spawn", 0), agent.get("despawn", frame_count)
+    integral = all(isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_)) for x in (spawn, despawn))
+    if not (integral and 0 <= spawn < despawn <= frame_count):
+        raise ConfigError(
+            f"{where} fields 'spawn' and 'despawn' ({spawn!r}, {despawn!r}) must be integers with "
+            f"0 <= spawn < despawn <= frame_count ({frame_count})"
+        )
 
 
 @dataclass
@@ -183,17 +218,10 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     specs = []
     if cfg.explicit_agents is not None:
         # an explicit layout has a standing ego, whatever `ego_speed` says
-        for spec_agent in cfg.explicit_agents:
-            cls = spec_agent["class"]
-            if cls not in CLASSES:
-                raise ConfigError(f"explicit_agents contains unknown class {cls!r}")
-            spawn = int(spec_agent.get("spawn", 0))
-            despawn = int(spec_agent.get("despawn", fc))
-            if not 0 <= spawn < despawn <= fc:
-                raise ConfigError("explicit_agents spawn/despawn must satisfy 0 <= spawn < despawn <= frame_count")
-            turn_rate = float(spec_agent.get("turn_rate", 0.0))
+        for spec_agent in cfg.explicit_agents:  # each one checked by `cfg.validate`
             start, velocity = (np.asarray(spec_agent[name], dtype=float) for name in ("start", "velocity"))
-            specs.append((cls, start, velocity, spawn, despawn, turn_rate))
+            spawn, despawn = int(spec_agent.get("spawn", 0)), int(spec_agent.get("despawn", fc))
+            specs.append((spec_agent["class"], start, velocity, spawn, despawn, float(spec_agent.get("turn_rate", 0.0))))
     else:
         rng = stream(seed, "scenario")
         span = cfg.world_half_extent - cfg.spawn_margin
@@ -261,13 +289,18 @@ def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.G
     # rng.normal(0.0, sigma) is 0.0 + sigma * z, elementwise
     observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
     observed["score"] = scores
-    clutter["id"] = -1
-    for box in clutter:
-        r = sensor.detection_range * np.sqrt(rng.random())
-        theta = rng.random() * 2.0 * np.pi
-        box["center"] = ego_xy + r * np.array([np.cos(theta), np.sin(theta)])
-        box["cls"] = rng.integers(len(CLASSES))
-        box["score"] = rng.uniform(*sensor.clutter_score_range)
+    if len(clutter):
+        # each box draws its radius, angle, class and score, box by box; the math runs once over all boxes
+        lo, hi = sensor.clutter_score_range
+        boxes = np.array([(rng.random(), rng.random(), rng.integers(len(CLASSES)), rng.uniform(lo, hi)) for _ in range(len(clutter))])
+        r = sensor.detection_range * np.sqrt(boxes[:, 0])
+        theta = boxes[:, 1] * 2.0 * np.pi
+        center = clutter["center"]
+        center[:, 0] = ego_xy[0] + r * np.cos(theta)
+        center[:, 1] = ego_xy[1] + r * np.sin(theta)
+        clutter["id"] = -1
+        clutter["cls"] = boxes[:, 2]  # a class code, exact as a float
+        clutter["score"] = boxes[:, 3]
     return out
 
 

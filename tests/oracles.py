@@ -7,7 +7,10 @@ gate kernel is recomputed pair by pair.  `amota_amotp_loop_oracle` is the
 evaluation the package used before it matched all thresholds in one pass:
 one full CLEAR-MOT pass per threshold, pair by pair.
 `integrate_states_oracle` is the numpy loop the scenario generator used
-before it stepped in Python floats.
+before it stepped in Python floats.  `continue_deferred_oracle` is the
+track update as it was when deferred matches searched every row of the
+track table, and `sense_oracle` the sensor as it was when clutter was
+drawn one box at a time.
 """
 
 from __future__ import annotations
@@ -18,8 +21,12 @@ import json
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from paptrack.world import CLASS_INDEX, CLASSES, box_dtype
+
 CONTINUITY_EPS = 1e-9
 ANY_CLASS = -1
+PREDICTED = 1  # query provenance code
+TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)  # track status codes
 
 
 def gated_costs_loop(q_xy, q_cls, m_xy, m_cls, gate):
@@ -338,3 +345,142 @@ def forecast_oracle(frames, centers, velocities, horizon, dt, constant_turn):
         steps = np.arange(1, horizon + 1)[:, None]
         points[:] = c[None, :] + steps * dt * v[None, :]
     return points
+
+
+def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, params, dt, codec):
+    """`perception.update_tracks` with the deferred search over every row of the table.
+
+    Each deferred match gets a distance to every row, and the rows that are
+    terminated, already updated this frame or out of the gate are masked to
+    +inf before the argmin.
+    """
+    window = params.velocity_window
+    if tracks.dtype["frames"].shape[0] < window:
+        raise ValueError("track table keeps fewer states than velocity_window")
+    if len(tracks) and tracks["frames"][:, -1].max() >= frame:
+        raise ValueError("track state frames must be strictly increasing")
+    nq, nm = len(queries), len(measurements)
+    if not all(0 <= qi < nq and 0 <= mj < nm for qi, mj, _cost in assignment.matches):
+        raise ValueError("assignment references out-of-range indices")
+    pairs = np.array([(qi, mj) for qi, mj, _cost in assignment.matches], dtype=np.intp).reshape(-1, 2)
+    n = len(tracks)
+    raw = np.dtype((np.void, tracks.dtype.itemsize))
+    matched = np.asarray(queries)[pairs[:, 0]]
+    m_xy = measurements["center"][pairs[:, 1]]
+    live = tracks["status"] != TERMINATED
+
+    first, deferred = {}, []
+    is_live = live.tolist()
+    predicted = (matched["provenance"] == PREDICTED).tolist()
+    for i, row in enumerate((matched["source_track_id"] - 1).tolist()):
+        if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
+            first[row] = i
+        else:
+            deferred.append(i)
+    hit_rows = np.array(list(first), dtype=np.intp)
+    by_prediction = list(first.values())
+    xy = matched["embedding"][..., :2]
+    if not np.isfinite(xy).all():
+        raise ValueError("non-finite embedding values")
+    q_xy = (codec.scale * xy + np.asarray(codec.offset))[by_prediction]
+    hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
+
+    free = live.copy()
+    free[hit_rows] = False
+    diff = tracks["centers"][None, :, -1] - m_xy[deferred][:, None, :]
+    d = np.hypot(diff[..., 0], diff[..., 1])
+    d[~(free & (d <= params.gate_threshold))] = np.inf
+    continued, born = [], []
+    for k, i in enumerate(deferred):
+        j = int(d[k].argmin()) if n else 0
+        if n and d[k, j] < np.inf:
+            d[:, j] = np.inf
+            continued.append((j, i))
+        else:
+            born.append(i)
+    if continued:
+        more_rows, snapped = np.array(continued).T
+        hit_rows = np.concatenate([hit_rows, more_rows])
+        hit_centers = np.concatenate([hit_centers, m_xy[snapped]])
+
+    idle = free
+    idle[hit_rows] = False
+    idle_rows = idle.nonzero()[0]
+    coasting = tracks["misses"][idle_rows] < params.max_misses
+    rows = np.concatenate([hit_rows, idle_rows[coasting], idle_rows[~coasting]])
+    h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
+    sub = tracks.view(raw)[rows].view(tracks.dtype)
+
+    ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
+    span = (frame - sub["frames"][ref]) * dt
+    moved = hit_centers - sub["centers"][ref]
+    hit_velocities = moved / span[:, None] if dt > 0 else np.zeros_like(moved)
+
+    sub["hits"][:h] += 1
+    sub["misses"][:h] = 0
+    sub["ever_confirmed"][:h] |= sub["hits"][:h] >= params.confirm_threshold
+    sub["status"][:h] = np.where(sub["ever_confirmed"][:h], CONFIRMED, TENTATIVE)
+    sub["hits"][h:] = 0
+    sub["misses"][h:] += 1
+    sub["status"][h:c] = COASTING
+    sub["status"][c:] = TERMINATED
+
+    coast_v = sub["velocities"][h:c, -1]
+    centers = np.concatenate([hit_centers, sub["centers"][h:c, -1] + coast_v * dt])
+    velocities = np.concatenate([hit_velocities, coast_v])
+    for name, value in (("frames", frame), ("centers", centers), ("velocities", velocities), ("coasted", np.arange(c) >= h)):
+        history = sub[name]
+        history[:c, :-1] = history[:c, 1:]
+        history[:c, -1] = value
+    tracks.view(raw)[rows] = sub.view(raw)
+
+    if not born:
+        return tracks
+    tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
+    newborn = tracks[n:]
+    newborn["cls"] = measurements["cls"][pairs[born, 1]]
+    newborn["tail"] = matched["embedding"][born, 2:]
+    newborn["hits"] = 1
+    newborn["ever_confirmed"] = 1 >= params.confirm_threshold
+    newborn["status"] = np.where(newborn["ever_confirmed"], CONFIRMED, TENTATIVE)
+    newborn["frames"] = frame
+    newborn["centers"] = m_xy[born, None, :]
+    return tracks
+
+
+def sense_oracle(scenario, frame, sensor, rng):
+    """`world.sense` with the clutter boxes drawn and written one box at a time.
+
+    Makes the same generator calls in the same order, so it leaves the
+    generator in the same state.
+    """
+    if not 0 <= frame < scenario.frame_count:
+        raise IndexError(f"frame {frame} out of range [0, {scenario.frame_count})")
+    ego_xy = scenario.ego[frame, 0:2]
+    live = scenario.live_agents(frame)
+    pos = np.array([agent.states[frame - agent.spawn, 0:2] for agent in live], dtype=float).reshape(-1, 2)
+    seen, draws, scores = [], [], []
+    for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):
+        if dist > sensor.detection_range:
+            continue
+        if rng.random() < sensor.miss_probability:
+            continue
+        draws.append(rng.standard_normal(2))
+        frac = min(dist / sensor.detection_range, 1.0)
+        scores.append(sensor.score_near + (sensor.score_far - sensor.score_near) * frac)
+        seen.append(i)
+    out = np.zeros(len(seen) + int(rng.poisson(sensor.clutter_rate)), box_dtype)
+    out["frame"] = frame
+    observed, clutter = out[: len(seen)], out[len(seen) :]
+    observed["id"] = [live[i].agent_id for i in seen]
+    observed["cls"] = [CLASS_INDEX[live[i].cls] for i in seen]
+    observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
+    observed["score"] = scores
+    clutter["id"] = -1
+    for box in clutter:
+        r = sensor.detection_range * np.sqrt(rng.random())
+        theta = rng.random() * 2.0 * np.pi
+        box["center"] = ego_xy + r * np.array([np.cos(theta), np.sin(theta)])
+        box["cls"] = rng.integers(len(CLASSES))
+        box["score"] = rng.uniform(*sensor.clutter_score_range)
+    return out

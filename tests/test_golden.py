@@ -2,7 +2,9 @@
 
 Each case runs both shipped configs cut to 40 frames, seeds 1 and 2, both
 arms, with a debug dump, and compares the sha256 of the report JSON and of
-the dump with `tests/golden_digests.json`.  Wall time is the only part of
+the dump with `tests/golden_digests.json`.  Two more cases run a dense
+scene, perfbench's `crowd` workload cut to 80 frames (seed 1, both arms),
+whose track tables hold many terminated rows.  Wall time is the only part of
 a run that may differ between runs, so `counters.wall_seconds` and
 `counters.fps` are set to 0 in the report and in the dump's footer before
 hashing.  Each dump must also replay to its report.
@@ -32,7 +34,19 @@ CONFIGS = ("standard_suite", "standard_suite_reduced")
 SEEDS = (1, 2)
 ARMS = ("baseline", "pap")
 FRAMES = 40
-CASES = [f"{config}/seed{seed}/{arm}" for config in CONFIGS for seed in SEEDS for arm in ARMS]
+# perfbench's `crowd` workload: the standard suite with 60 agents, heavy clutter and 128 queries
+CROWD = {
+    "scenario": {
+        "world_half_extent": 40.0,
+        "class_counts": {"car": 20, "pedestrian": 16, "bicycle": 8, "bus": 4, "motor": 4, "trailer": 4, "truck": 4},
+    },
+    "sensor": {"clutter_rate": 8.0},
+    "policy": {"n_queries": 128},
+}
+CROWD_FRAMES = 80
+CASES = [f"{config}/seed{seed}/{arm}" for config in CONFIGS for seed in SEEDS for arm in ARMS] + [
+    f"crowd/seed1/{arm}" for arm in ARMS
+]
 
 
 def _untimed(counters: dict) -> dict:
@@ -42,8 +56,11 @@ def _untimed(counters: dict) -> dict:
 def run_case(case: str, tmp: Path) -> tuple[dict, dict, Path]:
     """One case's (digests, report, dump path)."""
     config, seed, arm = case.split("/")
-    cfg = config_from_dict(json.loads((ROOT / "configs" / f"{config}.json").read_text(encoding="utf-8")))
-    cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=FRAMES)
+    doc = json.loads((ROOT / "configs" / f"{'standard_suite' if config == 'crowd' else config}.json").read_text(encoding="utf-8"))
+    for section, values in (CROWD if config == "crowd" else {}).items():
+        doc[section].update(values)
+    cfg = config_from_dict(doc)
+    cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=CROWD_FRAMES if config == "crowd" else FRAMES)
     dump = tmp / f"{config}_{seed}_{arm}.jsonl"
     rho = 0.0 if arm == "baseline" else cfg.policy.rho
     report = run_single(cfg, int(seed.removeprefix("seed")), rho=rho, arm=arm, dump_path=dump)

@@ -437,6 +437,45 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
 
 
+GOOD_AGENT = {"class": "car", "start": [0.0, 0.0], "velocity": [1.0, 0.0]}
+
+
+@pytest.mark.parametrize(
+    "agent, message",
+    [
+        ("car", "explicit_agents[1] must be an object"),
+        ({"start": [0.0, 0.0], "velocity": [1.0, 0.0]}, "explicit_agents[1] lacks field 'class'"),
+        ({"class": "car", "velocity": [1.0, 0.0]}, "explicit_agents[1] lacks field 'start'"),
+        ({"class": "car", "start": [0.0, 0.0]}, "explicit_agents[1] lacks field 'velocity'"),
+        ({**GOOD_AGENT, "start": [0.0]}, "field 'start' must be 2 finite numbers"),
+        ({**GOOD_AGENT, "start": [0.0, "1"]}, "field 'start' must be 2 finite numbers"),
+        ({**GOOD_AGENT, "start": 3.0}, "field 'start' must be 2 finite numbers"),
+        ({**GOOD_AGENT, "velocity": [float("nan"), 0.0]}, "field 'velocity' must be 2 finite numbers"),
+        ({**GOOD_AGENT, "velocity": [float("inf"), 0.0]}, "field 'velocity' must be 2 finite numbers"),
+        ({**GOOD_AGENT, "velocity": [True, 0.0]}, "field 'velocity' must be 2 finite numbers"),
+        ({**GOOD_AGENT, "class": "dragon"}, "field 'class' names unknown class 'dragon'"),
+        ({**GOOD_AGENT, "turn_rate": "fast"}, "field 'turn_rate' must be a finite number"),
+        ({**GOOD_AGENT, "spawn": 5, "despawn": 5}, "fields 'spawn' and 'despawn' (5, 5)"),
+        ({**GOOD_AGENT, "spawn": -1}, "fields 'spawn' and 'despawn' (-1, 40)"),
+        ({**GOOD_AGENT, "despawn": 41}, "fields 'spawn' and 'despawn' (0, 41)"),
+        ({**GOOD_AGENT, "spawn": 1.5}, "fields 'spawn' and 'despawn' (1.5, 40)"),
+    ],
+    ids=["not_object", "no_class", "no_start", "no_velocity", "start_short", "start_str", "start_scalar", "velocity_nan",
+         "velocity_inf", "velocity_bool", "unknown_class", "turn_rate_str", "empty_lifespan", "spawn_negative",
+         "despawn_late", "spawn_float"],
+)
+def test_cli_bad_explicit_agent_exits_2_naming_the_field(tmp_path, capsys, agent, message):
+    doc = config_to_dict(small_config(seeds=(1,)))
+    doc["scenario"]["explicit_agents"] = [GOOD_AGENT, agent]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    for command in ("generate", "run"):
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_program_fault_is_not_a_config_error(tmp_path, capsys, monkeypatch):
     def fault(*args, **kwargs):
         raise ValueError("internal fault")

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from paptrack.perception import (
     COASTING,
     CONFIRMED,
     TENTATIVE,
     TERMINATED,
+    Assignment,
     PerceptionParams,
     QueryAssemblyPolicy,
     apply_predicted_priority,
@@ -22,7 +25,7 @@ from paptrack.queries import PREDICTED, RANDOM, CodecConfig, QueryBank, decode_r
 from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX
 
-from oracles import brute_force_assignment
+from oracles import brute_force_assignment, continue_deferred_oracle
 from tables import boxes, centers, track_table
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
@@ -307,14 +310,95 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
     qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2), np.zeros(14), CODEC)])
     ms = boxes(meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1))
     params = PerceptionParams()
-    from paptrack.perception import Assignment
-
     out = update_tracks(tracks, Assignment([(0, 0, 0.1), (1, 1, 0.0)], [], []), qs, ms, 1, params, 0.1, CODEC)
     assert len(out) == 4  # no birth: the random match continued track 1
     assert out["frames"][:, -1].tolist() == [1, 1, 1, 0]
     assert out["coasted"][:, -1].tolist() == [False, False, True, False]
     assert out["status"].tolist() == [CONFIRMED, CONFIRMED, COASTING, TERMINATED]
     assert np.array_equal(centers(out)[0], [0.0, 0.0])  # snapped to the measurement
+
+
+def random_query(center):
+    return embed_center(np.asarray(center, dtype=float), np.ones(14), CODEC)
+
+
+def update_case(rows, queries, points, params=PerceptionParams()):
+    """(tracks, queries, measurements, matches, params): query i is matched to measurement i at frame 3."""
+    return track_table(*rows), table(queries), boxes(*[meas(xy, frame=3) for xy in points]), [(i, i, 0.0) for i in range(len(queries))], params
+
+
+LIVE = (TENTATIVE, CONFIRMED, COASTING)
+GRID = st.integers(-4, 4).map(lambda k: 0.5 * k)  # on a half-meter grid, distances tie exactly
+POINT = st.tuples(GRID, GRID)
+
+
+@st.composite
+def update_cases(draw):
+    """A track table of up to 10 rows and one frame's matches (some of stale or repeated predicted queries)."""
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        frames = sorted(draw(st.sets(st.integers(0, 2), min_size=1)))
+        states = [(f, draw(POINT), draw(POINT), draw(st.booleans()) and k > 0) for k, f in enumerate(frames)]
+        status = draw(st.sampled_from(LIVE + (TERMINATED,)))
+        rows.append(dict(states=states, status=status, hits=draw(st.integers(0, 3)), misses=draw(st.integers(0, 4)), tail=np.full(14, len(rows))))
+    points = draw(st.lists(POINT, max_size=8))
+    queries = [
+        predicted_query(draw(st.integers(1, len(rows) + 2)), draw(POINT)) if draw(st.booleans()) else random_query(draw(POINT))
+        for _ in points
+    ]
+    params = PerceptionParams(
+        gate_threshold=draw(st.sampled_from([1.0, 1.5, 3.0])),
+        max_misses=draw(st.integers(0, 3)),
+        confirm_threshold=draw(st.integers(1, 3)),
+        velocity_window=draw(st.integers(1, 5)),
+    )
+    return update_case(rows, queries, points, params)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=update_cases())
+# terminated rows nearer to the deferred match than any live row
+@example(case=update_case([dict(center=(0.0, 0.0), status=TERMINATED)] * 8 + [dict(center=(2.0, 0.0)), dict(center=(1.5, 0.5))], [random_query((0.0, 0.0))], [(0.0, 0.0)]))
+# the nearest row was just hit by its own predicted query
+@example(case=update_case([dict(center=(0.0, 0.0)), dict(center=(1.5, 0.0))], [predicted_query(1, (0.0, 0.0)), random_query((0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]))
+# exact ties between live rows with gaps in id: the lowest free id wins each time
+@example(
+    case=update_case(
+        [dict(center=(0.0, 0.0), status=TERMINATED), dict(center=(-1.0, 0.0)), dict(center=(0.0, 0.0), status=TERMINATED),
+         dict(center=(0.5, 0.5), status=TERMINATED), dict(center=(1.0, 0.0), status=COASTING, misses=1), dict(center=(0.0, 1.0))],
+        [random_query((0.0, 0.0)), random_query((0.0, 0.0)), random_query((0.0, 0.0))],
+        [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
+    )
+)
+# no live rows: every deferred match is born
+@example(case=update_case([], [random_query((0.0, 0.0)), predicted_query(3, (1.0, 1.0))], [(0.0, 0.0), (1.0, 1.0)]))
+# no deferred matches: hits, a coasting row and a row that terminates
+@example(
+    case=update_case(
+        [dict(center=(0.0, 0.0)), dict(center=(1.0, 0.0), misses=1), dict(center=(2.0, 0.0), misses=3), dict(center=(3.0, 0.0))],
+        [predicted_query(1, (0.0, 0.0)), predicted_query(4, (3.0, 0.0))],
+        [(0.5, 0.0), (3.0, 0.5)],
+    )
+)
+# every row terminated
+@example(case=update_case([dict(center=(0.0, 0.0), status=TERMINATED)] * 4, [random_query((0.0, 0.0)), predicted_query(2, (0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]))
+def test_update_tracks_equals_all_rows_oracle_byte_for_byte(case):
+    tracks, queries, measurements, matches, params = case
+    assignment = Assignment(matches, [], [])
+    want = continue_deferred_oracle(tracks.copy(), assignment, queries, measurements, 3, params, 0.1, CODEC)
+    got = update_tracks(tracks.copy(), assignment, queries, measurements, 3, params, 0.1, CODEC)
+    assert got.dtype == want.dtype and len(got) == len(want)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_associate_returns_matches_in_query_order():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        nq, nm = (int(k) for k in rng.integers(1, 12, size=2))
+        costs = rng.uniform(0, 10, size=(nq, nm))
+        costs[rng.random(size=(nq, nm)) < 0.3] = np.inf
+        rows = [m[0] for m in associate(costs).matches]
+        assert rows == sorted(set(rows))
 
 
 # ---------------------------------------------------------------------------

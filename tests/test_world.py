@@ -17,7 +17,7 @@ from paptrack.world import (
     sense,
 )
 
-from oracles import integrate_states_oracle, reintegrate
+from oracles import integrate_states_oracle, reintegrate, sense_oracle
 
 
 def single_car_config(frame_count=10, dt=0.5):
@@ -182,6 +182,20 @@ def test_sense_deterministic_given_stream():
     b = sense(scn, 0, sensor, stream(2, "sensor"))
     assert len(a) == len(b)
     assert np.array_equal(a, b)  # every column, score included
+
+
+@pytest.mark.parametrize("clutter_rate", [0.0, 0.5, 8.0, 50.0])
+@pytest.mark.parametrize("miss_probability", [0.0, 1.0])
+def test_sense_equals_per_box_clutter_oracle_byte_for_byte(clutter_rate, miss_probability):
+    sensor = SensorConfig(miss_probability=miss_probability, clutter_rate=clutter_rate)
+    for seed in (1, 2, 3):
+        scn = generate_scenario(ScenarioConfig(frame_count=30, dt=0.1, ego_speed=1.5), seed)
+        got_rng, want_rng = stream(seed, "sensor"), stream(seed, "sensor")
+        for frame in (0, 1, 7, 18, 29):
+            got, want = sense(scn, frame, sensor, got_rng), sense_oracle(scn, frame, sensor, want_rng)
+            assert got.dtype == want.dtype and len(got) == len(want)
+            assert got.tobytes() == want.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def test_scenario_json_round_trip_lossless():
