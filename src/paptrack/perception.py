@@ -23,7 +23,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from paptrack.kernels import gated_costs
-from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center
+from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
 from paptrack.world import ConfigError, box_dtype
 
 # track status codes; STATUS_NAMES[code] is the name a dump records
@@ -66,11 +66,15 @@ class PerceptionParams:
             raise ConfigError("alpha must be in [0, 1]")
 
 
+# one match of an assignment: query row, measurement row and their cost
+match_dtype = np.dtype([("query", np.intp), ("measurement", np.intp), ("cost", np.float64)])
+
+
 @dataclass
 class Assignment:
-    matches: list[tuple[int, int, float]]
-    unmatched_queries: list[int]
-    unmatched_measurements: list[int]
+    matches: np.ndarray  # match_dtype rows, in query order
+    unmatched_queries: np.ndarray  # query rows, ascending
+    unmatched_measurements: np.ndarray  # measurement rows, ascending
 
 
 @functools.cache
@@ -108,7 +112,7 @@ def track_confidence(hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
 class FrameResult:
     tracks: np.ndarray
     detections: np.ndarray  # box table: id is the track id, score the confidence
-    queries: np.recarray
+    queries: np.ndarray
     assignment: Assignment
     stats: dict
 
@@ -120,18 +124,22 @@ def assemble_queries(
     codec: CodecConfig,
     world_half_extent: float,
     rng: np.random.Generator,
-) -> np.recarray:
+) -> np.ndarray:
     """Frame-T query table: recycled predicted queries, then fresh random ones.
 
     Predicted queries come from the bank entry at T-1, highest source-track
-    confidence first (ties by track id, then horizon step).  At T=0 the
-    bank is never consulted and the table is all-random; likewise rho=0 is
-    the open-loop baseline.
+    confidence first (ties by track id, then horizon step).  The bank is
+    consulted only when the policy can take a banked query: never at T=0,
+    nor when floor(rho * N) is 0, as for rho=0, the open-loop baseline;
+    the table is then all-random.
     """
     policy.validate()
-    predicted = np.asarray(bank.fetch(frame - 1))  # a plain array: recarray field access is slow
-    k = min(len(predicted), math.floor(policy.rho * policy.n_queries)) if frame > 0 else 0
-    order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
+    k = math.floor(policy.rho * policy.n_queries) if frame > 0 else 0
+    if k:
+        predicted = bank.fetch(frame - 1)
+        if predicted.dtype != query_dtype(codec.dim):
+            raise ValueError(f"banked queries have dtype {predicted.dtype}, expected {query_dtype(codec.dim)}")
+        k = min(len(predicted), k)
     if policy.mode == "fixed":
         n_random = policy.n_queries - k
     else:
@@ -139,15 +147,16 @@ def assemble_queries(
     centers = rng.uniform(-world_half_extent, world_half_extent, size=(n_random, 2))
     tails = rng.standard_normal(size=(n_random, codec.dim - 2))
     randoms = embed_center(centers, tails, codec)
-    if predicted.dtype != randoms.dtype:
-        raise ValueError(f"banked queries have dtype {predicted.dtype}, expected {randoms.dtype}")
-    # joined as raw bytes: numpy copies structured rows field by field, several times slower
+    if not k:
+        return randoms
+    order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
+    # gathered and joined as raw bytes: numpy copies structured rows field by field, several times slower
     raw = np.dtype((np.void, randoms.dtype.itemsize))
-    return np.concatenate([predicted[order[:k]].view(raw), randoms.view(raw)]).view(randoms.dtype).view(np.recarray)
+    return np.concatenate([predicted.view(raw)[order[:k]], randoms.view(raw)]).view(randoms.dtype)
 
 
 def gate_costs(
-    queries: np.recarray,
+    queries: np.ndarray,
     measurements: np.ndarray,
     gate_threshold: float,
     codec: CodecConfig,
@@ -161,15 +170,14 @@ def gate_costs(
     nq, nm = len(queries), len(measurements)
     if nq == 0 or nm == 0:
         return np.full((nq, nm), np.inf), 0
-    table = np.asarray(queries)
-    q_xy = decode_reference(table, codec)
-    return gated_costs(q_xy, table["cls"], measurements["center"], measurements["cls"], gate_threshold)
+    q_xy = decode_reference(queries, codec)
+    return gated_costs(q_xy, queries["cls"], measurements["center"], measurements["cls"], gate_threshold)
 
 
-def apply_predicted_priority(costs: np.ndarray, queries: np.recarray, eps: float) -> np.ndarray:
+def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray, eps: float) -> np.ndarray:
     """Break cost ties in favor of predicted queries by subtracting `eps`."""
     out = costs.copy()
-    where = (np.asarray(queries)["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
+    where = (queries["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
     np.copyto(out, np.maximum(costs - eps, 0.0), where=where)
     return out
 
@@ -179,26 +187,23 @@ def associate(costs: np.ndarray) -> Assignment:
     nq, nm = costs.shape
     finite = np.isfinite(costs)
     if nq == 0 or nm == 0 or not finite.any():
-        return Assignment([], list(range(nq)), list(range(nm)))
+        return Assignment(np.zeros(0, match_dtype), np.arange(nq), np.arange(nm))
     rows, cols = linear_sum_assignment(np.where(finite, costs, _BIG))
     keep = finite[rows, cols]
     rows, cols = rows[keep], cols[keep]
-    matches = list(zip(rows.tolist(), cols.tolist(), costs[rows, cols].tolist()))  # scipy sorts `rows`: query order
+    matches = np.empty(len(rows), match_dtype)  # scipy sorts `rows`: query order
+    matches["query"], matches["measurement"], matches["cost"] = rows, cols, costs[rows, cols]
     free_q = np.ones(nq, dtype=bool)
     free_q[rows] = False
     free_m = np.ones(nm, dtype=bool)
     free_m[cols] = False
-    return Assignment(
-        matches=matches,
-        unmatched_queries=np.flatnonzero(free_q).tolist(),
-        unmatched_measurements=np.flatnonzero(free_m).tolist(),
-    )
+    return Assignment(matches, np.flatnonzero(free_q), np.flatnonzero(free_m))
 
 
 def update_tracks(
     tracks: np.ndarray,
     assignment: Assignment,
-    queries: np.recarray,
+    queries: np.ndarray,
     measurements: np.ndarray,
     frame: int,
     params: PerceptionParams,
@@ -224,30 +229,27 @@ def update_tracks(
         raise ValueError("track table keeps fewer states than velocity_window")
     if len(tracks) and tracks["frames"][:, -1].max() >= frame:
         raise ValueError("track state frames must be strictly increasing")
-    nq, nm = len(queries), len(measurements)
-    if not all(0 <= qi < nq and 0 <= mj < nm for qi, mj, _cost in assignment.matches):
+    q_idx, m_idx = assignment.matches["query"], assignment.matches["measurement"]
+    if not (((0 <= q_idx) & (q_idx < len(queries))).all() and ((0 <= m_idx) & (m_idx < len(measurements))).all()):
         raise ValueError("assignment references out-of-range indices")
-    pairs = np.array([(qi, mj) for qi, mj, _cost in assignment.matches], dtype=np.intp).reshape(-1, 2)
     n = len(tracks)
     # rows are gathered and scattered as raw bytes: numpy copies structured rows field by field, several times slower
     raw = np.dtype((np.void, tracks.dtype.itemsize))
-    table = np.asarray(queries)  # a plain array: recarray field access is slow
-    q_idx = pairs[:, 0]
-    m_xy = measurements["center"][pairs[:, 1]]
+    m_xy = measurements["center"][m_idx]
     live = tracks["status"] != TERMINATED
 
     # a predicted match updates its live source track; the first one in match order wins
     first, deferred = {}, []  # source row -> its match; the other matches
     is_live = live.tolist()
-    predicted = (table["provenance"][q_idx] == PREDICTED).tolist()
-    for i, row in enumerate((table["source_track_id"][q_idx] - 1).tolist()):
+    predicted = (queries["provenance"][q_idx] == PREDICTED).tolist()
+    for i, row in enumerate((queries["source_track_id"][q_idx] - 1).tolist()):
         if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
             first[row] = i
         else:
             deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
     hit_rows = np.array(list(first), dtype=np.intp)
     by_prediction = list(first.values())
-    q_xy = codec.scale * table["embedding"][q_idx[by_prediction], :2] + np.asarray(codec.offset)  # decode_reference's map
+    q_xy = codec.scale * queries["embedding"][q_idx[by_prediction], :2] + np.asarray(codec.offset)  # decode_reference's map
     hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
 
     # the rest continue the nearest free live track in the gate, greedily in match order, else are born
@@ -319,8 +321,8 @@ def update_tracks(
         return tracks
     tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
     newborn = tracks[n:]
-    newborn["cls"] = measurements["cls"][pairs[born, 1]]
-    newborn["tail"] = table["embedding"][q_idx[born], 2:]
+    newborn["cls"] = measurements["cls"][m_idx[born]]
+    newborn["tail"] = queries["embedding"][q_idx[born], 2:]
     newborn["hits"] = 1
     newborn["ever_confirmed"] = 1 >= params.confirm_threshold
     newborn["status"] = np.where(newborn["ever_confirmed"], CONFIRMED, TENTATIVE)
@@ -359,6 +361,6 @@ def perceive(
         "cost_evaluations": n_eval,
         "query_refinements": len(queries),
         "n_queries": len(queries),
-        "n_predicted": int(np.count_nonzero(np.asarray(queries)["provenance"] == PREDICTED)),
+        "n_predicted": int(np.count_nonzero(queries["provenance"] == PREDICTED)),
     }
     return FrameResult(tracks=tracks, detections=detections, queries=queries, assignment=assignment, stats=stats)

@@ -4,7 +4,7 @@ A query is an embedding vector whose first two slots encode a BEV center
 hypothesis through a fixed invertible affine map (decode: ``c = A x + b``
 with ``A = scale * I``); the remaining slots are a feature tail that
 carries track identity across frames.  A batch of queries is one query
-table: an ``np.recarray`` of :func:`query_dtype`, one row per query.
+table: a structured array of :func:`query_dtype`, one row per query.
 Predicted queries produced at time T are kept in a time-indexed bank and
 consumed by perception at T+1.
 """
@@ -41,8 +41,12 @@ class CodecConfig:
 
 @functools.cache
 def query_dtype(dim: int) -> np.dtype:
-    """Row type of a query table whose embeddings have `dim` slots."""
-    return np.dtype(
+    """Row type of a query table whose embeddings have `dim` slots.
+
+    A record dtype: a table's columns are plain arrays, and one row, an
+    ``np.record``, also reads its fields as attributes (``row.provenance``).
+    """
+    fields = np.dtype(
         [
             ("embedding", np.float64, (dim,)),
             ("provenance", np.int8),  # RANDOM or PREDICTED
@@ -52,12 +56,7 @@ def query_dtype(dim: int) -> np.dtype:
             ("confidence", np.float64),
         ]
     )
-
-
-@functools.cache
-def _record_dtype(dim: int) -> np.dtype:
-    # a query table's dtype as a recarray holds it; viewing a plain structured array as one converts it, slowly
-    return np.dtype((np.record, query_dtype(dim)))
+    return np.dtype((np.record, fields))
 
 
 def decode_reference(queries, codec: CodecConfig) -> np.ndarray:
@@ -81,7 +80,7 @@ def embed_center(
     horizon_step=0,
     cls=ANY_CLASS,
     confidence=1.0,
-) -> np.recarray:
+) -> np.ndarray:
     """Inverse of :func:`decode_reference`: one table row per center.
 
     `centers` is ``(n, 2)`` and `tails` ``(n, dim - 2)``; a single ``(2,)``
@@ -95,7 +94,7 @@ def embed_center(
         raise ValueError(f"centers have shape {centers.shape}, expected (n, 2)")
     if tails.shape != (n, codec.dim - 2):
         raise ValueError(f"tails have shape {tails.shape}, expected ({n}, {codec.dim - 2})")
-    table = np.empty(n, dtype=_record_dtype(codec.dim))  # filled as a plain array, which is faster
+    table = np.empty(n, dtype=query_dtype(codec.dim))
     emb = table["embedding"]
     emb[:, :2] = (centers - np.asarray(codec.offset)) / codec.scale
     emb[:, 2:] = tails
@@ -111,7 +110,7 @@ def embed_center(
     conf = table["confidence"]
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("confidence must be in [0, 1]")
-    return table.view(np.recarray)
+    return table
 
 
 @dataclass
@@ -119,25 +118,28 @@ class QueryBank:
     """Time-indexed store of predicted queries, one table per frame.
 
     Holds at most `capacity` time indices; storing beyond capacity evicts
-    the smallest index.  Fetching an absent index returns an empty table
-    of `dim`-slot queries.
+    the smallest index.  A stored table is kept as a read-only view, which
+    `fetch` returns without a copy.  Fetching an absent index returns an
+    empty table of `dim`-slot queries.
     """
 
     capacity: int = 4
     dim: int = 16
-    entries: dict[int, np.recarray] = field(default_factory=dict)
+    entries: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("bank capacity must be >= 1")
 
-    def store(self, t: int, queries: np.recarray) -> None:
-        if np.any(np.asarray(queries)["provenance"] != PREDICTED):
+    def store(self, t: int, queries: np.ndarray) -> None:
+        if np.any(queries["provenance"] != PREDICTED):
             raise ValueError("bank accepts only predicted-provenance queries")
-        self.entries[int(t)] = queries
+        view = queries.view()
+        view.flags.writeable = False
+        self.entries[int(t)] = view
         while len(self.entries) > self.capacity:
             del self.entries[min(self.entries)]
 
-    def fetch(self, t: int) -> np.recarray:
+    def fetch(self, t: int) -> np.ndarray:
         found = self.entries.get(int(t))
-        return np.empty(0, _record_dtype(self.dim)).view(np.recarray) if found is None else found.copy()
+        return np.empty(0, query_dtype(self.dim)) if found is None else found

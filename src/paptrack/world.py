@@ -166,14 +166,6 @@ class AgentTrack:
     model: str = "constant_velocity"
     turn_rate: float = 0.0
 
-    def alive_at(self, frame: int) -> bool:
-        return self.spawn <= frame < self.despawn
-
-    def state_at(self, frame: int) -> np.ndarray:
-        if not self.alive_at(frame):
-            raise IndexError(f"agent {self.agent_id} not alive at frame {frame}")
-        return self.states[frame - self.spawn]
-
 
 @dataclass
 class Scenario:
@@ -183,9 +175,6 @@ class Scenario:
     seed: int
     agents: list[AgentTrack]
     ego: np.ndarray  # (frame_count, 3): x, y, yaw
-
-    def live_agents(self, frame: int) -> list[AgentTrack]:
-        return [a for a in self.agents if a.alive_at(frame)]
 
 
 def integrate_states(x0: np.ndarray, v0: np.ndarray, n: int, dt: float, turn_rate: float) -> np.ndarray:
@@ -259,18 +248,31 @@ def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     return Scenario(scenario_id=f"scn-{seed}", dt=cfg.dt, frame_count=fc, seed=int(seed), agents=agents, ego=ego)
 
 
-def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.Generator) -> np.ndarray:
+def scenario_ground_truth(scenario: Scenario) -> np.ndarray:
+    """Every agent's box in every frame it lives, as a box table sorted by frame (agent order within one)."""
+    agents = scenario.agents
+    if not agents:
+        return np.zeros(0, box_dtype)
+    lengths = [a.despawn - a.spawn for a in agents]
+    gt = np.zeros(sum(lengths), box_dtype)
+    gt["frame"] = np.concatenate([np.arange(a.spawn, a.despawn) for a in agents])
+    gt["id"] = np.repeat([a.agent_id for a in agents], lengths)
+    gt["cls"] = np.repeat([CLASS_INDEX[a.cls] for a in agents], lengths)
+    gt["center"] = np.concatenate([a.states[:, 0:2] for a in agents])
+    gt = gt[(gt["frame"] >= 0) & (gt["frame"] < scenario.frame_count)]  # a loaded scenario may outlast frame_count
+    return gt[np.argsort(gt["frame"], kind="stable")]
+
+
+def sense(truth: np.ndarray, frame: int, ego_xy: np.ndarray, sensor: SensorConfig, rng: np.random.Generator) -> np.ndarray:
     """Noisy observation of one frame, as a box table.
 
-    Output order is deterministic: live agents in id order, then clutter
-    (id -1).
+    `truth` is the frame's ground-truth rows, the frame's slice of
+    :func:`scenario_ground_truth`, and `ego_xy` the ego position.  Output
+    order is deterministic: the observed truth rows in their order, then
+    clutter (id -1).
     """
-    if not 0 <= frame < scenario.frame_count:
-        raise IndexError(f"frame {frame} out of range [0, {scenario.frame_count})")
     sensor.validate()
-    ego_xy = scenario.ego[frame, 0:2]
-    live = scenario.live_agents(frame)
-    pos = np.array([agent.states[frame - agent.spawn, 0:2] for agent in live], dtype=float).reshape(-1, 2)
+    pos = truth["center"]
     seen, draws, scores = [], [], []
     for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):
         if dist > sensor.detection_range:
@@ -284,8 +286,8 @@ def sense(scenario: Scenario, frame: int, sensor: SensorConfig, rng: np.random.G
     out = np.zeros(len(seen) + int(rng.poisson(sensor.clutter_rate)), box_dtype)
     out["frame"] = frame
     observed, clutter = out[: len(seen)], out[len(seen) :]
-    observed["id"] = [live[i].agent_id for i in seen]
-    observed["cls"] = [CLASS_INDEX[live[i].cls] for i in seen]
+    observed["id"] = truth["id"][seen]
+    observed["cls"] = truth["cls"][seen]
     # rng.normal(0.0, sigma) is 0.0 + sigma * z, elementwise
     observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
     observed["score"] = scores

@@ -457,7 +457,7 @@ def sense_oracle(scenario, frame, sensor, rng):
     if not 0 <= frame < scenario.frame_count:
         raise IndexError(f"frame {frame} out of range [0, {scenario.frame_count})")
     ego_xy = scenario.ego[frame, 0:2]
-    live = scenario.live_agents(frame)
+    live = [agent for agent in scenario.agents if agent.spawn <= frame < agent.despawn]
     pos = np.array([agent.states[frame - agent.spawn, 0:2] for agent in live], dtype=float).reshape(-1, 2)
     seen, draws, scores = [], [], []
     for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):

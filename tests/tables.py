@@ -1,11 +1,11 @@
-"""Track and box tables built by hand for tests."""
+"""Track and box tables built by hand for tests, and one frame of a scenario's sensor."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from paptrack.perception import CONFIRMED, TENTATIVE, track_dtype
-from paptrack.world import CLASS_INDEX, box_dtype
+from paptrack.world import CLASS_INDEX, box_dtype, scenario_ground_truth, sense
 
 
 def track_table(*rows: dict, dim: int = 16, velocity_window: int = 5) -> np.ndarray:
@@ -44,3 +44,9 @@ def centers(tracks: np.ndarray) -> np.ndarray:
 def boxes(*rows) -> np.ndarray:
     """A box table with one row per ``(frame, id, class name, center, score)``."""
     return np.array([(frame, id_, CLASS_INDEX[cls], center, score) for frame, id_, cls, center, score in rows], dtype=box_dtype)
+
+
+def sense_frame(scenario, frame: int, sensor, rng) -> np.ndarray:
+    """`world.sense` of one frame of `scenario`, from the frame's ground-truth rows."""
+    gt = scenario_ground_truth(scenario)
+    return sense(gt[gt["frame"] == frame], frame, scenario.ego[frame, 0:2], sensor, rng)

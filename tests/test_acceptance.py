@@ -22,7 +22,7 @@ from paptrack.queries import CodecConfig, decode_reference, embed_center
 from paptrack.world import generate_scenario
 
 from oracles import amota_amotp_oracle, brute_force_assignment
-from tables import boxes
+from tables import boxes, sense_frame
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -175,8 +175,8 @@ def test_criterion_4_perfect_tracker_identities(standard_suite):
         scenario = generate_scenario(cfg.scenario, seed)
         gt, hyps = [], []
         for frame in range(scenario.frame_count):
-            for agent in scenario.live_agents(frame):
-                c = agent.state_at(frame)[0:2]
+            for agent in (a for a in scenario.agents if a.spawn <= frame < a.despawn):
+                c = agent.states[frame - agent.spawn, 0:2]
                 gt.append((frame, agent.agent_id, agent.cls, c.copy(), 0.0))
                 hyps.append((frame, 1000 + agent.agent_id, agent.cls, c.copy(), 0.9))
         per_class = evaluate_run(boxes(*gt), boxes(*hyps), n_recall_points=cfg.metrics.n_recall_points)
@@ -197,7 +197,7 @@ def test_criterion_5_assignment_optimality():
         costs = rng.uniform(0, 10, size=(nq, nm))
         costs[rng.random(size=(nq, nm)) < 0.15] = np.inf
         a = associate(costs)
-        total = sum(m[2] for m in a.matches)
+        total = a.matches["cost"].sum()
         oracle_total, oracle_pairs = brute_force_assignment(costs)
         n += 1
         if len(a.matches) != len(oracle_pairs) or abs(total - oracle_total) > 1e-9:
@@ -222,7 +222,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     from paptrack.prediction import PredictorConfig, predict_and_store
     from paptrack.queries import QueryBank
     from paptrack.rng import stream
-    from paptrack.world import ScenarioConfig, SensorConfig, sense
+    from paptrack.world import ScenarioConfig, SensorConfig
 
     scn_cfg = ScenarioConfig(
         frame_count=10,
@@ -240,7 +240,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     sensor_rng = stream(6, "sensor")
     query_rng = stream(6, "queries")
     for frame in range(10):
-        ms = sense(scenario, frame, sensor, sensor_rng)
+        ms = sense_frame(scenario, frame, sensor, sensor_rng)
         result = perceive(
             ms, bank, tracks, QueryAssemblyPolicy(n_queries=300, rho=0.8), params,
             loop_codec, 10.0, query_rng, frame, 0.1,
@@ -256,7 +256,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     loop_err = 0.0
     if loop_ok:
         for d in detections:
-            loop_err = max(loop_err, float(np.max(np.abs(d["center"] - agent.state_at(d["frame"])[0:2]))))
+            loop_err = max(loop_err, float(np.max(np.abs(d["center"] - agent.states[d["frame"] - agent.spawn, 0:2]))))
         loop_ok = loop_err < 1e-9
 
     ok = round_trip_ok and loop_ok

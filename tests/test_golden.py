@@ -4,7 +4,12 @@ Each case runs both shipped configs cut to 40 frames, seeds 1 and 2, both
 arms, with a debug dump, and compares the sha256 of the report JSON and of
 the dump with `tests/golden_digests.json`.  Two more cases run a dense
 scene, perfbench's `crowd` workload cut to 80 frames (seed 1, both arms),
-whose track tables hold many terminated rows.  Wall time is the only part of
+whose track tables hold many terminated rows.  Three degenerate scenes, each
+the standard suite cut to 40 frames (seed 1, both arms), pin the empty and
+one-row paths: `no_agents` (every frame all clutter), `empty_frames`
+(`miss_probability` 1 and `clutter_rate` 0, so every frame is empty) and
+`one_query` (`n_queries` 1 and `rho` 1, so the pap arm's one query is
+recycled whenever the bank holds one).  Wall time is the only part of
 a run that may differ between runs, so `counters.wall_seconds` and
 `counters.fps` are set to 0 in the report and in the dump's footer before
 hashing.  Each dump must also replay to its report.
@@ -44,8 +49,15 @@ CROWD = {
     "policy": {"n_queries": 128},
 }
 CROWD_FRAMES = 80
+# degenerate scenes: overrides of the standard suite, run on FRAMES frames
+DEGENERATE = {
+    "no_agents": {"scenario": {"class_counts": {}}},
+    "empty_frames": {"sensor": {"miss_probability": 1.0, "clutter_rate": 0.0}},
+    "one_query": {"policy": {"n_queries": 1, "rho": 1.0}},  # rho 1: the pap arm's one query is a banked one
+}
+OVERRIDES = {"crowd": CROWD, **DEGENERATE}
 CASES = [f"{config}/seed{seed}/{arm}" for config in CONFIGS for seed in SEEDS for arm in ARMS] + [
-    f"crowd/seed1/{arm}" for arm in ARMS
+    f"{scene}/seed1/{arm}" for scene in OVERRIDES for arm in ARMS
 ]
 
 
@@ -56,8 +68,8 @@ def _untimed(counters: dict) -> dict:
 def run_case(case: str, tmp: Path) -> tuple[dict, dict, Path]:
     """One case's (digests, report, dump path)."""
     config, seed, arm = case.split("/")
-    doc = json.loads((ROOT / "configs" / f"{'standard_suite' if config == 'crowd' else config}.json").read_text(encoding="utf-8"))
-    for section, values in (CROWD if config == "crowd" else {}).items():
+    doc = json.loads((ROOT / "configs" / f"{'standard_suite' if config in OVERRIDES else config}.json").read_text(encoding="utf-8"))
+    for section, values in OVERRIDES.get(config, {}).items():
         doc[section].update(values)
     cfg = config_from_dict(doc)
     cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=CROWD_FRAMES if config == "crowd" else FRAMES)

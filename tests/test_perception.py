@@ -17,6 +17,7 @@ from paptrack.perception import (
     assemble_queries,
     associate,
     gate_costs,
+    match_dtype,
     perceive,
     update_tracks,
 )
@@ -26,7 +27,7 @@ from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX
 
 from oracles import brute_force_assignment, continue_deferred_oracle
-from tables import boxes, centers, track_table
+from tables import boxes, centers, sense_frame, track_table
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 HALF_EXTENT = 30.0
@@ -48,7 +49,17 @@ def predicted_query(track_id, center=(0.0, 0.0), cls="car", confidence=1.0):
 
 def table(rows):
     """One query table from a list of tables (an empty list gives an empty table)."""
-    return np.concatenate([np.recarray(0, dtype=query_dtype(CODEC.dim)), *rows]).view(np.recarray)
+    return np.concatenate([np.empty(0, query_dtype(CODEC.dim)), *rows])
+
+
+def assignment_of(matches):
+    """An assignment of the given ``(query, measurement, cost)`` matches that leaves nothing unmatched."""
+    return Assignment(np.array(matches, match_dtype), np.zeros(0, np.intp), np.zeros(0, np.intp))
+
+
+def pairs(assignment):
+    """The (query, measurement) pairs of an assignment's matches, in order."""
+    return list(zip(assignment.matches["query"].tolist(), assignment.matches["measurement"].tolist()))
 
 
 def meas(center, cls="car", frame=0):
@@ -115,9 +126,9 @@ def test_assembled_table_is_the_chosen_banked_rows_then_random_rows():
     banked = table([predicted_query(i, center=(i, -i), confidence=1.0 - 0.1 * i) for i in range(6)])
     bank.store(0, banked)
     qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=8, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
-    assert isinstance(qs, np.recarray) and qs.dtype == banked.dtype
+    assert type(qs) is np.ndarray and qs.dtype == banked.dtype
     assert qs[:4].tobytes() == banked[:4].tobytes()
-    assert np.all(qs.provenance[4:] == RANDOM)
+    assert np.all(qs["provenance"][4:] == RANDOM)
 
 
 def test_assembly_rejects_banked_queries_of_another_width():
@@ -173,30 +184,30 @@ def test_gate_matrix_matches_recomputed_distances():
 
 def test_associate_diagonal_optimum():
     a = associate(np.array([[1.0, 10.0], [10.0, 1.0]]))
-    assert [(m[0], m[1]) for m in a.matches] == [(0, 0), (1, 1)]
-    assert sum(m[2] for m in a.matches) == pytest.approx(2.0)
+    assert pairs(a) == [(0, 0), (1, 1)]
+    assert a.matches["cost"].sum() == pytest.approx(2.0)
 
 
 def test_associate_beats_greedy():
     a = associate(np.array([[1.0, 2.0], [2.0, 100.0]]))
-    assert [(m[0], m[1]) for m in a.matches] == [(0, 1), (1, 0)]
-    assert sum(m[2] for m in a.matches) == pytest.approx(4.0)
+    assert pairs(a) == [(0, 1), (1, 0)]
+    assert a.matches["cost"].sum() == pytest.approx(4.0)
 
 
 def test_associate_respects_sentinels():
     costs = np.array([[np.inf, 3.0], [np.inf, np.inf]])
     a = associate(costs)
-    assert [(m[0], m[1]) for m in a.matches] == [(0, 1)]
-    assert a.unmatched_queries == [1]
-    assert a.unmatched_measurements == [0]
+    assert pairs(a) == [(0, 1)]
+    assert a.unmatched_queries.tolist() == [1]
+    assert a.unmatched_measurements.tolist() == [0]
 
 
 def test_associate_no_double_assignment():
     rng = np.random.default_rng(2)
     costs = rng.uniform(0, 10, size=(6, 4))
     a = associate(costs)
-    qs = [m[0] for m in a.matches] + a.unmatched_queries
-    ms = [m[1] for m in a.matches] + a.unmatched_measurements
+    qs = a.matches["query"].tolist() + a.unmatched_queries.tolist()
+    ms = a.matches["measurement"].tolist() + a.unmatched_measurements.tolist()
     assert sorted(qs) == list(range(6))
     assert sorted(ms) == list(range(4))
 
@@ -209,7 +220,7 @@ def test_associate_matches_brute_force_on_small_instances():
         costs = rng.uniform(0, 10, size=(nq, nm))
         costs[rng.random(size=(nq, nm)) < 0.2] = np.inf
         a = associate(costs)
-        total = sum(m[2] for m in a.matches)
+        total = a.matches["cost"].sum()
         oracle_total, oracle_pairs = brute_force_assignment(costs)
         assert len(a.matches) == len(oracle_pairs)
         assert total == pytest.approx(oracle_total, abs=1e-9)
@@ -310,7 +321,7 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
     qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2), np.zeros(14), CODEC)])
     ms = boxes(meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1))
     params = PerceptionParams()
-    out = update_tracks(tracks, Assignment([(0, 0, 0.1), (1, 1, 0.0)], [], []), qs, ms, 1, params, 0.1, CODEC)
+    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)]), qs, ms, 1, params, 0.1, CODEC)
     assert len(out) == 4  # no birth: the random match continued track 1
     assert out["frames"][:, -1].tolist() == [1, 1, 1, 0]
     assert out["coasted"][:, -1].tolist() == [False, False, True, False]
@@ -384,7 +395,7 @@ def update_cases(draw):
 @example(case=update_case([dict(center=(0.0, 0.0), status=TERMINATED)] * 4, [random_query((0.0, 0.0)), predicted_query(2, (0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]))
 def test_update_tracks_equals_all_rows_oracle_byte_for_byte(case):
     tracks, queries, measurements, matches, params = case
-    assignment = Assignment(matches, [], [])
+    assignment = assignment_of(matches)
     want = continue_deferred_oracle(tracks.copy(), assignment, queries, measurements, 3, params, 0.1, CODEC)
     got = update_tracks(tracks.copy(), assignment, queries, measurements, 3, params, 0.1, CODEC)
     assert got.dtype == want.dtype and len(got) == len(want)
@@ -397,7 +408,7 @@ def test_associate_returns_matches_in_query_order():
         nq, nm = (int(k) for k in rng.integers(1, 12, size=2))
         costs = rng.uniform(0, 10, size=(nq, nm))
         costs[rng.random(size=(nq, nm)) < 0.3] = np.inf
-        rows = [m[0] for m in associate(costs).matches]
+        rows = associate(costs).matches["query"].tolist()
         assert rows == sorted(set(rows))
 
 
@@ -407,7 +418,7 @@ def test_associate_returns_matches_in_query_order():
 
 def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     """Single agent, exact sensor, recycled queries; returns the track table and every detection."""
-    from paptrack.world import ScenarioConfig, SensorConfig, generate_scenario, sense
+    from paptrack.world import ScenarioConfig, SensorConfig, generate_scenario
 
     cfg = ScenarioConfig(
         frame_count=n_frames,
@@ -427,7 +438,7 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     params = PerceptionParams()
     predictor = PredictorConfig(dt=dt)
     for frame in range(n_frames):
-        ms = sense(scenario, frame, sensor, sensor_rng)
+        ms = sense_frame(scenario, frame, sensor, sensor_rng)
         result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt)
         tracks = result.tracks
         detections.append(result.detections)
@@ -443,7 +454,7 @@ def test_noise_free_closed_loop_tracks_ground_truth():
     assert list(zip(detections["frame"].tolist(), detections["id"].tolist())) == [(frame, 1) for frame in range(10)]
     agent = scenario.agents[0]
     for d in detections:
-        assert np.max(np.abs(d["center"] - agent.state_at(d["frame"])[0:2])) < 1e-9
+        assert np.max(np.abs(d["center"] - agent.states[d["frame"] - agent.spawn, 0:2])) < 1e-9
 
 
 def test_perceive_empty_inputs():
@@ -470,7 +481,7 @@ def test_perceive_equals_manual_composition():
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
     manual_tracks = update_tracks(track.copy(), assignment, qs, ms, 1, params, 0.1, CODEC)
 
-    assert [(m[0], m[1]) for m in result.assignment.matches] == [(m[0], m[1]) for m in assignment.matches]
+    assert pairs(result.assignment) == pairs(assignment)
     assert len(result.tracks) == len(manual_tracks)
     assert np.array_equal(result.tracks["status"], manual_tracks["status"])
     assert np.array_equal(centers(result.tracks), centers(manual_tracks))
@@ -486,4 +497,4 @@ def test_predicted_priority_wins_cost_ties():
     qs = table([q_rand, q_pred])
     costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
-    assert [(m[0], m[1]) for m in assignment.matches] == [(1, 0)]
+    assert pairs(assignment) == [(1, 0)]

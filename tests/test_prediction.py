@@ -141,7 +141,7 @@ def test_predict_and_store_row_round_trip():
 def test_tail_carried_slot_for_slot():
     track = make_track(tail=np.linspace(-3.0, 3.0, 14))
     (q,) = banked(track, PredictorConfig(horizon=1))
-    assert np.array_equal(q.embedding[2:], np.linspace(-3.0, 3.0, 14))
+    assert np.array_equal(q["embedding"][2:], np.linspace(-3.0, 3.0, 14))
 
 
 def test_feed_all_emits_one_query_per_horizon_step():
@@ -149,8 +149,8 @@ def test_feed_all_emits_one_query_per_horizon_step():
     cfg = PredictorConfig(horizon=6, feed_all=True)
     (f,) = forecast(track, cfg)
     qs = banked(track, cfg)
-    assert qs.horizon_step.tolist() == [1, 2, 3, 4, 5, 6]
-    assert np.max(np.abs(decode_reference(qs, CODEC) - f[qs.horizon_step - 1])) < 1e-9
+    assert qs["horizon_step"].tolist() == [1, 2, 3, 4, 5, 6]
+    assert np.max(np.abs(decode_reference(qs, CODEC) - f[qs["horizon_step"] - 1])) < 1e-9
 
 
 def test_feed_all_rows_are_grouped_by_track():
@@ -161,13 +161,13 @@ def test_feed_all_rows_are_grouped_by_track():
         track_row(track_id=3, status=TENTATIVE), track_row(track_id=4, velocity=(1.0, 0.0)),
     )
     qs = banked(tracks, cfg)
-    assert qs.source_track_id.tolist() == [2, 2, 2, 4, 4, 4]
-    assert qs.horizon_step.tolist() == [1, 2, 3, 1, 2, 3]
+    assert qs["source_track_id"].tolist() == [2, 2, 2, 4, 4, 4]
+    assert qs["horizon_step"].tolist() == [1, 2, 3, 1, 2, 3]
     for track_id in (2, 4):
-        rows = qs[qs.source_track_id == track_id]
+        rows = qs[qs["source_track_id"] == track_id]
         track = tracks[[track_id - 1]]
         assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(track, cfg)[0])) < 1e-9
-        assert np.array_equal(rows.embedding[:, 2:], np.tile(track["tail"][0], (3, 1)))
+        assert np.array_equal(rows["embedding"][:, 2:], np.tile(track["tail"][0], (3, 1)))
 
 
 def test_feed_step_selects_single_horizon_point():
@@ -196,7 +196,7 @@ def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
     )
     predict_and_store(tracks, bank, 0, PredictorConfig(), CODEC)
     qs = bank.fetch(0)
-    assert qs.source_track_id.tolist() == [2, 3]  # sorted by track id
+    assert qs["source_track_id"].tolist() == [2, 3]  # sorted by track id
     assert all(q.cls == CLASS_INDEX["car"] for q in qs)
 
 

@@ -1,26 +1,34 @@
 """Property tests of the closed loop on small random configs.
 
-Each example runs one dumped `run_single` on at most 30 frames and checks
-invariants of the track lifecycle, the compute bound and the dump that
-must hold for any config, degenerate ones included (no agents, clutter
-only, every agent missed so frames are empty or all clutter, one query,
-rho = 1 with an empty bank, no misses allowed).
+Each example runs `run_single` on at most 30 frames and checks invariants
+of the track lifecycle, the compute bound and the dump that must hold for
+any config, degenerate ones included (no agents, clutter only, every agent
+missed so frames are empty or all clutter, one query, rho = 1 with an
+empty bank, no misses allowed), or compares the two query-budget modes on
+the same frames.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paptrack.harness import ExperimentConfig, MetricConfig, replay_dump, run_single
 from paptrack.metrics import report_to_json
-from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
-from paptrack.prediction import CONSTANT_TURN, CONSTANT_VELOCITY, PredictorConfig
-from paptrack.world import CLASSES, ScenarioConfig, SensorConfig
+from paptrack.perception import PerceptionParams, QueryAssemblyPolicy, assemble_queries, gate_costs, perceive, track_dtype
+from paptrack.prediction import CONSTANT_TURN, CONSTANT_VELOCITY, PredictorConfig, predict_and_store
+from paptrack.queries import PREDICTED, QueryBank
+from paptrack.rng import stream
+from paptrack.world import CLASSES, ScenarioConfig, SensorConfig, generate_scenario
+
+from tables import sense_frame
 
 configs = st.builds(
     lambda frames, agents, clutter, miss, n_queries, rho, mode, window, max_misses, model: ExperimentConfig(
@@ -67,3 +75,35 @@ def test_track_lifecycle_invariants(cfg, seed):
 
     for metrics in [report["aggregate"], *report["per_class"].values()]:
         assert all(0.0 <= metrics[k] <= 1.0 for k in ("amota", "amotp", "recall"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(cfg=configs, seed=st.integers(0, 10_000))
+def test_reduced_mode_never_makes_more_cost_evaluations_than_fixed_on_the_same_frame(cfg, seed):
+    """Given the same bank, measurements and query stream, reduced mode evaluates no more costs than fixed mode.
+
+    A fixed-mode loop runs, and each frame is assembled and gated once more
+    in reduced mode from the same inputs.  Reduced mode offers the same
+    banked queries and fewer random ones, and a random query is evaluated
+    against every measurement, so it makes exactly that many times fewer
+    evaluations.  Two separate runs of the two modes are not compared: their
+    tracks, and so their banks, differ, and then reduced mode can cost more
+    in a frame or in a whole run.
+    """
+    fixed = dataclasses.replace(cfg.policy, mode="fixed")
+    reduced = dataclasses.replace(cfg.policy, mode="reduced")
+    codec, params, half_extent = cfg.codec(), cfg.perception, cfg.scenario.world_half_extent
+    scenario = generate_scenario(cfg.scenario, seed)
+    predictor = dataclasses.replace(cfg.predictor, dt=scenario.dt)
+    bank, tracks = QueryBank(dim=codec.dim), np.zeros(0, track_dtype(codec.dim, params.velocity_window))
+    sensor_rng, query_rng = stream(seed, "sensor"), stream(seed, "queries")
+    for frame in range(scenario.frame_count):
+        measurements = sense_frame(scenario, frame, cfg.sensor, sensor_rng)
+        queries = assemble_queries(bank, frame, reduced, codec, half_extent, copy.deepcopy(query_rng))
+        _costs, evaluations = gate_costs(queries, measurements, params.gate_threshold, codec)
+        result = perceive(measurements, bank, tracks, fixed, params, codec, half_extent, query_rng, frame, scenario.dt)
+        dropped = result.stats["n_queries"] - len(queries)
+        assert dropped >= 0 and result.stats["n_predicted"] == np.count_nonzero(queries["provenance"] == PREDICTED)
+        assert result.stats["cost_evaluations"] - evaluations == dropped * len(measurements)
+        tracks = result.tracks
+        predict_and_store(tracks, bank, frame, predictor, codec)

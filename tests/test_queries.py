@@ -17,9 +17,9 @@ from paptrack.queries import (
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 
 
-def zeros(n: int, dim: int = 16) -> np.recarray:
+def zeros(n: int, dim: int = 16) -> np.ndarray:
     """An all-zero query table, built without the codec."""
-    return np.zeros(n, dtype=query_dtype(dim)).view(np.recarray)
+    return np.zeros(n, dtype=query_dtype(dim))
 
 
 def test_round_trip_identity():
@@ -35,7 +35,7 @@ def test_zero_embedding_decodes_to_origin():
 
 def test_zero_center_zero_tail_is_all_zeros():
     q = embed_center(np.zeros(2), np.zeros(14), CODEC)
-    assert np.array_equal(q.embedding, np.zeros((1, 16)))
+    assert np.array_equal(q["embedding"], np.zeros((1, 16)))
 
 
 def test_round_trip_against_matrix_inverse_oracle():
@@ -56,7 +56,7 @@ def test_batched_embed_matches_row_by_row_bit_for_bit():
     tails = rng.standard_normal((50, 14))
     table = embed_center(centers, tails, CODEC, provenance=PREDICTED, source_track_id=np.arange(50), confidence=0.5)
     assert len(table) == 50
-    assert isinstance(table, np.recarray)
+    assert type(table) is np.ndarray and table.dtype == query_dtype(16)
     for i in range(50):
         (row,) = embed_center(centers[i], tails[i], CODEC, provenance=PREDICTED, source_track_id=i, confidence=0.5)
         assert np.array_equal(table[i].embedding, row.embedding)
@@ -75,7 +75,7 @@ def test_random_rows_default_to_sentinels():
 
 def test_decode_rejects_non_finite():
     q = zeros(1)
-    q.embedding[:] = np.nan
+    q["embedding"] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
         decode_reference(q, CODEC)
 
@@ -101,7 +101,7 @@ def test_confidence_outside_unit_interval_is_rejected():
         embed_center(np.zeros((2, 2)), np.zeros((2, 14)), CODEC, confidence=[0.5, 1.5])
 
 
-def _predicted(*track_ids: int, confidence: float = 1.0) -> np.recarray:
+def _predicted(*track_ids: int, confidence: float = 1.0) -> np.ndarray:
     n = len(track_ids)
     return embed_center(
         np.zeros((n, 2)),
@@ -124,7 +124,7 @@ def test_bank_store_then_fetch_round_trip():
 def test_bank_fetch_absent_is_empty():
     empty = QueryBank().fetch(99)
     assert len(empty) == 0
-    assert empty.dtype == np.dtype((np.record, query_dtype(16)))
+    assert empty.dtype == query_dtype(16)
 
 
 def test_bank_eviction_drops_oldest():
@@ -145,13 +145,15 @@ def test_bank_rejects_random_provenance():
 
 def test_bank_fetch_is_idempotent_and_read_only():
     bank = QueryBank()
-    bank.store(3, _predicted(7))
+    stored = _predicted(7)
+    bank.store(3, stored)
     first = bank.fetch(3)
     second = bank.fetch(3)
     assert np.array_equal(first, second)
-    first.source_track_id[0] = 8  # caller-side mutation must not leak
-    assert len(bank.fetch(3)) == 1
-    assert bank.fetch(3).source_track_id[0] == 7
+    with pytest.raises(ValueError, match="read-only"):
+        first["source_track_id"][0] = 8  # a fetched table cannot be written
+    assert stored.flags.writeable  # the caller's table is left writeable
+    assert bank.fetch(3)["source_track_id"][0] == 7
 
 
 def test_bank_rejects_capacity_below_one():

@@ -14,10 +14,10 @@ from paptrack.world import (
     integrate_states,
     scenario_from_dict,
     scenario_to_dict,
-    sense,
 )
 
 from oracles import integrate_states_oracle, reintegrate, sense_oracle
+from tables import sense_frame
 
 
 def single_car_config(frame_count=10, dt=0.5):
@@ -33,8 +33,8 @@ def test_constant_velocity_kinematics_exact():
     scn = generate_scenario(single_car_config(), seed=7)
     car = scn.agents[0]
     for k in range(10):
-        assert car.state_at(k)[0] == pytest.approx(0.5 * k, abs=0)
-        assert car.state_at(k)[1] == 0.0
+        assert car.states[k, 0] == pytest.approx(0.5 * k, abs=0)
+        assert car.states[k, 1] == 0.0
 
 
 def test_same_seed_same_config_is_byte_identical():
@@ -123,23 +123,17 @@ def test_sense_noise_free_returns_exact_centers():
         ],
     )
     scn = generate_scenario(cfg, seed=1)
-    meas = sense(scn, 2, noise_free_sensor(), stream(1, "sensor"))
+    meas = sense_frame(scn, 2, noise_free_sensor(), stream(1, "sensor"))
     assert len(meas) == 3
     for m, agent in zip(meas, scn.agents):
-        assert np.allclose(m["center"], agent.state_at(2)[0:2], atol=0)
+        assert np.allclose(m["center"], agent.states[2, 0:2], atol=0)
         assert m["id"] == agent.agent_id
 
 
 def test_sense_total_occlusion_is_empty():
     scn = generate_scenario(single_car_config(), seed=1)
     sensor = SensorConfig(miss_probability=1.0, clutter_rate=0.0)
-    assert len(sense(scn, 0, sensor, stream(1, "sensor"))) == 0
-
-
-def test_sense_frame_out_of_range():
-    scn = generate_scenario(single_car_config(), seed=1)
-    with pytest.raises(IndexError):
-        sense(scn, 10, noise_free_sensor(), stream(1, "sensor"))
+    assert len(sense_frame(scn, 0, sensor, stream(1, "sensor"))) == 0
 
 
 def test_sense_monte_carlo_matches_configured_noise():
@@ -150,7 +144,7 @@ def test_sense_monte_carlo_matches_configured_noise():
     n_miss = 0
     n_trials = 10_000
     for _ in range(n_trials):
-        meas = sense(scn, 0, sensor, rng)
+        meas = sense_frame(scn, 0, sensor, rng)
         if len(meas) == 0:
             n_miss += 1
         else:
@@ -167,7 +161,7 @@ def test_clutter_never_carries_agent_id():
     rng = stream(9, "sensor")
     seen_clutter = False
     for frame in range(10):
-        meas = sense(scn, frame, sensor, rng)
+        meas = sense_frame(scn, frame, sensor, rng)
         # no misses: the car comes first, then clutter only
         assert meas["id"][0] == scn.agents[0].agent_id
         assert (meas["id"][1:] == -1).all()
@@ -178,8 +172,8 @@ def test_clutter_never_carries_agent_id():
 def test_sense_deterministic_given_stream():
     scn = generate_scenario(single_car_config(), seed=2)
     sensor = SensorConfig()
-    a = sense(scn, 0, sensor, stream(2, "sensor"))
-    b = sense(scn, 0, sensor, stream(2, "sensor"))
+    a = sense_frame(scn, 0, sensor, stream(2, "sensor"))
+    b = sense_frame(scn, 0, sensor, stream(2, "sensor"))
     assert len(a) == len(b)
     assert np.array_equal(a, b)  # every column, score included
 
@@ -192,7 +186,7 @@ def test_sense_equals_per_box_clutter_oracle_byte_for_byte(clutter_rate, miss_pr
         scn = generate_scenario(ScenarioConfig(frame_count=30, dt=0.1, ego_speed=1.5), seed)
         got_rng, want_rng = stream(seed, "sensor"), stream(seed, "sensor")
         for frame in (0, 1, 7, 18, 29):
-            got, want = sense(scn, frame, sensor, got_rng), sense_oracle(scn, frame, sensor, want_rng)
+            got, want = sense_frame(scn, frame, sensor, got_rng), sense_oracle(scn, frame, sensor, want_rng)
             assert got.dtype == want.dtype and len(got) == len(want)
             assert got.tobytes() == want.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
