@@ -144,15 +144,16 @@ def assemble_queries(
         n_random = policy.n_queries - k
     else:
         n_random = max(policy.n_queries - 2 * k, 0)
+    table = np.empty(k + n_random, query_dtype(codec.dim))
     centers = rng.uniform(-world_half_extent, world_half_extent, size=(n_random, 2))
     tails = rng.standard_normal(size=(n_random, codec.dim - 2))
-    randoms = embed_center(centers, tails, codec)
-    if not k:
-        return randoms
-    order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
-    # gathered and joined as raw bytes: numpy copies structured rows field by field, several times slower
-    raw = np.dtype((np.void, randoms.dtype.itemsize))
-    return np.concatenate([predicted.view(raw)[order[:k]], randoms.view(raw)]).view(randoms.dtype)
+    embed_center(centers, tails, codec, out=table[k:])
+    if k:
+        order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
+        # gathered as raw bytes: numpy copies structured rows field by field, several times slower
+        raw = np.dtype((np.void, table.dtype.itemsize))
+        table.view(raw)[:k] = predicted.view(raw)[order[:k]]
+    return table
 
 
 def gate_costs(

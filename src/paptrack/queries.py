@@ -80,12 +80,14 @@ def embed_center(
     horizon_step=0,
     cls=ANY_CLASS,
     confidence=1.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Inverse of :func:`decode_reference`: one table row per center.
 
     `centers` is ``(n, 2)`` and `tails` ``(n, dim - 2)``; a single ``(2,)``
     center with a ``(dim - 2,)`` tail gives a 1-row table.  The keyword
-    columns are scalars or length-n arrays.
+    columns are scalars or length-n arrays.  The rows are written into
+    `out`, an n-row query table, if given, else into a new table.
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     tails = np.atleast_2d(np.asarray(tails, dtype=float))
@@ -94,7 +96,16 @@ def embed_center(
         raise ValueError(f"centers have shape {centers.shape}, expected (n, 2)")
     if tails.shape != (n, codec.dim - 2):
         raise ValueError(f"tails have shape {tails.shape}, expected ({n}, {codec.dim - 2})")
-    table = np.empty(n, dtype=query_dtype(codec.dim))
+    # checked before any row is written, so a rejected call leaves `out` as it was
+    conf = np.asarray(confidence, dtype=float)
+    if not ((conf >= 0.0) & (conf <= 1.0)).all():
+        raise ValueError("confidence must be in [0, 1]")
+    # an all-random table needs no source check
+    if not (isinstance(provenance, int) and provenance == RANDOM) and np.any(
+        (np.asarray(provenance) == PREDICTED) & (np.asarray(source_track_id) < 0)
+    ):
+        raise ValueError("predicted query requires source_track_id")
+    table = np.empty(n, dtype=query_dtype(codec.dim)) if out is None else out
     emb = table["embedding"]
     emb[:, :2] = (centers - np.asarray(codec.offset)) / codec.scale
     emb[:, 2:] = tails
@@ -102,14 +113,7 @@ def embed_center(
     table["source_track_id"] = source_track_id
     table["horizon_step"] = horizon_step
     table["cls"] = cls
-    table["confidence"] = confidence
-    # an all-random table needs no source check
-    random_only = isinstance(provenance, int) and provenance == RANDOM
-    if not random_only and np.any((table["provenance"] == PREDICTED) & (table["source_track_id"] < 0)):
-        raise ValueError("predicted query requires source_track_id")
-    conf = table["confidence"]
-    if not ((conf >= 0.0) & (conf <= 1.0)).all():
-        raise ValueError("confidence must be in [0, 1]")
+    table["confidence"] = conf
     return table
 
 

@@ -101,6 +101,22 @@ def test_confidence_outside_unit_interval_is_rejected():
         embed_center(np.zeros((2, 2)), np.zeros((2, 14)), CODEC, confidence=[0.5, 1.5])
 
 
+def test_embed_into_out_writes_those_rows_only_and_a_rejected_call_writes_none():
+    rng = np.random.default_rng(2)
+    centers, tails = rng.uniform(-30, 30, size=(3, 2)), rng.standard_normal((3, 14))
+    table = zeros(5)
+    out = embed_center(centers, tails, CODEC, provenance=PREDICTED, source_track_id=[1, 2, 3], out=table[2:])
+    assert out.base is table
+    assert table[2:].tobytes() == embed_center(centers, tails, CODEC, provenance=PREDICTED, source_track_id=[1, 2, 3]).tobytes()
+    assert table[:2].tobytes() == zeros(2).tobytes()
+    before = table.tobytes()
+    with pytest.raises(ValueError, match="confidence"):
+        embed_center(centers, tails, CODEC, confidence=[0.5, 1.5, 0.5], out=table[2:])
+    with pytest.raises(ValueError, match="source_track_id"):
+        embed_center(centers, tails, CODEC, provenance=PREDICTED, out=table[2:])
+    assert table.tobytes() == before
+
+
 def _predicted(*track_ids: int, confidence: float = 1.0) -> np.ndarray:
     n = len(track_ids)
     return embed_center(
