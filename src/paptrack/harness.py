@@ -13,13 +13,13 @@ import gc
 import hashlib
 import json
 import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import binomtest
 
 from paptrack.metrics import build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
@@ -63,20 +63,21 @@ class ExperimentConfig:
     perception: PerceptionParams = field(default_factory=PerceptionParams)
     metrics: MetricConfig = field(default_factory=MetricConfig)
     embedding_dim: int = 16
-    bank_capacity: int = 4
     rho_values: list[float] = field(default_factory=lambda: [0.0, 0.5, 0.8, 1.0])
 
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+            raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
-        if any(not 0.0 <= r <= 1.0 for r in self.rho_values):
+        if not isinstance(self.scenario_path, (str, type(None))):
+            raise ConfigError(f"scenario_path must be a string or null, got {self.scenario_path!r}")
+        if not all(_is_finite_number(r) and 0.0 <= r <= 1.0 for r in self.rho_values):
             raise ConfigError("rho_values must lie in [0, 1]")
         if self.embedding_dim < 3:
             raise ConfigError("embedding_dim must be >= 3 (2 center slots + tail)")
-        if self.bank_capacity < 1:
-            raise ConfigError("bank_capacity must be >= 1")
         if self.metrics.match_distance <= 0:
             raise ConfigError("metrics.match_distance must be positive")
         if self.metrics.n_recall_points < 1:
@@ -95,21 +96,46 @@ class ExperimentConfig:
 # strict config (de)serialization
 
 
+def _json_type(default) -> tuple[str, object]:
+    """What a config value must be, given its field's default, and the test for it."""
+    if isinstance(default, bool):
+        return "a bool", lambda v: type(v) is bool
+    if isinstance(default, int):
+        return "an integer", lambda v: type(v) is int
+    if isinstance(default, float):
+        return "a number", _is_finite_number
+    if isinstance(default, tuple):
+        n = len(default)
+        return f"a list of {n} numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_finite_number, v))
+    if default is None:  # scenario_path and explicit_agents, which `validate` checks
+        return "anything", lambda v: True
+    kind = {str: "a string", list: "a list"}.get(type(default), "an object")  # else a dict or a section
+    return kind, lambda v: isinstance(v, type(default))
+
+
 def _from_mapping(cls, doc: dict, path: str):
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must be an object, got {type(doc).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(doc) - set(fields)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {path}")
     kwargs = {}
     for name, value in doc.items():
-        default = fields[name].default
-        if isinstance(default, tuple) and isinstance(value, list):
+        f = fields[name]
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        kind, valid = _json_type(default)
+        if not valid(value):
+            raise ConfigError(f"{path}.{name} must be {kind}, got {value!r}")
+        if isinstance(default, tuple):
             value = tuple(value)
         kwargs[name] = value
     return cls(**kwargs)
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config must be an object, got {type(doc).__name__}")
     doc = dict(doc)
     version = doc.pop("schema_version", None)
     if version != SCHEMA_VERSION:
@@ -172,9 +198,8 @@ def run_single(
     codec = cfg.codec()
     effective_rho = cfg.policy.rho if rho is None else rho
     policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
-    predictor = dataclasses.replace(cfg.predictor, dt=scenario.dt)
     params = cfg.perception
-    bank = QueryBank(capacity=cfg.bank_capacity, dim=codec.dim)
+    bank = QueryBank(dim=codec.dim)
     tracks = np.zeros(0, track_dtype(codec.dim, params.velocity_window))
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
@@ -191,7 +216,7 @@ def run_single(
     gt_bounds = np.searchsorted(gt["frame"], np.arange(scenario.frame_count + 1)).tolist()  # frame f is gt[bounds[f]:bounds[f + 1]]
 
     detections = []  # one box table per frame
-    counters = {"frames": scenario.frame_count, "query_refinements": 0, "cost_evaluations": 0}
+    counters = {"frames": scenario.frame_count, "cost_evaluations": 0}
     per_frame_cost_evals: list[int] = []
 
     # The frame loop makes no reference cycles, so the cyclic collector is paused while it runs, as
@@ -218,13 +243,12 @@ def run_single(
                 scenario.dt,
             )
             tracks = result.tracks
-            predict_and_store(tracks, bank, frame, predictor, codec)
+            predict_and_store(tracks, bank, frame, cfg.predictor, codec, scenario.dt)
             detections.append(result.detections)
-            counters["query_refinements"] += result.stats["query_refinements"]
             counters["cost_evaluations"] += result.stats["cost_evaluations"]
             per_frame_cost_evals.append(result.stats["cost_evaluations"])
             if dump_file is not None:
-                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, predictor, codec), sort_keys=True) + "\n")
+                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor, codec, scenario.dt), sort_keys=True) + "\n")
         counters["wall_seconds"] = time.perf_counter() - t0
     finally:
         if collecting:
@@ -256,7 +280,7 @@ def run_single(
     return report
 
 
-def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> dict:
+def _frame_record(frame, measurements, gt, result, tracks, predictor, codec, dt) -> dict:
     queries, detections = result.queries, result.detections
     status = tracks["status"]
     fed = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
@@ -296,7 +320,7 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec) -> 
         ],
         "forecasts": [
             {"track_id": row + 1, "points": points}
-            for row, points in zip(fed.tolist(), forecast(tracks[fed], predictor).tolist())
+            for row, points in zip(fed.tolist(), forecast(tracks[fed], predictor, dt).tolist())
         ],
         "tracks": [
             {"id": row + 1, "status": STATUS_NAMES[code], "center": center}
@@ -453,7 +477,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, dump_debu
 
 
 COMPARE_METRICS = ("amota", "amotp", "recall", "ids")
-COMPARE_COUNTERS = ("fps", "wall_seconds", "query_refinements", "cost_evaluations")
+COMPARE_COUNTERS = ("fps", "wall_seconds", "cost_evaluations")
 
 
 def _paired(baseline_reports, pap_reports):
@@ -505,14 +529,15 @@ def compare(baseline_reports: list[dict], pap_reports: list[dict]) -> dict:
     return summary
 
 
-def sign_test_pvalue(baseline_vals, pap_vals, alternative: str = "greater") -> float:
-    """One-sided paired sign test (ties dropped): is pap > baseline?"""
+def sign_test_pvalue(baseline_vals, pap_vals) -> float:
+    """One-sided paired sign test (ties dropped): is pap > baseline?
+
+    The exact binomial tail P(X >= wins) for X ~ Binomial(wins + losses, 1/2).
+    """
     wins = sum(1 for b, p in zip(baseline_vals, pap_vals) if p > b)
     losses = sum(1 for b, p in zip(baseline_vals, pap_vals) if p < b)
     n = wins + losses
-    if n == 0:
-        return 1.0
-    return float(binomtest(wins, n, 0.5, alternative=alternative).pvalue)
+    return sum(math.comb(n, k) for k in range(wins, n + 1)) / 2**n
 
 
 def sweep_rho(cfg: ExperimentConfig, rho_values, jobs: int = 1, dump_dir=None) -> list[dict]:

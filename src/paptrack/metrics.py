@@ -393,7 +393,6 @@ def build_report(per_class: dict[str, dict], counters: dict, config_echo: dict) 
         "frames": int(frames),
         "wall_seconds": float(wall),
         "fps": float(frames / wall) if wall > 0 else 0.0,
-        "query_refinements": int(counters.get("query_refinements", 0)),
         "cost_evaluations": int(counters.get("cost_evaluations", 0)),
     }
     return {
@@ -408,14 +407,3 @@ def report_to_json(report: dict) -> str:
     import json
 
     return json.dumps(report, indent=2, sort_keys=True)
-
-
-def report_to_csv_rows(report: dict) -> list[tuple[str, str, float]]:
-    """One row per (class, metric), aggregate last."""
-    rows: list[tuple[str, str, float]] = []
-    for cls in sorted(report["per_class"]):
-        for metric in ("amota", "amotp", "recall", "ids"):
-            rows.append((cls, metric, report["per_class"][cls][metric]))
-    for metric in ("amota", "amotp", "recall", "ids"):
-        rows.append(("aggregate", metric, report["aggregate"][metric]))
-    return rows

@@ -184,7 +184,7 @@ def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray, eps: float)
 
 
 def associate(costs: np.ndarray) -> Assignment:
-    """Minimum-total-cost maximum matching over the finite entries."""
+    """Minimum-total-cost maximum matching over the finite costs."""
     nq, nm = costs.shape
     finite = np.isfinite(costs)
     if nq == 0 or nm == 0 or not finite.any():
@@ -360,7 +360,6 @@ def perceive(
     detections["score"] = track_confidence(tracks["hits"][seen], tracks["misses"][seen])
     stats = {
         "cost_evaluations": n_eval,
-        "query_refinements": len(queries),
         "n_queries": len(queries),
         "n_predicted": int(np.count_nonzero(queries["provenance"] == PREDICTED)),
     }

@@ -3,7 +3,7 @@
 The predictor extrapolates the filtered state of every live row of the
 track table over a short horizon in one call, and re-embeds selected
 horizon points as one table of predicted queries, which is stored in the
-time-indexed bank for the next frame's perception.
+bank for the next frame's perception.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ CONSTANT_TURN = "constant_turn"
 @dataclass
 class PredictorConfig:
     horizon: int = 6
-    dt: float = 0.1
     feed_step: int = 1  # which horizon step populates the next frame's bank
     feed_all: bool = False
     model: str = CONSTANT_VELOCITY
@@ -46,8 +45,8 @@ def _turn_rates(tracks: np.ndarray, dt: float) -> np.ndarray:
     return np.where(moving & (span > 0), da / np.where(span > 0, span, 1.0), 0.0)
 
 
-def forecast(tracks: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
-    """Extrapolate every row of a track table over the configured horizon.
+def forecast(tracks: np.ndarray, cfg: PredictorConfig, dt: float) -> np.ndarray:
+    """Extrapolate every row of a track table over the configured horizon, `dt` seconds a step.
 
     Returns ``(n, horizon, 2)`` points; ``[i, h-1]`` is row i's step-h position.
     """
@@ -56,17 +55,17 @@ def forecast(tracks: np.ndarray, cfg: PredictorConfig) -> np.ndarray:
         raise ValueError("cannot forecast a terminated track")
     c, v = tracks["centers"][:, -1], tracks["velocities"][:, -1]
     if cfg.model == CONSTANT_TURN:
-        omega = _turn_rates(tracks, cfg.dt)
-        rot_c, rot_s = np.cos(omega * cfg.dt), np.sin(omega * cfg.dt)
+        omega = _turn_rates(tracks, dt)
+        rot_c, rot_s = np.cos(omega * dt), np.sin(omega * dt)
         points = np.empty((len(tracks), cfg.horizon, 2))
         x = c
         for h in range(cfg.horizon):
-            x = x + v * cfg.dt
+            x = x + v * dt
             v = np.stack([rot_c * v[:, 0] - rot_s * v[:, 1], rot_s * v[:, 0] + rot_c * v[:, 1]], axis=1)
             points[:, h] = x
         return points
     steps = np.arange(1, cfg.horizon + 1)[:, None]
-    return c[:, None, :] + (steps * cfg.dt)[None] * v[:, None, :]
+    return c[:, None, :] + (steps * dt)[None] * v[:, None, :]
 
 
 def predict_and_store(
@@ -75,6 +74,7 @@ def predict_and_store(
     t: int,
     cfg: PredictorConfig,
     codec: CodecConfig,
+    dt: float,
 ) -> QueryBank:
     """Forecast every confirmed/coasting track and bank the resulting queries.
 
@@ -90,7 +90,7 @@ def predict_and_store(
     steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
     rows, which = np.divmod(np.arange(len(live) * len(steps)), len(steps))  # query row -> row of `fed`, step
     queries = embed_center(
-        forecast(fed, cfg)[rows, steps[which] - 1],
+        forecast(fed, cfg, dt)[rows, steps[which] - 1],
         fed["tail"][rows],
         codec,
         provenance=PREDICTED,

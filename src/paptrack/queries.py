@@ -5,14 +5,14 @@ hypothesis through a fixed invertible affine map (decode: ``c = A x + b``
 with ``A = scale * I``); the remaining slots are a feature tail that
 carries track identity across frames.  A batch of queries is one query
 table: a structured array of :func:`query_dtype`, one row per query.
-Predicted queries produced at time T are kept in a time-indexed bank and
-consumed by perception at T+1.
+The predicted queries produced at frame T are kept in a one-frame bank
+and consumed by perception at T+1.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,31 +119,22 @@ def embed_center(
 
 @dataclass
 class QueryBank:
-    """Time-indexed store of predicted queries, one table per frame.
+    """The predicted queries of the latest frame, handed on to the next.
 
-    Holds at most `capacity` time indices; storing beyond capacity evicts
-    the smallest index.  A stored table is kept as a read-only view, which
-    `fetch` returns without a copy.  Fetching an absent index returns an
-    empty table of `dim`-slot queries.
+    `store(t, ...)` replaces whatever the bank held; the table is kept as a
+    read-only view, which `fetch(t)` returns without a copy.  Fetching any
+    other frame returns an empty table of `dim`-slot queries.
     """
 
-    capacity: int = 4
     dim: int = 16
-    entries: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("bank capacity must be >= 1")
+    t: int | None = None
+    queries: np.ndarray | None = None
 
     def store(self, t: int, queries: np.ndarray) -> None:
         if np.any(queries["provenance"] != PREDICTED):
             raise ValueError("bank accepts only predicted-provenance queries")
-        view = queries.view()
-        view.flags.writeable = False
-        self.entries[int(t)] = view
-        while len(self.entries) > self.capacity:
-            del self.entries[min(self.entries)]
+        self.t, self.queries = int(t), queries.view()
+        self.queries.flags.writeable = False
 
     def fetch(self, t: int) -> np.ndarray:
-        found = self.entries.get(int(t))
-        return np.empty(0, query_dtype(self.dim)) if found is None else found
+        return self.queries if t == self.t else np.empty(0, query_dtype(self.dim))

@@ -77,8 +77,8 @@ class ScenarioConfig:
         for cls, n in self.class_counts.items():
             if cls not in CLASSES:
                 raise ConfigError(f"class_counts contains unknown class {cls!r}")
-            if n < 0:
-                raise ConfigError("class_counts values must be >= 0")
+            if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
+                raise ConfigError(f"class_counts[{cls!r}] must be an integer >= 0, got {n!r}")
         lo, hi = self.speed_range
         if lo < 0 or hi < lo:
             raise ConfigError("speed_range must satisfy 0 <= lo <= hi")

@@ -247,7 +247,7 @@ def test_criterion_6_round_trip_and_loop_closure():
         )
         tracks = result.tracks
         detections.append(result.detections)
-        predict_and_store(tracks, bank, frame, PredictorConfig(dt=0.1), loop_codec)
+        predict_and_store(tracks, bank, frame, PredictorConfig(), loop_codec, 0.1)
     detections = np.concatenate(detections)
     agent = scenario.agents[0]
     # a single track detected in every frame (matched, never coasted) implies zero ID switches
@@ -288,7 +288,7 @@ def test_criterion_8_reference_percentage_fixtures():
     def report(amota, fps, seed=1):
         return {
             "aggregate": {"amota": amota, "amotp": 1.0, "recall": 0.5, "ids": 0},
-            "counters": {"fps": fps, "wall_seconds": 1.0, "query_refinements": 0, "cost_evaluations": 0},
+            "counters": {"fps": fps, "wall_seconds": 1.0, "cost_evaluations": 0},
             "config_echo": {"run": {"seed": seed}},
         }
 

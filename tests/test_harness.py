@@ -3,6 +3,10 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,6 +30,8 @@ from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
 from paptrack.world import ConfigError, ScenarioConfig, SensorConfig, generate_scenario, scenario_to_dict
 
 from oracles import recompute_cost_evaluations
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_config(seeds=(1, 2), mode="ab_compare", **policy_kwargs) -> ExperimentConfig:
@@ -122,9 +128,6 @@ def test_config_validation_failures():
         ExperimentConfig(metrics=MetricConfig(match_distance=0.0)).validate()
     with pytest.raises(ConfigError, match="n_recall_points"):
         ExperimentConfig(metrics=MetricConfig(n_recall_points=0)).validate()
-    for capacity in (0, -2):
-        with pytest.raises(ConfigError, match="bank_capacity"):
-            ExperimentConfig(bank_capacity=capacity).validate()
     for params, msg in (
         (PerceptionParams(velocity_window=0), "velocity_window"),
         (PerceptionParams(gate_threshold=0.0), "gate_threshold"),
@@ -143,7 +146,7 @@ def test_config_validation_failures():
 def _report_with(amota, fps, seed=1, ids=0):
     return {
         "aggregate": {"amota": amota, "amotp": 1.0, "recall": 0.5, "ids": ids},
-        "counters": {"fps": fps, "wall_seconds": 1.0, "query_refinements": 0, "cost_evaluations": 0},
+        "counters": {"fps": fps, "wall_seconds": 1.0, "cost_evaluations": 0},
         "config_echo": {"run": {"seed": seed}},
     }
 
@@ -176,6 +179,23 @@ def test_sign_test_reference_values():
     assert sign_test_pvalue([1, 2], [1, 2]) == 1.0
     # balanced wins/losses: p > 0.5
     assert sign_test_pvalue([0, 1], [1, 0]) > 0.5
+
+
+def test_sign_test_equals_scipy_binomtest():
+    from scipy.stats import binomtest  # an independent oracle
+
+    for n in range(1, 41):
+        for wins in range(n + 1):
+            pap = [1] * wins + [-1] * (n - wins) + [0, 0]  # two ties, which are dropped
+            expected = binomtest(wins, n, 0.5, alternative="greater").pvalue
+            assert sign_test_pvalue([0] * (n + 2), pap) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import sys; from paptrack import cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +292,7 @@ def test_degenerate_inputs_run_and_replay(tmp_path, scenario, sensor, policy):
 
 def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
     # two cars cross at the origin at t = 3 s; two pedestrians walk side by side 0.5 m apart
-    cfg = config_from_dict(json.loads((Path(__file__).resolve().parent.parent / "configs" / "standard_suite.json").read_text()))
+    cfg = config_from_dict(json.loads((ROOT / "configs" / "standard_suite.json").read_text()))
     cfg.scenario = dataclasses.replace(
         cfg.scenario,
         frame_count=60,
@@ -291,6 +311,27 @@ def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
             assert report_to_json(replay_dump(dump)) == report_to_json(report)
             ids[arm] += report["aggregate"]["ids"]
     assert ids["pap"] <= ids["baseline"]
+
+
+def test_three_way_crossing_and_near_coincident_spawns_replay_to_their_reports(tmp_path):
+    # three cars meet at the origin at t = 3 s from 120 degrees apart; two pedestrians spawn 0.2 m apart
+    # on parallel paths
+    cfg = config_from_dict(json.loads((ROOT / "configs" / "standard_suite.json").read_text()))
+    headings = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
+    cfg.scenario = dataclasses.replace(
+        cfg.scenario,
+        frame_count=60,
+        explicit_agents=[
+            *({"class": "car", "start": [-6.0 * math.cos(a), -6.0 * math.sin(a)], "velocity": [2.0 * math.cos(a), 2.0 * math.sin(a)]} for a in headings),
+            {"class": "pedestrian", "start": [-3.0, 5.0], "velocity": [1.0, 0.0]},
+            {"class": "pedestrian", "start": [-3.0, 5.2], "velocity": [1.0, 0.0]},
+        ],
+    )
+    for seed in (1, 2):
+        for arm, rho in (("baseline", 0.0), ("pap", cfg.policy.rho)):
+            dump = tmp_path / f"dump_{arm}_seed{seed}.jsonl"
+            report = run_single(cfg, seed, rho=rho, arm=arm, dump_path=dump)
+            assert report_to_json(replay_dump(dump)) == report_to_json(report)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +476,43 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     doc["embedding_dim"] = 2
     bad.write_text(json.dumps(doc))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+
+
+def _set(section, **values):
+    def edit(doc):
+        (doc if section is None else doc[section]).update(values)
+        return doc
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set(None, policy=5), "policy must be an object, got int"),
+        (_set("policy", n_queries="x"), "policy.n_queries must be an integer, got 'x'"),
+        (_set(None, rho_values=5), "config.rho_values must be a list, got 5"),
+        (lambda doc: [doc], "config must be an object, got list"),
+        (_set(None, seeds=["a"]), "seeds must be integers, got ['a']"),
+        (_set("scenario", frame_count=10.5), "scenario.frame_count must be an integer, got 10.5"),
+        (_set("scenario", class_counts=[1]), "scenario.class_counts must be an object, got [1]"),
+        (_set("scenario", class_counts={"car": 1.5}), "class_counts['car'] must be an integer >= 0, got 1.5"),
+        (_set("scenario", speed_range=[0.3]), "scenario.speed_range must be a list of 2 numbers, got [0.3]"),
+        (_set("predictor", feed_all=1), "predictor.feed_all must be a bool, got 1"),
+        (_set(None, scenario_path=0), "scenario_path must be a string or null, got 0"),  # not stdin
+        (_set(None, bank_capacity=4), "unknown key(s) ['bank_capacity'] in config"),
+        (_set("predictor", dt=0.1), "unknown key(s) ['dt'] in predictor"),
+    ],
+    ids=["policy_int", "n_queries_str", "rho_values_int", "top_level_list", "seed_str", "frame_count_float",
+         "class_counts_list", "class_count_float", "speed_range_short", "feed_all_int", "scenario_path_int", "bank_capacity", "predictor_dt"],
+)
+def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(edit(config_to_dict(small_config(seeds=(1,))))))
+    assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 GOOD_AGENT = {"class": "car", "start": [0.0, 0.0], "velocity": [1.0, 0.0]}
@@ -680,3 +758,43 @@ def test_cli_generate_takes_only_the_flags_it_uses(tmp_path, capsys):
 def test_cli_missing_file_exits_3(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == 3
     assert main(["replay", str(tmp_path / "absent.jsonl")]) == 3
+
+
+# ---------------------------------------------------------------------------
+# artefacts of the schema-1 format that still carried `bank_capacity`, `predictor.dt` and
+# `counters.query_refinements`: the config `tests/data/v1_bank_capacity/config.json` run in ab_compare
+# mode with --dump-debug, before those keys were removed
+
+
+OLD = Path(__file__).resolve().parent / "data" / "v1_bank_capacity"
+
+
+def test_old_dump_still_replays_to_its_report(tmp_path, capsys):
+    dump = OLD / "dump_pap_seed1.jsonl"
+    lines = dump.read_text().splitlines()
+    assert "bank_capacity" in json.loads(lines[0])["config_echo"]
+    assert "query_refinements" in json.loads(lines[-1])["counters"]
+    assert main(["replay", str(dump), "--out", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "replayed_report.json").read_text()) == json.loads((OLD / "report_pap_seed1.json").read_text())
+
+
+def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
+    assert main(["run", "--config", str(OLD / "config.json"), "--out", str(tmp_path / "refused")]) == 2
+    assert "unknown key(s) ['bank_capacity'] in config" in capsys.readouterr().err
+    doc = json.loads((OLD / "config.json").read_text())
+    del doc["bank_capacity"]
+    doc["mode"] = "pap"
+    path, new = tmp_path / "config.json", tmp_path / "new"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(new)]) == 0
+
+    # the new report is the old one without the removed keys (and with this run's mode)
+    old, now = (json.loads((d / "report_pap_seed1.json").read_text()) for d in (OLD, new))
+    del old["config_echo"]["bank_capacity"], old["config_echo"]["predictor"]["dt"], old["counters"]["query_refinements"]
+    old["config_echo"]["mode"] = "pap"
+    assert strip_timing(now) == strip_timing(old)
+
+    assert main(["compare", str(OLD / "baseline"), str(new), "--out", str(tmp_path / "cmp")]) == 0
+    summary = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+    assert set(summary["counters"]) == {"fps", "wall_seconds", "cost_evaluations"}
+    assert [row["seed"] for row in summary["per_seed"]] == [1, 2]

@@ -14,7 +14,6 @@ from paptrack.metrics import (
     gated_pairs,
     match_frame,
     motar,
-    report_to_csv_rows,
     report_to_json,
 )
 
@@ -471,20 +470,11 @@ def test_aggregate_means_metrics_and_sums_switches():
 
 def test_report_json_round_trip_and_key_set():
     gt, hyps = perfect_case()
-    report = build_report(evaluate_run(gt, hyps), {"frames": 10, "wall_seconds": 0.5, "query_refinements": 7, "cost_evaluations": 11}, {"seed": 1})
+    report = build_report(evaluate_run(gt, hyps), {"frames": 10, "wall_seconds": 0.5, "cost_evaluations": 11}, {"seed": 1})
     doc = json.loads(report_to_json(report))
     assert doc == report
     assert set(doc) == {"per_class", "aggregate", "counters", "config_echo"}
-    assert set(doc["counters"]) == {"frames", "wall_seconds", "fps", "query_refinements", "cost_evaluations"}
+    assert set(doc["counters"]) == {"frames", "wall_seconds", "fps", "cost_evaluations"}
     for m in doc["per_class"].values():
         assert set(m) == {"amota", "amotp", "recall", "ids"}
 
-
-def test_report_csv_rows_cover_every_class_and_aggregate():
-    per_class = {
-        "car": {"amota": 0.8, "amotp": 1.0, "recall": 0.9, "ids": 10},
-        "bus": {"amota": 0.4, "amotp": 2.0, "recall": 0.5, "ids": 3},
-    }
-    rows = report_to_csv_rows(build_report(per_class, {"frames": 1, "wall_seconds": 1.0}, {}))
-    labels = {(cls, metric) for cls, metric, _ in rows}
-    assert labels == {(c, m) for c in ("bus", "car", "aggregate") for m in ("amota", "amotp", "recall", "ids")}

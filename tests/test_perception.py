@@ -436,13 +436,13 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     detections = []  # one box table per frame
     policy = QueryAssemblyPolicy(n_queries=300, rho=0.8)
     params = PerceptionParams()
-    predictor = PredictorConfig(dt=dt)
+    predictor = PredictorConfig()
     for frame in range(n_frames):
         ms = sense_frame(scenario, frame, sensor, sensor_rng)
         result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt)
         tracks = result.tracks
         detections.append(result.detections)
-        predict_and_store(tracks, bank, frame, predictor, codec)
+        predict_and_store(tracks, bank, frame, predictor, codec, dt)
     return scenario, tracks, np.concatenate(detections)
 
 

@@ -18,6 +18,7 @@ from oracles import forecast_oracle
 from tables import track_table
 
 CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
+DT = 0.1
 
 
 def track_row(track_id=1, center=(0.0, 0.0), velocity=(1.0, 0.0), frame=0, status=CONFIRMED, **more):
@@ -33,20 +34,20 @@ def make_track(**kwargs):
 
 def test_constant_velocity_extrapolation_exact():
     track = make_track(center=(0.0, 0.0), velocity=(10.0, 0.0))
-    (f,) = forecast(track, PredictorConfig(horizon=3, dt=0.1))
+    (f,) = forecast(track, PredictorConfig(horizon=3), 0.1)
     assert np.allclose(f, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], atol=0)
 
 
 def test_zero_velocity_stays_put():
     track = make_track(velocity=(0.0, 0.0))
-    f = forecast(track, PredictorConfig(horizon=6, dt=0.1))
+    f = forecast(track, PredictorConfig(horizon=6), 0.1)
     assert np.array_equal(f, np.zeros((1, 6, 2)))
 
 
 def test_forecast_rejects_terminated_track():
     track = make_track(status=TERMINATED)
     with pytest.raises(ValueError, match="terminated"):
-        forecast(track, PredictorConfig())
+        forecast(track, PredictorConfig(), DT)
 
 
 def test_constant_turn_traces_circular_arc():
@@ -62,8 +63,8 @@ def test_constant_turn_traces_circular_arc():
         track_row(states=[(0, np.array([-prev_v[0] * dt, -prev_v[1] * dt]), prev_v, False), (1, (0.0, 0.0), (speed, 0.0), False)])
     )
 
-    cfg = PredictorConfig(horizon=8, dt=dt, model=CONSTANT_TURN)
-    (f,) = forecast(track, cfg)
+    cfg = PredictorConfig(horizon=8, model=CONSTANT_TURN)
+    (f,) = forecast(track, cfg, dt)
 
     # analytic chord sum: x_h = sum_{j=0}^{h-1} R(j*omega*dt) v0 dt
     v0 = np.array([speed, 0.0])
@@ -75,7 +76,7 @@ def test_constant_turn_traces_circular_arc():
         assert np.max(np.abs(f[h] - x)) < 1e-9
 
     # sanity: the turning forecast bends away from the straight-line tangent
-    (straight,) = forecast(track, PredictorConfig(horizon=8, dt=dt, model=CONSTANT_VELOCITY))
+    (straight,) = forecast(track, PredictorConfig(horizon=8, model=CONSTANT_VELOCITY), dt)
     assert np.linalg.norm(f[-1] - straight[-1]) > 0.01
 
 
@@ -87,7 +88,7 @@ def test_constant_turn_error_grows_with_horizon_against_true_circle():
     prev_v = np.array([speed * np.cos(-omega * dt), speed * np.sin(-omega * dt)])
     track = track_table(track_row(states=[(0, np.array([0.0, 0.0]) - prev_v * dt, prev_v, False), (1, (0.0, 0.0), (speed, 0.0), False)]))
 
-    (f,) = forecast(track, PredictorConfig(horizon=10, dt=dt, model=CONSTANT_TURN))
+    (f,) = forecast(track, PredictorConfig(horizon=10, model=CONSTANT_TURN), dt)
     errors = []
     for h in range(1, 11):
         theta = omega * h * dt
@@ -114,7 +115,7 @@ def test_batched_forecast_equals_per_track_oracle_bit_for_bit():
     tracks = track_table(*rows)
     for model in (CONSTANT_VELOCITY, CONSTANT_TURN):
         for horizon, dt in ((6, 0.1), (3, 0.05)):
-            points = forecast(tracks, PredictorConfig(horizon=horizon, dt=dt, model=model))
+            points = forecast(tracks, PredictorConfig(horizon=horizon, model=model), dt)
             assert points.shape == (len(rows), horizon, 2)
             for row, spec in enumerate(rows):
                 frames, centers, velocities, _ = zip(*spec["states"])
@@ -124,7 +125,7 @@ def test_batched_forecast_equals_per_track_oracle_bit_for_bit():
 
 def banked(tracks, cfg, t=0):
     """The table predict_and_store banks for `tracks` at frame `t`."""
-    return predict_and_store(tracks, QueryBank(), t, cfg, CODEC).fetch(t)
+    return predict_and_store(tracks, QueryBank(), t, cfg, CODEC, DT).fetch(t)
 
 
 def test_predict_and_store_row_round_trip():
@@ -147,7 +148,7 @@ def test_tail_carried_slot_for_slot():
 def test_feed_all_emits_one_query_per_horizon_step():
     track = make_track(velocity=(2.0, 1.0))
     cfg = PredictorConfig(horizon=6, feed_all=True)
-    (f,) = forecast(track, cfg)
+    (f,) = forecast(track, cfg, DT)
     qs = banked(track, cfg)
     assert qs["horizon_step"].tolist() == [1, 2, 3, 4, 5, 6]
     assert np.max(np.abs(decode_reference(qs, CODEC) - f[qs["horizon_step"] - 1])) < 1e-9
@@ -166,13 +167,13 @@ def test_feed_all_rows_are_grouped_by_track():
     for track_id in (2, 4):
         rows = qs[qs["source_track_id"] == track_id]
         track = tracks[[track_id - 1]]
-        assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(track, cfg)[0])) < 1e-9
+        assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(track, cfg, DT)[0])) < 1e-9
         assert np.array_equal(rows["embedding"][:, 2:], np.tile(track["tail"][0], (3, 1)))
 
 
 def test_feed_step_selects_single_horizon_point():
     track = make_track(velocity=(1.0, 0.0))
-    cfg = PredictorConfig(horizon=6, feed_step=3, dt=0.1)
+    cfg = PredictorConfig(horizon=6, feed_step=3)
     qs = banked(track, cfg)
     assert len(qs) == 1
     assert qs[0].horizon_step == 3
@@ -181,9 +182,11 @@ def test_feed_step_selects_single_horizon_point():
 
 def test_predict_and_store_empty_track_list():
     bank = QueryBank()
-    predict_and_store(track_table(), bank, 5, PredictorConfig(), CODEC)
+    bank.store(4, banked(make_track(), PredictorConfig()))
+    predict_and_store(track_table(), bank, 5, PredictorConfig(), CODEC, DT)
     assert len(bank.fetch(5)) == 0
-    assert 5 in bank.entries  # the slot exists, holding no queries
+    assert bank.t == 5  # frame 5's empty table replaced frame 4's
+    assert len(bank.fetch(4)) == 0
 
 
 def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
@@ -194,7 +197,7 @@ def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
         track_row(track_id=3, status=COASTING),
         track_row(track_id=4, status=TERMINATED),
     )
-    predict_and_store(tracks, bank, 0, PredictorConfig(), CODEC)
+    predict_and_store(tracks, bank, 0, PredictorConfig(), CODEC, DT)
     qs = bank.fetch(0)
     assert qs["source_track_id"].tolist() == [2, 3]  # sorted by track id
     assert all(q.cls == CLASS_INDEX["car"] for q in qs)
@@ -204,7 +207,7 @@ def test_bank_closure_decoded_center_is_dead_reckoned_position():
     dt = 0.1
     track = make_track(center=(4.0, -1.0), velocity=(2.0, 3.0))
     bank = QueryBank()
-    predict_and_store(track, bank, 7, PredictorConfig(horizon=6, dt=dt), CODEC)
+    predict_and_store(track, bank, 7, PredictorConfig(horizon=6), CODEC, dt)
     (q,) = bank.fetch(7)
     expected = np.array([4.0, -1.0]) + dt * np.array([2.0, 3.0])
     assert np.max(np.abs(decode_reference(q, CODEC) - expected)) < 1e-9

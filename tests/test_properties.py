@@ -94,7 +94,6 @@ def test_reduced_mode_never_makes_more_cost_evaluations_than_fixed_on_the_same_f
     reduced = dataclasses.replace(cfg.policy, mode="reduced")
     codec, params, half_extent = cfg.codec(), cfg.perception, cfg.scenario.world_half_extent
     scenario = generate_scenario(cfg.scenario, seed)
-    predictor = dataclasses.replace(cfg.predictor, dt=scenario.dt)
     bank, tracks = QueryBank(dim=codec.dim), np.zeros(0, track_dtype(codec.dim, params.velocity_window))
     sensor_rng, query_rng = stream(seed, "sensor"), stream(seed, "queries")
     for frame in range(scenario.frame_count):
@@ -106,4 +105,4 @@ def test_reduced_mode_never_makes_more_cost_evaluations_than_fixed_on_the_same_f
         assert dropped >= 0 and result.stats["n_predicted"] == np.count_nonzero(queries["provenance"] == PREDICTED)
         assert result.stats["cost_evaluations"] - evaluations == dropped * len(measurements)
         tracks = result.tracks
-        predict_and_store(tracks, bank, frame, predictor, codec)
+        predict_and_store(tracks, bank, frame, cfg.predictor, codec, scenario.dt)

@@ -143,14 +143,13 @@ def test_bank_fetch_absent_is_empty():
     assert empty.dtype == query_dtype(16)
 
 
-def test_bank_eviction_drops_oldest():
-    bank = QueryBank(capacity=3)
+def test_bank_holds_only_the_latest_frame():
+    bank = QueryBank()
     for t in (1, 2, 3, 4):
         bank.store(t, _predicted(t))
-    assert len(bank.fetch(1)) == 0
-    for t in (2, 3, 4):
-        assert len(bank.fetch(t)) == 1
-    assert len(bank.entries) == 3
+    for t in (1, 2, 3, 5):
+        assert len(bank.fetch(t)) == 0
+    assert bank.fetch(4)["source_track_id"].tolist() == [4]
 
 
 def test_bank_rejects_random_provenance():
@@ -171,7 +170,3 @@ def test_bank_fetch_is_idempotent_and_read_only():
     assert stored.flags.writeable  # the caller's table is left writeable
     assert bank.fetch(3)["source_track_id"][0] == 7
 
-
-def test_bank_rejects_capacity_below_one():
-    with pytest.raises(ValueError, match="capacity"):
-        QueryBank(capacity=0)
