@@ -3,8 +3,8 @@
 Subcommands: generate (scenario -> file), run (config -> reports),
 compare (two report dirs -> summary), sweep (rho sweep), replay (debug
 dump -> report).  Exit codes: 0 success, 2 config error, 3 I/O error,
-4 input error (a malformed dump or scenario file, or report sets whose
-seeds differ); any other exception is a program fault and propagates with
+4 input error (a malformed dump, scenario file or report, or report sets
+whose seeds differ); any other exception is a program fault and propagates with
 its traceback.
 """
 
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -78,7 +79,16 @@ def _load_cfg(args) -> ExperimentConfig:
 def _load_reports(directory: Path) -> list[dict]:
     reports = []
     for path in sorted(directory.glob("report_*_seed*.json")):
-        reports.append(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            report = json.loads(path.read_text(encoding="utf-8"))
+            report["config_echo"]["run"]["seed"]  # with the loop: every field compare reads, checked here to name the file
+            for part, keys in (("aggregate", harness.COMPARE_METRICS), ("counters", harness.COMPARE_COUNTERS)):
+                operator.itemgetter(*keys)(report[part])
+        except json.JSONDecodeError as exc:
+            raise InputError(f"report {path} is not JSON: {exc}") from exc
+        except (KeyError, TypeError) as exc:
+            raise InputError(f"report {path} lacks a field compare reads: {type(exc).__name__} {exc}") from exc
+        reports.append(report)
     if not reports:
         raise OSError(f"no report_*_seed*.json files in {directory}")
     return reports

@@ -200,6 +200,7 @@ def run_single(
     policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
     params = cfg.perception
     bank = QueryBank(dim=codec.dim)
+    reads_bank = math.floor(policy.rho * policy.n_queries) > 0  # else assemble_queries never reads the bank
     tracks = np.zeros(0, track_dtype(codec.dim, params.velocity_window))
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
@@ -243,7 +244,8 @@ def run_single(
                 scenario.dt,
             )
             tracks = result.tracks
-            predict_and_store(tracks, bank, frame, cfg.predictor, codec, scenario.dt)
+            if reads_bank:
+                predict_and_store(tracks, bank, frame, cfg.predictor, codec, scenario.dt)
             detections.append(result.detections)
             counters["cost_evaluations"] += result.stats["cost_evaluations"]
             per_frame_cost_evals.append(result.stats["cost_evaluations"])

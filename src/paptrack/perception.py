@@ -37,7 +37,7 @@ _BIG = 1e12  # sentinel replacement; far above any sum of gated distances
 class QueryAssemblyPolicy:
     n_queries: int = 256
     rho: float = 0.8
-    mode: str = "fixed"  # "fixed": total always N; "reduced": N - bank size
+    mode: str = "fixed"  # "fixed": total always N; "reduced": the banked plus N - floor(rho * N) random
 
     def validate(self) -> None:
         if self.n_queries < 1:
@@ -131,19 +131,17 @@ def assemble_queries(
     confidence first (ties by track id, then horizon step).  The bank is
     consulted only when the policy can take a banked query: never at T=0,
     nor when floor(rho * N) is 0, as for rho=0, the open-loop baseline;
-    the table is then all-random.
+    the table is then all-random.  Up to floor(rho * N) queries are banked
+    ones; fixed mode fills N with random ones, reduced mode adds N - floor(rho * N).
     """
     policy.validate()
-    k = math.floor(policy.rho * policy.n_queries) if frame > 0 else 0
+    k = share = math.floor(policy.rho * policy.n_queries) if frame > 0 else 0
     if k:
         predicted = bank.fetch(frame - 1)
         if predicted.dtype != query_dtype(codec.dim):
             raise ValueError(f"banked queries have dtype {predicted.dtype}, expected {query_dtype(codec.dim)}")
         k = min(len(predicted), k)
-    if policy.mode == "fixed":
-        n_random = policy.n_queries - k
-    else:
-        n_random = max(policy.n_queries - 2 * k, 0)
+    n_random = policy.n_queries - (k if policy.mode == "fixed" else share)
     table = np.empty(k + n_random, query_dtype(codec.dim))
     centers = rng.uniform(-world_half_extent, world_half_extent, size=(n_random, 2))
     tails = rng.standard_normal(size=(n_random, codec.dim - 2))
@@ -176,10 +174,14 @@ def gate_costs(
 
 
 def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray, eps: float) -> np.ndarray:
-    """Break cost ties in favor of predicted queries by subtracting `eps`."""
+    """Break cost ties in favor of predicted queries: a copy of `costs`, their rows less `eps`, clamped at 0 (or `costs` if none)."""
+    predicted = queries["provenance"] == PREDICTED
+    k = int(np.count_nonzero(predicted))
+    if not k:
+        return costs
+    rows = slice(k) if predicted[:k].all() else predicted  # assemble_queries puts them first: a slice, not a gather
     out = costs.copy()
-    where = (queries["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
-    np.copyto(out, np.maximum(costs - eps, 0.0), where=where)
+    out[rows] = np.maximum(costs[rows] - eps, 0.0)
     return out
 
 

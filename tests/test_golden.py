@@ -4,7 +4,9 @@ Each case runs both shipped configs cut to 40 frames, seeds 1 and 2, both
 arms, with a debug dump, and compares the sha256 of the report JSON and of
 the dump with `tests/golden_digests.json`.  Two more cases run a dense
 scene, perfbench's `crowd` workload cut to 80 frames (seed 1, both arms),
-whose track tables hold many terminated rows.  Three degenerate scenes, each
+whose track tables hold many terminated rows.  Two run perfbench's
+`query_flood` workload cut to 40 frames (seed 1, both arms): tall cost
+matrices with few predicted rows.  Three degenerate scenes, each
 the standard suite cut to 40 frames (seed 1, both arms), pin the empty and
 one-row paths: `no_agents` (every frame all clutter), `empty_frames`
 (`miss_probability` 1 and `clutter_rate` 0, so every frame is empty) and
@@ -49,13 +51,19 @@ CROWD = {
     "policy": {"n_queries": 128},
 }
 CROWD_FRAMES = 80
+# perfbench's `query_flood` workload: 3 agents, light clutter and 1,024 queries, of which few are predicted
+QUERY_FLOOD = {
+    "scenario": {"class_counts": {"car": 2, "pedestrian": 1}},
+    "sensor": {"clutter_rate": 1.0},
+    "policy": {"n_queries": 1024},
+}
 # degenerate scenes: overrides of the standard suite, run on FRAMES frames
 DEGENERATE = {
     "no_agents": {"scenario": {"class_counts": {}}},
     "empty_frames": {"sensor": {"miss_probability": 1.0, "clutter_rate": 0.0}},
     "one_query": {"policy": {"n_queries": 1, "rho": 1.0}},  # rho 1: the pap arm's one query is a banked one
 }
-OVERRIDES = {"crowd": CROWD, **DEGENERATE}
+OVERRIDES = {"crowd": CROWD, "query_flood": QUERY_FLOOD, **DEGENERATE}
 CASES = [f"{config}/seed{seed}/{arm}" for config in CONFIGS for seed in SEEDS for arm in ARMS] + [
     f"{scene}/seed1/{arm}" for scene in OVERRIDES for arm in ARMS
 ]

@@ -27,6 +27,7 @@ from paptrack.harness import (
 )
 from paptrack.metrics import report_to_json
 from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
+from paptrack.prediction import predict_and_store
 from paptrack.world import ConfigError, ScenarioConfig, SensorConfig, generate_scenario, scenario_to_dict
 
 from oracles import recompute_cost_evaluations
@@ -332,6 +333,39 @@ def test_three_way_crossing_and_near_coincident_spawns_replay_to_their_reports(t
             dump = tmp_path / f"dump_{arm}_seed{seed}.jsonl"
             report = run_single(cfg, seed, rho=rho, arm=arm, dump_path=dump)
             assert report_to_json(replay_dump(dump)) == report_to_json(report)
+
+
+@pytest.fixture
+def banked_frames(monkeypatch):
+    """The frames in which run_single calls predict_and_store, in call order."""
+    frames = []
+
+    def counting(tracks, bank, frame, *args):
+        frames.append(frame)
+        return predict_and_store(tracks, bank, frame, *args)
+
+    monkeypatch.setattr(harness, "predict_and_store", counting)
+    return frames
+
+
+def test_run_single_forecasts_only_when_a_banked_query_can_be_taken(banked_frames):
+    cfg = small_config(seeds=(1,))
+    run_single(cfg, 1, rho=0.0, arm="baseline")
+    assert banked_frames == []
+
+    # floor(0.8 * 1) = 0: the one query is always random, so this pap arm is the baseline
+    cfg.policy.n_queries = 1
+    one_query = run_single(cfg, 1, rho=0.8, arm="pap")
+    assert banked_frames == []
+    one_baseline = run_single(cfg, 1, rho=0.0, arm="baseline")
+    assert one_query["config_echo"].pop("run") == {"seed": 1, "rho": 0.8, "arm": "pap"}
+    one_baseline["config_echo"].pop("run")
+    assert strip_timing(one_query) == strip_timing(one_baseline)
+    assert banked_frames == []
+
+    cfg.policy.n_queries = 128
+    run_single(cfg, 1, rho=0.8, arm="pap")
+    assert banked_frames == list(range(cfg.scenario.frame_count))
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +737,26 @@ def test_cli_compare_mismatched_seed_sets_exits_4(tmp_path, capsys):
     assert main(["compare", str(one), str(two)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "seed sets" in err
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda text: text[:100], "is not JSON"),
+        (lambda text: json.dumps(_without(json.loads(text), "config_echo")), "lacks a field compare reads: KeyError 'config_echo'"),
+        (lambda text: json.dumps(_without(json.loads(text), "aggregate")), "lacks a field compare reads: KeyError 'aggregate'"),
+        (lambda text: "[]", "lacks a field compare reads: TypeError"),
+    ],
+    ids=["truncated", "no-config-echo", "no-aggregate", "not-an-object"],
+)
+def test_cli_compare_on_bad_report_exits_4_naming_it(tmp_path, capsys, edit, problem):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(write_cli_config(tmp_path)), "--out", str(out)]) == 0
+    bad = out / "report_pap_seed1.json"
+    bad.write_text(edit(bad.read_text()))
+    assert main(["compare", str(out), str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: report {bad} ") and problem in err
 
 
 def _without(doc, name):

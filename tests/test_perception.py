@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -117,8 +119,24 @@ def test_reduced_mode_shrinks_total():
     bank = QueryBank()
     bank.store(0, table([predicted_query(i) for i in range(4)]))
     qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=20, rho=0.8, mode="reduced"), CODEC, HALF_EXTENT, stream(0, "queries"))
-    assert len(qs) == 16  # 4 predicted + (20 - 2*4) random
-    assert sum(q.provenance == PREDICTED for q in qs) == 4
+    assert len(qs) == 8  # 4 predicted + (20 - floor(0.8 * 20)) random
+    assert np.all(qs["provenance"][:4] == PREDICTED) and np.all(qs["provenance"][4:] == RANDOM)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.8, 1.0])
+def test_reduced_mode_draws_the_random_share_whatever_the_bank_holds(rho):
+    policy = QueryAssemblyPolicy(n_queries=10, rho=rho, mode="reduced")
+    share = math.floor(rho * 10)
+    rng = stream(1, "queries")
+    for n_banked in range(0, 13):
+        bank = QueryBank()
+        bank.store(9, table([predicted_query(i) for i in range(n_banked)]))
+        qs = assemble_queries(bank, 10, policy, CODEC, HALF_EXTENT, rng)
+        assert np.count_nonzero(qs["provenance"] == RANDOM) == 10 - share
+        assert np.count_nonzero(qs["provenance"] == PREDICTED) == min(n_banked, share)
+        # frame 0 never reads a bank: all N queries are random
+        first = assemble_queries(bank, 0, policy, CODEC, HALF_EXTENT, rng)
+        assert len(first) == 10 and np.all(first["provenance"] == RANDOM)
 
 
 def test_assembled_table_is_the_chosen_banked_rows_then_random_rows():
@@ -486,6 +504,37 @@ def test_perceive_equals_manual_composition():
     assert np.array_equal(result.tracks["status"], manual_tracks["status"])
     assert np.array_equal(centers(result.tracks), centers(manual_tracks))
     assert result.tracks.tobytes() == manual_tracks.tobytes()
+
+
+def full_matrix_priority(costs, queries, eps):
+    """The priority adjustment written over the whole matrix: every finite cost of a predicted row, less eps, clamped at 0."""
+    out = costs.copy()
+    where = (queries["provenance"] == PREDICTED)[:, None] & np.isfinite(costs)
+    np.copyto(out, np.maximum(costs - eps, 0.0), where=where)
+    return out
+
+
+@pytest.mark.parametrize(
+    "predicted_rows",
+    [[], [0, 1, 2], [3, 7, 8], [1, 4, 9], list(range(10))],
+    ids=["none", "head", "not-head", "scattered", "all"],
+)
+def test_predicted_priority_equals_the_full_matrix_formula_bit_for_bit(predicted_rows):
+    eps = 1e-6
+    rng = np.random.default_rng(7)
+    costs = rng.uniform(0.0, 3.0, size=(10, 6))
+    costs[rng.random(costs.shape) < 0.3] = np.inf
+    costs[:, 0] = [0.0, 5e-7, 1e-6, 2e-6, np.inf, 0.0, 3e-7, 1e-6, 0.5, np.inf]  # below, at and above eps
+    queries = np.zeros(10, query_dtype(CODEC.dim))
+    queries["provenance"] = RANDOM
+    queries["provenance"][predicted_rows] = PREDICTED
+    before = costs.tobytes()
+    adjusted = apply_predicted_priority(costs, queries, eps)
+    assert costs.tobytes() == before
+    assert adjusted.dtype == costs.dtype and adjusted.shape == costs.shape
+    assert adjusted.tobytes() == full_matrix_priority(costs, queries, eps).tobytes()
+    assert adjusted.min() >= 0.0 and np.array_equal(np.isinf(adjusted), np.isinf(costs))
+    assert (adjusted is costs) == (not predicted_rows)  # with none predicted, the gate's matrix itself
 
 
 def test_predicted_priority_wins_cost_ties():
