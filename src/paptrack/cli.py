@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from pathlib import Path
 
@@ -76,18 +75,25 @@ def _load_cfg(args) -> ExperimentConfig:
     return cfg
 
 
+_COMPARED = (("aggregate", harness.COMPARE_METRICS), ("counters", harness.COMPARE_COUNTERS))
+
+
 def _load_reports(directory: Path) -> list[dict]:
     reports = []
     for path in sorted(directory.glob("report_*_seed*.json")):
-        try:
+        try:  # every field compare reads, checked here to name the file
             report = json.loads(path.read_text(encoding="utf-8"))
-            report["config_echo"]["run"]["seed"]  # with the loop: every field compare reads, checked here to name the file
-            for part, keys in (("aggregate", harness.COMPARE_METRICS), ("counters", harness.COMPARE_COUNTERS)):
-                operator.itemgetter(*keys)(report[part])
+            seed = report["config_echo"]["run"]["seed"]
+            values = {f"{part}.{key}": report[part][key] for part, keys in _COMPARED for key in keys}
         except json.JSONDecodeError as exc:
             raise InputError(f"report {path} is not JSON: {exc}") from exc
         except (KeyError, TypeError) as exc:
             raise InputError(f"report {path} lacks a field compare reads: {type(exc).__name__} {exc}") from exc
+        if type(seed) is not int:
+            raise InputError(f"report {path} config_echo.run.seed {seed!r} is not an integer")
+        for name, value in values.items():
+            if not harness.is_finite_number(value):
+                raise InputError(f"report {path} {name} {value!r} is not a finite number")
         reports.append(report)
     if not reports:
         raise OSError(f"no report_*_seed*.json files in {directory}")

@@ -8,6 +8,7 @@ per-seed deltas are attributable to query recycling alone.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -23,7 +24,7 @@ import numpy as np
 
 from paptrack.metrics import build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
-from paptrack.prediction import COASTING, CONFIRMED, PredictorConfig, forecast, predict_and_store
+from paptrack.prediction import PredictorConfig, fed_tracks, forecast, predict_and_store
 from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, CodecConfig, QueryBank, decode_reference
 from paptrack.rng import stream
 from paptrack.world import (
@@ -36,6 +37,7 @@ from paptrack.world import (
     box_dtype,
     generate_scenario,
     load_scenario,
+    raw_rows,
     scenario_ground_truth,
     sense,
 )
@@ -74,7 +76,7 @@ class ExperimentConfig:
             raise ConfigError(f"mode must be one of {MODES}")
         if not isinstance(self.scenario_path, (str, type(None))):
             raise ConfigError(f"scenario_path must be a string or null, got {self.scenario_path!r}")
-        if not all(_is_finite_number(r) and 0.0 <= r <= 1.0 for r in self.rho_values):
+        if not all(is_finite_number(r) and 0.0 <= r <= 1.0 for r in self.rho_values):
             raise ConfigError("rho_values must lie in [0, 1]")
         if self.embedding_dim < 3:
             raise ConfigError("embedding_dim must be >= 3 (2 center slots + tail)")
@@ -103,10 +105,10 @@ def _json_type(default) -> tuple[str, object]:
     if isinstance(default, int):
         return "an integer", lambda v: type(v) is int
     if isinstance(default, float):
-        return "a number", _is_finite_number
+        return "a number", is_finite_number
     if isinstance(default, tuple):
         n = len(default)
-        return f"a list of {n} numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(_is_finite_number, v))
+        return f"a list of {n} numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(is_finite_number, v))
     if default is None:  # scenario_path and explicit_agents, which `validate` checks
         return "anything", lambda v: True
     kind = {str: "a string", list: "a list"}.get(type(default), "an object")  # else a dict or a section
@@ -171,6 +173,9 @@ def load_config(path) -> ExperimentConfig:
 # single run
 
 
+# the report fields a dump's footer carries, which replay does not recompute
+_FOOTER_KEYS = ("counters", "measurement_hash", "per_frame_cost_evaluations")
+
 _HASH_ROW = np.dtype([("center", np.float64, (2,)), ("cls", np.int64)])  # packed: 24 bytes a measurement
 
 
@@ -200,7 +205,7 @@ def run_single(
     policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
     params = cfg.perception
     bank = QueryBank(dim=codec.dim)
-    reads_bank = math.floor(policy.rho * policy.n_queries) > 0  # else assemble_queries never reads the bank
+    reads_bank = policy.banked_share > 0  # else assemble_queries never reads the bank
     tracks = np.zeros(0, track_dtype(codec.dim, params.velocity_window))
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
@@ -256,9 +261,7 @@ def run_single(
         if collecting:
             gc.enable()
 
-    # joined as raw bytes: numpy joins structured tables field by field, several times slower
-    raw = np.dtype((np.void, box_dtype.itemsize))
-    detections = np.concatenate([table.view(raw) for table in detections]).view(box_dtype)
+    detections = np.concatenate([raw_rows(table) for table in detections]).view(box_dtype)
     per_class = evaluate_run(
         gt, detections, n_recall_points=cfg.metrics.n_recall_points, match_distance=cfg.metrics.match_distance
     )
@@ -266,26 +269,14 @@ def run_single(
     report["measurement_hash"] = hasher.hexdigest()
     report["per_frame_cost_evaluations"] = per_frame_cost_evals
     if dump_file is not None:
-        dump_file.write(
-            json.dumps(
-                {
-                    "type": "footer",
-                    "counters": report["counters"],
-                    "measurement_hash": report["measurement_hash"],
-                    "per_frame_cost_evaluations": per_frame_cost_evals,
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
+        dump_file.write(json.dumps({"type": "footer", **{k: report[k] for k in _FOOTER_KEYS}}, sort_keys=True) + "\n")
         dump_file.close()
     return report
 
 
 def _frame_record(frame, measurements, gt, result, tracks, predictor, codec, dt) -> dict:
     queries, detections = result.queries, result.detections
-    status = tracks["status"]
-    fed = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
+    live, fed = fed_tracks(tracks)
     return {
         "type": "frame",
         "frame": frame,
@@ -322,11 +313,11 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec, dt)
         ],
         "forecasts": [
             {"track_id": row + 1, "points": points}
-            for row, points in zip(fed.tolist(), forecast(tracks[fed], predictor, dt).tolist())
+            for row, points in zip(live.tolist(), forecast(fed, predictor, dt).tolist())
         ],
         "tracks": [
             {"id": row + 1, "status": STATUS_NAMES[code], "center": center}
-            for row, (code, center) in enumerate(zip(status.tolist(), tracks["centers"][:, -1].tolist()))
+            for row, (code, center) in enumerate(zip(tracks["status"].tolist(), tracks["centers"][:, -1].tolist()))
         ],
     }
 
@@ -339,7 +330,7 @@ def _is_id(value) -> bool:
     return type(value) is int and 0 <= value < 2**63
 
 
-def _is_finite_number(value) -> bool:
+def is_finite_number(value) -> bool:
     return (type(value) is int and abs(value) <= 2**53) or (type(value) is float and math.isfinite(value))
 
 
@@ -347,14 +338,14 @@ def _is_finite_number(value) -> bool:
 _DUMP_FIELDS = {
     "config_echo": ("an object", lambda v: isinstance(v, dict)),
     "metrics": ("an object", lambda v: isinstance(v, dict)),
-    "match_distance": ("a finite number > 0", lambda v: _is_finite_number(v) and v > 0),
+    "match_distance": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
     "n_recall_points": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
     "frame": ("a non-negative integer", _is_id),
     "id": ("a non-negative integer", _is_id),
     "track_id": ("a non-negative integer", _is_id),
     "class": (f"one of {', '.join(CLASSES)}", lambda v: v in CLASSES),
-    "center": ("2 finite numbers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_finite_number, v))),
-    "confidence": ("a finite number in [0, 1]", lambda v: _is_finite_number(v) and 0 <= v <= 1),
+    "center": ("2 finite numbers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_finite_number, v))),
+    "confidence": ("a finite number in [0, 1]", lambda v: is_finite_number(v) and 0 <= v <= 1),
 }
 
 
@@ -394,7 +385,7 @@ def replay_dump(path) -> dict:
                     metric_settings = {**dataclasses.asdict(MetricConfig()), **echo.get("metrics", {})}
                     _check_fields(metric_settings, ("n_recall_points", "match_distance"), f"{where} header metrics")
                 elif kind == "footer":
-                    footer = {k: rec[k] for k in ("counters", "measurement_hash", "per_frame_cost_evaluations")}
+                    footer = {k: rec[k] for k in _FOOTER_KEYS}
                 else:
                     _check_fields(rec, ("frame",), where)
                     frame = rec["frame"]
@@ -559,8 +550,6 @@ def sweep_rho(cfg: ExperimentConfig, rho_values, jobs: int = 1, dump_dir=None) -
 
 
 def _write_sweep_csv(path, rows) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["rho"] + [f"mean_{m}" for m in COMPARE_METRICS])
@@ -569,8 +558,6 @@ def _write_sweep_csv(path, rows) -> None:
 
 
 def _write_comparison_csv(path, summary) -> None:
-    import csv
-
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["metric", "baseline_mean", "baseline_std", "pap_mean", "pap_std", "delta", "relative_delta"])

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from paptrack.kernels import gated_costs
-from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
-from paptrack.world import ConfigError, box_dtype
+from paptrack.queries import ANY_CLASS, PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
+from paptrack.world import ConfigError, box_dtype, raw_rows
 
 # track status codes; STATUS_NAMES[code] is the name a dump records
 TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)
@@ -46,6 +45,11 @@ class QueryAssemblyPolicy:
             raise ConfigError("rho must be in [0, 1]")
         if self.mode not in ("fixed", "reduced"):
             raise ConfigError("mode must be 'fixed' or 'reduced'")
+
+    @property
+    def banked_share(self) -> int:
+        """floor(rho * N): the most banked queries a frame takes; at 0 the bank is never read."""
+        return math.floor(self.rho * self.n_queries)
 
 
 @dataclass
@@ -130,12 +134,12 @@ def assemble_queries(
     Predicted queries come from the bank entry at T-1, highest source-track
     confidence first (ties by track id, then horizon step).  The bank is
     consulted only when the policy can take a banked query: never at T=0,
-    nor when floor(rho * N) is 0, as for rho=0, the open-loop baseline;
+    nor when its `banked_share` floor(rho * N) is 0, as for rho=0, the open-loop baseline;
     the table is then all-random.  Up to floor(rho * N) queries are banked
     ones; fixed mode fills N with random ones, reduced mode adds N - floor(rho * N).
     """
     policy.validate()
-    k = share = math.floor(policy.rho * policy.n_queries) if frame > 0 else 0
+    k = share = policy.banked_share if frame > 0 else 0
     if k:
         predicted = bank.fetch(frame - 1)
         if predicted.dtype != query_dtype(codec.dim):
@@ -148,10 +152,28 @@ def assemble_queries(
     embed_center(centers, tails, codec, out=table[k:])
     if k:
         order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
-        # gathered as raw bytes: numpy copies structured rows field by field, several times slower
-        raw = np.dtype((np.void, table.dtype.itemsize))
-        table.view(raw)[:k] = predicted.view(raw)[order[:k]]
+        raw_rows(table)[:k] = raw_rows(predicted)[order[:k]]
     return table
+
+
+def gated_costs(q_xy: np.ndarray, q_cls: np.ndarray, m_xy: np.ndarray, m_cls: np.ndarray, gate: float) -> tuple[np.ndarray, int]:
+    """Euclidean cost matrix with class and distance gating, in one vectorised pass.
+
+    Entries for class-incompatible pairs or pairs farther apart than `gate`
+    are ``+inf``.  Returns ``(costs, n_evaluations)``, where `n_evaluations`
+    counts the class-compatible pairs, whose distance was computed (the
+    per-frame compute-cost proxy).  ``tests/oracles.py`` holds a
+    pair-by-pair loop that this must match bit for bit.
+    """
+    compat = q_cls[:, None] == m_cls[None, :]
+    compat |= (q_cls == ANY_CLASS)[:, None]
+    dx = q_xy[:, 0:1] - m_xy[None, :, 0]
+    dy = q_xy[:, 1:2] - m_xy[None, :, 1]
+    dx *= dx
+    dy *= dy
+    dx += dy
+    dist = np.sqrt(dx, out=dx)  # sqrt(dx * dx + dy * dy), computed in place
+    return np.where(compat & (dist <= float(gate)), dist, np.inf), int(np.count_nonzero(compat))
 
 
 def gate_costs(
@@ -160,7 +182,7 @@ def gate_costs(
     gate_threshold: float,
     codec: CodecConfig,
 ) -> tuple[np.ndarray, int]:
-    """Gated Euclidean cost matrix; +inf marks incompatible or out-of-gate pairs.
+    """Gated Euclidean cost matrix of a query table against a box table (see :func:`gated_costs`).
 
     Random queries are class-agnostic; predicted queries only see
     measurements of their track's class.  Also returns the number of
@@ -236,8 +258,6 @@ def update_tracks(
     if not (((0 <= q_idx) & (q_idx < len(queries))).all() and ((0 <= m_idx) & (m_idx < len(measurements))).all()):
         raise ValueError("assignment references out-of-range indices")
     n = len(tracks)
-    # rows are gathered and scattered as raw bytes: numpy copies structured rows field by field, several times slower
-    raw = np.dtype((np.void, tracks.dtype.itemsize))
     m_xy = measurements["center"][m_idx]
     live = tracks["status"] != TERMINATED
 
@@ -252,7 +272,7 @@ def update_tracks(
             deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
     hit_rows = np.array(list(first), dtype=np.intp)
     by_prediction = list(first.values())
-    q_xy = codec.scale * queries["embedding"][q_idx[by_prediction], :2] + np.asarray(codec.offset)  # decode_reference's map
+    q_xy = codec.decode(queries["embedding"][q_idx[by_prediction], :2])
     hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
 
     # the rest continue the nearest free live track in the gate, greedily in match order, else are born
@@ -290,7 +310,7 @@ def update_tracks(
     rows = np.concatenate([hit_rows, idle_rows[coasting], idle_rows[~coasting]])
     h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
     if len(rows):
-        sub = tracks.view(raw)[rows].view(tracks.dtype)
+        sub = raw_rows(tracks)[rows].view(tracks.dtype)
         states = []  # (centers, velocities) of the state appended to each hit and coasting row
         if h:
             # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
@@ -318,11 +338,11 @@ def update_tracks(
                 history = sub[name]
                 history[:c, :-1] = history[:c, 1:]
                 history[:c, -1] = value
-        tracks.view(raw)[rows] = sub.view(raw)
+        raw_rows(tracks)[rows] = raw_rows(sub)
 
     if not born:
         return tracks
-    tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
+    tracks = np.concatenate([raw_rows(tracks), raw_rows(np.zeros(len(born), tracks.dtype))]).view(tracks.dtype)
     newborn = tracks[n:]
     newborn["cls"] = measurements["cls"][m_idx[born]]
     newborn["tail"] = queries["embedding"][q_idx[born], 2:]

@@ -14,7 +14,7 @@ import numpy as np
 
 from paptrack.perception import COASTING, CONFIRMED, TERMINATED, track_confidence
 from paptrack.queries import PREDICTED, CodecConfig, QueryBank, embed_center
-from paptrack.world import ConfigError
+from paptrack.world import ConfigError, raw_rows
 
 CONSTANT_VELOCITY = "constant_velocity"
 CONSTANT_TURN = "constant_turn"
@@ -68,6 +68,13 @@ def forecast(tracks: np.ndarray, cfg: PredictorConfig, dt: float) -> np.ndarray:
     return c[:, None, :] + (steps * dt)[None] * v[:, None, :]
 
 
+def fed_tracks(tracks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row indices, ascending, and a table of the rows that are forecast and banked: the confirmed and coasting ones."""
+    status = tracks["status"]
+    rows = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
+    return rows, raw_rows(tracks)[rows].view(tracks.dtype)
+
+
 def predict_and_store(
     tracks: np.ndarray,
     bank: QueryBank,
@@ -76,17 +83,14 @@ def predict_and_store(
     codec: CodecConfig,
     dt: float,
 ) -> QueryBank:
-    """Forecast every confirmed/coasting track and bank the resulting queries.
+    """Forecast every track of :func:`fed_tracks` and bank the resulting queries.
 
     Each track gives one row per fed horizon step (`feed_step`, or every
     step with `feed_all`), in track-id order.  The row carries the source
     track's tail slot-for-slot, so temporal identity features survive the
     loop, and its class, so it only matches measurements of that class.
     """
-    status = tracks["status"]
-    live = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
-    # gathered as raw bytes: numpy copies structured rows field by field, several times slower
-    fed = tracks.view(np.dtype((np.void, tracks.dtype.itemsize)))[live].view(tracks.dtype)
+    live, fed = fed_tracks(tracks)
     steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
     rows, which = np.divmod(np.arange(len(live) * len(steps)), len(steps))  # query row -> row of `fed`, step
     queries = embed_center(

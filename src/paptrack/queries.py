@@ -38,6 +38,14 @@ class CodecConfig:
         if self.scale == 0.0:
             raise ValueError("codec scale must be nonzero")
 
+    def encode(self, centers: np.ndarray) -> np.ndarray:
+        """Center slots of BEV centers ``(..., 2)``: the inverse of :meth:`decode`."""
+        return (centers - np.asarray(self.offset)) / self.scale
+
+    def decode(self, slots: np.ndarray) -> np.ndarray:
+        """BEV centers of center slots ``(..., 2)``: ``scale * x + offset``."""
+        return self.scale * slots + np.asarray(self.offset)
+
 
 @functools.cache
 def query_dtype(dim: int) -> np.dtype:
@@ -67,7 +75,7 @@ def decode_reference(queries, codec: CodecConfig) -> np.ndarray:
     xy = emb[..., :2]
     if not np.isfinite(xy).all():
         raise ValueError("non-finite embedding values")
-    return codec.scale * xy + np.asarray(codec.offset)
+    return codec.decode(xy)
 
 
 def embed_center(
@@ -107,7 +115,7 @@ def embed_center(
         raise ValueError("predicted query requires source_track_id")
     table = np.empty(n, dtype=query_dtype(codec.dim)) if out is None else out
     emb = table["embedding"]
-    emb[:, :2] = (centers - np.asarray(codec.offset)) / codec.scale
+    emb[:, :2] = codec.encode(centers)
     emb[:, 2:] = tails
     table["provenance"] = provenance
     table["source_track_id"] = source_track_id

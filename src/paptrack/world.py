@@ -154,6 +154,11 @@ box_dtype = np.dtype(
 )
 
 
+def raw_rows(table: np.ndarray) -> np.ndarray:
+    """`table`'s rows as raw bytes, to gather, scatter and join: numpy copies structured rows field by field, several times slower."""
+    return table.view(np.dtype((np.void, table.dtype.itemsize)))
+
+
 @dataclass
 class AgentTrack:
     """One agent: per-frame kinematic states over [spawn, despawn)."""
@@ -348,15 +353,28 @@ def _objects(value) -> list[dict]:
     return value
 
 
+def _finite(value: np.ndarray) -> np.ndarray:
+    if not np.isfinite(value).all():
+        raise ValueError("holds a non-finite value")
+    return value
+
+
 def _rows(n: int, width: int):
-    return lambda value: np.array(value, dtype=float).reshape(n, width)
+    return lambda value: _finite(np.array(value, dtype=float).reshape(n, width))
+
+
+def _positive(value) -> float:
+    if not 0 < float(value) < math.inf:
+        raise ValueError(f"must be a finite number > 0, got {value!r}")
+    return float(value)
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     """Rebuild a scenario from its JSON document.
 
     A document that is not an object, lacks a field, holds a value that does
-    not convert or a `frame_count` below 1, names an unknown class, gives an
+    not convert, a non-finite `dt`, state or ego value, a `dt` <= 0 or a
+    `frame_count` below 1, names an unknown class, gives an
     agent a lifespan outside ``0 <= spawn < despawn <= frame_count`` or
     states that do not fit its lifespan raises `InputError` naming `source`
     and the field.
@@ -391,7 +409,7 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
         )
     return Scenario(
         scenario_id=_read(doc, "scenario_id", str, source),
-        dt=_read(doc, "dt", float, source),
+        dt=_read(doc, "dt", _positive, source),
         frame_count=frame_count,
         seed=_read(doc, "seed", int, source),
         agents=agents,

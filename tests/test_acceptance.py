@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from paptrack import kernels
 from paptrack.harness import compare, load_config, run_single, sign_test_pvalue
 from paptrack.metrics import amota_amotp, evaluate_run
-from paptrack.perception import associate
+from paptrack.perception import associate, gated_costs
 from paptrack.queries import CodecConfig, decode_reference, embed_center
 from paptrack.world import generate_scenario
 
@@ -50,7 +49,7 @@ def criterion(num: int, name: str, ok: bool, detail: str = "") -> None:
 def _warm_kernels() -> None:
     xy = np.zeros((2, 2))
     cls = np.zeros(2, dtype=np.int64)
-    kernels.gated_costs(xy, cls, xy, cls, 1.0)
+    gated_costs(xy, cls, xy, cls, 1.0)
 
 
 def _run_suite(config_name: str):

@@ -746,8 +746,10 @@ def test_cli_compare_mismatched_seed_sets_exits_4(tmp_path, capsys):
         (lambda text: json.dumps(_without(json.loads(text), "config_echo")), "lacks a field compare reads: KeyError 'config_echo'"),
         (lambda text: json.dumps(_without(json.loads(text), "aggregate")), "lacks a field compare reads: KeyError 'aggregate'"),
         (lambda text: "[]", "lacks a field compare reads: TypeError"),
+        (lambda text: json.dumps(_aggregate(json.loads(text), amota="high")), "aggregate.amota 'high' is not a finite number"),
+        (lambda text: json.dumps(_run_seed(json.loads(text), [1])), "config_echo.run.seed [1] is not an integer"),
     ],
-    ids=["truncated", "no-config-echo", "no-aggregate", "not-an-object"],
+    ids=["truncated", "no-config-echo", "no-aggregate", "not-an-object", "amota-string", "seed-list"],
 )
 def test_cli_compare_on_bad_report_exits_4_naming_it(tmp_path, capsys, edit, problem):
     out = tmp_path / "out"
@@ -762,6 +764,21 @@ def test_cli_compare_on_bad_report_exits_4_naming_it(tmp_path, capsys, edit, pro
 def _without(doc, name):
     doc.pop(name)
     return doc
+
+
+def _aggregate(doc, **values):
+    doc["aggregate"].update(values)
+    return doc
+
+
+def _run_seed(doc, seed):
+    doc["config_echo"]["run"]["seed"] = seed
+    return doc
+
+
+def _with_value(rows, i, j, value):
+    rows[i][j] = value
+    return rows
 
 
 def _agent(doc, **fields):
@@ -796,6 +813,27 @@ def test_cli_run_on_bad_scenario_file_exits_4(tmp_path, capsys, edit, problem):
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error: scenario file") and problem in err
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda doc: doc | {"dt": math.nan}, "field 'dt' is not valid: must be a finite number > 0, got nan"),
+        (lambda doc: doc | {"dt": 0}, "field 'dt' is not valid: must be a finite number > 0, got 0"),
+        (lambda doc: _agent(doc, states=_with_value(doc["agents"][0]["states"], 2, 1, math.inf)), "agent 0 field 'states' is not valid: holds a non-finite value"),
+        (lambda doc: doc | {"ego": _with_value(doc["ego"], 5, 0, math.nan)}, "field 'ego' is not valid: holds a non-finite value"),
+    ],
+    ids=["dt-nan", "dt-zero", "states-inf", "ego-nan"],
+)
+def test_cli_run_on_non_finite_or_non_positive_scenario_value_exits_4(tmp_path, capsys, edit, problem):
+    doc = edit(scenario_to_dict(generate_scenario(ScenarioConfig(frame_count=20, class_counts={"car": 2}), 1)))
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(doc))  # json writes NaN and Infinity as such
+    cfg_path = write_cli_config(tmp_path, scenario_path=str(scenario))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: scenario file {scenario} ") and problem in err
+    assert not list(tmp_path.glob("out/report_*"))
 
 
 def test_cli_generate_takes_only_the_flags_it_uses(tmp_path, capsys):

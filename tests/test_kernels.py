@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paptrack import kernels
+from paptrack.perception import gated_costs
+from paptrack.queries import ANY_CLASS
 
 from oracles import gated_costs_loop
 
@@ -18,10 +19,10 @@ def random_instance(rng, nq=64, nm=20, n_classes=7):
 
 def test_numpy_path_costs_and_count():
     q_xy = np.array([[0.0, 0.0], [10.0, 0.0]])
-    q_cls = np.array([0, kernels.ANY_CLASS], dtype=np.int64)
+    q_cls = np.array([0, ANY_CLASS], dtype=np.int64)
     m_xy = np.array([[3.0, 4.0]])
     m_cls = np.array([1], dtype=np.int64)
-    costs, n_eval = kernels.gated_costs(q_xy, q_cls, m_xy, m_cls, 20.0)
+    costs, n_eval = gated_costs(q_xy, q_cls, m_xy, m_cls, 20.0)
     assert np.isinf(costs[0, 0])  # class 0 query never evaluates a class-1 measurement
     assert costs[1, 0] == pytest.approx(np.hypot(7.0, 4.0))
     assert n_eval == 1
@@ -32,7 +33,7 @@ def test_kernel_matches_loop_oracle_exactly():
     for _ in range(10):
         q_xy, q_cls, m_xy, m_cls = random_instance(rng)
         gate = float(rng.uniform(1.0, 40.0))
-        c_np, n_np = kernels.gated_costs(q_xy, q_cls, m_xy, m_cls, gate)
+        c_np, n_np = gated_costs(q_xy, q_cls, m_xy, m_cls, gate)
         c_loop, n_loop = gated_costs_loop(q_xy, q_cls, m_xy, m_cls, gate)
         assert n_np == n_loop
         assert np.array_equal(c_np, c_loop)  # bitwise, including inf placement
@@ -41,7 +42,7 @@ def test_kernel_matches_loop_oracle_exactly():
 def test_kernel_and_loop_oracle_agree_on_empty_inputs():
     empty_xy = np.zeros((0, 2))
     empty_cls = np.zeros(0, dtype=np.int64)
-    c_np, n_np = kernels.gated_costs(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
+    c_np, n_np = gated_costs(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
     c_loop, n_loop = gated_costs_loop(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
     assert c_np.shape == c_loop.shape == (0, 0)
     assert n_np == n_loop == 0

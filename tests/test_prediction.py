@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from paptrack.perception import COASTING, CONFIRMED, TENTATIVE, TERMINATED
+from paptrack.harness import _frame_record
+from paptrack.perception import COASTING, CONFIRMED, TENTATIVE, TERMINATED, Assignment, FrameResult, match_dtype
 from paptrack.prediction import (
     CONSTANT_TURN,
     CONSTANT_VELOCITY,
@@ -11,8 +12,8 @@ from paptrack.prediction import (
     forecast,
     predict_and_store,
 )
-from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference
-from paptrack.world import CLASS_INDEX
+from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, query_dtype
+from paptrack.world import CLASS_INDEX, box_dtype
 
 from oracles import forecast_oracle
 from tables import track_table
@@ -201,6 +202,29 @@ def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
     qs = bank.fetch(0)
     assert qs["source_track_id"].tolist() == [2, 3]  # sorted by track id
     assert all(q.cls == CLASS_INDEX["car"] for q in qs)
+
+
+def test_dump_forecasts_are_the_banked_queries():
+    """The dump's forecasts and the bank follow one feed rule: the same tracks, the same points."""
+    codec = CodecConfig(dim=16, scale=1.0 / 32.0)  # a power of two: a center encodes and decodes exactly
+    cfg = PredictorConfig(horizon=3, feed_all=True)
+    tracks = track_table(
+        track_row(track_id=1, center=(1.0, 2.0), velocity=(0.5, 0.0), status=TENTATIVE),
+        track_row(track_id=2, center=(-3.0, 4.0), velocity=(0.0, 1.5), status=CONFIRMED),
+        track_row(track_id=3, center=(5.0, -6.0), velocity=(-1.0, 0.25), status=TERMINATED),
+        track_row(track_id=4, center=(7.0, 8.0), velocity=(0.75, -0.5), status=COASTING, misses=1),
+        track_row(track_id=5, center=(0.0, 0.0), velocity=(2.0, 2.0), status=CONFIRMED),
+    )
+    banked = predict_and_store(tracks, QueryBank(), 0, cfg, codec, DT).fetch(0)
+    none = np.zeros(0, box_dtype)
+    result = FrameResult(tracks, none, np.zeros(0, query_dtype(16)), Assignment(np.zeros(0, match_dtype), np.arange(0), np.arange(0)), {})
+    forecasts = _frame_record(0, none, none, result, tracks, cfg, codec, DT)["forecasts"]
+    assert [f["track_id"] for f in forecasts] == [2, 4, 5]
+    # the bank holds each fed track's steps in track-id order, then step order
+    assert banked["source_track_id"].tolist() == [f["track_id"] for f in forecasts for _ in range(cfg.horizon)]
+    assert banked["horizon_step"].tolist() == [1, 2, 3] * len(forecasts)
+    points = np.array([f["points"] for f in forecasts]).reshape(-1, 2)
+    assert np.array_equal(points, decode_reference(banked, codec))
 
 
 def test_bank_closure_decoded_center_is_dead_reckoned_position():
