@@ -16,7 +16,6 @@ import json
 import math
 import numbers
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,6 +71,9 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        repeated = [seed for seed in self.seeds if self.seeds.count(seed) > 1]
+        if repeated:  # a run writes one report per seed and arm, so a repeat would count twice in the means
+            raise ConfigError(f"seeds must be distinct, got {repeated[0]} more than once in {self.seeds!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}")
         if not isinstance(self.scenario_path, (str, type(None))):
@@ -425,7 +427,10 @@ def _run_arm(cfg: ExperimentConfig, rho: float, arm: str, jobs: int = 1, dump_di
         for seed in cfg.seeds
     ]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        from concurrent.futures import ProcessPoolExecutor  # here, as a serial run never needs it
+
+        # a forked pool starts all its workers at the first submit: no more than there are seeds
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as ex:
             return list(ex.map(_run_job, tasks))
     return [_run_job(t) for t in tasks]
 
@@ -437,6 +442,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, jobs: int = 1, dump_debu
     into `out_dir`, which is then required.
     """
     cfg.validate()
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     if dump_debug and out_dir is None:
         raise ValueError("dump_debug requires out_dir")
     out = None if out_dir is None else Path(out_dir)

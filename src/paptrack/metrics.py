@@ -31,8 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from paptrack.kernels import linear_sum_assignment
 from paptrack.world import CLASSES
 
 DEFAULT_MATCH_DISTANCE = 2.0

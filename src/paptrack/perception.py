@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from paptrack.kernels import linear_sum_assignment
 from paptrack.queries import ANY_CLASS, PREDICTED, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
 from paptrack.world import ConfigError, box_dtype, raw_rows
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from paptrack.perception import COASTING, CONFIRMED, TERMINATED, track_confidence
-from paptrack.queries import PREDICTED, CodecConfig, QueryBank, embed_center
+from paptrack.queries import PREDICTED, CodecConfig, QueryBank, embed_center, query_dtype
 from paptrack.world import ConfigError, raw_rows
 
 CONSTANT_VELOCITY = "constant_velocity"
@@ -45,14 +45,15 @@ def _turn_rates(tracks: np.ndarray, dt: float) -> np.ndarray:
     return np.where(moving & (span > 0), da / np.where(span > 0, span, 1.0), 0.0)
 
 
-def forecast(tracks: np.ndarray, cfg: PredictorConfig, dt: float) -> np.ndarray:
-    """Extrapolate every row of a track table over the configured horizon, `dt` seconds a step.
+def forecast(tracks: np.ndarray, cfg: PredictorConfig, dt: float, steps: np.ndarray | None = None) -> np.ndarray:
+    """Extrapolate every row of a track table to horizon `steps` (default 1..horizon), `dt` seconds a step.
 
-    Returns ``(n, horizon, 2)`` points; ``[i, h-1]`` is row i's step-h position.
+    Returns ``(n, len(steps), 2)`` points; ``[i, j]`` is row i's position at step ``steps[j]``.
     """
     cfg.validate()
-    if np.any(tracks["status"] == TERMINATED):
+    if (tracks["status"] == TERMINATED).any():
         raise ValueError("cannot forecast a terminated track")
+    steps = np.arange(1, cfg.horizon + 1) if steps is None else np.asarray(steps)
     c, v = tracks["centers"][:, -1], tracks["velocities"][:, -1]
     if cfg.model == CONSTANT_TURN:
         omega = _turn_rates(tracks, dt)
@@ -63,15 +64,14 @@ def forecast(tracks: np.ndarray, cfg: PredictorConfig, dt: float) -> np.ndarray:
             x = x + v * dt
             v = np.stack([rot_c * v[:, 0] - rot_s * v[:, 1], rot_s * v[:, 0] + rot_c * v[:, 1]], axis=1)
             points[:, h] = x
-        return points
-    steps = np.arange(1, cfg.horizon + 1)[:, None]
-    return c[:, None, :] + (steps * dt)[None] * v[:, None, :]
+        return points[:, steps - 1]
+    return c[:, None, :] + (steps * dt)[None, :, None] * v[:, None, :]
 
 
 def fed_tracks(tracks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The row indices, ascending, and a table of the rows that are forecast and banked: the confirmed and coasting ones."""
     status = tracks["status"]
-    rows = np.flatnonzero((status == CONFIRMED) | (status == COASTING))
+    rows = ((status == CONFIRMED) | (status == COASTING)).nonzero()[0]
     return rows, raw_rows(tracks)[rows].view(tracks.dtype)
 
 
@@ -92,16 +92,21 @@ def predict_and_store(
     """
     live, fed = fed_tracks(tracks)
     steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
-    rows, which = np.divmod(np.arange(len(live) * len(steps)), len(steps))  # query row -> row of `fed`, step
-    queries = embed_center(
-        forecast(fed, cfg, dt)[rows, steps[which] - 1],
-        fed["tail"][rows],
-        codec,
-        provenance=PREDICTED,
-        source_track_id=live[rows] + 1,
-        horizon_step=steps[which],
-        cls=fed["cls"][rows],
-        confidence=track_confidence(fed["hits"], fed["misses"])[rows],
-    )
-    bank.store(t, queries)
+    points = forecast(fed, cfg, dt, steps)
+    source, confidence = live + 1, track_confidence(fed["hits"], fed["misses"])
+    # row (i, j) is fed track i at steps[j]: one call per step writes a column, with no per-row gathers
+    queries = np.empty((len(live), len(steps)), query_dtype(codec.dim))
+    for j, step in enumerate(steps.tolist()):
+        embed_center(
+            points[:, j],
+            fed["tail"],
+            codec,
+            provenance=PREDICTED,
+            source_track_id=source,
+            horizon_step=step,
+            cls=fed["cls"],
+            confidence=confidence,
+            out=queries[:, j],
+        )
+    bank.store(t, queries.reshape(-1))
     return bank

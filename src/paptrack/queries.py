@@ -108,10 +108,11 @@ def embed_center(
     conf = np.asarray(confidence, dtype=float)
     if not ((conf >= 0.0) & (conf <= 1.0)).all():
         raise ValueError("confidence must be in [0, 1]")
-    # an all-random table needs no source check
-    if not (isinstance(provenance, int) and provenance == RANDOM) and np.any(
-        (np.asarray(provenance) == PREDICTED) & (np.asarray(source_track_id) < 0)
-    ):
+    if isinstance(provenance, int):  # one provenance for every row: an all-random table needs no source check
+        sourceless = provenance == PREDICTED and (np.asarray(source_track_id) < 0).any()
+    else:
+        sourceless = ((np.asarray(provenance) == PREDICTED) & (np.asarray(source_track_id) < 0)).any()
+    if sourceless:
         raise ValueError("predicted query requires source_track_id")
     table = np.empty(n, dtype=query_dtype(codec.dim)) if out is None else out
     emb = table["embedding"]
@@ -139,7 +140,7 @@ class QueryBank:
     queries: np.ndarray | None = None
 
     def store(self, t: int, queries: np.ndarray) -> None:
-        if np.any(queries["provenance"] != PREDICTED):
+        if (queries["provenance"] != PREDICTED).any():
             raise ValueError("bank accepts only predicted-provenance queries")
         self.t, self.queries = int(t), queries.view()
         self.queries.flags.writeable = False

@@ -13,6 +13,7 @@ tracker's detections alike, from `sense` to the metrics.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -154,9 +155,14 @@ box_dtype = np.dtype(
 )
 
 
+@functools.cache
+def _row_bytes(itemsize: int) -> np.dtype:
+    return np.dtype((np.void, itemsize))
+
+
 def raw_rows(table: np.ndarray) -> np.ndarray:
     """`table`'s rows as raw bytes, to gather, scatter and join: numpy copies structured rows field by field, several times slower."""
-    return table.view(np.dtype((np.void, table.dtype.itemsize)))
+    return table.view(_row_bytes(table.dtype.itemsize))
 
 
 @dataclass

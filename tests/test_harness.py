@@ -192,11 +192,18 @@ def test_sign_test_equals_scipy_binomtest():
             assert sign_test_pvalue([0] * (n + 2), pap) == pytest.approx(expected, rel=1e-12, abs=0)
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    code = "import sys; from paptrack import cli; print('scipy.stats' in sys.modules)"
+@pytest.fixture(scope="module")
+def cli_import_modules() -> set[str]:
+    """The modules a fresh interpreter holds after ``from paptrack import cli``."""
+    code = "import sys; from paptrack import cli; print(' '.join(sys.modules))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return set(out.stdout.split())
+
+
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse", "concurrent.futures.process"])
+def test_cli_import_does_not_load(cli_import_modules, module):
+    assert module not in cli_import_modules
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +478,37 @@ def test_cli_dump_debug_output_independent_of_jobs(tmp_path, capsys):
     assert read_outputs(serial, "*_seed*") == read_outputs(parallel, "*_seed*")
 
 
+def test_cli_run_jobs_caps_workers_at_the_seed_count_and_rejects_below_1(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records `max_workers` and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    cfg_path = write_cli_config(tmp_path, seeds=(1, 2))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--jobs", "64"]) == 0
+    assert pools == [2, 2]  # one pool per arm, one worker per seed
+    for jobs in ("0", "-3"):
+        assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / f"out{jobs}"), "--jobs", jobs]) == 2
+        assert capsys.readouterr().err == f"config error: --jobs must be at least 1, got {jobs}\n"
+        assert not (tmp_path / f"out{jobs}").exists()
+    assert pools == [2, 2]
+
+
 def test_cli_sweep_equals_run_in_rho_sweep_mode(tmp_path, capsys):
     cfg_path = write_cli_config(tmp_path, rho_values=[0.0, 1.0])
     swept = tmp_path / "swept"
@@ -528,6 +566,7 @@ def _set(section, **values):
         (_set(None, rho_values=5), "config.rho_values must be a list, got 5"),
         (lambda doc: [doc], "config must be an object, got list"),
         (_set(None, seeds=["a"]), "seeds must be integers, got ['a']"),
+        (_set(None, seeds=[1, 1, 2]), "seeds must be distinct, got 1 more than once in [1, 1, 2]"),
         (_set("scenario", frame_count=10.5), "scenario.frame_count must be an integer, got 10.5"),
         (_set("scenario", class_counts=[1]), "scenario.class_counts must be an object, got [1]"),
         (_set("scenario", class_counts={"car": 1.5}), "class_counts['car'] must be an integer >= 0, got 1.5"),
@@ -537,7 +576,7 @@ def _set(section, **values):
         (_set(None, bank_capacity=4), "unknown key(s) ['bank_capacity'] in config"),
         (_set("predictor", dt=0.1), "unknown key(s) ['dt'] in predictor"),
     ],
-    ids=["policy_int", "n_queries_str", "rho_values_int", "top_level_list", "seed_str", "frame_count_float",
+    ids=["policy_int", "n_queries_str", "rho_values_int", "top_level_list", "seed_str", "seed_repeated", "frame_count_float",
          "class_counts_list", "class_count_float", "speed_range_short", "feed_all_int", "scenario_path_int", "bank_capacity", "predictor_dt"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +12,15 @@ from paptrack.perception import gated_costs
 from paptrack.queries import ANY_CLASS
 
 from oracles import gated_costs_loop
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(code: str, *path_first) -> subprocess.CompletedProcess:
+    """`code` in a fresh interpreter with `path_first` and then src/ on its path."""
+    path = [*map(str, path_first), str(SRC), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 def random_instance(rng, nq=64, nm=20, n_classes=7):
@@ -46,3 +60,22 @@ def test_kernel_and_loop_oracle_agree_on_empty_inputs():
     c_loop, n_loop = gated_costs_loop(empty_xy, empty_cls, empty_xy, empty_cls, 5.0)
     assert c_np.shape == c_loop.shape == (0, 0)
     assert n_np == n_loop == 0
+
+
+@pytest.mark.parametrize("first", ["scipy.optimize", "paptrack.kernels"])
+def test_solver_is_scipy_optimize_linear_sum_assignment_whichever_is_imported_first(first):
+    second = "paptrack.kernels" if first == "scipy.optimize" else "scipy.optimize"
+    code = (f"import {first}, {second}, sys; "
+            "print(sys.modules['paptrack.kernels'].linear_sum_assignment is sys.modules['scipy.optimize'].linear_sum_assignment)")
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "True"
+
+
+def test_missing_solver_extension_raises_import_error_naming_the_directory(tmp_path):
+    (tmp_path / "scipy").mkdir()
+    (tmp_path / "scipy" / "__init__.py").write_text("")  # a scipy package without optimize/_lsap
+    out = run_python("import paptrack.kernels", tmp_path)
+    assert out.returncode == 1
+    last = out.stderr.strip().splitlines()[-1]
+    assert last.startswith(f"ImportError: no compiled scipy.optimize._lsap extension in {tmp_path / 'scipy' / 'optimize'} (scipy ")

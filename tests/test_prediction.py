@@ -124,6 +124,21 @@ def test_batched_forecast_equals_per_track_oracle_bit_for_bit():
                 assert points[row].tobytes() == expected.tobytes()
 
 
+def test_forecast_of_chosen_steps_is_those_columns_of_the_full_forecast_bit_for_bit():
+    rng = np.random.default_rng(13)
+    rows = [
+        track_row(states=[(f, rng.uniform(-30, 30, 2), rng.normal(0.0, 3.0, 2), False) for f in (3, 4, 6)]) for _ in range(20)
+    ]
+    tracks = track_table(*rows)
+    for model in (CONSTANT_VELOCITY, CONSTANT_TURN):
+        cfg = PredictorConfig(horizon=6, model=model)
+        full = forecast(tracks, cfg, DT)
+        for steps in ([1], [4], [6, 2], np.arange(1, 7)):
+            chosen = forecast(tracks, cfg, DT, np.asarray(steps))
+            assert chosen.shape == (len(rows), len(steps), 2)
+            assert chosen.tobytes() == np.ascontiguousarray(full[:, np.asarray(steps) - 1]).tobytes()
+
+
 def banked(tracks, cfg, t=0):
     """The table predict_and_store banks for `tracks` at frame `t`."""
     return predict_and_store(tracks, QueryBank(), t, cfg, CODEC, DT).fetch(t)
