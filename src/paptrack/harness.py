@@ -15,13 +15,14 @@ import hashlib
 import json
 import math
 import numbers
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from paptrack.metrics import build_report, evaluate_run, report_to_json
+from paptrack.metrics import DEFAULT_MATCH_DISTANCE, DEFAULT_RECALL_POINTS, build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
 from paptrack.prediction import PredictorConfig, fed_tracks, forecast, predict_and_store
 from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, CodecConfig, QueryBank, decode_reference
@@ -48,8 +49,8 @@ MODES = ("baseline", "pap", "ab_compare", "rho_sweep")
 
 @dataclass
 class MetricConfig:
-    match_distance: float = 2.0
-    n_recall_points: int = 40
+    match_distance: float = DEFAULT_MATCH_DISTANCE
+    n_recall_points: int = DEFAULT_RECALL_POINTS
 
 
 @dataclass
@@ -113,11 +114,12 @@ def _json_type(default) -> tuple[str, object]:
         return f"a list of {n} numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(is_finite_number, v))
     if default is None:  # scenario_path and explicit_agents, which `validate` checks
         return "anything", lambda v: True
-    kind = {str: "a string", list: "a list"}.get(type(default), "an object")  # else a dict or a section
+    kind = {str: "a string", list: "a list"}.get(type(default), "an object")  # else a dict
     return kind, lambda v: isinstance(v, type(default))
 
 
 def _from_mapping(cls, doc: dict, path: str):
+    """`cls` built from the JSON object `doc`, a section (a field whose default is a dataclass) from its own object."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must be an object, got {type(doc).__name__}")
     fields = {f.name: f for f in dataclasses.fields(cls)}
@@ -128,6 +130,9 @@ def _from_mapping(cls, doc: dict, path: str):
     for name, value in doc.items():
         f = fields[name]
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if dataclasses.is_dataclass(default):
+            kwargs[name] = _from_mapping(type(default), value, name if path == "config" else f"{path}.{name}")
+            continue
         kind, valid = _json_type(default)
         if not valid(value):
             raise ConfigError(f"{path}.{name} must be {kind}, got {value!r}")
@@ -144,17 +149,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     version = doc.pop("schema_version", None)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
-    sub = {
-        "scenario": (ScenarioConfig, "scenario"),
-        "sensor": (SensorConfig, "sensor"),
-        "policy": (QueryAssemblyPolicy, "policy"),
-        "predictor": (PredictorConfig, "predictor"),
-        "perception": (PerceptionParams, "perception"),
-        "metrics": (MetricConfig, "metrics"),
-    }
-    for key, (cls, name) in sub.items():
-        if key in doc:
-            doc[key] = _from_mapping(cls, doc[key], name)
     cfg = _from_mapping(ExperimentConfig, doc, "config")
     cfg.validate()
     return cfg
@@ -208,7 +202,7 @@ def run_single(
     params = cfg.perception
     bank = QueryBank(dim=codec.dim)
     reads_bank = policy.banked_share > 0  # else assemble_queries never reads the bank
-    tracks = np.zeros(0, track_dtype(codec.dim, params.velocity_window))
+    tracks = np.zeros(0, track_dtype(params.velocity_window))
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
     hasher = hashlib.sha256()
@@ -348,6 +342,12 @@ _DUMP_FIELDS = {
     "class": (f"one of {', '.join(CLASSES)}", lambda v: v in CLASSES),
     "center": ("2 finite numbers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_finite_number, v))),
     "confidence": ("a finite number in [0, 1]", lambda v: is_finite_number(v) and 0 <= v <= 1),
+    "counters": ("an object", lambda v: isinstance(v, dict)),
+    "frames": ("a non-negative integer", _is_id),
+    "cost_evaluations": ("a non-negative integer", _is_id),
+    "wall_seconds": ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0),
+    "measurement_hash": ("a sha256 hex digest", lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None),
+    "per_frame_cost_evaluations": ("a list of non-negative integers", lambda v: isinstance(v, list) and all(map(_is_id, v))),
 }
 
 
@@ -363,8 +363,8 @@ def replay_dump(path) -> dict:
 
     A line that is not JSON, not a header, frame or footer record, lacks
     a field read here, or holds a metric setting, frame number, id, class,
-    center or confidence that cannot be evaluated is an `InputError`
-    naming the line.
+    center, confidence or footer field that cannot be evaluated or copied
+    into the report is an `InputError` naming the line.
     """
     echo = None
     footer = None
@@ -387,6 +387,8 @@ def replay_dump(path) -> dict:
                     metric_settings = {**dataclasses.asdict(MetricConfig()), **echo.get("metrics", {})}
                     _check_fields(metric_settings, ("n_recall_points", "match_distance"), f"{where} header metrics")
                 elif kind == "footer":
+                    _check_fields(rec, _FOOTER_KEYS, f"{where} footer")
+                    _check_fields(rec["counters"], ("frames", "wall_seconds", "cost_evaluations"), f"{where} footer counters")
                     footer = {k: rec[k] for k in _FOOTER_KEYS}
                 else:
                     _check_fields(rec, ("frame",), where)

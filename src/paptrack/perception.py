@@ -82,8 +82,8 @@ class Assignment:
 
 
 @functools.cache
-def track_dtype(dim: int, velocity_window: int) -> np.dtype:
-    """Row type of a track table for `dim`-slot queries.
+def track_dtype(velocity_window: int) -> np.dtype:
+    """Row type of a track table.
 
     A row keeps its last ``max(velocity_window, 2)`` states in `frames`,
     `centers`, `velocities` and `coasted`, newest last: all that the
@@ -96,7 +96,6 @@ def track_dtype(dim: int, velocity_window: int) -> np.dtype:
         [
             ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
             ("cls", np.int64),  # world.CLASS_INDEX code
-            ("tail", np.float64, (dim - 2,)),
             ("hits", np.int64),  # consecutive matches
             ("misses", np.int64),  # consecutive misses
             ("ever_confirmed", np.bool_),
@@ -345,7 +344,6 @@ def update_tracks(
     tracks = np.concatenate([raw_rows(tracks), raw_rows(np.zeros(len(born), tracks.dtype))]).view(tracks.dtype)
     newborn = tracks[n:]
     newborn["cls"] = measurements["cls"][m_idx[born]]
-    newborn["tail"] = queries["embedding"][q_idx[born], 2:]
     newborn["hits"] = 1
     newborn["ever_confirmed"] = 1 >= params.confirm_threshold
     newborn["status"] = np.where(newborn["ever_confirmed"], CONFIRMED, TENTATIVE)

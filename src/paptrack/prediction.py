@@ -86,9 +86,9 @@ def predict_and_store(
     """Forecast every track of :func:`fed_tracks` and bank the resulting queries.
 
     Each track gives one row per fed horizon step (`feed_step`, or every
-    step with `feed_all`), in track-id order.  The row carries the source
-    track's tail slot-for-slot, so temporal identity features survive the
-    loop, and its class, so it only matches measurements of that class.
+    step with `feed_all`), in track-id order.  The row carries zero tail
+    slots, its source track's id, which ties it to that track, and its
+    class, so it only matches measurements of that class.
     """
     live, fed = fed_tracks(tracks)
     steps = np.arange(1, cfg.horizon + 1) if cfg.feed_all else np.array([cfg.feed_step])
@@ -96,10 +96,11 @@ def predict_and_store(
     source, confidence = live + 1, track_confidence(fed["hits"], fed["misses"])
     # row (i, j) is fed track i at steps[j]: one call per step writes a column, with no per-row gathers
     queries = np.empty((len(live), len(steps)), query_dtype(codec.dim))
+    tails = np.zeros((len(live), codec.dim - 2))
     for j, step in enumerate(steps.tolist()):
         embed_center(
             points[:, j],
-            fed["tail"],
+            tails,
             codec,
             provenance=PREDICTED,
             source_track_id=source,

@@ -2,8 +2,8 @@
 
 A query is an embedding vector whose first two slots encode a BEV center
 hypothesis through a fixed invertible affine map (decode: ``c = A x + b``
-with ``A = scale * I``); the remaining slots are a feature tail that
-carries track identity across frames.  A batch of queries is one query
+with ``A = scale * I``); the remaining slots, the tail, are random for a
+random query and zeros for a predicted one.  A batch of queries is one query
 table: a structured array of :func:`query_dtype`, one row per query.
 The predicted queries produced at frame T are kept in a one-frame bank
 and consumed by perception at T+1.

@@ -128,9 +128,6 @@ class SensorConfig:
     miss_probability: float = 0.1
     clutter_rate: float = 1.0
     detection_range: float = 75.0
-    score_near: float = 0.95
-    score_far: float = 0.5
-    clutter_score_range: tuple[float, float] = (0.1, 0.7)
 
     def validate(self) -> None:
         if self.position_noise_sigma < 0:
@@ -150,7 +147,7 @@ box_dtype = np.dtype(
         ("id", np.int64),  # agent id of a measurement (-1 for clutter) or gt box; track id of a detection
         ("cls", np.int64),  # CLASS_INDEX code
         ("center", np.float64, (2,)),  # BEV meters
-        ("score", np.float64),  # sensor score of a measurement, confidence of a detection; 0 for a gt box
+        ("score", np.float64),  # confidence of a detection; 0 for a measurement or a gt box
     ]
 )
 
@@ -280,19 +277,17 @@ def sense(truth: np.ndarray, frame: int, ego_xy: np.ndarray, sensor: SensorConfi
     `truth` is the frame's ground-truth rows, the frame's slice of
     :func:`scenario_ground_truth`, and `ego_xy` the ego position.  Output
     order is deterministic: the observed truth rows in their order, then
-    clutter (id -1).
+    clutter (id -1).  Measurements carry no score (0, as ground truth).
     """
     sensor.validate()
     pos = truth["center"]
-    seen, draws, scores = [], [], []
+    seen, draws = [], []
     for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):
         if dist > sensor.detection_range:
             continue
         if rng.random() < sensor.miss_probability:
             continue
         draws.append(rng.standard_normal(2))  # the draws of rng.normal(0.0, sigma, size=2)
-        frac = min(dist / sensor.detection_range, 1.0)
-        scores.append(sensor.score_near + (sensor.score_far - sensor.score_near) * frac)
         seen.append(i)
     out = np.zeros(len(seen) + int(rng.poisson(sensor.clutter_rate)), box_dtype)
     out["frame"] = frame
@@ -301,11 +296,10 @@ def sense(truth: np.ndarray, frame: int, ego_xy: np.ndarray, sensor: SensorConfi
     observed["cls"] = truth["cls"][seen]
     # rng.normal(0.0, sigma) is 0.0 + sigma * z, elementwise
     observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
-    observed["score"] = scores
     if len(clutter):
-        # each box draws its radius, angle, class and score, box by box; the math runs once over all boxes
-        lo, hi = sensor.clutter_score_range
-        boxes = np.array([(rng.random(), rng.random(), rng.integers(len(CLASSES)), rng.uniform(lo, hi)) for _ in range(len(clutter))])
+        # each box draws its radius, angle, class and a fourth double, unread but holding the sensor
+        # stream's place, box by box; the math runs once over all boxes
+        boxes = np.array([(rng.random(), rng.random(), rng.integers(len(CLASSES)), rng.random()) for _ in range(len(clutter))])
         r = sensor.detection_range * np.sqrt(boxes[:, 0])
         theta = boxes[:, 1] * 2.0 * np.pi
         center = clutter["center"]
@@ -313,7 +307,6 @@ def sense(truth: np.ndarray, frame: int, ego_xy: np.ndarray, sensor: SensorConfi
         center[:, 1] = ego_xy[1] + r * np.sin(theta)
         clutter["id"] = -1
         clutter["cls"] = boxes[:, 2]  # a class code, exact as a float
-        clutter["score"] = boxes[:, 3]
     return out
 
 
@@ -353,6 +346,24 @@ def _read(doc: dict, name: str, convert, where: str):
         raise InputError(f"{where} field {name!r} is not valid: {exc}") from exc
 
 
+def _integer(value) -> int:
+    if not isinstance(value, numbers.Integral) or isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"must be an integer, got {value!r}")
+    return int(value)
+
+
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    if not _is_number(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _objects(value) -> list[dict]:
     if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
         raise TypeError("not a list of objects")
@@ -366,11 +377,17 @@ def _finite(value: np.ndarray) -> np.ndarray:
 
 
 def _rows(n: int, width: int):
-    return lambda value: _finite(np.array(value, dtype=float).reshape(n, width))
+    def convert(value) -> np.ndarray:
+        rows = np.asarray(value)
+        if rows.dtype.kind not in "if":  # a string, a null, or only bools
+            raise TypeError(f"must hold only numbers, got {rows.dtype} values")
+        return _finite(rows.astype(float).reshape(n, width))
+
+    return convert
 
 
 def _positive(value) -> float:
-    if not 0 < float(value) < math.inf:
+    if not (_is_number(value) and value > 0):
         raise ValueError(f"must be a finite number > 0, got {value!r}")
     return float(value)
 
@@ -378,25 +395,28 @@ def _positive(value) -> float:
 def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     """Rebuild a scenario from its JSON document.
 
-    A document that is not an object, lacks a field, holds a value that does
-    not convert, a non-finite `dt`, state or ego value, a `dt` <= 0 or a
-    `frame_count` below 1, names an unknown class, gives an
-    agent a lifespan outside ``0 <= spawn < despawn <= frame_count`` or
-    states that do not fit its lifespan raises `InputError` naming `source`
-    and the field.
+    A document that is not an object, lacks a field, holds a value of the
+    wrong JSON type (`frame_count`, `seed` and each agent's `id`, `spawn`
+    and `despawn` are integers, not bools; `scenario_id` and each agent's
+    `class` and `model` are strings; `dt`, `turn_rate`, states and ego are
+    finite numbers), a `dt` <= 0 or a `frame_count` below 1, names an
+    unknown class, gives an agent a lifespan outside
+    ``0 <= spawn < despawn <= frame_count`` or states that do not fit its
+    lifespan raises `InputError` naming `source` and the field.  Nothing is
+    rounded or converted: a value is taken as it is or refused.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{source} is not a JSON object")
-    frame_count = _read(doc, "frame_count", int, source)
+    frame_count = _read(doc, "frame_count", _integer, source)
     if frame_count < 1:
         raise InputError(f"{source} field 'frame_count' must be >= 1, got {frame_count}")
     agents = []
     for k, a in enumerate(_read(doc, "agents", _objects, source)):
         where = f"{source} agent {k}"
-        cls = _read(a, "class", str, where)
+        cls = _read(a, "class", _string, where)
         if cls not in CLASSES:
             raise InputError(f"{where} field 'class' names unknown class {cls!r}")
-        spawn, despawn = _read(a, "spawn", int, where), _read(a, "despawn", int, where)
+        spawn, despawn = _read(a, "spawn", _integer, where), _read(a, "despawn", _integer, where)
         if not 0 <= spawn < despawn <= frame_count:
             raise InputError(
                 f"{where} fields 'spawn' and 'despawn' ({spawn}, {despawn}) must satisfy "
@@ -404,20 +424,20 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
             )
         agents.append(
             AgentTrack(
-                agent_id=_read(a, "id", int, where),
+                agent_id=_read(a, "id", _integer, where),
                 cls=cls,
                 spawn=spawn,
                 despawn=despawn,
                 states=_read(a, "states", _rows(despawn - spawn, 5), where),
-                model=_read(a, "model", str, where),
-                turn_rate=_read(a, "turn_rate", float, where),
+                model=_read(a, "model", _string, where),
+                turn_rate=_read(a, "turn_rate", _number, where),
             )
         )
     return Scenario(
-        scenario_id=_read(doc, "scenario_id", str, source),
+        scenario_id=_read(doc, "scenario_id", _string, source),
         dt=_read(doc, "dt", _positive, source),
         frame_count=frame_count,
-        seed=_read(doc, "seed", int, source),
+        seed=_read(doc, "seed", _integer, source),
         agents=agents,
         ego=_read(doc, "ego", _rows(frame_count, 3), source),
     )

@@ -439,7 +439,6 @@ def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, p
     tracks = np.concatenate([tracks.view(raw), np.zeros(len(born), raw)]).view(tracks.dtype)
     newborn = tracks[n:]
     newborn["cls"] = measurements["cls"][pairs[born, 1]]
-    newborn["tail"] = matched["embedding"][born, 2:]
     newborn["hits"] = 1
     newborn["ever_confirmed"] = 1 >= params.confirm_threshold
     newborn["status"] = np.where(newborn["ever_confirmed"], CONFIRMED, TENTATIVE)
@@ -459,15 +458,13 @@ def sense_oracle(scenario, frame, sensor, rng):
     ego_xy = scenario.ego[frame, 0:2]
     live = [agent for agent in scenario.agents if agent.spawn <= frame < agent.despawn]
     pos = np.array([agent.states[frame - agent.spawn, 0:2] for agent in live], dtype=float).reshape(-1, 2)
-    seen, draws, scores = [], [], []
+    seen, draws = [], []
     for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):
         if dist > sensor.detection_range:
             continue
         if rng.random() < sensor.miss_probability:
             continue
         draws.append(rng.standard_normal(2))
-        frac = min(dist / sensor.detection_range, 1.0)
-        scores.append(sensor.score_near + (sensor.score_far - sensor.score_near) * frac)
         seen.append(i)
     out = np.zeros(len(seen) + int(rng.poisson(sensor.clutter_rate)), box_dtype)
     out["frame"] = frame
@@ -475,12 +472,11 @@ def sense_oracle(scenario, frame, sensor, rng):
     observed["id"] = [live[i].agent_id for i in seen]
     observed["cls"] = [CLASS_INDEX[live[i].cls] for i in seen]
     observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
-    observed["score"] = scores
     clutter["id"] = -1
     for box in clutter:
         r = sensor.detection_range * np.sqrt(rng.random())
         theta = rng.random() * 2.0 * np.pi
         box["center"] = ego_xy + r * np.array([np.cos(theta), np.sin(theta)])
         box["cls"] = rng.integers(len(CLASSES))
-        box["score"] = rng.uniform(*sensor.clutter_score_range)
+        rng.random()  # the unread fourth draw
     return out

@@ -8,24 +8,23 @@ from paptrack.perception import CONFIRMED, TENTATIVE, track_dtype
 from paptrack.world import CLASS_INDEX, box_dtype, scenario_ground_truth, sense
 
 
-def track_table(*rows: dict, dim: int = 16, velocity_window: int = 5) -> np.ndarray:
+def track_table(*rows: dict, velocity_window: int = 5) -> np.ndarray:
     """A track table with one row per dict in `rows`; row i is track id i + 1.
 
-    A dict may set `cls` (a class name, default "car"), `tail` (default
-    zeros), `status` (default CONFIRMED), `hits` (default 2), `misses`
-    (default 0), `ever_confirmed` (default: status is not TENTATIVE) and
-    `states`, a list of ``(frame, center, velocity, coasted)`` oldest first.
-    Without `states` the row has one state at `frame` (default 0), `center`
-    and `velocity` (default zeros), not coasted.  Slots older than the
-    first state repeat it, as for a newborn track.
+    A dict may set `cls` (a class name, default "car"), `status` (default
+    CONFIRMED), `hits` (default 2), `misses` (default 0), `ever_confirmed`
+    (default: status is not TENTATIVE) and `states`, a list of ``(frame,
+    center, velocity, coasted)`` oldest first.  Without `states` the row
+    has one state at `frame` (default 0), `center` and `velocity` (default
+    zeros), not coasted.  Slots older than the first state repeat it, as
+    for a newborn track.
     """
-    table = np.zeros(len(rows), track_dtype(dim, velocity_window))
+    table = np.zeros(len(rows), track_dtype(velocity_window))
     depth = table.dtype["frames"].shape[0]
     for i, spec in enumerate(rows):
         status = spec.get("status", CONFIRMED)
         table["status"][i] = status
         table["cls"][i] = CLASS_INDEX[spec.get("cls", "car")]
-        table["tail"][i] = spec.get("tail", np.zeros(dim - 2))
         table["hits"][i] = spec.get("hits", 2)
         table["misses"][i] = spec.get("misses", 0)
         table["ever_confirmed"][i] = spec.get("ever_confirmed", status != TENTATIVE)

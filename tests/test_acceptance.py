@@ -234,7 +234,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     loop_codec = CodecConfig(dim=16, scale=1.0 / 10.0)
     params = PerceptionParams()
     bank = QueryBank()
-    tracks = np.zeros(0, track_dtype(loop_codec.dim, params.velocity_window))
+    tracks = np.zeros(0, track_dtype(params.velocity_window))
     detections = []  # one box table per frame
     sensor_rng = stream(6, "sensor")
     query_rng = stream(6, "queries")

@@ -575,9 +575,11 @@ def _set(section, **values):
         (_set(None, scenario_path=0), "scenario_path must be a string or null, got 0"),  # not stdin
         (_set(None, bank_capacity=4), "unknown key(s) ['bank_capacity'] in config"),
         (_set("predictor", dt=0.1), "unknown key(s) ['dt'] in predictor"),
+        (_set("sensor", score_near=0.9), "unknown key(s) ['score_near'] in sensor"),
     ],
     ids=["policy_int", "n_queries_str", "rho_values_int", "top_level_list", "seed_str", "seed_repeated", "frame_count_float",
-         "class_counts_list", "class_count_float", "speed_range_short", "feed_all_int", "scenario_path_int", "bank_capacity", "predictor_dt"],
+         "class_counts_list", "class_count_float", "speed_range_short", "feed_all_int", "scenario_path_int", "bank_capacity", "predictor_dt",
+         "sensor_score_near"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
     path = tmp_path / "config.json"
@@ -756,6 +758,35 @@ def test_cli_dump_header_metric_setting_replay_cannot_use_exits_4(tmp_path, caps
     assert len(err.strip().splitlines()) == 1
 
 
+def _counters(footer, **values):
+    footer["counters"].update(values)
+    return footer
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (lambda footer: footer | {"counters": [1]}, "footer counters [1] is not an object"),
+        (lambda footer: _counters(footer, frames="x"), "footer counters frames 'x' is not a non-negative integer"),
+        (lambda footer: _counters(footer, wall_seconds=-1.0), "footer counters wall_seconds -1.0 is not a finite number >= 0"),
+        (lambda footer: _counters(footer, cost_evaluations=None), "footer counters cost_evaluations None is not a non-negative integer"),
+        (lambda footer: footer | {"measurement_hash": 7}, "footer measurement_hash 7 is not a sha256 hex digest"),
+        (lambda footer: footer | {"per_frame_cost_evaluations": "12"}, "footer per_frame_cost_evaluations '12' is not a list of non-negative integers"),
+        (lambda footer: footer | {"per_frame_cost_evaluations": [3, 1.5]}, "footer per_frame_cost_evaluations [3, 1.5] is not a list of non-negative"),
+    ],
+    ids=["counters_list", "frames_str", "wall_seconds_negative", "cost_evaluations_null", "hash_int", "per_frame_str", "per_frame_float"],
+)
+def test_cli_dump_footer_field_replay_cannot_copy_exits_4(tmp_path, capsys, suite_dump_lines, edit, problem):
+    lines = list(suite_dump_lines)
+    lines[-1] = json.dumps(edit(json.loads(lines[-1])))
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(broken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"line {len(lines)}: " in err and problem in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_replay_header_without_metric_settings_uses_the_defaults(tmp_path, suite_dump_lines):
     lines = list(suite_dump_lines)
     header = json.loads(lines[0])
@@ -861,8 +892,24 @@ def test_cli_run_on_bad_scenario_file_exits_4(tmp_path, capsys, edit, problem):
         (lambda doc: doc | {"dt": 0}, "field 'dt' is not valid: must be a finite number > 0, got 0"),
         (lambda doc: _agent(doc, states=_with_value(doc["agents"][0]["states"], 2, 1, math.inf)), "agent 0 field 'states' is not valid: holds a non-finite value"),
         (lambda doc: doc | {"ego": _with_value(doc["ego"], 5, 0, math.nan)}, "field 'ego' is not valid: holds a non-finite value"),
+        # a value of the wrong JSON type is refused, never rounded or converted
+        (lambda doc: doc | {"frame_count": 20.9}, "field 'frame_count' is not valid: must be an integer, got 20.9"),
+        (lambda doc: doc | {"frame_count": True}, "field 'frame_count' is not valid: must be an integer, got True"),
+        (lambda doc: doc | {"seed": "7"}, "field 'seed' is not valid: must be an integer, got '7'"),
+        (lambda doc: doc | {"scenario_id": 3}, "field 'scenario_id' is not valid: must be a string, got 3"),
+        (lambda doc: doc | {"dt": "0.1"}, "field 'dt' is not valid: must be a finite number > 0, got '0.1'"),
+        (lambda doc: _agent(doc, spawn=0.6), "agent 0 field 'spawn' is not valid: must be an integer, got 0.6"),
+        (lambda doc: _agent(doc, despawn=20.0), "agent 0 field 'despawn' is not valid: must be an integer, got 20.0"),
+        (lambda doc: _agent(doc, id=True), "agent 0 field 'id' is not valid: must be an integer, got True"),
+        (lambda doc: _agent(doc, model=5), "agent 0 field 'model' is not valid: must be a string, got 5"),
+        (lambda doc: _agent(doc, **{"class": 0}), "agent 0 field 'class' is not valid: must be a string, got 0"),
+        (lambda doc: _agent(doc, turn_rate="0.1"), "agent 0 field 'turn_rate' is not valid: must be a finite number, got '0.1'"),
+        (lambda doc: _agent(doc, turn_rate=math.inf), "agent 0 field 'turn_rate' is not valid: must be a finite number, got inf"),
+        (lambda doc: _agent(doc, states=_with_value(doc["agents"][0]["states"], 2, 1, "1.0")), "agent 0 field 'states' is not valid: must hold only numbers"),
+        (lambda doc: doc | {"ego": _with_value(doc["ego"], 5, 0, None)}, "field 'ego' is not valid: must hold only numbers"),
     ],
-    ids=["dt-nan", "dt-zero", "states-inf", "ego-nan"],
+    ids=["dt-nan", "dt-zero", "states-inf", "ego-nan", "frame_count-float", "frame_count-bool", "seed-str", "scenario_id-int", "dt-str",
+         "spawn-float", "despawn-float", "id-bool", "model-int", "class-int", "turn_rate-str", "turn_rate-inf", "states-str", "ego-null"],
 )
 def test_cli_run_on_non_finite_or_non_positive_scenario_value_exits_4(tmp_path, capsys, edit, problem):
     doc = edit(scenario_to_dict(generate_scenario(ScenarioConfig(frame_count=20, class_counts={"car": 2}), 1)))
@@ -892,9 +939,10 @@ def test_cli_missing_file_exits_3(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# artefacts of the schema-1 format that still carried `bank_capacity`, `predictor.dt` and
-# `counters.query_refinements`: the config `tests/data/v1_bank_capacity/config.json` run in ab_compare
-# mode with --dump-debug, before those keys were removed
+# artefacts of the schema-1 format that still carried `bank_capacity`, `predictor.dt`,
+# `counters.query_refinements` and the sensor's `score_near`, `score_far` and `clutter_score_range`:
+# the config `tests/data/v1_bank_capacity/config.json` run in ab_compare mode with --dump-debug,
+# before those keys were removed
 
 
 OLD = Path(__file__).resolve().parent / "data" / "v1_bank_capacity"
@@ -922,6 +970,8 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     # the new report is the old one without the removed keys (and with this run's mode)
     old, now = (json.loads((d / "report_pap_seed1.json").read_text()) for d in (OLD, new))
     del old["config_echo"]["bank_capacity"], old["config_echo"]["predictor"]["dt"], old["counters"]["query_refinements"]
+    for key in ("score_near", "score_far", "clutter_score_range"):
+        del old["config_echo"]["sensor"][key]
     old["config_echo"]["mode"] = "pap"
     assert strip_timing(now) == strip_timing(old)
 

@@ -251,7 +251,7 @@ def test_associate_matches_brute_force_on_small_instances():
 def make_track(center=(1.0, 0.0), cls="car", frame=0, hits=2):
     """A 1-row table: track 1 with one state."""
     status = CONFIRMED if hits >= 2 else TENTATIVE
-    return track_table(dict(center=center, cls=cls, frame=frame, hits=hits, status=status, tail=np.arange(14, dtype=float)))
+    return track_table(dict(center=center, cls=cls, frame=frame, hits=hits, status=status))
 
 
 def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
@@ -288,7 +288,7 @@ def test_matched_random_query_births_tentative_track():
 
 
 def test_unmatched_track_coasts_then_terminates():
-    tracks = track_table(dict(center=(0.0, 0.0), velocity=(1.0, 0.0), tail=np.arange(14, dtype=float)))
+    tracks = track_table(dict(center=(0.0, 0.0), velocity=(1.0, 0.0)))
     params = PerceptionParams(max_misses=2)
     for frame in range(1, 5):
         costs, _ = gate_costs(table([]), boxes(), params.gate_threshold, CODEC)
@@ -324,9 +324,15 @@ def test_track_ids_never_reused():
         assignment = associate(costs)
         before = tracks.copy()
         tracks = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1, CODEC)
-        # a row is never removed or given to another track: the old rows keep the tails they were born with
+        # a row is never removed or given to another track: each old row keeps its class, and either
+        # appends a state to its own history, shifted by one, or keeps that history as it was
         assert len(tracks) >= len(before)
-        assert np.array_equal(tracks["tail"][: len(before)], before["tail"])
+        old = tracks[: len(before)]
+        assert np.array_equal(old["cls"], before["cls"])
+        shifted = old["frames"][:, -1] == frame
+        for name in ("frames", "centers", "velocities", "coasted"):
+            assert np.array_equal(old[name][shifted, :-1], before[name][shifted, 1:])
+            assert np.array_equal(old[name][~shifted], before[name][~shifted])
     assert len(tracks) > 1
 
 
@@ -369,7 +375,7 @@ def update_cases(draw):
         frames = sorted(draw(st.sets(st.integers(0, 2), min_size=1)))
         states = [(f, draw(POINT), draw(POINT), draw(st.booleans()) and k > 0) for k, f in enumerate(frames)]
         status = draw(st.sampled_from(LIVE + (TERMINATED,)))
-        rows.append(dict(states=states, status=status, hits=draw(st.integers(0, 3)), misses=draw(st.integers(0, 4)), tail=np.full(14, len(rows))))
+        rows.append(dict(states=states, status=status, hits=draw(st.integers(0, 3)), misses=draw(st.integers(0, 4))))
     points = draw(st.lists(POINT, max_size=8))
     queries = [
         predicted_query(draw(st.integers(1, len(rows) + 2)), draw(POINT)) if draw(st.booleans()) else random_query(draw(POINT))

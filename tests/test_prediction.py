@@ -22,9 +22,9 @@ CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 DT = 0.1
 
 
-def track_row(track_id=1, center=(0.0, 0.0), velocity=(1.0, 0.0), frame=0, status=CONFIRMED, **more):
-    """One row of `track_table`; `track_id` only sets the tail, the row's place sets the id."""
-    row = dict(center=center, velocity=velocity, frame=frame, status=status, hits=3, ever_confirmed=True, tail=np.full(14, float(track_id)))
+def track_row(center=(0.0, 0.0), velocity=(1.0, 0.0), frame=0, status=CONFIRMED, **more):
+    """One row of `track_table`; the row's place sets its id."""
+    row = dict(center=center, velocity=velocity, frame=frame, status=status, hits=3, ever_confirmed=True)
     return row | more
 
 
@@ -146,19 +146,14 @@ def banked(tracks, cfg, t=0):
 
 def test_predict_and_store_row_round_trip():
     # track 9 after eight tentative tracks, which feed no queries; confidence 3 / (3 + 1 + 1)
-    tracks = track_table(*[track_row(status=TENTATIVE)] * 8, track_row(track_id=9, center=(1.5, -2.0), velocity=(0.0, 0.0), misses=1))
+    tracks = track_table(*[track_row(status=TENTATIVE)] * 8, track_row(center=(1.5, -2.0), velocity=(0.0, 0.0), misses=1))
     (q,) = banked(tracks, PredictorConfig(horizon=1))
     assert q.provenance == PREDICTED
     assert q.source_track_id == 9
     assert q.horizon_step == 1
     assert q.confidence == 0.6
     assert np.max(np.abs(decode_reference(q, CODEC) - [1.5, -2.0])) < 1e-9
-
-
-def test_tail_carried_slot_for_slot():
-    track = make_track(tail=np.linspace(-3.0, 3.0, 14))
-    (q,) = banked(track, PredictorConfig(horizon=1))
-    assert np.array_equal(q["embedding"][2:], np.linspace(-3.0, 3.0, 14))
+    assert np.array_equal(q["embedding"][2:], np.zeros(14))  # the source track id ties it to its track, not a tail
 
 
 def test_feed_all_emits_one_query_per_horizon_step():
@@ -174,8 +169,8 @@ def test_feed_all_rows_are_grouped_by_track():
     cfg = PredictorConfig(horizon=3, feed_all=True)
     # tracks 2 and 4 feed the bank; the tentative tracks 1 and 3 do not
     tracks = track_table(
-        track_row(track_id=1, status=TENTATIVE), track_row(track_id=2, velocity=(0.0, 1.0)),
-        track_row(track_id=3, status=TENTATIVE), track_row(track_id=4, velocity=(1.0, 0.0)),
+        track_row(status=TENTATIVE), track_row(velocity=(0.0, 1.0)),
+        track_row(status=TENTATIVE), track_row(velocity=(1.0, 0.0)),
     )
     qs = banked(tracks, cfg)
     assert qs["source_track_id"].tolist() == [2, 2, 2, 4, 4, 4]
@@ -184,7 +179,7 @@ def test_feed_all_rows_are_grouped_by_track():
         rows = qs[qs["source_track_id"] == track_id]
         track = tracks[[track_id - 1]]
         assert np.max(np.abs(decode_reference(rows, CODEC) - forecast(track, cfg, DT)[0])) < 1e-9
-        assert np.array_equal(rows["embedding"][:, 2:], np.tile(track["tail"][0], (3, 1)))
+        assert np.array_equal(rows["embedding"][:, 2:], np.zeros((3, 14)))
 
 
 def test_feed_step_selects_single_horizon_point():
@@ -208,10 +203,10 @@ def test_predict_and_store_empty_track_list():
 def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
     bank = QueryBank()
     tracks = track_table(
-        track_row(track_id=1, status=TENTATIVE),
-        track_row(track_id=2, status=CONFIRMED),
-        track_row(track_id=3, status=COASTING),
-        track_row(track_id=4, status=TERMINATED),
+        track_row(status=TENTATIVE),
+        track_row(status=CONFIRMED),
+        track_row(status=COASTING),
+        track_row(status=TERMINATED),
     )
     predict_and_store(tracks, bank, 0, PredictorConfig(), CODEC, DT)
     qs = bank.fetch(0)
@@ -224,11 +219,11 @@ def test_dump_forecasts_are_the_banked_queries():
     codec = CodecConfig(dim=16, scale=1.0 / 32.0)  # a power of two: a center encodes and decodes exactly
     cfg = PredictorConfig(horizon=3, feed_all=True)
     tracks = track_table(
-        track_row(track_id=1, center=(1.0, 2.0), velocity=(0.5, 0.0), status=TENTATIVE),
-        track_row(track_id=2, center=(-3.0, 4.0), velocity=(0.0, 1.5), status=CONFIRMED),
-        track_row(track_id=3, center=(5.0, -6.0), velocity=(-1.0, 0.25), status=TERMINATED),
-        track_row(track_id=4, center=(7.0, 8.0), velocity=(0.75, -0.5), status=COASTING, misses=1),
-        track_row(track_id=5, center=(0.0, 0.0), velocity=(2.0, 2.0), status=CONFIRMED),
+        track_row(center=(1.0, 2.0), velocity=(0.5, 0.0), status=TENTATIVE),
+        track_row(center=(-3.0, 4.0), velocity=(0.0, 1.5), status=CONFIRMED),
+        track_row(center=(5.0, -6.0), velocity=(-1.0, 0.25), status=TERMINATED),
+        track_row(center=(7.0, 8.0), velocity=(0.75, -0.5), status=COASTING, misses=1),
+        track_row(center=(0.0, 0.0), velocity=(2.0, 2.0), status=CONFIRMED),
     )
     banked = predict_and_store(tracks, QueryBank(), 0, cfg, codec, DT).fetch(0)
     none = np.zeros(0, box_dtype)

@@ -17,7 +17,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from paptrack.harness import ExperimentConfig, MetricConfig, replay_dump, run_single
@@ -55,6 +55,18 @@ configs = st.builds(
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cfg=configs, seed=st.integers(0, 10_000))
+# one frame of four cars and seven random queries: AMOTP, a mean distance in meters, is ~1.08
+@example(
+    cfg=ExperimentConfig(
+        seeds=[1],
+        scenario=ScenarioConfig(frame_count=1, world_half_extent=15.0, class_counts={"car": 4}),
+        sensor=SensorConfig(clutter_rate=0.0, miss_probability=0.0),
+        policy=QueryAssemblyPolicy(n_queries=7, rho=0.0),
+        perception=PerceptionParams(velocity_window=1, max_misses=0),
+        metrics=MetricConfig(n_recall_points=10),
+    ),
+    seed=0,
+)
 def test_track_lifecycle_invariants(cfg, seed):
     with tempfile.TemporaryDirectory() as tmp:
         dump = Path(tmp) / "dump.jsonl"
@@ -74,7 +86,8 @@ def test_track_lifecycle_invariants(cfg, seed):
         assert cost_evaluations <= len(rec["queries"]) * len(rec["measurements"])
 
     for metrics in [report["aggregate"], *report["per_class"].values()]:
-        assert all(0.0 <= metrics[k] <= 1.0 for k in ("amota", "amotp", "recall"))
+        assert all(0.0 <= metrics[k] <= 1.0 for k in ("amota", "recall"))
+        assert 0.0 <= metrics["amotp"] <= cfg.metrics.match_distance  # matched pairs lie within the match gate
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -94,7 +107,7 @@ def test_reduced_mode_never_makes_more_cost_evaluations_than_fixed_on_the_same_f
     reduced = dataclasses.replace(cfg.policy, mode="reduced")
     codec, params, half_extent = cfg.codec(), cfg.perception, cfg.scenario.world_half_extent
     scenario = generate_scenario(cfg.scenario, seed)
-    bank, tracks = QueryBank(dim=codec.dim), np.zeros(0, track_dtype(codec.dim, params.velocity_window))
+    bank, tracks = QueryBank(dim=codec.dim), np.zeros(0, track_dtype(params.velocity_window))
     sensor_rng, query_rng = stream(seed, "sensor"), stream(seed, "queries")
     for frame in range(scenario.frame_count):
         measurements = sense_frame(scenario, frame, cfg.sensor, sensor_rng)
