@@ -1,10 +1,12 @@
 """Golden digests: short runs of the shipped configs must keep their reports and dumps.
 
 Each case runs both shipped configs cut to 40 frames, seeds 1 and 2, both
-arms, with a debug dump, and compares the sha256 of the report JSON and of
-the dump with `tests/golden_digests.json`.  Two more cases run a dense
-scene, perfbench's `crowd` workload cut to 80 frames (seed 1, both arms),
-whose track tables hold many terminated rows.  Two run perfbench's
+arms, with a debug dump, and compares three sha256 digests with
+`tests/golden_digests.json`: of the report JSON, of the whole dump, and of
+the dump's frame records alone (`frames`: no header, no footer), which a
+change to `config_echo` or the footer leaves as they are.  Two more cases
+run a dense scene, perfbench's `crowd` workload cut to 80 frames (seed 1,
+both arms), whose track tables hold many terminated rows.  Two run perfbench's
 `query_flood` workload cut to 40 frames (seed 1, both arms): tall cost
 matrices with few predicted rows.  Three degenerate scenes, each
 the standard suite cut to 40 frames (seed 1, both arms), pin the empty and
@@ -91,6 +93,7 @@ def run_case(case: str, tmp: Path) -> tuple[dict, dict, Path]:
     digests = {
         "report": hashlib.sha256(report_to_json({**report, "counters": _untimed(report["counters"])}).encode()).hexdigest(),
         "dump": hashlib.sha256("".join(lines).encode()).hexdigest(),
+        "frames": hashlib.sha256("".join(lines[1:-1]).encode()).hexdigest(),
     }
     return digests, report, dump
 
