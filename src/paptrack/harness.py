@@ -103,8 +103,6 @@ class ExperimentConfig:
 
 def _json_type(default) -> tuple[str, object]:
     """What a config value must be, given its field's default, and the test for it."""
-    if isinstance(default, bool):
-        return "a bool", lambda v: type(v) is bool
     if isinstance(default, int):
         return "an integer", lambda v: type(v) is int
     if isinstance(default, float):
@@ -246,12 +244,12 @@ def run_single(
             )
             tracks = result.tracks
             if reads_bank:
-                predict_and_store(tracks, bank, frame, cfg.predictor, codec, scenario.dt)
+                predict_and_store(tracks, bank, frame, codec, scenario.dt)
             detections.append(result.detections)
             counters["cost_evaluations"] += result.stats["cost_evaluations"]
             per_frame_cost_evals.append(result.stats["cost_evaluations"])
             if dump_file is not None:
-                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor, codec, scenario.dt), sort_keys=True) + "\n")
+                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor.horizon, codec, scenario.dt), sort_keys=True) + "\n")
         counters["wall_seconds"] = time.perf_counter() - t0
     finally:
         if collecting:
@@ -270,7 +268,7 @@ def run_single(
     return report
 
 
-def _frame_record(frame, measurements, gt, result, tracks, predictor, codec, dt) -> dict:
+def _frame_record(frame, measurements, gt, result, tracks, horizon, codec, dt) -> dict:
     queries, detections = result.queries, result.detections
     live, fed = fed_tracks(tracks)
     return {
@@ -309,7 +307,7 @@ def _frame_record(frame, measurements, gt, result, tracks, predictor, codec, dt)
         ],
         "forecasts": [
             {"track_id": row + 1, "points": points}
-            for row, points in zip(live.tolist(), forecast(fed, predictor, dt).tolist())
+            for row, points in zip(live.tolist(), forecast(fed, horizon, dt).tolist())
         ],
         "tracks": [
             {"id": row + 1, "status": STATUS_NAMES[code], "center": center}

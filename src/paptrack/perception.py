@@ -85,13 +85,11 @@ class Assignment:
 def track_dtype(velocity_window: int) -> np.dtype:
     """Row type of a track table.
 
-    A row keeps its last ``max(velocity_window, 2)`` states in `frames`,
-    `centers`, `velocities` and `coasted`, newest last: all that the
-    velocity and turn-rate estimates read.  A newborn row's older slots
-    repeat its birth state, which gives both estimates the same result as
-    a history of one state.
+    A row keeps its last `velocity_window` states in `frames`, `centers`,
+    `velocities` and `coasted`, newest last: all that the velocity
+    estimate reads.  A newborn row's older slots repeat its birth state,
+    which gives the estimate the same result as a history of one state.
     """
-    depth = max(velocity_window, 2)
     return np.dtype(
         [
             ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
@@ -99,10 +97,10 @@ def track_dtype(velocity_window: int) -> np.dtype:
             ("hits", np.int64),  # consecutive matches
             ("misses", np.int64),  # consecutive misses
             ("ever_confirmed", np.bool_),
-            ("frames", np.int64, (depth,)),
-            ("centers", np.float64, (depth, 2)),
-            ("velocities", np.float64, (depth, 2)),
-            ("coasted", np.bool_, (depth,)),
+            ("frames", np.int64, (velocity_window,)),
+            ("centers", np.float64, (velocity_window, 2)),
+            ("velocities", np.float64, (velocity_window, 2)),
+            ("coasted", np.bool_, (velocity_window,)),
         ]
     )
 
@@ -131,7 +129,7 @@ def assemble_queries(
     """Frame-T query table: recycled predicted queries, then fresh random ones.
 
     Predicted queries come from the bank entry at T-1, highest source-track
-    confidence first (ties by track id, then horizon step).  The bank is
+    confidence first (ties by track id).  The bank is
     consulted only when the policy can take a banked query: never at T=0,
     nor when its `banked_share` floor(rho * N) is 0, as for rho=0, the open-loop baseline;
     the table is then all-random.  Up to floor(rho * N) queries are banked
@@ -150,7 +148,7 @@ def assemble_queries(
     tails = rng.standard_normal(size=(n_random, codec.dim - 2))
     embed_center(centers, tails, codec, out=table[k:])
     if k:
-        order = np.lexsort((predicted["horizon_step"], predicted["source_track_id"], -predicted["confidence"]))
+        order = np.lexsort((predicted["source_track_id"], -predicted["confidence"]))
         raw_rows(table)[:k] = raw_rows(predicted)[order[:k]]
     return table
 

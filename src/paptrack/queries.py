@@ -1,12 +1,11 @@
 """Query abstraction: the currency between perception and prediction.
 
 A query is an embedding vector whose first two slots encode a BEV center
-hypothesis through a fixed invertible affine map (decode: ``c = A x + b``
-with ``A = scale * I``); the remaining slots, the tail, are random for a
-random query and zeros for a predicted one.  A batch of queries is one query
-table: a structured array of :func:`query_dtype`, one row per query.
-The predicted queries produced at frame T are kept in a one-frame bank
-and consumed by perception at T+1.
+hypothesis through a fixed invertible scaling (decode: ``c = scale * x``);
+the remaining slots, the tail, are random for a random query and zeros for
+a predicted one.  A batch of queries is one query table: a structured array
+of :func:`query_dtype`, one row per query.  The predicted queries produced
+at frame T are kept in a one-frame bank and consumed by perception at T+1.
 """
 
 from __future__ import annotations
@@ -26,11 +25,10 @@ ANY_CLASS = -1
 
 @dataclass(frozen=True)
 class CodecConfig:
-    """Parameters of the affine center codec and the embedding width."""
+    """Parameters of the center codec and the embedding width."""
 
     dim: int = 16
     scale: float = 1.0 / 30.0
-    offset: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if self.dim < 3:
@@ -40,11 +38,11 @@ class CodecConfig:
 
     def encode(self, centers: np.ndarray) -> np.ndarray:
         """Center slots of BEV centers ``(..., 2)``: the inverse of :meth:`decode`."""
-        return (centers - np.asarray(self.offset)) / self.scale
+        return centers / self.scale
 
     def decode(self, slots: np.ndarray) -> np.ndarray:
-        """BEV centers of center slots ``(..., 2)``: ``scale * x + offset``."""
-        return self.scale * slots + np.asarray(self.offset)
+        """BEV centers of center slots ``(..., 2)``: ``scale * x``."""
+        return self.scale * slots
 
 
 @functools.cache
@@ -59,7 +57,6 @@ def query_dtype(dim: int) -> np.dtype:
             ("embedding", np.float64, (dim,)),
             ("provenance", np.int8),  # RANDOM or PREDICTED
             ("source_track_id", np.int64),  # -1 for random queries
-            ("horizon_step", np.int64),  # 0 for random queries
             ("cls", np.int64),  # world.CLASS_INDEX code; ANY_CLASS matches every class
             ("confidence", np.float64),
         ]
@@ -85,7 +82,6 @@ def embed_center(
     *,
     provenance=RANDOM,
     source_track_id=-1,
-    horizon_step=0,
     cls=ANY_CLASS,
     confidence=1.0,
     out: np.ndarray | None = None,
@@ -120,7 +116,6 @@ def embed_center(
     emb[:, 2:] = tails
     table["provenance"] = provenance
     table["source_track_id"] = source_track_id
-    table["horizon_step"] = horizon_step
     table["cls"] = cls
     table["confidence"] = conf
     return table

@@ -267,7 +267,6 @@ def scenario_ground_truth(scenario: Scenario) -> np.ndarray:
     gt["id"] = np.repeat([a.agent_id for a in agents], lengths)
     gt["cls"] = np.repeat([CLASS_INDEX[a.cls] for a in agents], lengths)
     gt["center"] = np.concatenate([a.states[:, 0:2] for a in agents])
-    gt = gt[(gt["frame"] >= 0) & (gt["frame"] < scenario.frame_count)]  # a loaded scenario may outlast frame_count
     return gt[np.argsort(gt["frame"], kind="stable")]
 
 
@@ -400,9 +399,9 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     and `despawn` are integers, not bools; `scenario_id` and each agent's
     `class` and `model` are strings; `dt`, `turn_rate`, states and ego are
     finite numbers), a `dt` <= 0 or a `frame_count` below 1, names an
-    unknown class, gives an agent a lifespan outside
-    ``0 <= spawn < despawn <= frame_count`` or states that do not fit its
-    lifespan raises `InputError` naming `source` and the field.  Nothing is
+    unknown class, gives two agents the same `id`, gives an agent a lifespan
+    outside ``0 <= spawn < despawn <= frame_count`` or states that do not fit
+    its lifespan raises `InputError` naming `source` and the field.  Nothing is
     rounded or converted: a value is taken as it is or refused.
     """
     if not isinstance(doc, dict):
@@ -410,9 +409,13 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     frame_count = _read(doc, "frame_count", _integer, source)
     if frame_count < 1:
         raise InputError(f"{source} field 'frame_count' must be >= 1, got {frame_count}")
-    agents = []
+    agents, ids = [], {}  # agent id -> the index of the agent that has it
     for k, a in enumerate(_read(doc, "agents", _objects, source)):
         where = f"{source} agent {k}"
+        agent_id = _read(a, "id", _integer, where)
+        if agent_id in ids:  # the metrics would merge the two into one ground-truth track
+            raise InputError(f"{where} field 'id' repeats agent {ids[agent_id]}'s id {agent_id}")
+        ids[agent_id] = k
         cls = _read(a, "class", _string, where)
         if cls not in CLASSES:
             raise InputError(f"{where} field 'class' names unknown class {cls!r}")
@@ -424,7 +427,7 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
             )
         agents.append(
             AgentTrack(
-                agent_id=_read(a, "id", _integer, where),
+                agent_id=agent_id,
                 cls=cls,
                 spawn=spawn,
                 despawn=despawn,

@@ -309,42 +309,12 @@ def reintegrate(start, velocity, n, dt, turn_rate=0.0):
     return out
 
 
-def turn_rate_oracle(frames, velocities, dt):
-    """Heading change per second between one track's last two velocities."""
-    if len(velocities) < 2:
-        return 0.0
-    v0, v1 = velocities[-2], velocities[-1]
-    if np.hypot(*v0) < 1e-9 or np.hypot(*v1) < 1e-9:
-        return 0.0
-    a0 = np.arctan2(v0[1], v0[0])
-    a1 = np.arctan2(v1[1], v1[0])
-    da = (a1 - a0 + np.pi) % (2.0 * np.pi) - np.pi
-    span = (frames[-1] - frames[-2]) * dt
-    return float(da / span) if span > 0 else 0.0
-
-
-def forecast_oracle(frames, centers, velocities, horizon, dt, constant_turn):
-    """One track's ``(horizon, 2)`` forecast from its state history, oldest first.
-
-    Constant velocity, or with `constant_turn` the velocity rotates by the
-    turn rate of the last two states after every step.
-    """
+def forecast_oracle(centers, velocities, horizon, dt):
+    """One track's ``(horizon, 2)`` constant-velocity forecast from its state history, oldest first."""
     c = centers[-1]
     v = velocities[-1]
-    points = np.empty((horizon, 2))
-    if constant_turn:
-        omega = turn_rate_oracle(frames, velocities, dt)
-        rot_c, rot_s = np.cos(omega * dt), np.sin(omega * dt)
-        x = np.array(c, dtype=float)
-        vv = np.array(v, dtype=float)
-        for h in range(horizon):
-            x = x + vv * dt
-            vv = np.array([rot_c * vv[0] - rot_s * vv[1], rot_s * vv[0] + rot_c * vv[1]])
-            points[h] = x
-    else:
-        steps = np.arange(1, horizon + 1)[:, None]
-        points[:] = c[None, :] + steps * dt * v[None, :]
-    return points
+    steps = np.arange(1, horizon + 1)[:, None]
+    return c[None, :] + steps * dt * v[None, :]
 
 
 def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, params, dt, codec):
@@ -382,7 +352,7 @@ def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, p
     xy = matched["embedding"][..., :2]
     if not np.isfinite(xy).all():
         raise ValueError("non-finite embedding values")
-    q_xy = (codec.scale * xy + np.asarray(codec.offset))[by_prediction]
+    q_xy = (codec.scale * xy)[by_prediction]
     hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
 
     free = live.copy()

@@ -218,7 +218,7 @@ def test_criterion_6_round_trip_and_loop_closure():
 
     # noise-free single-agent closed loop over 10 frames
     from paptrack.perception import PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
-    from paptrack.prediction import PredictorConfig, predict_and_store
+    from paptrack.prediction import predict_and_store
     from paptrack.queries import QueryBank
     from paptrack.rng import stream
     from paptrack.world import ScenarioConfig, SensorConfig
@@ -246,7 +246,7 @@ def test_criterion_6_round_trip_and_loop_closure():
         )
         tracks = result.tracks
         detections.append(result.detections)
-        predict_and_store(tracks, bank, frame, PredictorConfig(), loop_codec, 0.1)
+        predict_and_store(tracks, bank, frame, loop_codec, 0.1)
     detections = np.concatenate(detections)
     agent = scenario.agents[0]
     # a single track detected in every frame (matched, never coasted) implies zero ID switches

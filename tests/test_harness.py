@@ -563,6 +563,7 @@ def _set(section, **values):
     [
         (_set(None, policy=5), "policy must be an object, got int"),
         (_set("policy", n_queries="x"), "policy.n_queries must be an integer, got 'x'"),
+        (_set("policy", n_queries=True), "policy.n_queries must be an integer, got True"),
         (_set(None, rho_values=5), "config.rho_values must be a list, got 5"),
         (lambda doc: [doc], "config must be an object, got list"),
         (_set(None, seeds=["a"]), "seeds must be integers, got ['a']"),
@@ -571,15 +572,17 @@ def _set(section, **values):
         (_set("scenario", class_counts=[1]), "scenario.class_counts must be an object, got [1]"),
         (_set("scenario", class_counts={"car": 1.5}), "class_counts['car'] must be an integer >= 0, got 1.5"),
         (_set("scenario", speed_range=[0.3]), "scenario.speed_range must be a list of 2 numbers, got [0.3]"),
-        (_set("predictor", feed_all=1), "predictor.feed_all must be a bool, got 1"),
         (_set(None, scenario_path=0), "scenario_path must be a string or null, got 0"),  # not stdin
         (_set(None, bank_capacity=4), "unknown key(s) ['bank_capacity'] in config"),
         (_set("predictor", dt=0.1), "unknown key(s) ['dt'] in predictor"),
         (_set("sensor", score_near=0.9), "unknown key(s) ['score_near'] in sensor"),
+        (_set("predictor", model="constant_velocity"), "unknown key(s) ['model'] in predictor"),
+        (_set("predictor", feed_step=1), "unknown key(s) ['feed_step'] in predictor"),
+        (_set("predictor", feed_all=False), "unknown key(s) ['feed_all'] in predictor"),
     ],
-    ids=["policy_int", "n_queries_str", "rho_values_int", "top_level_list", "seed_str", "seed_repeated", "frame_count_float",
-         "class_counts_list", "class_count_float", "speed_range_short", "feed_all_int", "scenario_path_int", "bank_capacity", "predictor_dt",
-         "sensor_score_near"],
+    ids=["policy_int", "n_queries_str", "n_queries_bool", "rho_values_int", "top_level_list", "seed_str", "seed_repeated",
+         "frame_count_float", "class_counts_list", "class_count_float", "speed_range_short", "scenario_path_int", "bank_capacity",
+         "predictor_dt", "sensor_score_near", "model", "feed_step", "feed_all"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
     path = tmp_path / "config.json"
@@ -861,6 +864,12 @@ def _agent_without(doc, name):
     return doc
 
 
+def _repeat_id(doc, k):
+    """Agent `k` takes agent 0's id; the metrics would merge the two into one ground-truth track."""
+    doc["agents"][k]["id"] = doc["agents"][0]["id"]
+    return doc
+
+
 @pytest.mark.parametrize(
     "edit, problem",
     [
@@ -871,8 +880,10 @@ def _agent_without(doc, name):
         (lambda doc: _agent(doc, states=doc["agents"][0]["states"][:-1]), "agent 0 field 'states' is not valid"),
         (lambda doc: _agent(doc, despawn=doc["frame_count"] + 1), "0 <= spawn < despawn <= frame_count"),
         (lambda doc: _agent(doc, spawn=doc["agents"][0]["despawn"]), "0 <= spawn < despawn <= frame_count"),
+        (lambda doc: _repeat_id(doc, 3), "agent 3 field 'id' repeats agent 0's id 1"),
     ],
-    ids=["truncated", "no-agents", "agent-without-states", "unknown-class", "short-states", "despawn-past-end", "empty-lifespan"],
+    ids=["truncated", "no-agents", "agent-without-states", "unknown-class", "short-states", "despawn-past-end", "empty-lifespan",
+         "repeated-id"],
 )
 def test_cli_run_on_bad_scenario_file_exits_4(tmp_path, capsys, edit, problem):
     cfg = small_config(seeds=(1,))
@@ -961,7 +972,7 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     assert main(["run", "--config", str(OLD / "config.json"), "--out", str(tmp_path / "refused")]) == 2
     assert "unknown key(s) ['bank_capacity'] in config" in capsys.readouterr().err
     doc = json.loads((OLD / "config.json").read_text())
-    del doc["bank_capacity"]
+    del doc["bank_capacity"], doc["predictor"]["feed_step"]
     doc["mode"] = "pap"
     path, new = tmp_path / "config.json", tmp_path / "new"
     path.write_text(json.dumps(doc))
@@ -969,7 +980,9 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
 
     # the new report is the old one without the removed keys (and with this run's mode)
     old, now = (json.loads((d / "report_pap_seed1.json").read_text()) for d in (OLD, new))
-    del old["config_echo"]["bank_capacity"], old["config_echo"]["predictor"]["dt"], old["counters"]["query_refinements"]
+    del old["config_echo"]["bank_capacity"], old["counters"]["query_refinements"]
+    for key in ("dt", "model", "feed_step", "feed_all"):
+        del old["config_echo"]["predictor"][key]
     for key in ("score_near", "score_far", "clutter_score_range"):
         del old["config_echo"]["sensor"][key]
     old["config_echo"]["mode"] = "pap"

@@ -23,7 +23,7 @@ from paptrack.perception import (
     perceive,
     update_tracks,
 )
-from paptrack.prediction import PredictorConfig, predict_and_store
+from paptrack.prediction import predict_and_store
 from paptrack.queries import PREDICTED, RANDOM, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
 from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX
@@ -43,7 +43,6 @@ def predicted_query(track_id, center=(0.0, 0.0), cls="car", confidence=1.0):
         CODEC,
         provenance=PREDICTED,
         source_track_id=track_id,
-        horizon_step=1,
         cls=CLASS_INDEX[cls],
         confidence=confidence,
     )
@@ -460,13 +459,12 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     detections = []  # one box table per frame
     policy = QueryAssemblyPolicy(n_queries=300, rho=0.8)
     params = PerceptionParams()
-    predictor = PredictorConfig()
     for frame in range(n_frames):
         ms = sense_frame(scenario, frame, sensor, sensor_rng)
         result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt)
         tracks = result.tracks
         detections.append(result.detections)
-        predict_and_store(tracks, bank, frame, predictor, codec, dt)
+        predict_and_store(tracks, bank, frame, codec, dt)
     return scenario, tracks, np.concatenate(detections)
 
 

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from paptrack.harness import ExperimentConfig, MetricConfig, replay_dump, run_single
 from paptrack.metrics import report_to_json
 from paptrack.perception import PerceptionParams, QueryAssemblyPolicy, assemble_queries, gate_costs, perceive, track_dtype
-from paptrack.prediction import CONSTANT_TURN, CONSTANT_VELOCITY, PredictorConfig, predict_and_store
+from paptrack.prediction import predict_and_store
 from paptrack.queries import PREDICTED, QueryBank
 from paptrack.rng import stream
 from paptrack.world import CLASSES, ScenarioConfig, SensorConfig, generate_scenario
@@ -31,12 +31,11 @@ from paptrack.world import CLASSES, ScenarioConfig, SensorConfig, generate_scena
 from tables import sense_frame
 
 configs = st.builds(
-    lambda frames, agents, clutter, miss, n_queries, rho, mode, window, max_misses, model: ExperimentConfig(
+    lambda frames, agents, clutter, miss, n_queries, rho, mode, window, max_misses: ExperimentConfig(
         seeds=[1],
         scenario=ScenarioConfig(frame_count=frames, world_half_extent=15.0, class_counts=agents),
         sensor=SensorConfig(clutter_rate=clutter, miss_probability=miss),
         policy=QueryAssemblyPolicy(n_queries=n_queries, rho=rho, mode=mode),
-        predictor=PredictorConfig(model=model),
         perception=PerceptionParams(velocity_window=window, max_misses=max_misses),
         metrics=MetricConfig(n_recall_points=10),
     ),
@@ -49,7 +48,6 @@ configs = st.builds(
     mode=st.sampled_from(["fixed", "reduced"]),
     window=st.integers(1, 5),
     max_misses=st.integers(0, 3),
-    model=st.sampled_from([CONSTANT_VELOCITY, CONSTANT_TURN]),
 )
 
 
@@ -118,4 +116,4 @@ def test_reduced_mode_never_makes_more_cost_evaluations_than_fixed_on_the_same_f
         assert dropped >= 0 and result.stats["n_predicted"] == np.count_nonzero(queries["provenance"] == PREDICTED)
         assert result.stats["cost_evaluations"] - evaluations == dropped * len(measurements)
         tracks = result.tracks
-        predict_and_store(tracks, bank, frame, cfg.predictor, codec, scenario.dt)
+        predict_and_store(tracks, bank, frame, codec, scenario.dt)

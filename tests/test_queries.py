@@ -42,11 +42,10 @@ def test_round_trip_against_matrix_inverse_oracle():
     rng = np.random.default_rng(0)
     A = CODEC.scale * np.eye(2)
     A_inv = np.linalg.inv(A)
-    b = np.asarray(CODEC.offset)
     for _ in range(100):
         center = rng.uniform(-30, 30, size=2)
         (q,) = embed_center(center, rng.standard_normal(14), CODEC)
-        assert np.max(np.abs(q.embedding[:2] - A_inv @ (center - b))) < 1e-9
+        assert np.max(np.abs(q.embedding[:2] - A_inv @ center)) < 1e-9
         assert np.max(np.abs(decode_reference(q, CODEC) - center)) < 1e-9
 
 
@@ -68,7 +67,6 @@ def test_random_rows_default_to_sentinels():
     (q,) = embed_center(np.zeros(2), np.zeros(14), CODEC)
     assert q.provenance == RANDOM
     assert q.source_track_id == -1
-    assert q.horizon_step == 0
     assert q.cls == ANY_CLASS
     assert q.confidence == 1.0
 
@@ -125,7 +123,6 @@ def _predicted(*track_ids: int, confidence: float = 1.0) -> np.ndarray:
         CODEC,
         provenance=PREDICTED,
         source_track_id=list(track_ids),
-        horizon_step=1,
         confidence=confidence,
     )
 
