@@ -25,7 +25,7 @@ import numpy as np
 from paptrack.metrics import DEFAULT_MATCH_DISTANCE, DEFAULT_RECALL_POINTS, build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
 from paptrack.prediction import PredictorConfig, fed_tracks, forecast, predict_and_store
-from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, CodecConfig, QueryBank, decode_reference
+from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, QueryBank
 from paptrack.rng import stream
 from paptrack.world import (
     CLASS_INDEX,
@@ -64,7 +64,6 @@ class ExperimentConfig:
     predictor: PredictorConfig = field(default_factory=PredictorConfig)
     perception: PerceptionParams = field(default_factory=PerceptionParams)
     metrics: MetricConfig = field(default_factory=MetricConfig)
-    embedding_dim: int = 16
     rho_values: list[float] = field(default_factory=lambda: [0.0, 0.5, 0.8, 1.0])
 
     def validate(self) -> None:
@@ -81,8 +80,6 @@ class ExperimentConfig:
             raise ConfigError(f"scenario_path must be a string or null, got {self.scenario_path!r}")
         if not all(is_finite_number(r) and 0.0 <= r <= 1.0 for r in self.rho_values):
             raise ConfigError("rho_values must lie in [0, 1]")
-        if self.embedding_dim < 3:
-            raise ConfigError("embedding_dim must be >= 3 (2 center slots + tail)")
         if self.metrics.match_distance <= 0:
             raise ConfigError("metrics.match_distance must be positive")
         if self.metrics.n_recall_points < 1:
@@ -92,9 +89,6 @@ class ExperimentConfig:
         self.policy.validate()
         self.predictor.validate()
         self.perception.validate()
-
-    def codec(self) -> CodecConfig:
-        return CodecConfig(dim=self.embedding_dim, scale=1.0 / self.scenario.world_half_extent)
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +188,10 @@ def run_single(
         scenario = load_scenario(cfg.scenario_path)
     else:
         scenario = generate_scenario(cfg.scenario, seed)
-    codec = cfg.codec()
     effective_rho = cfg.policy.rho if rho is None else rho
     policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
     params = cfg.perception
-    bank = QueryBank(dim=codec.dim)
+    bank = QueryBank()
     reads_bank = policy.banked_share > 0  # else assemble_queries never reads the bank
     tracks = np.zeros(0, track_dtype(params.velocity_window))
     sensor_rng = stream(seed, "sensor")
@@ -236,7 +229,6 @@ def run_single(
                 tracks,
                 policy,
                 params,
-                codec,
                 cfg.scenario.world_half_extent,
                 query_rng,
                 frame,
@@ -244,12 +236,12 @@ def run_single(
             )
             tracks = result.tracks
             if reads_bank:
-                predict_and_store(tracks, bank, frame, codec, scenario.dt)
+                predict_and_store(tracks, bank, frame, scenario.dt)
             detections.append(result.detections)
             counters["cost_evaluations"] += result.stats["cost_evaluations"]
             per_frame_cost_evals.append(result.stats["cost_evaluations"])
             if dump_file is not None:
-                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor.horizon, codec, scenario.dt), sort_keys=True) + "\n")
+                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor.horizon, scenario.dt), sort_keys=True) + "\n")
         counters["wall_seconds"] = time.perf_counter() - t0
     finally:
         if collecting:
@@ -268,7 +260,7 @@ def run_single(
     return report
 
 
-def _frame_record(frame, measurements, gt, result, tracks, horizon, codec, dt) -> dict:
+def _frame_record(frame, measurements, gt, result, tracks, horizon, dt) -> dict:
     queries, detections = result.queries, result.detections
     live, fed = fed_tracks(tracks)
     return {
@@ -291,7 +283,7 @@ def _frame_record(frame, measurements, gt, result, tracks, horizon, codec, dt) -
                 queries["provenance"].tolist(),
                 queries["source_track_id"].tolist(),
                 queries["cls"].tolist(),
-                decode_reference(queries, codec).tolist(),
+                queries["center"].tolist(),
             )
         ],
         "assignment": {

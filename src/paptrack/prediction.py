@@ -2,9 +2,9 @@
 
 The predictor extrapolates the filtered state of every live row of the
 track table at constant velocity over a short horizon in one call, and
-re-embeds each track's step-1 point, its position at the next frame, as
-one table of predicted queries, which is stored in the bank for the next
-frame's perception.
+turns each track's step-1 point, its position at the next frame, into the
+center of one predicted query; the table of them is stored in the bank for
+the next frame's perception.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from paptrack.perception import COASTING, CONFIRMED, TERMINATED, track_confidence
-from paptrack.queries import PREDICTED, CodecConfig, QueryBank, embed_center
+from paptrack.queries import PREDICTED, QueryBank, embed_center
 from paptrack.world import ConfigError, raw_rows
 
 
@@ -46,18 +46,16 @@ def fed_tracks(tracks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, raw_rows(tracks)[rows].view(tracks.dtype)
 
 
-def predict_and_store(tracks: np.ndarray, bank: QueryBank, t: int, codec: CodecConfig, dt: float) -> QueryBank:
+def predict_and_store(tracks: np.ndarray, bank: QueryBank, t: int, dt: float) -> QueryBank:
     """Forecast every track of :func:`fed_tracks` one step and bank the resulting queries.
 
-    Each track gives one row, in track-id order.  The row carries zero tail
-    slots, its source track's id, which ties it to that track, and its
-    class, so it only matches measurements of that class.
+    Each track gives one row, in track-id order, centered on its forecast
+    point.  The row carries its source track's id, which ties it to that
+    track, and its class, so it only matches measurements of that class.
     """
     live, fed = fed_tracks(tracks)
     queries = embed_center(
         forecast(fed, 1, dt)[:, 0],
-        np.zeros((len(live), codec.dim - 2)),
-        codec,
         provenance=PREDICTED,
         source_track_id=live + 1,
         cls=fed["cls"],

@@ -317,7 +317,7 @@ def forecast_oracle(centers, velocities, horizon, dt):
     return c[None, :] + steps * dt * v[None, :]
 
 
-def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, params, dt, codec):
+def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, params, dt):
     """`perception.update_tracks` with the deferred search over every row of the table.
 
     Each deferred match gets a distance to every row, and the rows that are
@@ -349,10 +349,10 @@ def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, p
             deferred.append(i)
     hit_rows = np.array(list(first), dtype=np.intp)
     by_prediction = list(first.values())
-    xy = matched["embedding"][..., :2]
+    xy = matched["center"]
     if not np.isfinite(xy).all():
-        raise ValueError("non-finite embedding values")
-    q_xy = (codec.scale * xy)[by_prediction]
+        raise ValueError("non-finite query centers")
+    q_xy = xy[by_prediction]
     hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
 
     free = live.copy()

@@ -17,7 +17,7 @@ import pytest
 from paptrack.harness import compare, load_config, run_single, sign_test_pvalue
 from paptrack.metrics import amota_amotp, evaluate_run
 from paptrack.perception import associate, gated_costs
-from paptrack.queries import CodecConfig, decode_reference, embed_center
+from paptrack.queries import embed_center
 from paptrack.world import generate_scenario
 
 from oracles import amota_amotp_oracle, brute_force_assignment
@@ -207,13 +207,12 @@ def test_criterion_5_assignment_optimality():
 
 
 def test_criterion_6_round_trip_and_loop_closure():
-    codec = CodecConfig(dim=16, scale=1.0 / 30.0)
     rng = np.random.default_rng(6)
     centers = rng.uniform(-30, 30, size=(10_000, 2))
     max_err = 0.0
     for c in centers:
-        q = embed_center(c, np.zeros(14), codec)
-        max_err = max(max_err, float(np.max(np.abs(decode_reference(q, codec) - c))))
+        (q,) = embed_center(c)
+        max_err = max(max_err, float(np.max(np.abs(q.center - c))))
     round_trip_ok = max_err < 1e-9
 
     # noise-free single-agent closed loop over 10 frames
@@ -231,7 +230,6 @@ def test_criterion_6_round_trip_and_loop_closure():
     )
     scenario = generate_scenario(scn_cfg, seed=6)
     sensor = SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=0.0)
-    loop_codec = CodecConfig(dim=16, scale=1.0 / 10.0)
     params = PerceptionParams()
     bank = QueryBank()
     tracks = np.zeros(0, track_dtype(params.velocity_window))
@@ -242,11 +240,11 @@ def test_criterion_6_round_trip_and_loop_closure():
         ms = sense_frame(scenario, frame, sensor, sensor_rng)
         result = perceive(
             ms, bank, tracks, QueryAssemblyPolicy(n_queries=300, rho=0.8), params,
-            loop_codec, 10.0, query_rng, frame, 0.1,
+            10.0, query_rng, frame, 0.1,
         )
         tracks = result.tracks
         detections.append(result.detections)
-        predict_and_store(tracks, bank, frame, loop_codec, 0.1)
+        predict_and_store(tracks, bank, frame, 0.1)
     detections = np.concatenate(detections)
     agent = scenario.agents[0]
     # a single track detected in every frame (matched, never coasted) implies zero ID switches
@@ -261,7 +259,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     ok = round_trip_ok and loop_ok
     criterion(
         6,
-        "codec round trip and noise-free loop closure at 1e-9",
+        "query center round trip and noise-free loop closure at 1e-9",
         ok,
         f"round-trip err {max_err:.1e}, loop err {loop_err:.1e}, single track={loop_ok}",
     )

@@ -24,14 +24,13 @@ from paptrack.perception import (
     update_tracks,
 )
 from paptrack.prediction import predict_and_store
-from paptrack.queries import PREDICTED, RANDOM, CodecConfig, QueryBank, decode_reference, embed_center, query_dtype
+from paptrack.queries import PREDICTED, RANDOM, QueryBank, embed_center, query_dtype
 from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX
 
 from oracles import brute_force_assignment, continue_deferred_oracle
 from tables import boxes, centers, sense_frame, track_table
 
-CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 HALF_EXTENT = 30.0
 
 
@@ -39,8 +38,6 @@ def predicted_query(track_id, center=(0.0, 0.0), cls="car", confidence=1.0):
     """A 1-row table holding one predicted query."""
     return embed_center(
         np.asarray(center, dtype=float),
-        np.zeros(14),
-        CODEC,
         provenance=PREDICTED,
         source_track_id=track_id,
         cls=CLASS_INDEX[cls],
@@ -50,7 +47,7 @@ def predicted_query(track_id, center=(0.0, 0.0), cls="car", confidence=1.0):
 
 def table(rows):
     """One query table from a list of tables (an empty list gives an empty table)."""
-    return np.concatenate([np.empty(0, query_dtype(CODEC.dim)), *rows])
+    return np.concatenate([np.empty(0, query_dtype), *rows])
 
 
 def assignment_of(matches):
@@ -75,7 +72,7 @@ def meas(center, cls="car", frame=0):
 def test_first_frame_is_all_random():
     bank = QueryBank()
     bank.store(0, predicted_query(1))  # ignored: frame 0 never consults the bank
-    qs = assemble_queries(bank, 0, QueryAssemblyPolicy(n_queries=12, rho=1.0), CODEC, HALF_EXTENT, stream(0, "queries"))
+    qs = assemble_queries(bank, 0, QueryAssemblyPolicy(n_queries=12, rho=1.0), HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 12
     assert all(q.provenance == RANDOM for q in qs)
 
@@ -83,7 +80,7 @@ def test_first_frame_is_all_random():
 def test_rho_zero_is_all_random_regardless_of_bank():
     bank = QueryBank()
     bank.store(4, table([predicted_query(i) for i in range(6)]))
-    qs = assemble_queries(bank, 5, QueryAssemblyPolicy(n_queries=10, rho=0.0), CODEC, HALF_EXTENT, stream(0, "queries"))
+    qs = assemble_queries(bank, 5, QueryAssemblyPolicy(n_queries=10, rho=0.0), HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 10
     assert all(q.provenance == RANDOM for q in qs)
 
@@ -92,7 +89,7 @@ def test_rho_zero_is_all_random_regardless_of_bank():
 def test_replacement_count_is_min_of_bank_and_rho_slots(n_banked, n_predicted):
     bank = QueryBank()
     bank.store(4, table([predicted_query(i) for i in range(n_banked)]))
-    qs = assemble_queries(bank, 5, QueryAssemblyPolicy(n_queries=10, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
+    qs = assemble_queries(bank, 5, QueryAssemblyPolicy(n_queries=10, rho=0.5), HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 10
     assert sum(q.provenance == PREDICTED for q in qs) == n_predicted
 
@@ -100,7 +97,7 @@ def test_replacement_count_is_min_of_bank_and_rho_slots(n_banked, n_predicted):
 def test_predicted_ordered_by_confidence_then_track_id():
     bank = QueryBank()
     bank.store(0, table([predicted_query(3, confidence=0.5), predicted_query(1, confidence=0.9), predicted_query(2, confidence=0.9)]))
-    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=4, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
+    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=4, rho=0.5), HALF_EXTENT, stream(0, "queries"))
     chosen = [q.source_track_id for q in qs if q.provenance == PREDICTED]
     assert chosen == [1, 2]
 
@@ -111,13 +108,13 @@ def test_output_cardinality_fixed_for_any_bank_state():
     for n_banked in range(0, 12):
         bank = QueryBank()
         bank.store(9, table([predicted_query(i) for i in range(n_banked)]))
-        assert len(assemble_queries(bank, 10, policy, CODEC, HALF_EXTENT, rng)) == 7
+        assert len(assemble_queries(bank, 10, policy, HALF_EXTENT, rng)) == 7
 
 
 def test_reduced_mode_shrinks_total():
     bank = QueryBank()
     bank.store(0, table([predicted_query(i) for i in range(4)]))
-    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=20, rho=0.8, mode="reduced"), CODEC, HALF_EXTENT, stream(0, "queries"))
+    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=20, rho=0.8, mode="reduced"), HALF_EXTENT, stream(0, "queries"))
     assert len(qs) == 8  # 4 predicted + (20 - floor(0.8 * 20)) random
     assert np.all(qs["provenance"][:4] == PREDICTED) and np.all(qs["provenance"][4:] == RANDOM)
 
@@ -130,11 +127,11 @@ def test_reduced_mode_draws_the_random_share_whatever_the_bank_holds(rho):
     for n_banked in range(0, 13):
         bank = QueryBank()
         bank.store(9, table([predicted_query(i) for i in range(n_banked)]))
-        qs = assemble_queries(bank, 10, policy, CODEC, HALF_EXTENT, rng)
+        qs = assemble_queries(bank, 10, policy, HALF_EXTENT, rng)
         assert np.count_nonzero(qs["provenance"] == RANDOM) == 10 - share
         assert np.count_nonzero(qs["provenance"] == PREDICTED) == min(n_banked, share)
         # frame 0 never reads a bank: all N queries are random
-        first = assemble_queries(bank, 0, policy, CODEC, HALF_EXTENT, rng)
+        first = assemble_queries(bank, 0, policy, HALF_EXTENT, rng)
         assert len(first) == 10 and np.all(first["provenance"] == RANDOM)
 
 
@@ -142,16 +139,10 @@ def test_assembled_table_is_the_chosen_banked_rows_then_random_rows():
     bank = QueryBank()
     banked = table([predicted_query(i, center=(i, -i), confidence=1.0 - 0.1 * i) for i in range(6)])
     bank.store(0, banked)
-    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=8, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
+    qs = assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=8, rho=0.5), HALF_EXTENT, stream(0, "queries"))
     assert type(qs) is np.ndarray and qs.dtype == banked.dtype
     assert qs[:4].tobytes() == banked[:4].tobytes()
     assert np.all(qs["provenance"][4:] == RANDOM)
-
-
-def test_assembly_rejects_banked_queries_of_another_width():
-    bank = QueryBank(dim=8)
-    with pytest.raises(ValueError, match="banked queries"):
-        assemble_queries(bank, 1, QueryAssemblyPolicy(n_queries=4, rho=0.5), CODEC, HALF_EXTENT, stream(0, "queries"))
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +150,35 @@ def test_assembly_rejects_banked_queries_of_another_width():
 
 
 def test_gate_cost_is_euclidean_distance():
-    costs, n_eval = gate_costs(predicted_query(1, (0.0, 0.0)), boxes(meas((3.0, 4.0))), 10.0, CODEC)
+    costs, n_eval = gate_costs(predicted_query(1, (0.0, 0.0)), boxes(meas((3.0, 4.0))), 10.0)
     assert costs[0, 0] == pytest.approx(5.0, abs=1e-12)
     assert n_eval == 1
 
 
 def test_gate_excludes_beyond_threshold():
-    costs, _ = gate_costs(predicted_query(1, (0.0, 0.0)), boxes(meas((3.0, 4.0))), 4.0, CODEC)
+    costs, _ = gate_costs(predicted_query(1, (0.0, 0.0)), boxes(meas((3.0, 4.0))), 4.0)
     assert np.isinf(costs[0, 0])
 
 
 def test_gate_class_locking():
     q = predicted_query(1, (0.0, 0.0), cls="car")
-    costs, n_eval = gate_costs(q, boxes(meas((1.0, 0.0), cls="pedestrian")), 10.0, CODEC)
+    costs, n_eval = gate_costs(q, boxes(meas((1.0, 0.0), cls="pedestrian")), 10.0)
     assert np.isinf(costs[0, 0])
     assert n_eval == 0  # class-incompatible pairs are never evaluated
 
 
+def test_gate_rejects_non_finite_query_centers():
+    q = predicted_query(1)
+    q["center"] = [np.nan, 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        gate_costs(q, boxes(meas((0.0, 0.0))), 3.0)
+
+
 def test_random_queries_match_any_class():
     rng = stream(3, "queries")
-    qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=1, rho=0.0), CODEC, HALF_EXTENT, rng)
-    center = decode_reference(qs[0], CODEC)
-    costs, _ = gate_costs(qs, boxes(meas(center + [0.5, 0.0], cls="trailer")), 2.0, CODEC)
+    qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=1, rho=0.0), HALF_EXTENT, rng)
+    center = qs[0].center
+    costs, _ = gate_costs(qs, boxes(meas(center + [0.5, 0.0], cls="trailer")), 2.0)
     assert np.isfinite(costs[0, 0])
 
 
@@ -188,10 +186,10 @@ def test_gate_matrix_matches_recomputed_distances():
     rng = np.random.default_rng(5)
     qs = table([predicted_query(i, rng.uniform(-10, 10, 2)) for i in range(5)])
     ms = boxes(*[meas(rng.uniform(-10, 10, 2)) for _ in range(5)])
-    costs, _ = gate_costs(qs, ms, 50.0, CODEC)
+    costs, _ = gate_costs(qs, ms, 50.0)
     for i, q in enumerate(qs):
         for j, m in enumerate(ms):
-            expected = np.linalg.norm(decode_reference(q, CODEC) - m["center"])
+            expected = np.linalg.norm(q.center - m["center"])
             assert costs[i, j] == pytest.approx(expected, abs=1e-12)
 
 
@@ -255,9 +253,9 @@ def make_track(center=(1.0, 0.0), cls="car", frame=0, hits=2):
 
 def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
     params = PerceptionParams(alpha=alpha)
-    costs, _ = gate_costs(queries, measurements, params.gate_threshold, CODEC)
+    costs, _ = gate_costs(queries, measurements, params.gate_threshold)
     assignment = associate(apply_predicted_priority(costs, queries, params.predicted_priority_eps))
-    return update_tracks(tracks, assignment, queries, measurements, frame, params, 0.1, CODEC)
+    return update_tracks(tracks, assignment, queries, measurements, frame, params, 0.1)
 
 
 def test_matched_predicted_query_blends_centers():
@@ -278,7 +276,7 @@ def test_unmatched_random_query_is_discarded():
 
 def test_matched_random_query_births_tentative_track():
     rng = stream(0, "queries")
-    qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=50, rho=0.0), CODEC, 5.0, rng)
+    qs = assemble_queries(QueryBank(), 0, QueryAssemblyPolicy(n_queries=50, rho=0.0), 5.0, rng)
     ms = boxes(meas((0.0, 0.0), frame=0))
     tracks = run_update(track_table(), qs, ms, frame=0)
     assert len(tracks) == 1
@@ -290,9 +288,9 @@ def test_unmatched_track_coasts_then_terminates():
     tracks = track_table(dict(center=(0.0, 0.0), velocity=(1.0, 0.0)))
     params = PerceptionParams(max_misses=2)
     for frame in range(1, 5):
-        costs, _ = gate_costs(table([]), boxes(), params.gate_threshold, CODEC)
+        costs, _ = gate_costs(table([]), boxes(), params.gate_threshold)
         assignment = associate(costs)
-        tracks = update_tracks(tracks, assignment, table([]), boxes(), frame, params, 0.1, CODEC)
+        tracks = update_tracks(tracks, assignment, table([]), boxes(), frame, params, 0.1)
         if tracks["status"][0] == TERMINATED:
             break
     assert tracks["status"][0] == TERMINATED
@@ -318,11 +316,11 @@ def test_track_ids_never_reused():
     for frame in range(5):
         ms = boxes(meas((float(10 * frame), 0.0), frame=frame))
         rng = stream(frame, "queries")
-        qs = assemble_queries(QueryBank(), frame, QueryAssemblyPolicy(n_queries=200, rho=0.0), CODEC, HALF_EXTENT, rng)
-        costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
+        qs = assemble_queries(QueryBank(), frame, QueryAssemblyPolicy(n_queries=200, rho=0.0), HALF_EXTENT, rng)
+        costs, _ = gate_costs(qs, ms, params.gate_threshold)
         assignment = associate(costs)
         before = tracks.copy()
-        tracks = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1, CODEC)
+        tracks = update_tracks(tracks, assignment, qs, ms, frame, params, 0.1)
         # a row is never removed or given to another track: each old row keeps its class, and either
         # appends a state to its own history, shifted by one, or keeps that history as it was
         assert len(tracks) >= len(before)
@@ -341,10 +339,10 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
     tracks = track_table(
         dict(center=(-1.0, 0.0)), dict(center=(0.5, 0.0)), dict(center=(1.0, 0.0)), dict(center=(0.0, 0.0), status=TERMINATED)
     )
-    qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2), np.zeros(14), CODEC)])
+    qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2))])
     ms = boxes(meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1))
     params = PerceptionParams()
-    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)]), qs, ms, 1, params, 0.1, CODEC)
+    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)]), qs, ms, 1, params, 0.1)
     assert len(out) == 4  # no birth: the random match continued track 1
     assert out["frames"][:, -1].tolist() == [1, 1, 1, 0]
     assert out["coasted"][:, -1].tolist() == [False, False, True, False]
@@ -353,7 +351,7 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
 
 
 def random_query(center):
-    return embed_center(np.asarray(center, dtype=float), np.ones(14), CODEC)
+    return embed_center(np.asarray(center, dtype=float))
 
 
 def update_case(rows, queries, points, params=PerceptionParams()):
@@ -419,8 +417,8 @@ def update_cases(draw):
 def test_update_tracks_equals_all_rows_oracle_byte_for_byte(case):
     tracks, queries, measurements, matches, params = case
     assignment = assignment_of(matches)
-    want = continue_deferred_oracle(tracks.copy(), assignment, queries, measurements, 3, params, 0.1, CODEC)
-    got = update_tracks(tracks.copy(), assignment, queries, measurements, 3, params, 0.1, CODEC)
+    want = continue_deferred_oracle(tracks.copy(), assignment, queries, measurements, 3, params, 0.1)
+    got = update_tracks(tracks.copy(), assignment, queries, measurements, 3, params, 0.1)
     assert got.dtype == want.dtype and len(got) == len(want)
     assert got.tobytes() == want.tobytes()
 
@@ -451,7 +449,6 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     )
     scenario = generate_scenario(cfg, seed=21)
     sensor = SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=0.0)
-    codec = CodecConfig(dim=16, scale=1.0 / 10.0)
     sensor_rng = stream(21, "sensor")
     query_rng = stream(21, "queries")
     bank = QueryBank()
@@ -461,10 +458,10 @@ def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     params = PerceptionParams()
     for frame in range(n_frames):
         ms = sense_frame(scenario, frame, sensor, sensor_rng)
-        result = perceive(ms, bank, tracks, policy, params, codec, 10.0, query_rng, frame, dt)
+        result = perceive(ms, bank, tracks, policy, params, 10.0, query_rng, frame, dt)
         tracks = result.tracks
         detections.append(result.detections)
-        predict_and_store(tracks, bank, frame, codec, dt)
+        predict_and_store(tracks, bank, frame, dt)
     return scenario, tracks, np.concatenate(detections)
 
 
@@ -481,7 +478,7 @@ def test_noise_free_closed_loop_tracks_ground_truth():
 
 def test_perceive_empty_inputs():
     result = perceive(
-        boxes(), QueryBank(), track_table(), QueryAssemblyPolicy(n_queries=5, rho=0.5), PerceptionParams(), CODEC, HALF_EXTENT,
+        boxes(), QueryBank(), track_table(), QueryAssemblyPolicy(n_queries=5, rho=0.5), PerceptionParams(), HALF_EXTENT,
         stream(0, "queries"), 0, 0.1,
     )
     assert len(result.tracks) == 0
@@ -495,13 +492,13 @@ def test_perceive_equals_manual_composition():
     ms = boxes(meas((1.2, 0.0), frame=1), meas((5.0, 5.0), cls="pedestrian", frame=1))
     policy = QueryAssemblyPolicy(n_queries=6, rho=0.5)
     params = PerceptionParams()
-    result = perceive(ms, bank, track.copy(), policy, params, CODEC, HALF_EXTENT, stream(9, "queries"), 1, 0.1)
+    result = perceive(ms, bank, track.copy(), policy, params, HALF_EXTENT, stream(9, "queries"), 1, 0.1)
 
     # manual composition with an identical query stream
-    qs = assemble_queries(bank, 1, policy, CODEC, HALF_EXTENT, stream(9, "queries"))
-    costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
+    qs = assemble_queries(bank, 1, policy, HALF_EXTENT, stream(9, "queries"))
+    costs, _ = gate_costs(qs, ms, params.gate_threshold)
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
-    manual_tracks = update_tracks(track.copy(), assignment, qs, ms, 1, params, 0.1, CODEC)
+    manual_tracks = update_tracks(track.copy(), assignment, qs, ms, 1, params, 0.1)
 
     assert pairs(result.assignment) == pairs(assignment)
     assert len(result.tracks) == len(manual_tracks)
@@ -529,25 +526,23 @@ def test_predicted_priority_equals_the_full_matrix_formula_bit_for_bit(predicted
     costs = rng.uniform(0.0, 3.0, size=(10, 6))
     costs[rng.random(costs.shape) < 0.3] = np.inf
     costs[:, 0] = [0.0, 5e-7, 1e-6, 2e-6, np.inf, 0.0, 3e-7, 1e-6, 0.5, np.inf]  # below, at and above eps
-    queries = np.zeros(10, query_dtype(CODEC.dim))
+    queries = np.zeros(10, query_dtype)
     queries["provenance"] = RANDOM
     queries["provenance"][predicted_rows] = PREDICTED
-    before = costs.tobytes()
+    before = costs.copy()
     adjusted = apply_predicted_priority(costs, queries, eps)
-    assert costs.tobytes() == before
-    assert adjusted.dtype == costs.dtype and adjusted.shape == costs.shape
-    assert adjusted.tobytes() == full_matrix_priority(costs, queries, eps).tobytes()
-    assert adjusted.min() >= 0.0 and np.array_equal(np.isinf(adjusted), np.isinf(costs))
-    assert (adjusted is costs) == (not predicted_rows)  # with none predicted, the gate's matrix itself
+    assert adjusted is costs  # edited in place: the gate's matrix is fresh and read by nothing else
+    assert adjusted.tobytes() == full_matrix_priority(before, queries, eps).tobytes()
+    assert adjusted.min() >= 0.0 and np.array_equal(np.isinf(adjusted), np.isinf(before))
 
 
 def test_predicted_priority_wins_cost_ties():
-    # a predicted and a random query at the same decoded center
+    # a predicted and a random query at the same center
     q_pred = predicted_query(1, (0.0, 0.0))
-    q_rand = embed_center(np.zeros(2), np.zeros(14), CODEC)
+    q_rand = embed_center(np.zeros(2))
     ms = boxes(meas((1.0, 0.0), frame=1))
     params = PerceptionParams()
     qs = table([q_rand, q_pred])
-    costs, _ = gate_costs(qs, ms, params.gate_threshold, CODEC)
+    costs, _ = gate_costs(qs, ms, params.gate_threshold)
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
     assert pairs(assignment) == [(1, 0)]

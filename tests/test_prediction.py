@@ -6,13 +6,12 @@ import pytest
 from paptrack.harness import _frame_record
 from paptrack.perception import COASTING, CONFIRMED, TENTATIVE, TERMINATED, Assignment, FrameResult, match_dtype
 from paptrack.prediction import PredictorConfig, forecast, predict_and_store
-from paptrack.queries import PREDICTED, CodecConfig, QueryBank, decode_reference, query_dtype
+from paptrack.queries import PREDICTED, QueryBank, query_dtype
 from paptrack.world import CLASS_INDEX, box_dtype
 
 from oracles import forecast_oracle
 from tables import track_table
 
-CODEC = CodecConfig(dim=16, scale=1.0 / 30.0)
 DT = 0.1
 
 
@@ -80,7 +79,7 @@ def test_forecast_of_chosen_steps_is_those_columns_of_the_full_forecast_bit_for_
 
 def banked(tracks, t=0):
     """The table predict_and_store banks for `tracks` at frame `t`."""
-    return predict_and_store(tracks, QueryBank(), t, CODEC, DT).fetch(t)
+    return predict_and_store(tracks, QueryBank(), t, DT).fetch(t)
 
 
 def test_predict_and_store_row_round_trip():
@@ -90,14 +89,13 @@ def test_predict_and_store_row_round_trip():
     assert q.provenance == PREDICTED
     assert q.source_track_id == 9
     assert q.confidence == 0.6
-    assert np.max(np.abs(decode_reference(q, CODEC) - [1.5, -2.0])) < 1e-9
-    assert np.array_equal(q["embedding"][2:], np.zeros(14))  # the source track id ties it to its track, not a tail
+    assert q.center.tolist() == [1.5, -2.0]
 
 
 def test_predict_and_store_empty_track_list():
     bank = QueryBank()
     bank.store(4, banked(make_track()))
-    predict_and_store(track_table(), bank, 5, CODEC, DT)
+    predict_and_store(track_table(), bank, 5, DT)
     assert len(bank.fetch(5)) == 0
     assert bank.t == 5  # frame 5's empty table replaced frame 4's
     assert len(bank.fetch(4)) == 0
@@ -111,7 +109,7 @@ def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
         track_row(status=COASTING),
         track_row(status=TERMINATED),
     )
-    predict_and_store(tracks, bank, 0, CODEC, DT)
+    predict_and_store(tracks, bank, 0, DT)
     qs = bank.fetch(0)
     assert qs["source_track_id"].tolist() == [2, 3]  # sorted by track id
     assert all(q.cls == CLASS_INDEX["car"] for q in qs)
@@ -119,7 +117,6 @@ def test_predict_and_store_only_confirmed_and_coasting_feed_bank():
 
 def test_dump_forecasts_are_the_banked_queries():
     """The dump's forecasts and the bank follow one feed rule: the same tracks, and the bank holds step 1."""
-    codec = CodecConfig(dim=16, scale=1.0 / 32.0)  # a power of two: a center encodes and decodes exactly
     horizon = 3
     tracks = track_table(
         track_row(center=(1.0, 2.0), velocity=(0.5, 0.0), status=TENTATIVE),
@@ -128,25 +125,25 @@ def test_dump_forecasts_are_the_banked_queries():
         track_row(center=(7.0, 8.0), velocity=(0.75, -0.5), status=COASTING, misses=1),
         track_row(center=(0.0, 0.0), velocity=(2.0, 2.0), status=CONFIRMED),
     )
-    banked = predict_and_store(tracks, QueryBank(), 0, codec, DT).fetch(0)
+    banked = predict_and_store(tracks, QueryBank(), 0, DT).fetch(0)
     none = np.zeros(0, box_dtype)
-    result = FrameResult(tracks, none, np.zeros(0, query_dtype(16)), Assignment(np.zeros(0, match_dtype), np.arange(0), np.arange(0)), {})
-    forecasts = _frame_record(0, none, none, result, tracks, horizon, codec, DT)["forecasts"]
+    result = FrameResult(tracks, none, np.zeros(0, query_dtype), Assignment(np.zeros(0, match_dtype), np.arange(0), np.arange(0)), {})
+    forecasts = _frame_record(0, none, none, result, tracks, horizon, DT)["forecasts"]
     assert [f["track_id"] for f in forecasts] == [2, 4, 5]
     assert all(len(f["points"]) == horizon for f in forecasts)
     # the bank holds each fed track's step-1 point, in track-id order
     assert banked["source_track_id"].tolist() == [f["track_id"] for f in forecasts]
-    assert np.array_equal([f["points"][0] for f in forecasts], decode_reference(banked, codec))
+    assert np.array_equal([f["points"][0] for f in forecasts], banked["center"])
 
 
 def test_bank_closure_decoded_center_is_dead_reckoned_position():
     dt = 0.1
     track = make_track(center=(4.0, -1.0), velocity=(2.0, 3.0))
     bank = QueryBank()
-    predict_and_store(track, bank, 7, CODEC, dt)
+    predict_and_store(track, bank, 7, dt)
     (q,) = bank.fetch(7)
     expected = np.array([4.0, -1.0]) + dt * np.array([2.0, 3.0])
-    assert np.max(np.abs(decode_reference(q, CODEC) - expected)) < 1e-9
+    assert np.max(np.abs(q.center - expected)) < 1e-9
 
 
 @pytest.mark.parametrize(
