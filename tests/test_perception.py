@@ -4,8 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from paptrack.perception import (
     COASTING,
@@ -360,60 +358,78 @@ def update_case(rows, queries, points, params=PerceptionParams()):
 
 
 LIVE = (TENTATIVE, CONFIRMED, COASTING)
-GRID = st.integers(-4, 4).map(lambda k: 0.5 * k)  # on a half-meter grid, distances tie exactly
-POINT = st.tuples(GRID, GRID)
 
 
-@st.composite
-def update_cases(draw):
-    """A track table of up to 10 rows and one frame's matches (some of stale or repeated predicted queries)."""
+def drawn_update_case(case: int):
+    """Case `case`: a track table of up to 10 rows and one frame's matches (some of stale or repeated predicted queries).
+
+    Drawn by `np.random.default_rng(case)`, so a case changes only when its
+    draws do.  Points lie on a half-meter grid, where distances tie exactly.
+    """
+    rng = np.random.default_rng(case)
+
+    def point():
+        return tuple(0.5 * k for k in rng.integers(-4, 5, size=2).tolist())
+
     rows = []
-    for _ in range(draw(st.integers(0, 10))):
-        frames = sorted(draw(st.sets(st.integers(0, 2), min_size=1)))
-        states = [(f, draw(POINT), draw(POINT), draw(st.booleans()) and k > 0) for k, f in enumerate(frames)]
-        status = draw(st.sampled_from(LIVE + (TERMINATED,)))
-        rows.append(dict(states=states, status=status, hits=draw(st.integers(0, 3)), misses=draw(st.integers(0, 4))))
-    points = draw(st.lists(POINT, max_size=8))
+    for _ in range(int(rng.integers(0, 11))):
+        frames = sorted(set(rng.integers(0, 3, size=int(rng.integers(1, 4))).tolist()))
+        states = [(f, point(), point(), bool(rng.integers(2)) and k > 0) for k, f in enumerate(frames)]
+        status = int(rng.choice(LIVE + (TERMINATED,)))
+        rows.append(dict(states=states, status=status, hits=int(rng.integers(0, 4)), misses=int(rng.integers(0, 5))))
+    points = [point() for _ in range(int(rng.integers(0, 9)))]
     queries = [
-        predicted_query(draw(st.integers(1, len(rows) + 2)), draw(POINT)) if draw(st.booleans()) else random_query(draw(POINT))
+        predicted_query(int(rng.integers(1, len(rows) + 3)), point()) if rng.integers(2) else random_query(point())
         for _ in points
     ]
     params = PerceptionParams(
-        gate_threshold=draw(st.sampled_from([1.0, 1.5, 3.0])),
-        max_misses=draw(st.integers(0, 3)),
-        confirm_threshold=draw(st.integers(1, 3)),
-        velocity_window=draw(st.integers(1, 5)),
+        gate_threshold=float(rng.choice([1.0, 1.5, 3.0])),
+        max_misses=int(rng.integers(0, 4)),
+        confirm_threshold=int(rng.integers(1, 4)),
+        velocity_window=int(rng.integers(1, 6)),
     )
     return update_case(rows, queries, points, params)
 
 
-@settings(max_examples=300, deadline=None)
-@given(case=update_cases())
-# terminated rows nearer to the deferred match than any live row
-@example(case=update_case([dict(center=(0.0, 0.0), status=TERMINATED)] * 8 + [dict(center=(2.0, 0.0)), dict(center=(1.5, 0.5))], [random_query((0.0, 0.0))], [(0.0, 0.0)]))
-# the nearest row was just hit by its own predicted query
-@example(case=update_case([dict(center=(0.0, 0.0)), dict(center=(1.5, 0.0))], [predicted_query(1, (0.0, 0.0)), random_query((0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]))
-# exact ties between live rows with gaps in id: the lowest free id wins each time
-@example(
-    case=update_case(
+UPDATE_CORNERS = {
+    # terminated rows nearer to the deferred match than any live row
+    "terminated_rows_nearest": update_case(
+        [dict(center=(0.0, 0.0), status=TERMINATED)] * 8 + [dict(center=(2.0, 0.0)), dict(center=(1.5, 0.5))],
+        [random_query((0.0, 0.0))],
+        [(0.0, 0.0)],
+    ),
+    # the nearest row was just hit by its own predicted query
+    "nearest_row_just_hit": update_case(
+        [dict(center=(0.0, 0.0)), dict(center=(1.5, 0.0))],
+        [predicted_query(1, (0.0, 0.0)), random_query((0.0, 0.0))],
+        [(0.0, 0.0), (0.5, 0.0)],
+    ),
+    # exact ties between live rows with gaps in id: the lowest free id wins each time
+    "ties_lowest_free_id": update_case(
         [dict(center=(0.0, 0.0), status=TERMINATED), dict(center=(-1.0, 0.0)), dict(center=(0.0, 0.0), status=TERMINATED),
          dict(center=(0.5, 0.5), status=TERMINATED), dict(center=(1.0, 0.0), status=COASTING, misses=1), dict(center=(0.0, 1.0))],
         [random_query((0.0, 0.0)), random_query((0.0, 0.0)), random_query((0.0, 0.0))],
         [(0.0, 0.0), (0.0, 0.0), (0.0, 0.0)],
-    )
-)
-# no live rows: every deferred match is born
-@example(case=update_case([], [random_query((0.0, 0.0)), predicted_query(3, (1.0, 1.0))], [(0.0, 0.0), (1.0, 1.0)]))
-# no deferred matches: hits, a coasting row and a row that terminates
-@example(
-    case=update_case(
+    ),
+    # no live rows: every deferred match is born
+    "no_live_rows": update_case([], [random_query((0.0, 0.0)), predicted_query(3, (1.0, 1.0))], [(0.0, 0.0), (1.0, 1.0)]),
+    # no deferred matches: hits, a coasting row and a row that terminates
+    "no_deferred_matches": update_case(
         [dict(center=(0.0, 0.0)), dict(center=(1.0, 0.0), misses=1), dict(center=(2.0, 0.0), misses=3), dict(center=(3.0, 0.0))],
         [predicted_query(1, (0.0, 0.0)), predicted_query(4, (3.0, 0.0))],
         [(0.5, 0.0), (3.0, 0.5)],
-    )
+    ),
+    "every_row_terminated": update_case(
+        [dict(center=(0.0, 0.0), status=TERMINATED)] * 4, [random_query((0.0, 0.0)), predicted_query(2, (0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case",
+    [pytest.param(case, id=name) for name, case in UPDATE_CORNERS.items()]
+    + [pytest.param(drawn_update_case(case), id=f"case{case}") for case in range(300)],
 )
-# every row terminated
-@example(case=update_case([dict(center=(0.0, 0.0), status=TERMINATED)] * 4, [random_query((0.0, 0.0)), predicted_query(2, (0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]))
 def test_update_tracks_equals_all_rows_oracle_byte_for_byte(case):
     tracks, queries, measurements, matches, params = case
     assignment = assignment_of(matches)
