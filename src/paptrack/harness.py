@@ -219,9 +219,11 @@ def run_single(
     gc.disable()
     t0 = time.perf_counter()
     try:
+        measured = sense(gt, scenario.ego[:, 0:2], cfg.sensor, sensor_rng)  # the whole run's measurements, sorted by frame
+        measured_bounds = np.searchsorted(measured["frame"], np.arange(scenario.frame_count + 1)).tolist()
         for frame in range(scenario.frame_count):
             truth = gt[gt_bounds[frame] : gt_bounds[frame + 1]]
-            measurements = sense(truth, frame, scenario.ego[frame, 0:2], cfg.sensor, sensor_rng)
+            measurements = measured[measured_bounds[frame] : measured_bounds[frame + 1]]
             _hash_measurements(hasher, frame, measurements)
             result = perceive(
                 measurements,

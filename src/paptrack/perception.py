@@ -68,6 +68,12 @@ class PerceptionParams:
             raise ConfigError("gate_threshold must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ConfigError("alpha must be in [0, 1]")
+        if self.confirm_threshold < 1:
+            raise ConfigError("confirm_threshold must be >= 1")
+        if self.max_misses < 0:
+            raise ConfigError("max_misses must be >= 0")
+        if not self.predicted_priority_eps >= 0:  # a negative one would favour random queries
+            raise ConfigError("predicted_priority_eps must be >= 0")
 
 
 # one match of an assignment: query row, measurement row and their cost
@@ -85,23 +91,27 @@ class Assignment:
 def track_dtype(velocity_window: int) -> np.dtype:
     """Row type of a track table.
 
-    A row keeps its last `velocity_window` states in `frames`, `centers`,
-    `velocities` and `coasted`, newest last: all that the velocity
-    estimate reads.  A newborn row's older slots repeat its birth state,
-    which gives the estimate the same result as a history of one state.
+    A row keeps its last `velocity_window` states in `frames`, `centers`
+    and `coasted`, newest last: all that the velocity estimate reads.  A
+    newborn row's older slots repeat its birth state, which gives the
+    estimate the same result as a history of one state.  `velocity` is the
+    newest state's velocity, the only one that the forecast and the coast
+    step read.  The row is aligned, with the 8-byte fields first: numpy
+    reads and writes a column of aligned fields faster.
     """
     return np.dtype(
         [
-            ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
             ("cls", np.int64),  # world.CLASS_INDEX code
             ("hits", np.int64),  # consecutive matches
             ("misses", np.int64),  # consecutive misses
-            ("ever_confirmed", np.bool_),
+            ("velocity", np.float64, (2,)),
             ("frames", np.int64, (velocity_window,)),
             ("centers", np.float64, (velocity_window, 2)),
-            ("velocities", np.float64, (velocity_window, 2)),
+            ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
+            ("ever_confirmed", np.bool_),
             ("coasted", np.bool_, (velocity_window,)),
-        ]
+        ],
+        align=True,
     )
 
 
@@ -159,18 +169,27 @@ def gated_costs(q_xy: np.ndarray, q_cls: np.ndarray, m_xy: np.ndarray, m_cls: np
     Entries for class-incompatible pairs or pairs farther apart than `gate`
     are ``+inf``.  Returns ``(costs, n_evaluations)``, where `n_evaluations`
     counts the class-compatible pairs, whose distance was computed (the
-    per-frame compute-cost proxy).  ``tests/oracles.py`` holds a
+    per-frame compute-cost proxy): every pair of an `ANY_CLASS` row, and
+    the pairs of a class-locked row with measurements of its class.  Only
+    the locked rows are compared by class.  ``tests/oracles.py`` holds a
     pair-by-pair loop that this must match bit for bit.
     """
-    compat = q_cls[:, None] == m_cls[None, :]
-    compat |= (q_cls == ANY_CLASS)[:, None]
     dx = q_xy[:, 0:1] - m_xy[None, :, 0]
     dy = q_xy[:, 1:2] - m_xy[None, :, 1]
     dx *= dx
     dy *= dy
     dx += dy
     dist = np.sqrt(dx, out=dx)  # sqrt(dx * dx + dy * dy), computed in place
-    return np.where(compat & (dist <= float(gate)), dist, np.inf), int(np.count_nonzero(compat))
+    keep = dist <= float(gate)  # False for a NaN distance
+    locked = q_cls != ANY_CLASS
+    k = int(np.count_nonzero(locked))
+    n_evaluations = (len(q_cls) - k) * len(m_cls)
+    if k:
+        rows = slice(k) if locked[:k].all() else locked  # assemble_queries puts them first: a slice, not a gather
+        compat = q_cls[rows, None] == m_cls[None, :]
+        keep[rows] &= compat
+        n_evaluations += int(np.count_nonzero(compat))
+    return np.where(keep, dist, np.inf), n_evaluations
 
 
 def gate_costs(
@@ -251,76 +270,73 @@ def update_tracks(
     if len(tracks) and tracks["frames"][:, -1].max() >= frame:
         raise ValueError("track state frames must be strictly increasing")
     q_idx, m_idx = assignment.matches["query"], assignment.matches["measurement"]
-    if not (((0 <= q_idx) & (q_idx < len(queries))).all() and ((0 <= m_idx) & (m_idx < len(measurements))).all()):
+    q_list, m_list = q_idx.tolist(), m_idx.tolist()  # min and max of a short list cost less in Python than in numpy
+    if q_list and not (min(q_list) >= 0 and max(q_list) < len(queries) and min(m_list) >= 0 and max(m_list) < len(measurements)):
         raise ValueError("assignment references out-of-range indices")
     n = len(tracks)
     m_xy = measurements["center"][m_idx]
-    live = tracks["status"] != TERMINATED
+    free = tracks["status"] != TERMINATED  # the live rows, less those a match updates
 
     # a predicted match updates its live source track; the first one in match order wins
     first, deferred = {}, []  # source row -> its match; the other matches
-    is_live = live.tolist()
+    is_live = free.tolist()
     predicted = (queries["provenance"][q_idx] == PREDICTED).tolist()
     for i, row in enumerate((queries["source_track_id"][q_idx] - 1).tolist()):
         if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
             first[row] = i
         else:
             deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
-    hit_rows = np.array(list(first), dtype=np.intp)
-    by_prediction = list(first.values())
-    q_xy = queries["center"][q_idx[by_prediction]]
-    hit_centers = (1.0 - params.alpha) * q_xy + params.alpha * m_xy[by_prediction]
+    hit_rows = list(first)  # the rows a match updates: by their own predicted query, then by a deferred match
+    snapped = []  # the deferred matches that continue a row, in the order of their rows in `hit_rows`
 
     # the rest continue the nearest free live track in the gate, greedily in match order, else are born
-    free = live.copy()
     free[hit_rows] = False
-    cand = free.nonzero()[0]  # the free live rows, in id order
+    idle_rows = free.nonzero()[0]  # the free live rows, in id order
     born = deferred  # with no free row, every one of them
-    if deferred and len(cand):
-        diff = tracks["centers"][cand, -1][None] - m_xy[deferred][:, None, :]
-        d = np.hypot(diff[..., 0], diff[..., 1])
-        near = [[] for _ in deferred]  # each deferred match's (distance, column of `cand`) in the gate
+    if deferred and len(idle_rows):
+        c_xy, d_xy = tracks["centers"][idle_rows, -1], m_xy[deferred]
+        d = np.hypot(c_xy[None, :, 0] - d_xy[:, 0, None], c_xy[None, :, 1] - d_xy[:, 1, None])  # (deferred match, row)
+        near = [[] for _ in deferred]  # each deferred match's (distance, column of `idle_rows`) in the gate
         ks, js = (d <= params.gate_threshold).nonzero()
         for k, j, dist in zip(ks.tolist(), js.tolist(), d[ks, js].tolist()):
             near[k].append((dist, j))
-        taken, continued, born = set(), [], []
+        taken, born = {}, []  # column of `idle_rows` -> its row, in the order taken
+        candidates = idle_rows.tolist()
         for k, i in enumerate(deferred):
             options = [option for option in near[k] if option[1] not in taken]
             if options:
                 j = min(options)[1]  # the nearest; of equal distances, the lowest id
-                taken.add(j)
-                continued.append((cand[j], i))
+                taken[j] = candidates[j]
+                snapped.append(i)
             else:
                 born.append(i)
-        if continued:
-            more_rows, snapped = np.array(continued).T
-            free[more_rows] = False
-            hit_rows = np.concatenate([hit_rows, more_rows])
-            hit_centers = np.concatenate([hit_centers, m_xy[snapped]])  # no current-frame prediction: snap to it
-            cand = free.nonzero()[0]
+        if taken:
+            hit_rows += taken.values()
+            free[list(taken.values())] = False
+            idle_rows = free.nonzero()[0]
 
     # the touched rows are edited in one copy, ordered hits, coasting rows, rows that terminate
     # now, so that each group is a slice of it
-    idle_rows = cand  # live rows not updated this frame
     coasting = tracks["misses"][idle_rows] < params.max_misses  # before this miss
-    rows = np.concatenate([hit_rows, idle_rows[coasting], idle_rows[~coasting]])
-    h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
+    rows = np.concatenate([np.array(hit_rows, dtype=np.intp), idle_rows[coasting], idle_rows[~coasting]])
+    p, h, c = len(first), len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
     if len(rows):
         sub = raw_rows(tracks)[rows].view(tracks.dtype)
-        states = []  # (centers, velocities) of the state appended to each hit and coasting row
+        centers = np.empty((c, 2))  # the center of the state appended to each hit and coasting row
         if h:
+            by_prediction = list(first.values())
+            np.add((1.0 - params.alpha) * queries["center"][q_idx[by_prediction]], params.alpha * m_xy[by_prediction], out=centers[:p])
+            centers[p:h] = m_xy[snapped]  # no current-frame prediction: snap to it
             # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
             ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
             span = (frame - sub["frames"][ref]) * dt  # > 0 unless dt <= 0: every state precedes `frame`
-            moved = hit_centers - sub["centers"][ref]
-            states.append((hit_centers, moved / span[:, None] if dt > 0 else np.zeros_like(moved)))
+            sub["velocity"][:h] = (centers[:h] - sub["centers"][ref]) / span[:, None] if dt > 0 else 0.0
             sub["hits"][:h] += 1
             sub["misses"][:h] = 0
             sub["ever_confirmed"][:h] |= sub["hits"][:h] >= params.confirm_threshold
             sub["status"][:h] = np.where(sub["ever_confirmed"][:h], CONFIRMED, TENTATIVE)
         if c > h:
-            coast_v = sub["velocities"][h:c, -1]
-            states.append((sub["centers"][h:c, -1] + coast_v * dt, coast_v))
+            centers[h:c] = sub["centers"][h:c, -1] + sub["velocity"][h:c] * dt  # a coasting row keeps its velocity
         if h < len(rows):
             sub["hits"][h:] = 0
             sub["misses"][h:] += 1
@@ -329,8 +345,7 @@ def update_tracks(
 
         # one state appended per hit and coasting row, the oldest dropped
         if c:
-            centers, velocities = (np.concatenate(column) for column in zip(*states))
-            for name, value in (("frames", frame), ("centers", centers), ("velocities", velocities), ("coasted", np.arange(c) >= h)):
+            for name, value in (("frames", frame), ("centers", centers), ("coasted", np.arange(c) >= h)):
                 history = sub[name]
                 history[:c, :-1] = history[:c, 1:]
                 history[:c, -1] = value

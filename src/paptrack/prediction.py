@@ -35,7 +35,7 @@ def forecast(tracks: np.ndarray, horizon: int, dt: float) -> np.ndarray:
     if (tracks["status"] == TERMINATED).any():
         raise ValueError("cannot forecast a terminated track")
     steps = np.arange(1, horizon + 1)
-    c, v = tracks["centers"][:, -1], tracks["velocities"][:, -1]
+    c, v = tracks["centers"][:, -1], tracks["velocity"]
     return c[:, None, :] + (steps * dt)[None, :, None] * v[:, None, :]
 
 

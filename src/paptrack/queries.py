@@ -22,17 +22,21 @@ ANY_CLASS = -1
 
 # Row type of a query table.  A record dtype: a table's columns are plain
 # arrays, and one row, an ``np.record``, also reads its fields as
-# attributes (``row.provenance``).
+# attributes (``row.provenance``).  Aligned, with the 8-byte fields first:
+# numpy reads and writes a column of aligned fields faster.
 query_dtype = np.dtype(
     (
         np.record,
-        [
-            ("center", np.float64, (2,)),  # BEV meters
-            ("provenance", np.int8),  # RANDOM or PREDICTED
-            ("source_track_id", np.int64),  # -1 for random queries
-            ("cls", np.int64),  # world.CLASS_INDEX code; ANY_CLASS matches every class
-            ("confidence", np.float64),
-        ],
+        np.dtype(
+            [
+                ("center", np.float64, (2,)),  # BEV meters
+                ("source_track_id", np.int64),  # -1 for random queries
+                ("cls", np.int64),  # world.CLASS_INDEX code; ANY_CLASS matches every class
+                ("confidence", np.float64),
+                ("provenance", np.int8),  # RANDOM or PREDICTED
+            ],
+            align=True,
+        ),
     )
 )
 

@@ -270,43 +270,69 @@ def scenario_ground_truth(scenario: Scenario) -> np.ndarray:
     return gt[np.argsort(gt["frame"], kind="stable")]
 
 
-def sense(truth: np.ndarray, frame: int, ego_xy: np.ndarray, sensor: SensorConfig, rng: np.random.Generator) -> np.ndarray:
-    """Noisy observation of one frame, as a box table.
+def sense(truth: np.ndarray, ego_xy: np.ndarray, sensor: SensorConfig, rng: np.random.Generator) -> np.ndarray:
+    """Noisy observation of a whole run, as one box table sorted by frame.
 
-    `truth` is the frame's ground-truth rows, the frame's slice of
-    :func:`scenario_ground_truth`, and `ego_xy` the ego position.  Output
-    order is deterministic: the observed truth rows in their order, then
-    clutter (id -1).  Measurements carry no score (0, as ground truth).
+    `truth` is the run's ground truth, :func:`scenario_ground_truth`: a box
+    table sorted by frame.  `ego_xy` is the ``(frame_count, 2)`` ego
+    position of each frame; the run's frames are ``0 .. frame_count - 1``,
+    and a frame without truth rows still draws its clutter.  Within a
+    frame the order is deterministic: the observed truth rows in their
+    order, then clutter (id -1).  Measurements carry no score (0, as
+    ground truth).
+
+    The draws are made frame by frame, as a sensor sensing each frame in
+    turn would: each in-range truth row's miss draw and, if it is seen,
+    its two standard normals, then the frame's Poisson clutter count, then
+    each clutter box's four draws.  The geometry runs once over the run.
     """
     sensor.validate()
+    frame_count = len(ego_xy)
+    frames = truth["frame"]
+    if len(frames) and not (frames[0] >= 0 and frames[-1] < frame_count and (np.diff(frames) >= 0).all()):
+        raise ValueError(f"truth must be sorted by frame, with frames in [0, {frame_count})")
     pos = truth["center"]
-    seen, draws = [], []
-    for i, dist in enumerate(np.hypot(pos[:, 0] - ego_xy[0], pos[:, 1] - ego_xy[1]).tolist()):
-        if dist > sensor.detection_range:
-            continue
-        if rng.random() < sensor.miss_probability:
-            continue
-        draws.append(rng.standard_normal(2))  # the draws of rng.normal(0.0, sigma, size=2)
-        seen.append(i)
-    out = np.zeros(len(seen) + int(rng.poisson(sensor.clutter_rate)), box_dtype)
-    out["frame"] = frame
+    ego = ego_xy[frames]
+    in_range = (~(np.hypot(pos[:, 0] - ego[:, 0], pos[:, 1] - ego[:, 1]) > sensor.detection_range)).nonzero()[0]
+    cuts = np.searchsorted(frames[in_range], np.arange(frame_count + 1)).tolist()  # frame f's rows: in_range[cuts[f]:cuts[f + 1]]
+    in_range = in_range.tolist()
+
+    noise = np.empty((len(truth), 2))
+    seen = []  # the observed truth rows, in order
+    n_clutter = [0] * frame_count
+    boxes = []  # each clutter box's radius, angle, class and a fourth draw, unread but holding the stream's place
+    random, normal, poisson, integers = rng.random, rng.standard_normal, rng.poisson, rng.integers
+    miss, rate, n_classes = sensor.miss_probability, sensor.clutter_rate, len(CLASSES)
+    for f in range(frame_count):
+        for k in in_range[cuts[f] : cuts[f + 1]]:
+            if random() < miss:
+                continue
+            normal(out=noise[k])  # the draws of rng.normal(0.0, sigma, size=2)
+            seen.append(k)
+        n = n_clutter[f] = int(poisson(rate))
+        for _ in range(n):
+            boxes.append((random(), random(), integers(n_classes), random()))
+
+    out = np.zeros(len(seen) + len(boxes), box_dtype)
     observed, clutter = out[: len(seen)], out[len(seen) :]
+    observed["frame"] = frames[seen]
     observed["id"] = truth["id"][seen]
     observed["cls"] = truth["cls"][seen]
     # rng.normal(0.0, sigma) is 0.0 + sigma * z, elementwise
-    observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * np.array(draws, dtype=float).reshape(-1, 2))
-    if len(clutter):
-        # each box draws its radius, angle, class and a fourth double, unread but holding the sensor
-        # stream's place, box by box; the math runs once over all boxes
-        boxes = np.array([(rng.random(), rng.random(), rng.integers(len(CLASSES)), rng.random()) for _ in range(len(clutter))])
+    observed["center"] = pos[seen] + (0.0 + sensor.position_noise_sigma * noise[seen])
+    if boxes:
+        boxes = np.array(boxes)
+        clutter["frame"] = np.repeat(np.arange(frame_count), n_clutter)
+        ego = ego_xy[clutter["frame"]]
         r = sensor.detection_range * np.sqrt(boxes[:, 0])
         theta = boxes[:, 1] * 2.0 * np.pi
         center = clutter["center"]
-        center[:, 0] = ego_xy[0] + r * np.cos(theta)
-        center[:, 1] = ego_xy[1] + r * np.sin(theta)
+        center[:, 0] = ego[:, 0] + r * np.cos(theta)
+        center[:, 1] = ego[:, 1] + r * np.sin(theta)
         clutter["id"] = -1
         clutter["cls"] = boxes[:, 2]  # a class code, exact as a float
-    return out
+    # each frame's observed rows, then its clutter
+    return raw_rows(out)[np.argsort(out["frame"], kind="stable")].view(box_dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -395,10 +395,10 @@ def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, p
     sub["status"][h:c] = COASTING
     sub["status"][c:] = TERMINATED
 
-    coast_v = sub["velocities"][h:c, -1]
+    coast_v = sub["velocity"][h:c]
     centers = np.concatenate([hit_centers, sub["centers"][h:c, -1] + coast_v * dt])
-    velocities = np.concatenate([hit_velocities, coast_v])
-    for name, value in (("frames", frame), ("centers", centers), ("velocities", velocities), ("coasted", np.arange(c) >= h)):
+    sub["velocity"][:c] = np.concatenate([hit_velocities, coast_v])
+    for name, value in (("frames", frame), ("centers", centers), ("coasted", np.arange(c) >= h)):
         history = sub[name]
         history[:c, :-1] = history[:c, 1:]
         history[:c, -1] = value

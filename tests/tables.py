@@ -1,8 +1,9 @@
-"""Track and box tables built by hand for tests, and one frame of a scenario's sensor."""
+"""Track and box tables built by hand for tests, their field bytes, and one frame of a scenario's sensor."""
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.recfunctions import repack_fields
 
 from paptrack.perception import CONFIRMED, TENTATIVE, track_dtype
 from paptrack.world import CLASS_INDEX, box_dtype, scenario_ground_truth, sense
@@ -14,10 +15,11 @@ def track_table(*rows: dict, velocity_window: int = 5) -> np.ndarray:
     A dict may set `cls` (a class name, default "car"), `status` (default
     CONFIRMED), `hits` (default 2), `misses` (default 0), `ever_confirmed`
     (default: status is not TENTATIVE) and `states`, a list of ``(frame,
-    center, velocity, coasted)`` oldest first.  Without `states` the row
-    has one state at `frame` (default 0), `center` and `velocity` (default
-    zeros), not coasted.  Slots older than the first state repeat it, as
-    for a newborn track.
+    center, velocity, coasted)`` oldest first, of which the row keeps the
+    last `velocity_window` and the newest state's velocity.  Without
+    `states` the row has one state at `frame` (default 0), `center` and
+    `velocity` (default zeros), not coasted.  Slots older than the first
+    state repeat it, as for a newborn track.
     """
     table = np.zeros(len(rows), track_dtype(velocity_window))
     depth = table.dtype["frames"].shape[0]
@@ -31,8 +33,13 @@ def track_table(*rows: dict, velocity_window: int = 5) -> np.ndarray:
         states = spec.get("states", [(spec.get("frame", 0), spec.get("center", (0.0, 0.0)), spec.get("velocity", (0.0, 0.0)), False)])
         states = ([states[0]] * depth + list(states))[-depth:]
         frames, centers, velocities, coasted = zip(*states)
-        table["frames"][i], table["centers"][i], table["velocities"][i], table["coasted"][i] = frames, centers, velocities, coasted
+        table["frames"][i], table["centers"][i], table["velocity"][i], table["coasted"][i] = frames, centers, velocities[-1], coasted
     return table
+
+
+def field_bytes(table: np.ndarray) -> bytes:
+    """The bytes of `table`'s fields, without the padding of an aligned row type, which numpy leaves unset in a copy."""
+    return repack_fields(table).tobytes()
 
 
 def centers(tracks: np.ndarray) -> np.ndarray:
@@ -46,6 +53,14 @@ def boxes(*rows) -> np.ndarray:
 
 
 def sense_frame(scenario, frame: int, sensor, rng) -> np.ndarray:
-    """`world.sense` of one frame of `scenario`, from the frame's ground-truth rows."""
+    """`world.sense` of one frame of `scenario`, making that frame's draws only.
+
+    The frame's ground-truth rows are sensed as a one-frame run at the
+    frame's ego position, and the measurements given their frame back.
+    """
     gt = scenario_ground_truth(scenario)
-    return sense(gt[gt["frame"] == frame], frame, scenario.ego[frame, 0:2], sensor, rng)
+    truth = gt[gt["frame"] == frame]
+    truth["frame"] = 0
+    out = sense(truth, scenario.ego[frame : frame + 1, 0:2], sensor, rng)
+    out["frame"] = frame
+    return out

@@ -574,10 +574,14 @@ def _set(section, **values):
         (_set("predictor", feed_step=1), "unknown key(s) ['feed_step'] in predictor"),
         (_set("predictor", feed_all=False), "unknown key(s) ['feed_all'] in predictor"),
         (_set(None, embedding_dim=16), "unknown key(s) ['embedding_dim'] in config"),
+        (_set("perception", confirm_threshold=0), "confirm_threshold must be >= 1"),
+        (_set("perception", max_misses=-1), "max_misses must be >= 0"),
+        (_set("perception", predicted_priority_eps=-1e-6), "predicted_priority_eps must be >= 0"),
     ],
     ids=["policy_int", "n_queries_str", "n_queries_bool", "rho_values_int", "top_level_list", "seed_str", "seed_repeated",
          "frame_count_float", "class_counts_list", "class_count_float", "speed_range_short", "scenario_path_int", "bank_capacity",
-         "predictor_dt", "sensor_score_near", "model", "feed_step", "feed_all", "embedding_dim"],
+         "predictor_dt", "sensor_score_near", "model", "feed_step", "feed_all", "embedding_dim", "confirm_threshold_0",
+         "max_misses_negative", "predicted_priority_eps_negative"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
     path = tmp_path / "config.json"

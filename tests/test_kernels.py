@@ -42,15 +42,35 @@ def test_numpy_path_costs_and_count():
     assert n_eval == 1
 
 
-def test_kernel_matches_loop_oracle_exactly():
+def locked_rows(layout: str, q_cls: np.ndarray) -> np.ndarray:
+    """`q_cls` with its class-locked rows (class >= 0) laid out as `layout` says; the others are ANY_CLASS."""
+    out = q_cls.copy()
+    if layout == "head":  # as assemble_queries lays them out: predicted rows first
+        k = len(out) // 4
+        out[:k] = np.maximum(out[:k], 0)
+        out[k:] = ANY_CLASS
+    elif layout == "scattered":  # not a prefix: the first row is ANY_CLASS, the second locked
+        out[0], out[1] = ANY_CLASS, 0
+    elif layout == "none":
+        out[:] = ANY_CLASS
+    elif layout == "all":
+        out = np.maximum(out, 0)
+    return out
+
+
+@pytest.mark.parametrize("layout", ["head", "scattered", "none", "all"])
+def test_kernel_matches_loop_oracle_exactly(layout):
     rng = np.random.default_rng(17)
     for _ in range(10):
         q_xy, q_cls, m_xy, m_cls = random_instance(rng)
+        q_cls = locked_rows(layout, q_cls)
+        m_xy[-1] = np.nan  # a NaN distance is out of the gate
         gate = float(rng.uniform(1.0, 40.0))
         c_np, n_np = gated_costs(q_xy, q_cls, m_xy, m_cls, gate)
         c_loop, n_loop = gated_costs_loop(q_xy, q_cls, m_xy, m_cls, gate)
         assert n_np == n_loop
-        assert np.array_equal(c_np, c_loop)  # bitwise, including inf placement
+        assert c_np.tobytes() == c_loop.tobytes()  # bit for bit, including inf placement
+        assert np.isinf(c_np[:, -1]).all()
 
 
 def test_kernel_and_loop_oracle_agree_on_empty_inputs():

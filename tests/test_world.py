@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from paptrack.harness import config_from_dict
 from paptrack.rng import stream
 from paptrack.world import (
     ConfigError,
@@ -13,11 +14,14 @@ from paptrack.world import (
     generate_scenario,
     integrate_states,
     scenario_from_dict,
+    scenario_ground_truth,
     scenario_to_dict,
+    sense,
 )
 
 from oracles import integrate_states_oracle, reintegrate, sense_oracle
 from tables import sense_frame
+from test_golden import CROWD, ROOT
 
 
 def single_car_config(frame_count=10, dt=0.5):
@@ -190,6 +194,55 @@ def test_sense_equals_per_box_clutter_oracle_byte_for_byte(clutter_rate, miss_pr
             assert got.dtype == want.dtype and len(got) == len(want)
             assert got.tobytes() == want.tobytes()
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+# (shipped config, overrides of its sections, a check that the case is what its name says)
+WHOLE_RUNS = {
+    "standard_suite": ("standard_suite", {}, None),
+    "standard_suite_reduced": ("standard_suite_reduced", {}, None),
+    "crowd": ("standard_suite", CROWD, None),
+    # frames without agents still draw their clutter
+    "no_agents": ("standard_suite", {"scenario": {"class_counts": {}}}, lambda got, gt: len(got) and (got["id"] == -1).all()),
+    "all_missed": ("standard_suite", {"sensor": {"miss_probability": 1.0}}, lambda got, gt: len(got) and (got["id"] == -1).all()),
+    "no_clutter": ("standard_suite", {"sensor": {"clutter_rate": 0.0}}, lambda got, gt: len(got) and (got["id"] != -1).all()),
+    # the ego drives away from the agents, which leave the detection range
+    "out_of_range": (
+        "standard_suite",
+        {"scenario": {"ego_speed": 2.0}, "sensor": {"detection_range": 20.0, "miss_probability": 0.0, "clutter_rate": 0.0}},
+        lambda got, gt: 0 < len(got) < len(gt),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", WHOLE_RUNS)
+def test_sense_of_a_run_equals_the_per_frame_oracle_byte_for_byte(case):
+    """One `sense` call over a run makes the measurements and the draws of the oracle run frame by frame."""
+    config, overrides, check = WHOLE_RUNS[case]
+    doc = json.loads((ROOT / "configs" / f"{config}.json").read_text(encoding="utf-8"))
+    for section, values in overrides.items():
+        doc[section].update(values)
+    cfg = config_from_dict(doc)
+    for seed in (1, 2):
+        scn = generate_scenario(cfg.scenario, seed)
+        gt = scenario_ground_truth(scn)
+        got_rng, want_rng = stream(seed, "sensor"), stream(seed, "sensor")
+        got = sense(gt, scn.ego[:, 0:2], cfg.sensor, got_rng)
+        want = np.concatenate([sense_oracle(scn, frame, cfg.sensor, want_rng) for frame in range(scn.frame_count)])
+        assert got.dtype == want.dtype and len(got) == len(want)
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.random() == want_rng.random()  # the next draw
+        assert check is None or check(got, gt)
+
+
+def test_sense_rejects_truth_out_of_frame_order_or_range():
+    scn = generate_scenario(single_car_config(frame_count=3), seed=1)
+    gt = scenario_ground_truth(scn)  # frames 0, 1 and 2
+    late = gt.copy()
+    late["frame"][-1] = 3  # past the ego track's last frame
+    for truth in (gt[::-1], late):
+        with pytest.raises(ValueError, match="sorted by frame"):
+            sense(truth, scn.ego[:, 0:2], SensorConfig(), stream(1, "sensor"))
 
 
 def test_scenario_json_round_trip_lossless():
