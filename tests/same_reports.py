@@ -105,7 +105,7 @@ def main(argv: list[str]) -> int:
     problems = []
     for name, _, _, _ in plan:
         mine, theirs = results["this"][name], results["other"][name]
-        problems += [f"{name}: the {what} differ" for what in ("reports", "frame records") if mine[what] != theirs[what]]
+        problems += [f"{name}: the {what} differ" for key, what in (("report", "reports"), ("frames", "frame records")) if mine[key] != theirs[key]]
         problems += [f"{name}: the {tag} checkout's dump does not replay to its report" for tag in results if not results[tag][name]["replays"]]
     for problem in problems:
         print(problem)
