@@ -8,6 +8,7 @@ per-seed deltas are attributable to query recycling alone.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import gc
@@ -164,15 +165,20 @@ def load_config(path) -> ExperimentConfig:
 # the report fields a dump's footer carries, which replay does not recompute
 _FOOTER_KEYS = ("counters", "measurement_hash", "per_frame_cost_evaluations")
 
-_HASH_ROW = np.dtype([("center", np.float64, (2,)), ("cls", np.int64)])  # packed: 24 bytes a measurement
 
+def measurement_hash(measured: np.ndarray, frame_count: int) -> str:
+    """sha256 hex digest of a run's frame-sorted measurement table.
 
-def _hash_measurements(hasher, frame: int, measurements) -> None:
-    """Feed the frame number, then each measurement's center and class code."""
-    rows = np.empty(len(measurements), _HASH_ROW)
-    rows["center"] = measurements["center"]
-    rows["cls"] = measurements["cls"]
-    hasher.update(np.int64(frame).tobytes() + rows.tobytes())
+    The digest is of one int64 word buffer: frame by frame, the frame
+    number, then each of its measurements' center x and y bits and class
+    code.
+    """
+    rows = np.empty((len(measured), 3), np.int64)
+    rows[:, :2] = measured["center"].view(np.int64)
+    rows[:, 2] = measured["cls"]
+    frames = np.arange(frame_count)
+    words = np.insert(rows.ravel(), 3 * np.searchsorted(measured["frame"], frames), frames)
+    return hashlib.sha256(words).hexdigest()
 
 
 def run_single(
@@ -196,14 +202,9 @@ def run_single(
     tracks = np.zeros(0, track_dtype(params.velocity_window))
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
-    hasher = hashlib.sha256()
 
     config_echo = config_to_dict(cfg)
     config_echo["run"] = {"seed": int(seed), "rho": float(effective_rho), "arm": arm}
-
-    dump_file = open(dump_path, "w", encoding="utf-8") if dump_path is not None else None
-    if dump_file is not None:
-        dump_file.write(json.dumps({"type": "header", "schema_version": SCHEMA_VERSION, "config_echo": config_echo}, sort_keys=True) + "\n")
 
     gt = scenario_ground_truth(scenario)
     gt_bounds = np.searchsorted(gt["frame"], np.arange(scenario.frame_count + 1)).tolist()  # frame f is gt[bounds[f]:bounds[f + 1]]
@@ -212,53 +213,57 @@ def run_single(
     counters = {"frames": scenario.frame_count, "cost_evaluations": 0}
     per_frame_cost_evals: list[int] = []
 
-    # The frame loop makes no reference cycles, so the cyclic collector is paused while it runs, as
-    # timeit does: a full collection scans every object of the process (tens of ms in a large one),
-    # and would charge that to whichever run it happened to start in.
-    collecting = gc.isenabled()
-    gc.disable()
-    t0 = time.perf_counter()
-    try:
-        measured = sense(gt, scenario.ego[:, 0:2], cfg.sensor, sensor_rng)  # the whole run's measurements, sorted by frame
-        measured_bounds = np.searchsorted(measured["frame"], np.arange(scenario.frame_count + 1)).tolist()
-        for frame in range(scenario.frame_count):
-            truth = gt[gt_bounds[frame] : gt_bounds[frame + 1]]
-            measurements = measured[measured_bounds[frame] : measured_bounds[frame + 1]]
-            _hash_measurements(hasher, frame, measurements)
-            result = perceive(
-                measurements,
-                bank,
-                tracks,
-                policy,
-                params,
-                cfg.scenario.world_half_extent,
-                query_rng,
-                frame,
-                scenario.dt,
-            )
-            tracks = result.tracks
-            if reads_bank:
-                predict_and_store(tracks, bank, frame, scenario.dt)
-            detections.append(result.detections)
-            counters["cost_evaluations"] += result.stats["cost_evaluations"]
-            per_frame_cost_evals.append(result.stats["cost_evaluations"])
-            if dump_file is not None:
-                dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor.horizon, scenario.dt), sort_keys=True) + "\n")
-        counters["wall_seconds"] = time.perf_counter() - t0
-    finally:
-        if collecting:
-            gc.enable()
+    # closed on every exit path, so that a frame that raises leaves the records before it whole
+    with open(dump_path, "w", encoding="utf-8") if dump_path is not None else contextlib.nullcontext() as dump_file:
+        if dump_file is not None:
+            dump_file.write(json.dumps({"type": "header", "schema_version": SCHEMA_VERSION, "config_echo": config_echo}, sort_keys=True) + "\n")
 
-    detections = np.concatenate([raw_rows(table) for table in detections]).view(box_dtype)
-    per_class = evaluate_run(
-        gt, detections, n_recall_points=cfg.metrics.n_recall_points, match_distance=cfg.metrics.match_distance
-    )
-    report = build_report(per_class, counters, config_echo)
-    report["measurement_hash"] = hasher.hexdigest()
-    report["per_frame_cost_evaluations"] = per_frame_cost_evals
-    if dump_file is not None:
-        dump_file.write(json.dumps({"type": "footer", **{k: report[k] for k in _FOOTER_KEYS}}, sort_keys=True) + "\n")
-        dump_file.close()
+        # The frame loop makes no reference cycles, so the cyclic collector is paused while it runs, as
+        # timeit does: a full collection scans every object of the process (tens of ms in a large one),
+        # and would charge that to whichever run it happened to start in.
+        collecting = gc.isenabled()
+        gc.disable()
+        t0 = time.perf_counter()
+        try:
+            measured = sense(gt, scenario.ego[:, 0:2], cfg.sensor, sensor_rng)  # the whole run's measurements, sorted by frame
+            digest = measurement_hash(measured, scenario.frame_count)
+            measured_bounds = np.searchsorted(measured["frame"], np.arange(scenario.frame_count + 1)).tolist()
+            for frame in range(scenario.frame_count):
+                truth = gt[gt_bounds[frame] : gt_bounds[frame + 1]]
+                measurements = measured[measured_bounds[frame] : measured_bounds[frame + 1]]
+                result = perceive(
+                    measurements,
+                    bank,
+                    tracks,
+                    policy,
+                    params,
+                    cfg.scenario.world_half_extent,
+                    query_rng,
+                    frame,
+                    scenario.dt,
+                )
+                tracks = result.tracks
+                if reads_bank:
+                    predict_and_store(tracks, bank, frame, scenario.dt)
+                detections.append(result.detections)
+                counters["cost_evaluations"] += result.stats["cost_evaluations"]
+                per_frame_cost_evals.append(result.stats["cost_evaluations"])
+                if dump_file is not None:
+                    dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor.horizon, scenario.dt), sort_keys=True) + "\n")
+            counters["wall_seconds"] = time.perf_counter() - t0
+        finally:
+            if collecting:
+                gc.enable()
+
+        detections = np.concatenate([raw_rows(table) for table in detections]).view(box_dtype)
+        per_class = evaluate_run(
+            gt, detections, n_recall_points=cfg.metrics.n_recall_points, match_distance=cfg.metrics.match_distance
+        )
+        report = build_report(per_class, counters, config_echo)
+        report["measurement_hash"] = digest
+        report["per_frame_cost_evaluations"] = per_frame_cost_evals
+        if dump_file is not None:
+            dump_file.write(json.dumps({"type": "footer", **{k: report[k] for k in _FOOTER_KEYS}}, sort_keys=True) + "\n")
     return report
 
 

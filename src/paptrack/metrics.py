@@ -15,19 +15,31 @@ box's `id` is its agent id, a hypothesis's `id` is its track id and its
 `score` is its confidence.
 
 `amota_amotp` evaluates every confidence threshold in one pass over a
-class's frames, `CHUNK_FRAMES` at a time.  `gated_pairs` joins a chunk's gt
-boxes and hypotheses into the candidate pairs within the gate.  A frame in
-which a gt box or a hypothesis has two candidates is ambiguous and is a
-segment of its own; the frames between ambiguous ones are one segment, and
-`match_frame` returns a segment's events.  An unambiguous segment matches
-every kept candidate, so its events are counted in bulk; an ambiguous frame
-solves one assignment per threshold.  Matched distances are summed from 0
-in gt order within a frame and added to the total frame by frame, as a
-per-threshold pass adds them, so the results equal that pass bit for bit.
+class's frames, a chunk of frames at a time.  A chunk closes before its
+(gt box x hypothesis) pairs, the pairs `gated_pairs` allocates, pass
+`CHUNK_PAIRS`; a frame whose own pairs pass it is a chunk of its own.
+`gated_pairs` joins a chunk's gt boxes and hypotheses into the candidate
+pairs within the gate.  A frame in which a gt box or a hypothesis has two
+candidates is ambiguous and is a segment of its own; the frames between
+ambiguous ones are one segment, and `match_frame` returns a segment's
+events.  An unambiguous segment matches every kept candidate, so its
+events are counted in bulk; there a gt row that meets one track only, and
+has no other track as its previous match at any level, switches at no
+level, and only the other rows are carried forward level by level.  An
+ambiguous frame solves one assignment per threshold.  Matched distances
+are summed from 0 in gt order within a frame and added to the total frame
+by frame, as a per-threshold pass adds them, so the results equal that
+pass bit for bit.
+
+Recall does not fall as the threshold falls: each level's matching has
+the most pairs of the nested set of hypotheses it keeps.  So the
+operating point of a recall target is the first level that reaches it,
+found by bisection (`operating_levels`).
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +57,8 @@ _CONTINUITY_EPS = 1e-9
 # no match yet: prev[g, t] of a gt id g never matched at threshold level t
 NO_MATCH = np.iinfo(np.int64).min
 
-# frames whose boxes are joined at once: bounds every temporary of an evaluation
-CHUNK_FRAMES = 32
+# (gt box x hypothesis) pairs of the frames joined at once: bounds every temporary of an evaluation
+CHUNK_PAIRS = 1 << 13
 
 
 @dataclass
@@ -216,12 +228,35 @@ def _frame_sums(frame, levels, gap, n_levels):
 def _switches(g, tid, levels, prev):
     """ID switches at every level of pairs of gt row `g` and track `tid`, in frame order; updates `prev`.
 
+    A steady gt row meets one track only, and its `prev` holds only NO_MATCH
+    or that track: it switches at no level, and takes the track from the
+    lowest level of its pairs up.  The other rows go to `_forward_fill`.
+    """
+    n_levels = prev.shape[1]
+    order = np.argsort(g, kind="stable")
+    g, tid, levels = g[order], tid[order], levels[order]
+    starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+    rows, row_tid = g[starts], tid[starts]
+    seed = prev[rows]
+    steady = (row_tid == np.maximum.reduceat(tid, starts)) & (row_tid == np.minimum.reduceat(tid, starts))
+    steady &= ((seed == NO_MATCH) | (seed == row_tid[:, None])).all(axis=1)
+    if steady.any():
+        low = np.minimum.reduceat(levels, starts)[steady]
+        prev[rows[steady]] = np.where(np.arange(n_levels) >= low[:, None], row_tid[steady, None], seed[steady])
+        if steady.all():
+            return np.zeros(n_levels, dtype=np.int64)
+        rest = np.repeat(~steady, np.diff(starts, append=len(g)))
+        g, tid, levels = g[rest], tid[rest], levels[rest]
+    return _forward_fill(g, tid, levels, prev)
+
+
+def _forward_fill(g, tid, levels, prev):
+    """`_switches` of pairs sorted by gt row, each row's pairs in frame order.
+
     Each gt row's pairs follow a seed row that holds its `prev`; forward-filling
     the last row that holds a match gives each pair the match before it.
     """
     every_level = np.arange(prev.shape[1])
-    order = np.argsort(g, kind="stable")
-    g, tid, levels = g[order], tid[order], levels[order]
     kept = levels[:, None] <= every_level
     new = g[1:] != g[:-1]
     head, tail = np.concatenate(([True], new)), np.concatenate((new, [True]))
@@ -252,16 +287,20 @@ def _segments(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance):
     """Cut a class's frame-sorted boxes into the segments of `match_frame`, in frame order.
 
     Yields each segment's gt slice, hypothesis slice and candidate pairs
-    (indices into the slices).  Frames are joined `CHUNK_FRAMES` at a time;
-    a frame in which a gt box or a hypothesis has two candidates is a
-    segment of its own, and the frames of a chunk between two such frames
-    are one segment.
+    (indices into the slices).  The frames of a chunk have at most
+    `CHUNK_PAIRS` (gt box x hypothesis) pairs, unless it is one frame; a
+    frame in which a gt box or a hypothesis has two candidates is a segment
+    of its own, and the frames of a chunk between two such frames are one
+    segment.
     """
     every_frame = np.union1d(gt_frames, hyp_frames)
     gt_bounds = np.searchsorted(gt_frames, every_frame).tolist() + [len(gt_frames)]
     hyp_bounds = np.searchsorted(hyp_frames, every_frame).tolist() + [len(hyp_frames)]
-    for a in range(0, len(every_frame), CHUNK_FRAMES):
-        b = min(a + CHUNK_FRAMES, len(every_frame))
+    pairs_to = np.cumsum(np.diff(gt_bounds) * np.diff(hyp_bounds)).tolist()  # the pairs of frames 0..f
+    b = 0
+    while b < len(every_frame):
+        a = b
+        b = max(a + 1, bisect.bisect_right(pairs_to, (pairs_to[a - 1] if a else 0) + CHUNK_PAIRS, lo=a))
         g0, h0 = gt_bounds[a], hyp_bounds[a]
         gf, hf = gt_frames[g0 : gt_bounds[b]], hyp_frames[h0 : hyp_bounds[b]]
         pair_gt, pair_hyp, pair_dist = gated_pairs(gf, gt_xy[g0 : gt_bounds[b]], hf, hyp_xy[h0 : hyp_bounds[b]], match_distance)
@@ -280,32 +319,22 @@ def _segments(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance):
             )
 
 
-def amota_amotp(
-    gt: np.ndarray,
-    hyps: np.ndarray,
-    n_recall_points: int = DEFAULT_RECALL_POINTS,
-    match_distance: float = DEFAULT_MATCH_DISTANCE,
-) -> dict | None:
-    """Recall-sweep metrics for one class's box tables; None when the class has no GT.
+def level_totals(
+    gt: np.ndarray, hyps: np.ndarray, match_distance: float = DEFAULT_MATCH_DISTANCE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """tp, fp, fn, ids and the sum of matched distances of one class's box tables, at every threshold level.
 
-    Every distinct confidence is a threshold.  The frames are matched once,
-    in frame order, for all thresholds together (see `match_frame`).
+    Every distinct confidence is a threshold, and level t is the t-th
+    highest: it keeps the hypotheses of that confidence or more.  Both
+    tables are non-empty.  The frames are matched once, in frame order, for
+    all thresholds together (see `match_frame`).
     """
-    if n_recall_points < 1:
-        raise ValueError("n_recall_points must be >= 1")
-    gt_count = len(gt)
-    if gt_count == 0:
-        return None
-    if len(hyps) == 0:
-        return {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
-
     # boxes sorted by frame, in input order within a frame
     gt = gt[np.argsort(gt["frame"], kind="stable")]
     hyps = hyps[np.argsort(hyps["frame"], kind="stable")]
     confidences, inverse = np.unique(hyps["score"], return_inverse=True)
-    thresholds = confidences[::-1].tolist()  # high to low
-    n_levels = len(thresholds)
-    hyp_levels = n_levels - 1 - inverse  # the index of each hypothesis's confidence in thresholds
+    n_levels = len(confidences)
+    hyp_levels = n_levels - 1 - inverse  # high confidence first
     gt_frames, hyp_frames = gt["frame"], hyps["frame"]
     gt_rows = np.unique(gt["id"], return_inverse=True)[1]
     gt_xy, hyp_ids, hyp_xy = gt["center"], hyps["id"], hyps["center"]
@@ -321,31 +350,52 @@ def amota_amotp(
         ids += ev.ids
         # the frame sums join the running total one frame at a time, in frame order
         dist_sum = np.cumsum(np.concatenate([dist_sum[None], ev.dist]), axis=0)[-1]
+    return tp, fp, fn, ids, dist_sum
 
-    operating_points = [
-        {"threshold": thr, "tp": n_tp, "fp": n_fp, "fn": n_fn, "ids": n_ids, "recall": n_tp / gt_count,
-         "mean_dist": d / n_tp if n_tp > 0 else 0.0}
-        for thr, n_tp, n_fp, n_fn, n_ids, d in zip(thresholds, tp.tolist(), fp.tolist(), fn.tolist(), ids.tolist(), dist_sum.tolist())
-    ]
 
+def operating_levels(recall: list[float], n_recall_points: int) -> list[int]:
+    """The operating level of each recall target i / n_recall_points, i = 1..n_recall_points.
+
+    `recall` is each level's recall, which does not fall from one level to
+    the next.  A target's level is the first whose recall reaches it (to
+    within 1e-12), which has the lowest recall that does and, of equal
+    recalls, the highest threshold; `len(recall)` where none does.
+    """
+    return [bisect.bisect_left(recall, i / n_recall_points - 1e-12) for i in range(1, n_recall_points + 1)]
+
+
+def amota_amotp(
+    gt: np.ndarray,
+    hyps: np.ndarray,
+    n_recall_points: int = DEFAULT_RECALL_POINTS,
+    match_distance: float = DEFAULT_MATCH_DISTANCE,
+) -> dict | None:
+    """Recall-sweep metrics for one class's box tables; None when the class has no GT."""
+    if n_recall_points < 1:
+        raise ValueError("n_recall_points must be >= 1")
+    gt_count = len(gt)
+    if gt_count == 0:
+        return None
+    if len(hyps) == 0:
+        return {"amota": 0.0, "amotp": 0.0, "recall": 0.0, "ids": 0}
+
+    tp, fp, fn, ids, dist_sum = (a.tolist() for a in level_totals(gt, hyps, match_distance))
+    recall = [n_tp / gt_count for n_tp in tp]
     motar_values = []
     amotp_values = []
-    for i in range(1, n_recall_points + 1):
-        target = i / n_recall_points
-        achieved = [op for op in operating_points if op["recall"] >= target - 1e-12]
-        if not achieved:
+    for i, t in enumerate(operating_levels(recall, n_recall_points), start=1):
+        if t == len(recall):
             motar_values.append(0.0)
             continue
-        op = min(achieved, key=lambda o: (o["recall"], -o["threshold"]))
-        motar_values.append(motar(op["ids"], op["fp"], op["fn"], gt_count, target))
-        amotp_values.append(op["mean_dist"])
+        motar_values.append(motar(ids[t], fp[t], fn[t], gt_count, i / n_recall_points))
+        amotp_values.append(dist_sum[t] / tp[t] if tp[t] > 0 else 0.0)
 
-    best = max(operating_points, key=lambda o: (o["recall"], -o["threshold"]))
+    # IDS and recall at the best-recall operating point: the lowest threshold, as recall does not fall
     return {
         "amota": float(np.mean(motar_values)),
         "amotp": float(np.mean(amotp_values)) if amotp_values else 0.0,
-        "recall": float(best["recall"]),
-        "ids": int(best["ids"]),
+        "recall": float(recall[-1]),
+        "ids": int(ids[-1]),
     }
 
 

@@ -29,8 +29,6 @@ from paptrack.world import ConfigError, box_dtype, raw_rows
 TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)
 STATUS_NAMES = ("tentative", "confirmed", "coasting", "terminated")
 
-_BIG = 1e12  # sentinel replacement; far above any sum of gated distances
-
 
 @dataclass
 class QueryAssemblyPolicy:
@@ -225,12 +223,20 @@ def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray, eps: float)
 
 
 def associate(costs: np.ndarray) -> Assignment:
-    """Minimum-total-cost maximum matching over the finite costs."""
+    """Minimum-total-cost maximum matching over the finite costs, which are non-negative.
+
+    The solver sees each non-finite cost as a sentinel above the total of
+    any matching of finite costs, so it takes as many finite costs as it
+    can.  The sentinel is no larger than that needs: near a far larger one
+    (1e12, say), float64 steps are ~1e-4 wide, which would swamp the
+    predicted queries' priority ε.
+    """
     nq, nm = costs.shape
     finite = np.isfinite(costs)
-    if nq == 0 or nm == 0 or not finite.any():
+    top = np.where(finite, costs, -np.inf).max(initial=-np.inf)  # -inf when no cost is finite; faster than max(where=)
+    if top == -np.inf:
         return Assignment(np.zeros(0, match_dtype), np.arange(nq), np.arange(nm))
-    rows, cols = linear_sum_assignment(np.where(finite, costs, _BIG))
+    rows, cols = linear_sum_assignment(np.fmin(costs, (top + 1.0) * (min(nq, nm) + 1)))  # inf and NaN become the sentinel
     keep = finite[rows, cols]
     rows, cols = rows[keep], cols[keep]
     matches = np.empty(len(rows), match_dtype)  # scipy sorts `rows`: query order
@@ -279,13 +285,16 @@ def update_tracks(
 
     # a predicted match updates its live source track; the first one in match order wins
     first, deferred = {}, []  # source row -> its match; the other matches
-    is_live = free.tolist()
-    predicted = (queries["provenance"][q_idx] == PREDICTED).tolist()
-    for i, row in enumerate((queries["source_track_id"][q_idx] - 1).tolist()):
-        if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
-            first[row] = i
-        else:
-            deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
+    predicted = queries["provenance"][q_idx] == PREDICTED
+    if predicted.any():
+        is_live, predicted = free.tolist(), predicted.tolist()
+        for i, row in enumerate((queries["source_track_id"][q_idx] - 1).tolist()):
+            if predicted[i] and 0 <= row < n and is_live[row] and row not in first:
+                first[row] = i
+            else:
+                deferred.append(i)  # a random query, a stale one (its track died) or a second one of a track
+    else:
+        deferred = list(range(len(q_list)))
     hit_rows = list(first)  # the rows a match updates: by their own predicted query, then by a deferred match
     snapped = []  # the deferred matches that continue a row, in the order of their rows in `hit_rows`
 
@@ -324,8 +333,9 @@ def update_tracks(
         sub = raw_rows(tracks)[rows].view(tracks.dtype)
         centers = np.empty((c, 2))  # the center of the state appended to each hit and coasting row
         if h:
-            by_prediction = list(first.values())
-            np.add((1.0 - params.alpha) * queries["center"][q_idx[by_prediction]], params.alpha * m_xy[by_prediction], out=centers[:p])
+            if p:
+                by_prediction = list(first.values())
+                np.add((1.0 - params.alpha) * queries["center"][q_idx[by_prediction]], params.alpha * m_xy[by_prediction], out=centers[:p])
             centers[p:h] = m_xy[snapped]  # no current-frame prediction: snap to it
             # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
             ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))

@@ -10,11 +10,13 @@ one full CLEAR-MOT pass per threshold, pair by pair.
 before it stepped in Python floats.  `continue_deferred_oracle` is the
 track update as it was when deferred matches searched every row of the
 track table, and `sense_oracle` the sensor as it was when clutter was
-drawn one box at a time.
+drawn one box at a time.  `measurement_hash_oracle` hashes a run's
+measurements frame by frame, as the frame loop once did.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
@@ -24,6 +26,7 @@ from scipy.optimize import linear_sum_assignment
 from paptrack.world import CLASS_INDEX, CLASSES, box_dtype
 
 CONTINUITY_EPS = 1e-9
+NO_MATCH = np.iinfo(np.int64).min  # prev[g, t] of a gt row never matched at level t
 ANY_CLASS = -1
 PREDICTED = 1  # query provenance code
 TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)  # track status codes
@@ -216,6 +219,25 @@ def _accumulate_loop(gt_by_frame, hyp_by_frame, match_distance):
         ids += f_ids
         dist_sum += sum(distances)
     return tp, fp, fn, ids, dist_sum
+
+
+def switches_oracle(g, tid, levels, prev):
+    """ID switches at every level of pairs that are all matched, one pair and one level at a time.
+
+    Pair k (gt row `g[k]`, track `tid[k]`, the pairs in frame order) is
+    matched at every level from `levels[k]` up.  There it is a switch when
+    its gt row's previous match at that level is another track; then it
+    becomes that previous match.  `prev` is updated in place.
+    """
+    n_levels = prev.shape[1]
+    ids = np.zeros(n_levels, dtype=np.int64)
+    for row, track, low in zip(g.tolist(), tid.tolist(), levels.tolist()):
+        for t in range(low, n_levels):
+            before = int(prev[row, t])
+            if before != NO_MATCH and before != track:
+                ids[t] += 1
+            prev[row, t] = track
+    return ids
 
 
 def amota_amotp_loop_oracle(gt, hyps, n_recall_points=40, match_distance=2.0):
@@ -450,3 +472,23 @@ def sense_oracle(scenario, frame, sensor, rng):
         box["cls"] = rng.integers(len(CLASSES))
         rng.random()  # the unread fourth draw
     return out
+
+
+_HASH_ROW = np.dtype([("center", np.float64, (2,)), ("cls", np.int64)])  # packed: 24 bytes a measurement
+
+
+def measurement_hash_oracle(measured, frame_count):
+    """sha256 hex digest of a frame-sorted measurement table, fed one frame at a time.
+
+    Each frame feeds its number, then each measurement's center and class
+    code, in one `update`.
+    """
+    hasher = hashlib.sha256()
+    bounds = np.searchsorted(measured["frame"], np.arange(frame_count + 1)).tolist()
+    for frame in range(frame_count):
+        measurements = measured[bounds[frame] : bounds[frame + 1]]
+        rows = np.empty(len(measurements), _HASH_ROW)
+        rows["center"] = measurements["center"]
+        rows["cls"] = measurements["cls"]
+        hasher.update(np.int64(frame).tobytes() + rows.tobytes())
+    return hasher.hexdigest()

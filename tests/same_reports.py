@@ -16,7 +16,8 @@ check then requires, run by run:
 - identical dump frame records (every line but the header and footer);
 - in each checkout, `replay_dump` of the dump equal to the run's report.
 
-It prints one line per differing run and exits 1 if there is any, else 0.
+It prints one line per differing run, naming the first JSON path at which
+two reports differ, and exits 1 if there is any, else 0.
 """
 
 from __future__ import annotations
@@ -55,6 +56,23 @@ for name, doc, seed, arm, dump in json.load(open(sys.argv[1])):
     }
 json.dump(results, open(sys.argv[2], "w"))
 """
+
+
+def first_difference(a, b, path: str = "") -> str:
+    """The path of the first value, in sorted key and list order, at which two JSON documents differ."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return f"{path}.{key}".lstrip(".")
+            if a[key] != b[key]:
+                return first_difference(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return first_difference(x, y, f"{path}[{i}]")
+        if len(a) != len(b):
+            return f"{path}[{min(len(a), len(b))}]".lstrip(".")
+    return path.lstrip(".") or "the top level"
 
 
 def runs() -> list[tuple[str, dict, int, str]]:
@@ -105,7 +123,10 @@ def main(argv: list[str]) -> int:
     problems = []
     for name, _, _, _ in plan:
         mine, theirs = results["this"][name], results["other"][name]
-        problems += [f"{name}: the {what} differ" for key, what in (("report", "reports"), ("frames", "frame records")) if mine[key] != theirs[key]]
+        if mine["report"] != theirs["report"]:
+            problems.append(f"{name}: the reports differ at {first_difference(json.loads(mine['report']), json.loads(theirs['report']))}")
+        if mine["frames"] != theirs["frames"]:
+            problems.append(f"{name}: the frame records differ")
         problems += [f"{name}: the {tag} checkout's dump does not replay to its report" for tag in results if not results[tag][name]["replays"]]
     for problem in problems:
         print(problem)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from paptrack import harness
@@ -19,6 +20,8 @@ from paptrack.harness import (
     compare,
     config_from_dict,
     config_to_dict,
+    load_config,
+    measurement_hash,
     replay_dump,
     run_experiment,
     run_single,
@@ -28,9 +31,19 @@ from paptrack.harness import (
 from paptrack.metrics import report_to_json
 from paptrack.perception import PerceptionParams, QueryAssemblyPolicy
 from paptrack.prediction import predict_and_store
-from paptrack.world import ConfigError, ScenarioConfig, SensorConfig, generate_scenario, scenario_to_dict
+from paptrack.rng import stream
+from paptrack.world import (
+    ConfigError,
+    ScenarioConfig,
+    SensorConfig,
+    box_dtype,
+    generate_scenario,
+    scenario_ground_truth,
+    scenario_to_dict,
+    sense,
+)
 
-from oracles import recompute_cost_evaluations
+from oracles import measurement_hash_oracle, recompute_cost_evaluations
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -83,6 +96,46 @@ def test_run_single_is_deterministic():
 
 # ---------------------------------------------------------------------------
 # config (de)serialization
+
+
+@pytest.mark.parametrize("config", ["standard_suite", "standard_suite_reduced"])
+def test_measurement_hash_equals_the_per_frame_oracle(config):
+    cfg = load_config(ROOT / "configs" / f"{config}.json")
+    seed = cfg.seeds[0]
+    scenario = generate_scenario(cfg.scenario, seed)
+    measured = sense(scenario_ground_truth(scenario), scenario.ego[:, 0:2], cfg.sensor, stream(seed, "sensor"))
+    n = scenario.frame_count
+    gaps = measured[(measured["frame"] > 0) & (measured["frame"] % 7 != 3) & (measured["frame"] != n - 1)]  # frames without measurements
+    for table in (measured, gaps, measured[:0]):
+        assert measurement_hash(table, n) == measurement_hash_oracle(table, n)
+    assert run_single(cfg, seed, arm="baseline")["measurement_hash"] == measurement_hash_oracle(measured, n)
+
+
+def test_run_without_measurements_hashes_as_the_per_frame_oracle():
+    cfg = small_config(seeds=(1,))
+    cfg.scenario = dataclasses.replace(cfg.scenario, frame_count=30, class_counts={})
+    cfg.sensor = dataclasses.replace(cfg.sensor, clutter_rate=0.0)
+    report = run_single(cfg, 1, arm="pap")
+    assert report["measurement_hash"] == measurement_hash_oracle(np.zeros(0, box_dtype), 30)
+
+
+def test_run_that_raises_closes_its_dump_after_the_frames_before_it(tmp_path, monkeypatch):
+    perceive = harness.perceive
+
+    def failing(measurements, bank, tracks, policy, params, half_extent, rng, frame, dt):
+        if frame == 5:
+            raise RuntimeError("frame 5")
+        return perceive(measurements, bank, tracks, policy, params, half_extent, rng, frame, dt)
+
+    monkeypatch.setattr(harness, "perceive", failing)
+    dump = tmp_path / "dump.jsonl"
+    cfg = small_config(seeds=(1,))
+    cfg.policy = dataclasses.replace(cfg.policy, n_queries=2)  # records of a few hundred bytes, which a file buffers
+    with pytest.raises(RuntimeError, match="frame 5"):
+        run_single(cfg, 1, arm="pap", dump_path=dump)
+    records = [json.loads(line) for line in dump.read_text(encoding="utf-8").splitlines()]
+    assert [r["type"] for r in records] == ["header"] + ["frame"] * 5
+    assert [r["frame"] for r in records[1:]] == list(range(5))
 
 
 def test_config_round_trip():
@@ -996,3 +1049,21 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     summary = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
     assert set(summary["counters"]) == {"fps", "wall_seconds", "cost_evaluations"}
     assert [row["seed"] for row in summary["per_seed"]] == [1, 2]
+
+
+def test_same_reports_names_the_first_path_at_which_two_reports_differ():
+    from same_reports import first_difference
+
+    report = {"aggregate": {"amota": 0.5, "ids": 3}, "per_class": {"car": {"ids": 1}}, "per_frame_cost_evaluations": [4, 5]}
+    edits = [
+        (lambda r: r["per_class"]["car"].update(ids=2), "per_class.car.ids"),
+        (lambda r: r["per_frame_cost_evaluations"].__setitem__(1, 6), "per_frame_cost_evaluations[1]"),
+        (lambda r: r["per_frame_cost_evaluations"].append(7), "per_frame_cost_evaluations[2]"),
+        (lambda r: r["aggregate"].pop("ids"), "aggregate.ids"),
+        (lambda r: r.update(aggregate=[]), "aggregate"),
+    ]
+    for edit, path in edits:
+        other = copy.deepcopy(report)
+        edit(other)
+        assert first_difference(report, other) == path
+        assert first_difference(other, report) == path

@@ -5,19 +5,22 @@ import json
 import numpy as np
 import pytest
 
+from paptrack import metrics
 from paptrack.metrics import (
-    CHUNK_FRAMES,
     NO_MATCH,
+    _switches,
     amota_amotp,
     build_report,
     evaluate_run,
     gated_pairs,
+    level_totals,
     match_frame,
     motar,
+    operating_levels,
     report_to_json,
 )
 
-from oracles import amota_amotp_loop_oracle, amota_amotp_oracle
+from oracles import amota_amotp_loop_oracle, amota_amotp_oracle, switches_oracle
 from tables import boxes
 
 
@@ -349,23 +352,74 @@ def test_amota_equals_per_threshold_loop_oracle_bit_for_bit():
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), case
 
 
+def test_recall_never_falls_and_bisection_finds_the_min_recall_operating_points():
+    rng = np.random.default_rng(11)
+    for case in range(300):
+        gt, hyps = random_class_case(rng)
+        if len(gt) == 0 or len(hyps) == 0:
+            continue
+        tp = level_totals(gt, hyps)[0]
+        recall = (tp / len(gt)).tolist()
+        assert all(a <= b for a, b in zip(recall, recall[1:])), case
+        thresholds = np.unique(hyps["score"])[::-1].tolist()  # level t's threshold, high to low
+        for n in (int(rng.integers(1, 41)), 40):
+            want = []
+            for i in range(1, n + 1):  # the selection of the per-threshold pass: lowest recall, then highest threshold
+                achieved = [t for t in range(len(recall)) if recall[t] >= i / n - 1e-12]
+                want.append(min(achieved, key=lambda t: (recall[t], -thresholds[t])) if achieved else len(recall))
+            assert operating_levels(recall, n) == want, case
+
+
+def steady_row_case(rng):
+    """Pairs of a bulk-matched segment, in frame order, and a `prev` that differs by level.
+
+    Most gt rows meet one track; their `prev` is NO_MATCH throughout,
+    NO_MATCH at low levels and the track at high ones, the track
+    throughout, or one of those with another track at one level.  Some rows
+    meet two tracks.
+    """
+    n_rows, n_levels = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+    prev = np.full((n_rows + 2, n_levels), NO_MATCH, dtype=np.int64)  # two rows no pair meets
+    pairs = []
+    for row in range(n_rows):
+        tracks = [100 + row] if rng.random() < 0.7 else [100 + row, 200 + row]
+        pairs += [(row, int(rng.choice(tracks)), int(rng.integers(0, n_levels))) for _ in range(int(rng.integers(1, 6)))]
+        pattern = rng.random()
+        if pattern < 0.75:
+            prev[row, int(rng.integers(0, n_levels + 1)) :] = 100 + row  # from some level up; none or all at the ends
+        if pattern > 0.5:
+            prev[row, int(rng.integers(0, n_levels))] = 300 + row  # another track at one level
+    g, tid, levels = rng.permutation(pairs).T  # the rows' pairs interleave, in frame order
+    return g, tid, levels, prev
+
+
+def test_steady_rows_switch_as_the_full_forward_fill_does():
+    rng = np.random.default_rng(23)
+    for case in range(500):
+        g, tid, levels, prev = steady_row_case(rng)
+        want_prev = prev.copy()
+        want = switches_oracle(g, tid, levels, want_prev)
+        assert _switches(g, tid, levels, prev).tolist() == want.tolist(), case
+        assert np.array_equal(prev, want_prev), case
+
+
 def long_class_case(rng):
     """GT boxes and hypotheses of one class over 20-120 frames, cut into many segments.
 
     gt ids persist and move smoothly on a 0.5 m grid, 12 m apart, so most
     frames are unambiguous.  A few frames are made ambiguous: always the
-    first and last frame and the frames on both sides of the first two
-    chunk boundaries, plus a few at random.  There a gt box gets two extra
-    hypotheses mirrored about it (exactly equidistant, so continuity breaks
-    the tie), or a second gt box arrives beside it.  Frame numbers have
-    gaps; gt id 0 leaves for a few frames around an ambiguous frame and
-    returns; some frames hold hypotheses only; track ids switch now and
-    then; and some cases put every hypothesis at one confidence.
+    first, second and last frame, plus a few at random.  There a gt box
+    gets two extra hypotheses mirrored about it (exactly equidistant, so
+    continuity breaks the tie), or a second gt box arrives beside it.
+    Frame numbers have gaps; gt id 0 leaves for a few frames around an
+    ambiguous frame and returns; some frames hold hypotheses only; track
+    ids switch now and then; and some cases put every hypothesis at one
+    confidence.  A frame has 0 to ~130 (gt box x hypothesis) pairs, so
+    chunk budgets from 1 to 1000 pairs put chunk edges all through a case.
     """
     n_frames = int(rng.integers(20, 121))
     frames = (np.cumsum(rng.choice([1, 1, 1, 2, 5], n_frames)) + int(rng.integers(0, 3))).tolist()
-    edges = (0, n_frames - 1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1, 2 * CHUNK_FRAMES, 2 * CHUNK_FRAMES + 1)
-    ambiguous = {i for i in edges if i < n_frames} | set(rng.choice(n_frames, 3).tolist())
+    ambiguous = {0, 1, n_frames - 1} | set(rng.choice(n_frames, 5).tolist())
     hyp_only = set(rng.choice(n_frames, 2).tolist()) - ambiguous
     leave = int(rng.choice(sorted(ambiguous - {0, n_frames - 1})))
     away = range(leave - int(rng.integers(0, 3)), leave + int(rng.integers(1, 4)))
@@ -406,13 +460,39 @@ def long_class_case(rng):
     return boxes(*gt), boxes(*hyps)
 
 
-def test_amota_equals_loop_oracle_across_segments_and_chunks():
+@pytest.fixture(scope="module")
+def long_cases():
+    """60 `long_class_case`s, each with its loop-oracle result."""
     rng = np.random.default_rng(5)
-    for case in range(60):
-        gt, hyps = long_class_case(rng)
-        got = amota_amotp(gt, hyps)
-        want = amota_amotp_loop_oracle(gt, hyps)
-        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True), case
+    cases = [long_class_case(rng) for _ in range(60)]
+    return [(gt, hyps, json.dumps(amota_amotp_loop_oracle(gt, hyps), sort_keys=True)) for gt, hyps in cases]
+
+
+@pytest.mark.parametrize("budget", [1, 7, 64, 1000, metrics.CHUNK_PAIRS])
+def test_amota_equals_loop_oracle_across_segments_and_chunks(monkeypatch, long_cases, budget):
+    chunks = []  # each joined chunk's frame count, (gt box x hypothesis) pairs and first frame's pairs
+    join = metrics.gated_pairs
+
+    def recording(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance):
+        frames = np.union1d(gt_frames, hyp_frames)
+        per_frame = (np.searchsorted(gt_frames, frames, "right") - np.searchsorted(gt_frames, frames)) * (
+            np.searchsorted(hyp_frames, frames, "right") - np.searchsorted(hyp_frames, frames)
+        )
+        chunks.append((len(frames), int(per_frame.sum()), int(per_frame[0])))
+        return join(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance)
+
+    monkeypatch.setattr(metrics, "CHUNK_PAIRS", budget)
+    monkeypatch.setattr(metrics, "gated_pairs", recording)
+    crowded_frames = 0  # frames whose own pairs pass the budget
+    for case, (gt, hyps, want) in enumerate(long_cases):
+        chunks.clear()
+        assert json.dumps(amota_amotp(gt, hyps), sort_keys=True) == want, case
+        # a chunk stays within the budget unless it is one frame, and closes only before a frame that would pass it
+        assert all(pairs <= budget or n_frames == 1 for n_frames, pairs, _ in chunks), case
+        assert all(pairs + first > budget for (_, pairs, _), (_, _, first) in zip(chunks, chunks[1:])), case
+        assert sum(n_frames for n_frames, _, _ in chunks) == len(np.union1d(gt["frame"], hyps["frame"])), case
+        crowded_frames += sum(pairs > budget for _, pairs, _ in chunks)
+    assert crowded_frames > 0 or budget == metrics.CHUNK_PAIRS
 
 
 def test_result_invariant_to_input_order_and_track_relabeling():

@@ -564,3 +564,25 @@ def test_predicted_priority_wins_cost_ties():
     costs, _ = gate_costs(qs, ms, params.gate_threshold)
     assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
     assert pairs(assignment) == [(1, 0)]
+
+
+def test_predicted_priority_wins_ties_beside_measurements_without_a_candidate():
+    # 256 queries x 13 measurements, as a suite frame: some measurements have no candidate, so the
+    # solver takes non-finite entries, and the predicted query 0 ties a random query for measurement j
+    eps = PerceptionParams().predicted_priority_eps
+    queries = np.zeros(256, query_dtype)
+    queries["provenance"] = RANDOM
+    queries["provenance"][0] = PREDICTED
+    rng = np.random.default_rng(0)
+    for case in range(300):
+        costs = np.full((256, 13), np.inf)
+        for col in range(13):
+            if rng.random() < 0.3:
+                continue  # a measurement without a candidate
+            rows = rng.choice(np.arange(2, 256), int(rng.integers(1, 30)), replace=False)
+            costs[rows, col] = rng.uniform(0.0, 3.0, len(rows))
+        j, rival = int(rng.integers(13)), int(rng.integers(1, 256))
+        costs[:, j] = np.inf
+        costs[[0, rival], j] = rng.uniform(0.0, 3.0)  # measurement j's only candidates, at one cost
+        matches = associate(apply_predicted_priority(costs, queries, eps)).matches
+        assert matches["query"][matches["measurement"] == j].tolist() == [0], case
