@@ -23,13 +23,14 @@ pairs within the gate.  A frame in which a gt box or a hypothesis has two
 candidates is ambiguous and is a segment of its own; the frames between
 ambiguous ones are one segment, and `match_frame` returns a segment's
 events.  An unambiguous segment matches every kept candidate, so its
-events are counted in bulk; there a gt row that meets one track only, and
-has no other track as its previous match at any level, switches at no
-level, and only the other rows are carried forward level by level.  An
-ambiguous frame solves one assignment per threshold.  Matched distances
-are summed from 0 in gt order within a frame and added to the total frame
-by frame, as a per-threshold pass adds them, so the results equal that
-pass bit for bit.
+events are counted in bulk.  There ID switches come from carrying each gt
+row's previous match forward level by level; a gt row that meets one track
+only, and has no other track as its previous match at any level, switches
+at no level, so in a segment with more than `STEADY_SPLIT` (pair x level)
+entries only the other rows are carried forward.  An ambiguous frame
+solves one assignment per threshold.  Matched distances are summed from 0
+in gt order within a frame and added to the total frame by frame, as a
+per-threshold pass adds them, so the results equal that pass bit for bit.
 
 Recall does not fall as the threshold falls: each level's matching has
 the most pairs of the nested set of hypotheses it keeps.  So the
@@ -59,6 +60,10 @@ NO_MATCH = np.iinfo(np.int64).min
 
 # (gt box x hypothesis) pairs of the frames joined at once: bounds every temporary of an evaluation
 CHUNK_PAIRS = 1 << 13
+
+# (pair x level) entries of a switch forward fill above which steady rows skip it: below, the
+# dozen numpy calls that find them cost more than they save
+STEADY_SPLIT = 1 << 11
 
 
 @dataclass
@@ -230,11 +235,15 @@ def _switches(g, tid, levels, prev):
 
     A steady gt row meets one track only, and its `prev` holds only NO_MATCH
     or that track: it switches at no level, and takes the track from the
-    lowest level of its pairs up.  The other rows go to `_forward_fill`.
+    lowest level of its pairs up.  Above `STEADY_SPLIT` (pair x level)
+    entries, steady rows are set apart and only the other rows go to
+    `_forward_fill`; below it, every row does.
     """
     n_levels = prev.shape[1]
     order = np.argsort(g, kind="stable")
     g, tid, levels = g[order], tid[order], levels[order]
+    if len(g) * n_levels <= STEADY_SPLIT:
+        return _forward_fill(g, tid, levels, prev)
     starts = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
     rows, row_tid = g[starts], tid[starts]
     seed = prev[rows]

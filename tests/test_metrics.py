@@ -393,7 +393,9 @@ def steady_row_case(rng):
     return g, tid, levels, prev
 
 
-def test_steady_rows_switch_as_the_full_forward_fill_does():
+@pytest.mark.parametrize("split", [0, 1 << 62], ids=["steady-rows-set-apart", "every-row-filled"])
+def test_steady_rows_switch_as_the_full_forward_fill_does(monkeypatch, split):
+    monkeypatch.setattr(metrics, "STEADY_SPLIT", split)
     rng = np.random.default_rng(23)
     for case in range(500):
         g, tid, levels, prev = steady_row_case(rng)
@@ -460,6 +462,14 @@ def long_class_case(rng):
     return boxes(*gt), boxes(*hyps)
 
 
+def frame_pairs(gt_frames, hyp_frames):
+    """(gt box x hypothesis) pairs of each frame that has a box, in frame order; both inputs sorted."""
+    frames = np.union1d(gt_frames, hyp_frames)
+    return (np.searchsorted(gt_frames, frames, "right") - np.searchsorted(gt_frames, frames)) * (
+        np.searchsorted(hyp_frames, frames, "right") - np.searchsorted(hyp_frames, frames)
+    )
+
+
 @pytest.fixture(scope="module")
 def long_cases():
     """60 `long_class_case`s, each with its loop-oracle result."""
@@ -474,11 +484,8 @@ def test_amota_equals_loop_oracle_across_segments_and_chunks(monkeypatch, long_c
     join = metrics.gated_pairs
 
     def recording(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance):
-        frames = np.union1d(gt_frames, hyp_frames)
-        per_frame = (np.searchsorted(gt_frames, frames, "right") - np.searchsorted(gt_frames, frames)) * (
-            np.searchsorted(hyp_frames, frames, "right") - np.searchsorted(hyp_frames, frames)
-        )
-        chunks.append((len(frames), int(per_frame.sum()), int(per_frame[0])))
+        per_frame = frame_pairs(gt_frames, hyp_frames)
+        chunks.append((len(per_frame), int(per_frame.sum()), int(per_frame[0])))
         return join(gt_frames, gt_xy, hyp_frames, hyp_xy, match_distance)
 
     monkeypatch.setattr(metrics, "CHUNK_PAIRS", budget)
@@ -490,9 +497,12 @@ def test_amota_equals_loop_oracle_across_segments_and_chunks(monkeypatch, long_c
         # a chunk stays within the budget unless it is one frame, and closes only before a frame that would pass it
         assert all(pairs <= budget or n_frames == 1 for n_frames, pairs, _ in chunks), case
         assert all(pairs + first > budget for (_, pairs, _), (_, _, first) in zip(chunks, chunks[1:])), case
-        assert sum(n_frames for n_frames, _, _ in chunks) == len(np.union1d(gt["frame"], hyps["frame"])), case
-        crowded_frames += sum(pairs > budget for _, pairs, _ in chunks)
-    assert crowded_frames > 0 or budget == metrics.CHUNK_PAIRS
+        own = frame_pairs(np.sort(gt["frame"]), np.sort(hyps["frame"]))
+        assert sum(n_frames for n_frames, _, _ in chunks) == len(own), case
+        assert sum(pairs > budget for _, pairs, _ in chunks) == (own > budget).sum(), case
+        crowded_frames += int((own > budget).sum())
+    if budget in (1, 7, 64):  # the cases reach 130 pairs a frame
+        assert crowded_frames > 0
 
 
 def test_result_invariant_to_input_order_and_track_relabeling():
