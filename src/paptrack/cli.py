@@ -18,7 +18,7 @@ from pathlib import Path
 from paptrack import harness
 from paptrack.harness import ExperimentConfig, load_config
 from paptrack.metrics import report_to_json
-from paptrack.world import ConfigError, InputError, generate_scenario, save_scenario
+from paptrack.world import VALUE_KINDS, ConfigError, InputError, generate_scenario, read_json, save_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,12 +66,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_cfg(args) -> ExperimentConfig:
     if args.config is None:
         raise ConfigError("--config is required")
-    try:
-        cfg = load_config(args.config)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{args.config} is not valid JSON: {exc}") from exc
+    cfg = load_config(args.config)
     if args.seed is not None:
         cfg.seeds = [args.seed]
+        cfg.validate()
     return cfg
 
 
@@ -81,19 +79,16 @@ _COMPARED = (("aggregate", harness.COMPARE_METRICS), ("counters", harness.COMPAR
 def _load_reports(directory: Path) -> list[dict]:
     reports = []
     for path in sorted(directory.glob("report_*_seed*.json")):
+        report = read_json(path, f"report {path}", InputError)
         try:  # every field compare reads, checked here to name the file
-            report = json.loads(path.read_text(encoding="utf-8"))
-            seed = report["config_echo"]["run"]["seed"]
-            values = {f"{part}.{key}": report[part][key] for part, keys in _COMPARED for key in keys}
-        except json.JSONDecodeError as exc:
-            raise InputError(f"report {path} is not JSON: {exc}") from exc
+            fields = {"config_echo.run.seed": (report["config_echo"]["run"]["seed"], "seed")}
+            fields.update((f"{part}.{key}", (report[part][key], "number")) for part, keys in _COMPARED for key in keys)
         except (KeyError, TypeError) as exc:
             raise InputError(f"report {path} lacks a field compare reads: {type(exc).__name__} {exc}") from exc
-        if type(seed) is not int:
-            raise InputError(f"report {path} config_echo.run.seed {seed!r} is not an integer")
-        for name, value in values.items():
-            if not harness.is_finite_number(value):
-                raise InputError(f"report {path} {name} {value!r} is not a finite number")
+        for name, (value, kind) in fields.items():
+            words, valid = VALUE_KINDS[kind]
+            if not valid(value):
+                raise InputError(f"report {path} {name} {value!r} is not {words}")
         reports.append(report)
     if not reports:
         raise OSError(f"no report_*_seed*.json files in {directory}")

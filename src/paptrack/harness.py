@@ -15,8 +15,6 @@ import gc
 import hashlib
 import json
 import math
-import numbers
-import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,14 +29,18 @@ from paptrack.rng import stream
 from paptrack.world import (
     CLASS_INDEX,
     CLASSES,
+    VALUE_KINDS,
     ConfigError,
     InputError,
     ScenarioConfig,
     SensorConfig,
     box_dtype,
     generate_scenario,
+    is_finite_number,
     load_scenario,
     raw_rows,
+    read_json,
+    read_json_lines,
     scenario_ground_truth,
     sense,
 )
@@ -70,8 +72,11 @@ class ExperimentConfig:
     def validate(self) -> None:
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
-        if not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+        if not all(map(VALUE_KINDS["seed"][1], self.seeds)):
             raise ConfigError(f"seeds must be integers, got {self.seeds!r}")
+        negative = [seed for seed in self.seeds if seed < 0]
+        if negative:  # the RNG streams take only non-negative seeds
+            raise ConfigError(f"seeds must be >= 0, got {negative[0]} in {self.seeds!r}")
         repeated = [seed for seed in self.seeds if self.seeds.count(seed) > 1]
         if repeated:  # a run writes one report per seed and arm, so a repeat would count twice in the means
             raise ConfigError(f"seeds must be distinct, got {repeated[0]} more than once in {self.seeds!r}")
@@ -96,19 +101,8 @@ class ExperimentConfig:
 # strict config (de)serialization
 
 
-def _json_type(default) -> tuple[str, object]:
-    """What a config value must be, given its field's default, and the test for it."""
-    if isinstance(default, int):
-        return "an integer", lambda v: type(v) is int
-    if isinstance(default, float):
-        return "a number", is_finite_number
-    if isinstance(default, tuple):
-        n = len(default)
-        return f"a list of {n} numbers", lambda v: isinstance(v, (list, tuple)) and len(v) == n and all(map(is_finite_number, v))
-    if default is None:  # scenario_path and explicit_agents, which `validate` checks
-        return "anything", lambda v: True
-    kind = {str: "a string", list: "a list"}.get(type(default), "an object")  # else a dict
-    return kind, lambda v: isinstance(v, type(default))
+# the type of a config field's default -> the kind of value the field takes
+_CONFIG_KINDS = {int: "integer", float: "number", tuple: "range", str: "string", list: "list", dict: "object"}
 
 
 def _from_mapping(cls, doc: dict, path: str):
@@ -126,12 +120,11 @@ def _from_mapping(cls, doc: dict, path: str):
         if dataclasses.is_dataclass(default):
             kwargs[name] = _from_mapping(type(default), value, name if path == "config" else f"{path}.{name}")
             continue
-        kind, valid = _json_type(default)
-        if not valid(value):
-            raise ConfigError(f"{path}.{name} must be {kind}, got {value!r}")
-        if isinstance(default, tuple):
-            value = tuple(value)
-        kwargs[name] = value
+        if default is not None:  # scenario_path and explicit_agents, which `validate` checks
+            words, valid = VALUE_KINDS[_CONFIG_KINDS[type(default)]]
+            if not valid(value):
+                raise ConfigError(f"{path}.{name} must be {words}, got {value!r}")
+        kwargs[name] = tuple(value) if isinstance(default, tuple) else value
     return cls(**kwargs)
 
 
@@ -140,7 +133,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"config must be an object, got {type(doc).__name__}")
     doc = dict(doc)
     version = doc.pop("schema_version", None)
-    if version != SCHEMA_VERSION:
+    if not (VALUE_KINDS["integer"][1](version) and version == SCHEMA_VERSION):  # nor true or 1.0
         raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
     cfg = _from_mapping(ExperimentConfig, doc, "config")
     cfg.validate()
@@ -154,8 +147,8 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def load_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as f:
-        return config_from_dict(json.load(f))
+    """Read a config file; one that is not JSON or not a valid config raises `ConfigError`."""
+    return config_from_dict(read_json(path, f"config file {path}", ConfigError))
 
 
 # ---------------------------------------------------------------------------
@@ -319,40 +312,32 @@ def _frame_record(frame, measurements, gt, result, tracks, horizon, dt) -> dict:
 # replay
 
 
-def _is_id(value) -> bool:
-    return type(value) is int and 0 <= value < 2**63
-
-
-def is_finite_number(value) -> bool:
-    return (type(value) is int and abs(value) <= 2**53) or (type(value) is float and math.isfinite(value))
-
-
-# field -> (what a dump record's value must be, test); the fields replay evaluates
+# field -> the kind of value a dump record must hold there; the fields replay evaluates
 _DUMP_FIELDS = {
-    "config_echo": ("an object", lambda v: isinstance(v, dict)),
-    "metrics": ("an object", lambda v: isinstance(v, dict)),
-    "match_distance": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
-    "n_recall_points": ("an integer >= 1", lambda v: type(v) is int and v >= 1),
-    "frame": ("a non-negative integer", _is_id),
-    "id": ("a non-negative integer", _is_id),
-    "track_id": ("a non-negative integer", _is_id),
-    "class": (f"one of {', '.join(CLASSES)}", lambda v: v in CLASSES),
-    "center": ("2 finite numbers", lambda v: isinstance(v, list) and len(v) == 2 and all(map(is_finite_number, v))),
-    "confidence": ("a finite number in [0, 1]", lambda v: is_finite_number(v) and 0 <= v <= 1),
-    "counters": ("an object", lambda v: isinstance(v, dict)),
-    "frames": ("a non-negative integer", _is_id),
-    "cost_evaluations": ("a non-negative integer", _is_id),
-    "wall_seconds": ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0),
-    "measurement_hash": ("a sha256 hex digest", lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None),
-    "per_frame_cost_evaluations": ("a list of non-negative integers", lambda v: isinstance(v, list) and all(map(_is_id, v))),
+    "config_echo": "object",
+    "metrics": "object",
+    "match_distance": "positive",
+    "n_recall_points": "count",
+    "frame": "id",
+    "id": "id",
+    "track_id": "id",
+    "class": "class",
+    "center": "pair",
+    "confidence": "unit",
+    "counters": "object",
+    "frames": "id",
+    "cost_evaluations": "id",
+    "wall_seconds": "non-negative",
+    "measurement_hash": "digest",
+    "per_frame_cost_evaluations": "ids",
 }
 
 
 def _check_fields(rec: dict, names: tuple[str, ...], where: str) -> None:
     for name in names:
-        rule, valid = _DUMP_FIELDS[name]
+        words, valid = VALUE_KINDS[_DUMP_FIELDS[name]]
         if not valid(rec[name]):
-            raise InputError(f"{where} {name} {rec[name]!r} is not {rule}")
+            raise InputError(f"{where} {name} {rec[name]!r} is not {words}")
 
 
 def replay_dump(path) -> dict:
@@ -366,38 +351,33 @@ def replay_dump(path) -> dict:
     echo = None
     footer = None
     gt, hyps = [], []  # box table rows
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise InputError(f"dump {path} line {lineno} is not JSON: {exc}") from exc
-            kind = rec.get("type") if isinstance(rec, dict) else None
-            if kind not in ("header", "frame", "footer"):
-                raise InputError(f"dump {path} line {lineno} is not a header, frame or footer record")
-            where = f"dump {path} line {lineno}:"
-            try:
-                if kind == "header":
-                    _check_fields(rec, ("config_echo",), f"{where} header")
-                    echo = rec["config_echo"]
-                    _check_fields({"metrics": {}, **echo}, ("metrics",), f"{where} header config_echo")
-                    metric_settings = {**dataclasses.asdict(MetricConfig()), **echo.get("metrics", {})}
-                    _check_fields(metric_settings, ("n_recall_points", "match_distance"), f"{where} header metrics")
-                elif kind == "footer":
-                    _check_fields(rec, _FOOTER_KEYS, f"{where} footer")
-                    _check_fields(rec["counters"], ("frames", "wall_seconds", "cost_evaluations"), f"{where} footer counters")
-                    footer = {k: rec[k] for k in _FOOTER_KEYS}
-                else:
-                    _check_fields(rec, ("frame",), where)
-                    frame = rec["frame"]
-                    for g in rec["gt"]:
-                        _check_fields(g, ("id", "class", "center"), f"{where} gt box")
-                        gt.append((frame, g["id"], CLASS_INDEX[g["class"]], g["center"], 0.0))
-                    for d in rec["detections"]:
-                        _check_fields(d, ("track_id", "class", "center", "confidence"), f"{where} detection")
-                        hyps.append((frame, d["track_id"], CLASS_INDEX[d["class"]], d["center"], d["confidence"]))
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise InputError(f"dump {path} line {lineno} is a {kind} record without a field replay reads: {exc!r}") from exc
+    for lineno, rec in read_json_lines(path, f"dump {path}", InputError):
+        kind = rec.get("type") if isinstance(rec, dict) else None
+        if kind not in ("header", "frame", "footer"):
+            raise InputError(f"dump {path} line {lineno} is not a header, frame or footer record")
+        where = f"dump {path} line {lineno}:"
+        try:
+            if kind == "header":
+                _check_fields(rec, ("config_echo",), f"{where} header")
+                echo = rec["config_echo"]
+                _check_fields({"metrics": {}, **echo}, ("metrics",), f"{where} header config_echo")
+                metric_settings = {**dataclasses.asdict(MetricConfig()), **echo.get("metrics", {})}
+                _check_fields(metric_settings, ("n_recall_points", "match_distance"), f"{where} header metrics")
+            elif kind == "footer":
+                _check_fields(rec, _FOOTER_KEYS, f"{where} footer")
+                _check_fields(rec["counters"], ("frames", "wall_seconds", "cost_evaluations"), f"{where} footer counters")
+                footer = {k: rec[k] for k in _FOOTER_KEYS}
+            else:
+                _check_fields(rec, ("frame",), where)
+                frame = rec["frame"]
+                for g in rec["gt"]:
+                    _check_fields(g, ("id", "class", "center"), f"{where} gt box")
+                    gt.append((frame, g["id"], CLASS_INDEX[g["class"]], g["center"], 0.0))
+                for d in rec["detections"]:
+                    _check_fields(d, ("track_id", "class", "center", "confidence"), f"{where} detection")
+                    hyps.append((frame, d["track_id"], CLASS_INDEX[d["class"]], d["center"], d["confidence"]))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InputError(f"dump {path} line {lineno} is a {kind} record without a field replay reads: {exc!r}") from exc
     if echo is None or footer is None:
         raise InputError(f"dump {path} is missing header or footer")
     per_class = evaluate_run(

@@ -17,6 +17,7 @@ import functools
 import json
 import math
 import numbers
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,6 +47,67 @@ class ConfigError(ValueError):
 
 class InputError(ValueError):
     """Malformed input data (a dump, a scenario file or a set of reports); the message names the file or field."""
+
+
+# ---------------------------------------------------------------------------
+# values read from outside JSON: configs, scenario files, dumps and reports
+
+
+def is_finite_number(value) -> bool:
+    """A number a float holds exactly: a finite float, or an integer within ±2^53; never a bool."""
+    if isinstance(value, numbers.Integral):
+        return _is_int(value, -(2**53), 2**53)
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
+def _is_int(value, low=-(2**63), high=2**63 - 1) -> bool:
+    """An integer, never a bool, in [low, high]: by default one that fits an int64 column."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and low <= value <= high
+
+
+def _is_pair(value) -> bool:
+    return isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(map(is_finite_number, value))
+
+
+# kind -> (the words an error message uses, the test): what a value read from outside JSON must be
+VALUE_KINDS = {
+    "integer": ("an integer", _is_int),
+    "seed": ("an integer", lambda v: _is_int(v, -math.inf, math.inf)),  # a seed is not bounded: it only keys the RNG streams
+    "id": ("a non-negative integer", lambda v: _is_int(v, 0)),
+    "ids": ("a list of non-negative integers", lambda v: isinstance(v, list) and all(_is_int(x, 0) for x in v)),
+    "count": ("an integer >= 1", lambda v: _is_int(v, 1)),
+    "number": ("a finite number", is_finite_number),
+    "positive": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
+    "non-negative": ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0),
+    "unit": ("a finite number in [0, 1]", lambda v: is_finite_number(v) and 0 <= v <= 1),
+    "pair": ("2 finite numbers", _is_pair),
+    "range": ("a list of 2 numbers", _is_pair),  # a config's (lo, hi)
+    "class": (f"one of {', '.join(CLASSES)}", lambda v: v in CLASSES),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "digest": ("a sha256 hex digest", lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v) is not None),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "objects": ("a list of objects", lambda v: isinstance(v, list) and all(isinstance(x, dict) for x in v)),
+}
+
+
+def read_json(path, what: str, error: type[ValueError]):
+    """The JSON document in the file `path`; one that is not UTF-8 or not JSON raises `error` naming `what`."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # not UTF-8, not JSON, or an integer past int()'s digit limit
+            raise error(f"{what} is not JSON: {exc}") from exc
+
+
+def read_json_lines(path, what: str, error: type[ValueError]):
+    """Each line of the JSON Lines file `path` as (line number, record); a line that is not UTF-8 or not JSON raises `error` naming `what` and the line."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                yield lineno, json.loads(line.decode("utf-8"))
+            except ValueError as exc:
+                raise error(f"{what} line {lineno} is not JSON: {exc}") from exc
 
 
 @dataclass
@@ -78,7 +140,7 @@ class ScenarioConfig:
         for cls, n in self.class_counts.items():
             if cls not in CLASSES:
                 raise ConfigError(f"class_counts contains unknown class {cls!r}")
-            if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
+            if not (_is_int(n) and n >= 0):
                 raise ConfigError(f"class_counts[{cls!r}] must be an integer >= 0, got {n!r}")
         lo, hi = self.speed_range
         if lo < 0 or hi < lo:
@@ -94,10 +156,6 @@ class ScenarioConfig:
                 _check_explicit_agent(agent, f"explicit_agents[{k}]", self.frame_count)
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, (bool, np.bool_)) and math.isfinite(value)
-
-
 def _check_explicit_agent(agent, where: str, frame_count: int) -> None:
     """Raise `ConfigError` naming the field if `agent` is not a valid explicit agent spec."""
     if not isinstance(agent, dict):
@@ -107,15 +165,12 @@ def _check_explicit_agent(agent, where: str, frame_count: int) -> None:
             raise ConfigError(f"{where} lacks field {name!r}")
     if agent["class"] not in CLASSES:
         raise ConfigError(f"{where} field 'class' names unknown class {agent['class']!r}")
-    for name in ("start", "velocity"):
-        value = agent[name]
-        if not (isinstance(value, (list, tuple, np.ndarray)) and len(value) == 2 and all(_is_number(x) for x in value)):
-            raise ConfigError(f"{where} field {name!r} must be 2 finite numbers, got {value!r}")
-    if not _is_number(agent.get("turn_rate", 0.0)):
-        raise ConfigError(f"{where} field 'turn_rate' must be a finite number, got {agent['turn_rate']!r}")
+    for name, kind in (("start", "pair"), ("velocity", "pair"), ("turn_rate", "number")):
+        words, valid = VALUE_KINDS[kind]
+        if name in agent and not valid(agent[name]):
+            raise ConfigError(f"{where} field {name!r} must be {words}, got {agent[name]!r}")
     spawn, despawn = agent.get("spawn", 0), agent.get("despawn", frame_count)
-    integral = all(isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_)) for x in (spawn, despawn))
-    if not (integral and 0 <= spawn < despawn <= frame_count):
+    if not (_is_int(spawn) and _is_int(despawn) and 0 <= spawn < despawn <= frame_count):
         raise ConfigError(
             f"{where} fields 'spawn' and 'despawn' ({spawn!r}, {despawn!r}) must be integers with "
             f"0 <= spawn < despawn <= frame_count ({frame_count})"
@@ -361,60 +416,29 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     }
 
 
-def _read(doc: dict, name: str, convert, where: str):
-    """`convert(doc[name])`; a missing field, or one that does not convert, raises `InputError` naming it."""
+def _read(doc: dict, name: str, kind: str, where: str):
+    """`doc[name]`, which must be of `kind`; a missing field, or one of another kind, raises `InputError` naming it."""
     if name not in doc:
         raise InputError(f"{where} lacks field {name!r}")
+    words, valid = VALUE_KINDS[kind]
+    if not valid(doc[name]):
+        raise InputError(f"{where} field {name!r} is not valid: must be {words}, got {doc[name]!r}")
+    return doc[name]
+
+
+def _read_rows(doc: dict, name: str, shape: tuple[int, int], where: str) -> np.ndarray:
+    """`doc[name]` as a float array of `shape`; one that is not a list of numbers, holds a non-finite one or has another shape raises `InputError` naming it."""
+    value = _read(doc, name, "list", where)
     try:
-        return convert(doc[name])
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where} field {name!r} is not valid: {exc}") from exc
-
-
-def _integer(value) -> int:
-    if not isinstance(value, numbers.Integral) or isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"must be an integer, got {value!r}")
-    return int(value)
-
-
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"must be a string, got {value!r}")
-    return value
-
-
-def _number(value) -> float:
-    if not _is_number(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return float(value)
-
-
-def _objects(value) -> list[dict]:
-    if not isinstance(value, list) or not all(isinstance(item, dict) for item in value):
-        raise TypeError("not a list of objects")
-    return value
-
-
-def _finite(value: np.ndarray) -> np.ndarray:
-    if not np.isfinite(value).all():
-        raise ValueError("holds a non-finite value")
-    return value
-
-
-def _rows(n: int, width: int):
-    def convert(value) -> np.ndarray:
         rows = np.asarray(value)
         if rows.dtype.kind not in "if":  # a string, a null, or only bools
             raise TypeError(f"must hold only numbers, got {rows.dtype} values")
-        return _finite(rows.astype(float).reshape(n, width))
-
-    return convert
-
-
-def _positive(value) -> float:
-    if not (_is_number(value) and value > 0):
-        raise ValueError(f"must be a finite number > 0, got {value!r}")
-    return float(value)
+        rows = rows.astype(float).reshape(shape)
+        if not np.isfinite(rows).all():
+            raise ValueError("holds a non-finite value")
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where} field {name!r} is not valid: {exc}") from exc
+    return rows
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
@@ -424,28 +448,32 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     wrong JSON type (`frame_count`, `seed` and each agent's `id`, `spawn`
     and `despawn` are integers, not bools; `scenario_id` and each agent's
     `class` and `model` are strings; `dt`, `turn_rate`, states and ego are
-    finite numbers), a `dt` <= 0 or a `frame_count` below 1, names an
-    unknown class, gives two agents the same `id`, gives an agent a lifespan
-    outside ``0 <= spawn < despawn <= frame_count`` or states that do not fit
-    its lifespan raises `InputError` naming `source` and the field.  Nothing is
-    rounded or converted: a value is taken as it is or refused.
+    finite numbers), an integer other than `seed` outside int64, an integer
+    `dt` or `turn_rate` outside ±2^53, a `dt` <= 0, a `frame_count` below 1
+    or an agent `id` below 0, names an unknown class, gives two agents the
+    same `id`, gives an agent a lifespan outside ``0 <= spawn < despawn <=
+    frame_count`` or states that do not fit its lifespan raises `InputError`
+    naming `source` and the field.  A field other than states and ego is
+    taken as it is or refused: nothing is rounded.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{source} is not a JSON object")
-    frame_count = _read(doc, "frame_count", _integer, source)
+    frame_count = _read(doc, "frame_count", "integer", source)
     if frame_count < 1:
         raise InputError(f"{source} field 'frame_count' must be >= 1, got {frame_count}")
     agents, ids = [], {}  # agent id -> the index of the agent that has it
-    for k, a in enumerate(_read(doc, "agents", _objects, source)):
+    for k, a in enumerate(_read(doc, "agents", "objects", source)):
         where = f"{source} agent {k}"
-        agent_id = _read(a, "id", _integer, where)
+        agent_id = _read(a, "id", "integer", where)
+        if agent_id < 0:  # a dump's ids are non-negative, so the run's dump would not replay
+            raise InputError(f"{where} field 'id' must be >= 0, got {agent_id}")
         if agent_id in ids:  # the metrics would merge the two into one ground-truth track
             raise InputError(f"{where} field 'id' repeats agent {ids[agent_id]}'s id {agent_id}")
         ids[agent_id] = k
-        cls = _read(a, "class", _string, where)
+        cls = _read(a, "class", "string", where)
         if cls not in CLASSES:
             raise InputError(f"{where} field 'class' names unknown class {cls!r}")
-        spawn, despawn = _read(a, "spawn", _integer, where), _read(a, "despawn", _integer, where)
+        spawn, despawn = _read(a, "spawn", "integer", where), _read(a, "despawn", "integer", where)
         if not 0 <= spawn < despawn <= frame_count:
             raise InputError(
                 f"{where} fields 'spawn' and 'despawn' ({spawn}, {despawn}) must satisfy "
@@ -457,18 +485,18 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
                 cls=cls,
                 spawn=spawn,
                 despawn=despawn,
-                states=_read(a, "states", _rows(despawn - spawn, 5), where),
-                model=_read(a, "model", _string, where),
-                turn_rate=_read(a, "turn_rate", _number, where),
+                states=_read_rows(a, "states", (despawn - spawn, 5), where),
+                model=_read(a, "model", "string", where),
+                turn_rate=float(_read(a, "turn_rate", "number", where)),
             )
         )
     return Scenario(
-        scenario_id=_read(doc, "scenario_id", _string, source),
-        dt=_read(doc, "dt", _positive, source),
+        scenario_id=_read(doc, "scenario_id", "string", source),
+        dt=float(_read(doc, "dt", "positive", source)),
         frame_count=frame_count,
-        seed=_read(doc, "seed", _integer, source),
+        seed=_read(doc, "seed", "seed", source),
         agents=agents,
-        ego=_read(doc, "ego", _rows(frame_count, 3), source),
+        ego=_read_rows(doc, "ego", (frame_count, 3), source),
     )
 
 
@@ -479,9 +507,4 @@ def save_scenario(scenario: Scenario, path) -> None:
 
 def load_scenario(path) -> Scenario:
     """Read a scenario file; one that is not JSON or not a scenario raises `InputError`."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise InputError(f"scenario file {path} is not JSON: {exc}") from exc
-    return scenario_from_dict(doc, f"scenario file {path}")
+    return scenario_from_dict(read_json(path, f"scenario file {path}", InputError), f"scenario file {path}")
