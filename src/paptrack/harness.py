@@ -23,7 +23,7 @@ import numpy as np
 
 from paptrack.metrics import DEFAULT_MATCH_DISTANCE, DEFAULT_RECALL_POINTS, build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
-from paptrack.prediction import PredictorConfig, fed_tracks, forecast, predict_and_store
+from paptrack.prediction import PredictorConfig, fed_rows, forecast, predict_and_store
 from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, QueryBank
 from paptrack.rng import stream
 from paptrack.world import (
@@ -262,7 +262,7 @@ def run_single(
 
 def _frame_record(frame, measurements, gt, result, tracks, horizon, dt) -> dict:
     queries, detections = result.queries, result.detections
-    live, fed = fed_tracks(tracks)
+    fed = fed_rows(tracks)
     return {
         "type": "frame",
         "frame": frame,
@@ -299,7 +299,7 @@ def _frame_record(frame, measurements, gt, result, tracks, horizon, dt) -> dict:
         ],
         "forecasts": [
             {"track_id": row + 1, "points": points}
-            for row, points in zip(live.tolist(), forecast(fed, horizon, dt).tolist())
+            for row, points in zip(fed.tolist(), forecast(tracks[fed], horizon, dt).tolist())
         ],
         "tracks": [
             {"id": row + 1, "status": STATUS_NAMES[code], "center": center}

@@ -30,6 +30,13 @@ TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)
 STATUS_NAMES = ("tentative", "confirmed", "coasting", "terminated")
 
 
+# The most queries a frame.  Each frame sizes its query table, the 14 normals it draws for each
+# random query and its cost matrix (one row a query, one column a measurement) by `n_queries`, and a
+# count far past this one ends in numpy's "array is too big".  With `world.MAX_CLUTTER_RATE` clutter
+# boxes a frame, 2^14 rows keep a frame's arrays to tens of MB; the largest budget in use is 1,024.
+MAX_QUERIES = 2**14
+
+
 @dataclass
 class QueryAssemblyPolicy:
     n_queries: int = 256
@@ -37,8 +44,8 @@ class QueryAssemblyPolicy:
     mode: str = "fixed"  # "fixed": total always N; "reduced": the banked plus N - floor(rho * N) random
 
     def validate(self) -> None:
-        if self.n_queries < 1:
-            raise ConfigError("n_queries must be >= 1")
+        if not 1 <= self.n_queries <= MAX_QUERIES:
+            raise ConfigError(f"n_queries must be in [1, {MAX_QUERIES}], got {self.n_queries}")
         if not 0.0 <= self.rho <= 1.0:
             raise ConfigError("rho must be in [0, 1]")
         if self.mode not in ("fixed", "reduced"):
@@ -80,9 +87,27 @@ match_dtype = np.dtype([("query", np.intp), ("measurement", np.intp), ("cost", n
 
 @dataclass
 class Assignment:
+    """The matches of a cost matrix of `n_queries` rows and `n_measurements` columns; the unmatched rows are derived when read."""
+
     matches: np.ndarray  # match_dtype rows, in query order
-    unmatched_queries: np.ndarray  # query rows, ascending
-    unmatched_measurements: np.ndarray  # measurement rows, ascending
+    n_queries: int
+    n_measurements: int
+
+    @property
+    def unmatched_queries(self) -> np.ndarray:
+        """The query rows without a match, ascending."""
+        return _unmatched(self.n_queries, self.matches["query"])
+
+    @property
+    def unmatched_measurements(self) -> np.ndarray:
+        """The measurement rows without a match, ascending."""
+        return _unmatched(self.n_measurements, self.matches["measurement"])
+
+
+def _unmatched(n: int, matched: np.ndarray) -> np.ndarray:
+    free = np.ones(n, dtype=bool)
+    free[matched] = False
+    return free.nonzero()[0]
 
 
 @functools.cache
@@ -225,27 +250,33 @@ def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray, eps: float)
 def associate(costs: np.ndarray) -> Assignment:
     """Minimum-total-cost maximum matching over the finite costs, which are non-negative.
 
-    The solver sees each non-finite cost as a sentinel above the total of
-    any matching of finite costs, so it takes as many finite costs as it
+    Only the rows with a finite cost go to the solver, whose every
+    augmentation scans each row it is given; its rows are mapped back.  It
+    sees each non-finite cost of those rows as a sentinel above the total
+    of any matching of finite costs, so it takes as many finite costs as it
     can.  The sentinel is no larger than that needs: near a far larger one
     (1e12, say), float64 steps are ~1e-4 wide, which would swamp the
     predicted queries' priority ε.
+
+    Ties: when one matching alone has the most finite costs and, of those,
+    the least total, it is returned, as a solve of the whole matrix would
+    return it.  Of several such matchings with exactly equal totals, the
+    one returned is the solver's choice on the rows it is given, which can
+    differ from its choice on the whole matrix.
     """
     nq, nm = costs.shape
     finite = np.isfinite(costs)
-    top = np.where(finite, costs, -np.inf).max(initial=-np.inf)  # -inf when no cost is finite; faster than max(where=)
-    if top == -np.inf:
-        return Assignment(np.zeros(0, match_dtype), np.arange(nq), np.arange(nm))
-    rows, cols = linear_sum_assignment(np.fmin(costs, (top + 1.0) * (min(nq, nm) + 1)))  # inf and NaN become the sentinel
+    live = finite.any(axis=1).nonzero()[0]  # the rows with a finite cost
+    if not len(live):
+        return Assignment(np.zeros(0, match_dtype), nq, nm)
+    sub, finite = costs[live], finite[live]
+    top = np.where(finite, sub, -np.inf).max()  # faster than max(where=)
+    rows, cols = linear_sum_assignment(np.fmin(sub, (top + 1.0) * (min(len(live), nm) + 1)))  # inf and NaN become the sentinel
     keep = finite[rows, cols]
     rows, cols = rows[keep], cols[keep]
-    matches = np.empty(len(rows), match_dtype)  # scipy sorts `rows`: query order
-    matches["query"], matches["measurement"], matches["cost"] = rows, cols, costs[rows, cols]
-    free_q = np.ones(nq, dtype=bool)
-    free_q[rows] = False
-    free_m = np.ones(nm, dtype=bool)
-    free_m[cols] = False
-    return Assignment(matches, np.flatnonzero(free_q), np.flatnonzero(free_m))
+    matches = np.empty(len(rows), match_dtype)  # scipy sorts `rows`, and `live` ascends: query order
+    matches["query"], matches["measurement"], matches["cost"] = live[rows], cols, sub[rows, cols]
+    return Assignment(matches, nq, nm)
 
 
 def update_tracks(

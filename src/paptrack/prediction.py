@@ -1,10 +1,11 @@
 """Constant-velocity motion forecasts and their conversion back into queries.
 
-The predictor extrapolates the filtered state of every live row of the
-track table at constant velocity over a short horizon in one call, and
-turns each track's step-1 point, its position at the next frame, into the
-center of one predicted query; the table of them is stored in the bank for
-the next frame's perception.
+One rule, :func:`fed_rows`, picks the rows of the track table that feed
+the loop.  Each one's step-1 point at constant velocity, its position at
+the next frame, becomes the center of one predicted query; the table of
+them is stored in the bank for the next frame's perception.
+:func:`forecast` extrapolates rows over a short horizon in one call, for
+the debug dump.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from paptrack.perception import COASTING, CONFIRMED, TERMINATED, track_confidence
 from paptrack.queries import PREDICTED, QueryBank, embed_center
-from paptrack.world import ConfigError, raw_rows
+from paptrack.world import ConfigError
 
 
 @dataclass
@@ -39,27 +40,27 @@ def forecast(tracks: np.ndarray, horizon: int, dt: float) -> np.ndarray:
     return c[:, None, :] + (steps * dt)[None, :, None] * v[:, None, :]
 
 
-def fed_tracks(tracks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The row indices, ascending, and a table of the rows that are forecast and banked: the confirmed and coasting ones."""
+def fed_rows(tracks: np.ndarray) -> np.ndarray:
+    """The indices, ascending, of the rows of a track table that are forecast and banked: the confirmed and coasting ones."""
     status = tracks["status"]
-    rows = ((status == CONFIRMED) | (status == COASTING)).nonzero()[0]
-    return rows, raw_rows(tracks)[rows].view(tracks.dtype)
+    return ((status == CONFIRMED) | (status == COASTING)).nonzero()[0]
 
 
 def predict_and_store(tracks: np.ndarray, bank: QueryBank, t: int, dt: float) -> QueryBank:
-    """Forecast every track of :func:`fed_tracks` one step and bank the resulting queries.
+    """Forecast every row of :func:`fed_rows` one step and bank the resulting queries.
 
     Each track gives one row, in track-id order, centered on its forecast
-    point.  The row carries its source track's id, which ties it to that
-    track, and its class, so it only matches measurements of that class.
+    point, ``c + dt * v``: the floats of :func:`forecast`'s step 1.  The row
+    carries its source track's id, which ties it to that track, and its
+    class, so it only matches measurements of that class.
     """
-    live, fed = fed_tracks(tracks)
+    rows = fed_rows(tracks)
     queries = embed_center(
-        forecast(fed, 1, dt)[:, 0],
+        tracks["centers"][rows, -1] + dt * tracks["velocity"][rows],
         provenance=PREDICTED,
-        source_track_id=live + 1,
-        cls=fed["cls"],
-        confidence=track_confidence(fed["hits"], fed["misses"]),
+        source_track_id=rows + 1,
+        cls=tracks["cls"][rows],
+        confidence=track_confidence(tracks["hits"][rows], tracks["misses"][rows]),
     )
     bank.store(t, queries)
     return bank

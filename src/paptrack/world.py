@@ -40,6 +40,16 @@ CLASS_MAX_SPEED = {
 
 MAX_SCENARIO_SECONDS = 20.0
 
+# The largest `world_half_extent`, in meters.  Agents and random queries are drawn from a square of
+# twice this side, and `rng.uniform` overflows on a span past the largest float (~1.8e308); 1e6 m
+# keeps every span, and every squared distance the gate takes, far inside float64.
+MAX_HALF_EXTENT = 1e6
+
+# The largest `clutter_rate`, the mean clutter boxes a frame.  The sensor draws each box in a Python
+# loop and each is a column of the frame's cost matrix, so a rate of 1e300, which numpy's Poisson
+# refuses, or of 1e9, which it would draw, cannot run; 1e2 is 12.5 times the heaviest clutter in use.
+MAX_CLUTTER_RATE = 1e2
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -135,8 +145,8 @@ class ScenarioConfig:
             raise ConfigError("dt must be positive")
         if self.frame_count * self.dt > MAX_SCENARIO_SECONDS + 1e-9:
             raise ConfigError("frame_count * dt must not exceed 20 seconds")
-        if self.world_half_extent <= 0:
-            raise ConfigError("world_half_extent must be positive")
+        if not 0 < self.world_half_extent <= MAX_HALF_EXTENT:
+            raise ConfigError(f"world_half_extent must be in (0, {MAX_HALF_EXTENT:g}], got {self.world_half_extent!r}")
         for cls, n in self.class_counts.items():
             if cls not in CLASSES:
                 raise ConfigError(f"class_counts contains unknown class {cls!r}")
@@ -189,8 +199,8 @@ class SensorConfig:
             raise ConfigError("position_noise_sigma must be >= 0")
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ConfigError("miss_probability must be in [0, 1]")
-        if self.clutter_rate < 0:
-            raise ConfigError("clutter_rate must be >= 0")
+        if not 0 <= self.clutter_rate <= MAX_CLUTTER_RATE:
+            raise ConfigError(f"clutter_rate must be in [0, {MAX_CLUTTER_RATE:g}], got {self.clutter_rate!r}")
         if self.detection_range <= 0:
             raise ConfigError("detection_range must be positive")
 
@@ -427,18 +437,28 @@ def _read(doc: dict, name: str, kind: str, where: str):
 
 
 def _read_rows(doc: dict, name: str, shape: tuple[int, int], where: str) -> np.ndarray:
-    """`doc[name]` as a float array of `shape`; one that is not a list of numbers, holds a non-finite one or has another shape raises `InputError` naming it."""
+    """`doc[name]`, `shape[0]` lists of `shape[1]` numbers, as a float array.
+
+    One that is not a list of numbers, has another shape, holds a
+    non-finite number or one that a float does not hold exactly (a bool, or
+    an integer past ±2^53, which numpy would convert) raises `InputError`
+    naming it.
+    """
     value = _read(doc, name, "list", where)
     try:
         rows = np.asarray(value)
         if rows.dtype.kind not in "if":  # a string, a null, or only bools
             raise TypeError(f"must hold only numbers, got {rows.dtype} values")
-        rows = rows.astype(float).reshape(shape)
+        if rows.shape != shape:
+            raise ValueError(f"must be {shape[0]} lists of {shape[1]} numbers, got shape {rows.shape}")
         if not np.isfinite(rows).all():
             raise ValueError("holds a non-finite value")
+        inexact = next((x for row in value for x in row if not is_finite_number(x)), None)
+        if inexact is not None:
+            raise ValueError(f"must hold only numbers that a float holds exactly, not bools or integers past 2^53, got {inexact!r}")
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where} field {name!r} is not valid: {exc}") from exc
-    return rows
+    return rows.astype(float)
 
 
 def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
@@ -448,13 +468,13 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     wrong JSON type (`frame_count`, `seed` and each agent's `id`, `spawn`
     and `despawn` are integers, not bools; `scenario_id` and each agent's
     `class` and `model` are strings; `dt`, `turn_rate`, states and ego are
-    finite numbers), an integer other than `seed` outside int64, an integer
-    `dt` or `turn_rate` outside ±2^53, a `dt` <= 0, a `frame_count` below 1
-    or an agent `id` below 0, names an unknown class, gives two agents the
-    same `id`, gives an agent a lifespan outside ``0 <= spawn < despawn <=
-    frame_count`` or states that do not fit its lifespan raises `InputError`
-    naming `source` and the field.  A field other than states and ego is
-    taken as it is or refused: nothing is rounded.
+    finite numbers, not bools), an integer other than `seed` outside int64,
+    an integer `dt`, `turn_rate`, state or ego value outside ±2^53, a `dt`
+    <= 0, a `frame_count` below 1 or an agent `id` below 0, names an
+    unknown class, gives two agents the same `id`, gives an agent a
+    lifespan outside ``0 <= spawn < despawn <= frame_count`` or states that
+    do not fit its lifespan raises `InputError` naming `source` and the
+    field.  Every field is taken as it is or refused: nothing is rounded.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{source} is not a JSON object")

@@ -10,7 +10,8 @@ one full CLEAR-MOT pass per threshold, pair by pair.
 before it stepped in Python floats.  `continue_deferred_oracle` is the
 track update as it was when deferred matches searched every row of the
 track table, and `sense_oracle` the sensor as it was when clutter was
-drawn one box at a time.  `measurement_hash_oracle` hashes a run's
+drawn one box at a time.  `associate_full_oracle` is the assignment as it
+was when the solver saw every row of the cost matrix.  `measurement_hash_oracle` hashes a run's
 measurements frame by frame, as the frame loop once did.
 """
 
@@ -30,6 +31,7 @@ NO_MATCH = np.iinfo(np.int64).min  # prev[g, t] of a gt row never matched at lev
 ANY_CLASS = -1
 PREDICTED = 1  # query provenance code
 TENTATIVE, CONFIRMED, COASTING, TERMINATED = range(4)  # track status codes
+MATCH_DTYPE = np.dtype([("query", np.intp), ("measurement", np.intp), ("cost", np.float64)])  # one match of an assignment
 
 
 def gated_costs_loop(q_xy, q_cls, m_xy, m_cls, gate):
@@ -83,6 +85,26 @@ def brute_force_assignment(costs: np.ndarray):
         if best is not None:
             return best
     return (0.0, ())
+
+
+def associate_full_oracle(costs: np.ndarray) -> np.ndarray:
+    """`perception.associate`'s matches, from a solve over every row of `costs`.
+
+    Returns the matches as ``(query, measurement, cost)`` rows of
+    `MATCH_DTYPE`, in query order.  Each non-finite cost is a sentinel above
+    the total of any matching of finite costs, taken from the whole matrix.
+    """
+    nq, nm = costs.shape
+    finite = np.isfinite(costs)
+    if not finite.any():
+        return np.zeros(0, MATCH_DTYPE)
+    top = costs[finite].max()
+    rows, cols = linear_sum_assignment(np.where(finite, costs, (top + 1.0) * (min(nq, nm) + 1)))
+    keep = finite[rows, cols]
+    rows, cols = rows[keep], cols[keep]
+    matches = np.empty(len(rows), MATCH_DTYPE)
+    matches["query"], matches["measurement"], matches["cost"] = rows, cols, costs[rows, cols]
+    return matches
 
 
 def match_frame_oracle(gt, hyps, match_distance, prev_matches):

@@ -19,7 +19,8 @@ import pytest
 
 from paptrack.cli import main
 from paptrack.harness import ExperimentConfig, MetricConfig, config_to_dict
-from paptrack.world import ScenarioConfig, generate_scenario, scenario_to_dict
+from paptrack.perception import MAX_QUERIES
+from paptrack.world import MAX_CLUTTER_RATE, MAX_HALF_EXTENT, ScenarioConfig, generate_scenario, scenario_to_dict
 
 HUGE = 10**400  # past int64 and past a float
 NOT_INTEGER = [True, None, "1", [], HUGE, 2**64]  # each wrong for an integer that becomes an int64
@@ -31,6 +32,8 @@ NOT_PAIR = [*NOT_NUMBER, [0.0], *([value, 0.0] for value in NOT_NUMBER)]
 NOT_SEED = [True, None, "1", [], -1]  # a seed is not bounded above
 NOT_CLASS = [*NOT_STRING, "1"]
 NOT_ROWS = [True, None, "1", [], HUGE, math.nan]
+# values past the upper bound of a config field that sizes an array or feeds the RNG, each once a traceback
+PAST_BOUND = {"n_queries": [2**62, MAX_QUERIES + 1], "clutter_rate": [1e300, MAX_CLUTTER_RATE + 0.5], "world_half_extent": [1e308, 1.5 * MAX_HALF_EXTENT]}
 
 
 def tiny_config(**fields) -> ExperimentConfig:
@@ -60,9 +63,9 @@ def _config_rows(doc: dict, path: tuple = ()):
         elif isinstance(value, str):
             yield where, NOT_CLASS  # no mode is named "1"
         elif isinstance(value, int):
-            yield where, NOT_ID  # every integer setting is a count
+            yield where, [*NOT_ID, *PAST_BOUND.get(name, [])]  # every integer setting is a count
         elif isinstance(value, float):
-            yield where, NOT_NUMBER
+            yield where, [*NOT_NUMBER, *PAST_BOUND.get(name, [])]
 
 
 def _replace(doc, path: tuple, value):
@@ -120,12 +123,15 @@ def _scenario_cases(root, config, scenario, dump, report):
         ("agents", 0, "spawn"): NOT_ID,
         ("agents", 0, "despawn"): NOT_ID,
         ("agents", 0, "states"): NOT_ROWS,
+        ("agents", 0, "states", 0, 0): [True, 2**53 + 1],  # numpy would take them as 1.0 and 2^53
+        ("ego", 0, 0): [True, 2**53 + 1],
         ("agents", 0, "model"): NOT_STRING,
         ("agents", 0, "turn_rate"): NOT_NUMBER,
     }
     for where, values in rows.items():
+        field = next(key for key in reversed(where) if isinstance(key, str))  # an element of states or ego names its field
         for value in values:
-            yield path, json.dumps(_replace(scenario, where, value)), command, where[-1]
+            yield path, json.dumps(_replace(scenario, where, value)), command, field
 
 
 def _dump_cases(root, config, scenario, dump, report):
@@ -238,6 +244,16 @@ def test_a_negative_seed_is_a_config_error_that_writes_nothing(tmp_path, capsys)
         assert main([command, "--config", str(path), "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "config error: seeds must be >= 0, got -1 in [-1]\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_config_at_every_upper_bound_runs(tmp_path):
+    """The bounds refuse only what is past them: a run at all of them at once completes."""
+    doc = config_to_dict(tiny_config())
+    doc["policy"]["n_queries"], doc["sensor"]["clutter_rate"], doc["scenario"]["world_half_extent"] = MAX_QUERIES, MAX_CLUTTER_RATE, MAX_HALF_EXTENT
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert json.loads((tmp_path / "out" / "report_pap_seed1.json").read_text())["counters"]["frames"] == 8
 
 
 def test_seeds_are_not_bounded_above(tmp_path, capsys):

@@ -26,7 +26,7 @@ from paptrack.queries import PREDICTED, RANDOM, QueryBank, embed_center, query_d
 from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX
 
-from oracles import brute_force_assignment, continue_deferred_oracle
+from oracles import associate_full_oracle, brute_force_assignment, continue_deferred_oracle
 from tables import boxes, centers, field_bytes, sense_frame, track_table
 
 HALF_EXTENT = 30.0
@@ -48,9 +48,9 @@ def table(rows):
     return np.concatenate([np.empty(0, query_dtype), *rows])
 
 
-def assignment_of(matches):
-    """An assignment of the given ``(query, measurement, cost)`` matches that leaves nothing unmatched."""
-    return Assignment(np.array(matches, match_dtype), np.zeros(0, np.intp), np.zeros(0, np.intp))
+def assignment_of(matches, queries, measurements):
+    """An assignment of the given ``(query, measurement, cost)`` matches of a query table to a box table."""
+    return Assignment(np.array(matches, match_dtype), len(queries), len(measurements))
 
 
 def pairs(assignment):
@@ -239,6 +239,56 @@ def test_associate_matches_brute_force_on_small_instances():
         assert total == pytest.approx(oracle_total, abs=1e-9)
 
 
+ASSOCIATE_SHAPES = [(0, 0), (0, 5), (5, 0), (1, 1), (1, 7), (7, 1)]  # then drawn shapes
+
+
+def drawn_costs(case: int, discrete: bool) -> np.ndarray:
+    """Cost matrix `case`, with inf and NaN entries, all-inf rows and all-inf columns.
+
+    Uniform costs, on up to 60 × 12, almost never tie; discrete costs (0,
+    0.5, 1 or 1.5), on up to 6 × 6 for the brute force, tie often.
+    """
+    rng = np.random.default_rng([case, discrete])
+    if case < len(ASSOCIATE_SHAPES):
+        nq, nm = ASSOCIATE_SHAPES[case]
+    else:
+        nq, nm = int(rng.integers(1, 7 if discrete else 61)), int(rng.integers(1, 7 if discrete else 13))
+    costs = rng.integers(0, 4, size=(nq, nm)) * 0.5 if discrete else rng.uniform(0, 10, size=(nq, nm))
+    costs[rng.random((nq, nm)) < rng.uniform(0.0, 0.9)] = np.inf
+    costs[rng.random((nq, nm)) < 0.05] = np.nan
+    costs[rng.random(nq) < 0.3] = np.inf
+    costs[:, rng.random(nm) < 0.2] = np.inf
+    return costs
+
+
+def check_matching(matches, costs):
+    """`matches` pair each row and each column at most once, at a finite cost that is the matrix's own."""
+    q, m = matches["query"], matches["measurement"]
+    assert len(set(q.tolist())) == len(q) and len(set(m.tolist())) == len(m)
+    assert np.isfinite(costs[q, m]).all() and matches["cost"].tobytes() == costs[q, m].tobytes()
+
+
+@pytest.mark.parametrize("case", range(200))
+def test_associate_equals_the_full_matrix_oracle_byte_for_byte(case):
+    """Without ties, solving only the rows with a finite cost finds the full-matrix solve's matches."""
+    costs = drawn_costs(case, discrete=False)
+    a = associate(costs)
+    assert a.matches.dtype == match_dtype
+    assert a.matches.tobytes() == associate_full_oracle(costs).tobytes()
+    check_matching(a.matches, costs)
+
+
+@pytest.mark.parametrize("case", range(200))
+def test_associate_under_ties_has_the_full_matrix_oracles_size_and_total(case):
+    """Of equally good matchings the two solves may pick different ones, of the same size and the same, least, total."""
+    costs = drawn_costs(case, discrete=True)
+    a, full = associate(costs), associate_full_oracle(costs)
+    best_total, best_pairs = brute_force_assignment(costs)
+    check_matching(a.matches, costs)
+    assert len(a.matches) == len(full) == len(best_pairs)
+    assert a.matches["cost"].sum() == full["cost"].sum() == best_total  # halves: every sum is exact
+
+
 # ---------------------------------------------------------------------------
 # update_tracks
 
@@ -342,7 +392,7 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
     qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2))])
     ms = boxes(meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1))
     params = PerceptionParams()
-    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)]), qs, ms, 1, params, 0.1)
+    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)], qs, ms), qs, ms, 1, params, 0.1)
     assert len(out) == 4  # no birth: the random match continued track 1
     assert out["frames"][:, -1].tolist() == [1, 1, 1, 0]
     assert out["coasted"][:, -1].tolist() == [False, False, True, False]
@@ -434,7 +484,7 @@ UPDATE_CORNERS = {
 )
 def test_update_tracks_equals_all_rows_oracle_byte_for_byte(case):
     tracks, queries, measurements, matches, params = case
-    assignment = assignment_of(matches)
+    assignment = assignment_of(matches, queries, measurements)
     want = continue_deferred_oracle(tracks.copy(), assignment, queries, measurements, 3, params, 0.1)
     got = update_tracks(tracks.copy(), assignment, queries, measurements, 3, params, 0.1)
     assert got.dtype == want.dtype and len(got) == len(want)

@@ -127,7 +127,7 @@ def test_dump_forecasts_are_the_banked_queries():
     )
     banked = predict_and_store(tracks, QueryBank(), 0, DT).fetch(0)
     none = np.zeros(0, box_dtype)
-    result = FrameResult(tracks, none, np.zeros(0, query_dtype), Assignment(np.zeros(0, match_dtype), np.arange(0), np.arange(0)), {})
+    result = FrameResult(tracks, none, np.zeros(0, query_dtype), Assignment(np.zeros(0, match_dtype), 0, 0), {})
     forecasts = _frame_record(0, none, none, result, tracks, horizon, DT)["forecasts"]
     assert [f["track_id"] for f in forecasts] == [2, 4, 5]
     assert all(len(f["points"]) == horizon for f in forecasts)

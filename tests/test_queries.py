@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paptrack.perception import COASTING, CONFIRMED, TENTATIVE, QueryAssemblyPolicy, assemble_queries
-from paptrack.prediction import fed_tracks, forecast, predict_and_store
+from paptrack.prediction import fed_rows, forecast, predict_and_store
 from paptrack.queries import (
     ANY_CLASS,
     PREDICTED,
@@ -39,7 +39,7 @@ def test_query_centers_are_exactly_the_drawn_and_forecast_points():
             for i in range(60)
         ]
     )
-    _, fed = fed_tracks(tracks)
+    fed = tracks[fed_rows(tracks)]
     bank = predict_and_store(tracks, QueryBank(), 0, 0.1)
     assert bank.fetch(0)["center"].tobytes() == np.ascontiguousarray(forecast(fed, 1, 0.1)[:, 0]).tobytes()
 
