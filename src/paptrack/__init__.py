@@ -2,8 +2,8 @@
 
 The loop: a synthetic BEV world emits noisy measurements, a query-based
 perception stage turns queries into tracks, a kinematic predictor forecasts
-track motion, and the forecasts become the next frame's predicted queries for the next
-frame.  A metrics harness (AMOTA / AMOTP / Recall / IDS) quantifies the
+each track one step, and the forecasts become the next frame's predicted
+queries.  A metrics harness (AMOTA / AMOTP / Recall / IDS) quantifies the
 delta between running the loop closed (predicted queries recycled) and
 open (fresh random queries every frame).
 """

@@ -23,7 +23,7 @@ import numpy as np
 
 from paptrack.metrics import DEFAULT_MATCH_DISTANCE, DEFAULT_RECALL_POINTS, build_report, evaluate_run, report_to_json
 from paptrack.perception import STATUS_NAMES, PerceptionParams, QueryAssemblyPolicy, perceive, track_dtype
-from paptrack.prediction import PredictorConfig, fed_rows, forecast, predict_and_store
+from paptrack.prediction import predict_and_store
 from paptrack.queries import ANY_CLASS, PROVENANCE_NAMES, QueryBank
 from paptrack.rng import stream
 from paptrack.world import (
@@ -64,7 +64,6 @@ class ExperimentConfig:
     scenario_path: str | None = None
     sensor: SensorConfig = field(default_factory=SensorConfig)
     policy: QueryAssemblyPolicy = field(default_factory=QueryAssemblyPolicy)
-    predictor: PredictorConfig = field(default_factory=PredictorConfig)
     perception: PerceptionParams = field(default_factory=PerceptionParams)
     metrics: MetricConfig = field(default_factory=MetricConfig)
     rho_values: list[float] = field(default_factory=lambda: [0.0, 0.5, 0.8, 1.0])
@@ -93,7 +92,6 @@ class ExperimentConfig:
         self.scenario.validate()
         self.sensor.validate()
         self.policy.validate()
-        self.predictor.validate()
         self.perception.validate()
 
 
@@ -242,7 +240,7 @@ def run_single(
                 counters["cost_evaluations"] += result.stats["cost_evaluations"]
                 per_frame_cost_evals.append(result.stats["cost_evaluations"])
                 if dump_file is not None:
-                    dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks, cfg.predictor.horizon, scenario.dt), sort_keys=True) + "\n")
+                    dump_file.write(json.dumps(_frame_record(frame, measurements, truth, result, tracks), sort_keys=True) + "\n")
             counters["wall_seconds"] = time.perf_counter() - t0
         finally:
             if collecting:
@@ -260,9 +258,8 @@ def run_single(
     return report
 
 
-def _frame_record(frame, measurements, gt, result, tracks, horizon, dt) -> dict:
+def _frame_record(frame, measurements, gt, result, tracks) -> dict:
     queries, detections = result.queries, result.detections
-    fed = fed_rows(tracks)
     return {
         "type": "frame",
         "frame": frame,
@@ -286,20 +283,12 @@ def _frame_record(frame, measurements, gt, result, tracks, horizon, dt) -> dict:
                 queries["center"].tolist(),
             )
         ],
-        "assignment": {
-            "matches": result.assignment.matches.tolist(),
-            "unmatched_queries": result.assignment.unmatched_queries.tolist(),
-            "unmatched_measurements": result.assignment.unmatched_measurements.tolist(),
-        },
+        "assignment": {"matches": result.assignment.matches.tolist()},
         "detections": [
             {"track_id": i, "class": CLASSES[k], "center": c, "confidence": score}
             for i, k, c, score in zip(
                 detections["id"].tolist(), detections["cls"].tolist(), detections["center"].tolist(), detections["score"].tolist()
             )
-        ],
-        "forecasts": [
-            {"track_id": row + 1, "points": points}
-            for row, points in zip(fed.tolist(), forecast(tracks[fed], horizon, dt).tolist())
         ],
         "tracks": [
             {"id": row + 1, "status": STATUS_NAMES[code], "center": center}

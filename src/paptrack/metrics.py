@@ -51,7 +51,6 @@ from paptrack.world import CLASSES
 DEFAULT_MATCH_DISTANCE = 2.0
 DEFAULT_RECALL_POINTS = 40
 
-_BIG = 1e12
 _CONTINUITY_EPS = 1e-9
 
 
@@ -162,14 +161,21 @@ def _solve_frame(gt_rows, hyp_ids, hyp_levels, pair_gt, pair_hyp, pair_dist, pre
     solve[0] = True
     levels = np.flatnonzero(solve)
     levels = levels[levels >= hyp_levels[pair_hyp].min()]  # below, no kept hypothesis has a candidate
+    level_of, kept = np.nonzero(hyp_levels <= levels[:, None])
+    bounds = np.searchsorted(level_of, np.arange(len(levels) + 1))
+    # each level's sentinel for a non-candidate: (its largest candidate distance + 1) x (min(rows, kept
+    # columns) + 1), above the total of any matching of candidates and no larger, as in
+    # `perception.associate`: near a far larger one (1e12, say), float64 steps are ~1e-4 wide and swamp
+    # the continuity hair.  Level k keeps bounds[k + 1] - bounds[k] columns.
+    top = np.where(hyp_levels[pair_hyp] <= levels[:, None], pair_dist, -np.inf).max(axis=1)
+    sentinel = (top + 1.0) * (np.minimum(bounds[1:] - bounds[:-1], len(gt_rows)) + 1)
     # each level's costs: the gated distance, less a hair where it continues the previous match
     costs = np.where(
-        block[:, levels].T[:, :, None] == hyp_ids,
-        np.where(candidate, np.maximum(d - _CONTINUITY_EPS, 0.0), _BIG),
-        np.where(candidate, d, _BIG),
+        candidate,
+        np.where(block[:, levels].T[:, :, None] == hyp_ids, np.maximum(d - _CONTINUITY_EPS, 0.0), d),
+        sentinel[:, None, None],
     )
-    level_of, kept = np.nonzero(hyp_levels <= levels[:, None])
-    bounds = np.searchsorted(level_of, np.arange(len(levels) + 1)).tolist()
+    bounds = bounds.tolist()
     rows, cols = [], []
     for k in range(len(levels)):
         kept_k = kept[bounds[k] : bounds[k + 1]]

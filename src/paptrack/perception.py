@@ -87,27 +87,9 @@ match_dtype = np.dtype([("query", np.intp), ("measurement", np.intp), ("cost", n
 
 @dataclass
 class Assignment:
-    """The matches of a cost matrix of `n_queries` rows and `n_measurements` columns; the unmatched rows are derived when read."""
+    """The matches of a cost matrix; a query row or measurement column in none of them is unmatched."""
 
     matches: np.ndarray  # match_dtype rows, in query order
-    n_queries: int
-    n_measurements: int
-
-    @property
-    def unmatched_queries(self) -> np.ndarray:
-        """The query rows without a match, ascending."""
-        return _unmatched(self.n_queries, self.matches["query"])
-
-    @property
-    def unmatched_measurements(self) -> np.ndarray:
-        """The measurement rows without a match, ascending."""
-        return _unmatched(self.n_measurements, self.matches["measurement"])
-
-
-def _unmatched(n: int, matched: np.ndarray) -> np.ndarray:
-    free = np.ones(n, dtype=bool)
-    free[matched] = False
-    return free.nonzero()[0]
 
 
 @functools.cache
@@ -264,11 +246,11 @@ def associate(costs: np.ndarray) -> Assignment:
     one returned is the solver's choice on the rows it is given, which can
     differ from its choice on the whole matrix.
     """
-    nq, nm = costs.shape
+    nm = costs.shape[1]
     finite = np.isfinite(costs)
     live = finite.any(axis=1).nonzero()[0]  # the rows with a finite cost
     if not len(live):
-        return Assignment(np.zeros(0, match_dtype), nq, nm)
+        return Assignment(np.zeros(0, match_dtype))
     sub, finite = costs[live], finite[live]
     top = np.where(finite, sub, -np.inf).max()  # faster than max(where=)
     rows, cols = linear_sum_assignment(np.fmin(sub, (top + 1.0) * (min(len(live), nm) + 1)))  # inf and NaN become the sentinel
@@ -276,7 +258,7 @@ def associate(costs: np.ndarray) -> Assignment:
     rows, cols = rows[keep], cols[keep]
     matches = np.empty(len(rows), match_dtype)  # scipy sorts `rows`, and `live` ascends: query order
     matches["query"], matches["measurement"], matches["cost"] = live[rows], cols, sub[rows, cols]
-    return Assignment(matches, nq, nm)
+    return Assignment(matches)
 
 
 def update_tracks(

@@ -45,6 +45,16 @@ MAX_SCENARIO_SECONDS = 20.0
 # keeps every span, and every squared distance the gate takes, far inside float64.
 MAX_HALF_EXTENT = 1e6
 
+# The largest turn rate, in rad/s, either way.  A turning agent draws its rate from `turn_rate_range`
+# with `rng.uniform`, which overflows on a span past the largest float; a full turn a second is over
+# ten times the fastest rate in use (0.6 rad/s) and past any road user's yaw rate.
+MAX_TURN_RATE = 2 * math.pi
+
+# The largest `ego_speed`, in m/s, either way.  The ego drives at it for up to MAX_SCENARIO_SECONDS,
+# and the sensor measures from where the ego is: at 5e4 m/s its path stays within MAX_HALF_EXTENT,
+# where every distance is far inside float64, while 1e308 m/s puts it at infinity after one frame.
+MAX_EGO_SPEED = MAX_HALF_EXTENT / MAX_SCENARIO_SECONDS
+
 # The largest `clutter_rate`, the mean clutter boxes a frame.  The sensor draws each box in a Python
 # loop and each is a column of the frame's cost matrix, so a rate of 1e300, which numpy's Poisson
 # refuses, or of 1e9, which it would draw, cannot run; 1e2 is 12.5 times the heaviest clutter in use.
@@ -157,6 +167,15 @@ class ScenarioConfig:
             raise ConfigError("speed_range must satisfy 0 <= lo <= hi")
         if not 0.0 <= self.turn_fraction <= 1.0:
             raise ConfigError("turn_fraction must be in [0, 1]")
+        lo, hi = self.turn_rate_range
+        if not 0 <= lo <= hi <= MAX_TURN_RATE:  # magnitudes: a turn's sign is drawn apart
+            raise ConfigError(f"turn_rate_range must satisfy 0 <= lo <= hi <= {MAX_TURN_RATE:g}, got {list(self.turn_rate_range)!r}")
+        # agents start in a square of half side world_half_extent - spawn_margin: this bound keeps it,
+        # like the world, within 2 * MAX_HALF_EXTENT, where `rng.uniform` and every distance stay finite
+        if not abs(self.spawn_margin) <= MAX_HALF_EXTENT:
+            raise ConfigError(f"spawn_margin must be in [-{MAX_HALF_EXTENT:g}, {MAX_HALF_EXTENT:g}], got {self.spawn_margin!r}")
+        if not abs(self.ego_speed) <= MAX_EGO_SPEED:
+            raise ConfigError(f"ego_speed must be in [-{MAX_EGO_SPEED:g}, {MAX_EGO_SPEED:g}], got {self.ego_speed!r}")
         if not 0.0 <= self.partial_lifespan_fraction <= 1.0:
             raise ConfigError("partial_lifespan_fraction must be in [0, 1]")
         if self.explicit_agents is not None:

@@ -199,10 +199,12 @@ def _match_frame_loop(gt, hyps, match_distance, prev_matches):
     if ng == 0 or nh == 0:
         return 0, nh, ng, 0, []
     costs = np.full((ng, nh), np.inf)
+    top = -np.inf  # the largest candidate distance
     for i, (gid, gxy) in enumerate(gt):
         for j, (tid, hxy) in enumerate(hyps):
             d = float(np.hypot(gxy[0] - hxy[0], gxy[1] - hxy[1]))
             if d <= match_distance:
+                top = max(top, d)
                 c = d
                 if prev_matches.get(gid) == tid:
                     c = max(d - CONTINUITY_EPS, 0.0)
@@ -210,7 +212,8 @@ def _match_frame_loop(gt, hyps, match_distance, prev_matches):
     finite = np.isfinite(costs)
     if not finite.any():
         return 0, nh, ng, 0, []
-    rows, cols = linear_sum_assignment(np.where(finite, costs, 1e12))
+    # a non-candidate costs more than any matching of candidates, and no more than that needs
+    rows, cols = linear_sum_assignment(np.where(finite, costs, (top + 1.0) * (min(ng, nh) + 1)))
     tp = ids = 0
     distances = []
     for i, j in zip(rows, cols):

@@ -9,15 +9,19 @@ Both checkouts run the same 92 runs, each with a debug dump: all 20 seeds
 of both shipped configs, both arms, plus seeds 1-3 of perfbench's `crowd`
 and `query_flood` workloads, both arms.  Each checkout runs in its own
 interpreter with its own ``src`` on the path, the two side by side.  The
-check then requires, run by run:
+run plan, its config documents and perfbench's workloads, comes from the
+checkout this script is in, so the other checkout must accept this one's
+configs.  The check then requires, run by run:
 
 - equal reports, once `counters.wall_seconds` and `counters.fps`, the only
   fields a run may vary in, are set to 0;
 - identical dump frame records (every line but the header and footer);
 - in each checkout, `replay_dump` of the dump equal to the run's report.
 
-It prints one line per differing run, naming the first JSON path at which
-two reports differ, and exits 1 if there is any, else 0.
+For each run that fails a requirement it prints one line: every JSON path
+at which the two reports differ, every top-level key of the frame records
+whose content differs in some frame, or the checkout whose dump does not
+replay.  It exits 1 if there is any such line, else 0.
 """
 
 from __future__ import annotations
@@ -35,9 +39,10 @@ CONFIGS = ("standard_suite", "standard_suite_reduced")
 WORKLOAD_SEEDS = (1, 2, 3)
 ARMS = ("baseline", "pap")
 
-# run in each checkout; reads the run list from argv[1] and writes one result per run to argv[2]
+# run in each checkout; reads the run list from argv[1] and writes one result per run to argv[2]: its
+# report, one digest per top-level key of its frame records, across frames, and whether it replays
 CHILD = r"""
-import hashlib, json, sys
+import collections, hashlib, json, sys
 from paptrack.harness import config_from_dict, replay_dump, run_single
 from paptrack.metrics import report_to_json
 
@@ -45,34 +50,45 @@ results = {}
 for name, doc, seed, arm, dump in json.load(open(sys.argv[1])):
     cfg = config_from_dict(doc)
     report = run_single(cfg, seed, rho=0.0 if arm == "baseline" else cfg.policy.rho, arm=arm, dump_path=dump)
-    lines = open(dump, encoding="utf-8").read().splitlines(keepends=True)
+    keys = collections.defaultdict(hashlib.sha256)
+    with open(dump, encoding="utf-8") as f:
+        for line in f:
+            record = json.loads(line)
+            if record["type"] == "frame":
+                for key, value in record.items():
+                    keys[key].update(f"{record['frame']} {json.dumps(value, sort_keys=True)}\n".encode())
     report["counters"].update(wall_seconds=0.0, fps=0.0)
     replayed = replay_dump(dump)
     replayed["counters"].update(wall_seconds=0.0, fps=0.0)
     results[name] = {
         "report": report_to_json(report),
-        "frames": hashlib.sha256("".join(lines[1:-1]).encode()).hexdigest(),
+        "frame_keys": {key: digest.hexdigest() for key, digest in keys.items()},
         "replays": report_to_json(replayed) == report_to_json(report),
     }
 json.dump(results, open(sys.argv[2], "w"))
 """
 
 
-def first_difference(a, b, path: str = "") -> str:
-    """The path of the first value, in sorted key and list order, at which two JSON documents differ."""
+def differences(a, b, path: str = ""):
+    """The path of every value, in sorted key and list order, at which two JSON documents differ.
+
+    Of two lists of different lengths, the first index past the shorter one
+    stands for the values only the longer one holds.
+    """
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if key not in a or key not in b:
-                return f"{path}.{key}".lstrip(".")
-            if a[key] != b[key]:
-                return first_difference(a[key], b[key], f"{path}.{key}")
+                yield f"{path}.{key}".lstrip(".")
+            elif a[key] != b[key]:
+                yield from differences(a[key], b[key], f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list):
         for i, (x, y) in enumerate(zip(a, b)):
             if x != y:
-                return first_difference(x, y, f"{path}[{i}]")
+                yield from differences(x, y, f"{path}[{i}]")
         if len(a) != len(b):
-            return f"{path}[{min(len(a), len(b))}]".lstrip(".")
-    return path.lstrip(".") or "the top level"
+            yield f"{path}[{min(len(a), len(b))}]".lstrip(".")
+    else:
+        yield path.lstrip(".") or "the top level"
 
 
 def runs() -> list[tuple[str, dict, int, str]]:
@@ -124,9 +140,10 @@ def main(argv: list[str]) -> int:
     for name, _, _, _ in plan:
         mine, theirs = results["this"][name], results["other"][name]
         if mine["report"] != theirs["report"]:
-            problems.append(f"{name}: the reports differ at {first_difference(json.loads(mine['report']), json.loads(theirs['report']))}")
-        if mine["frames"] != theirs["frames"]:
-            problems.append(f"{name}: the frame records differ")
+            paths = differences(json.loads(mine["report"]), json.loads(theirs["report"]))
+            problems.append(f"{name}: the reports differ at {', '.join(paths)}")
+        if mine["frame_keys"] != theirs["frame_keys"]:
+            problems.append(f"{name}: the frame records differ in {', '.join(differences(mine['frame_keys'], theirs['frame_keys']))}")
         problems += [f"{name}: the {tag} checkout's dump does not replay to its report" for tag in results if not results[tag][name]["replays"]]
     for problem in problems:
         print(problem)

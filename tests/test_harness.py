@@ -621,11 +621,8 @@ def _set(section, **values):
         (_set("scenario", speed_range=[0.3]), "scenario.speed_range must be a list of 2 numbers, got [0.3]"),
         (_set(None, scenario_path=0), "scenario_path must be a string or null, got 0"),  # not stdin
         (_set(None, bank_capacity=4), "unknown key(s) ['bank_capacity'] in config"),
-        (_set("predictor", dt=0.1), "unknown key(s) ['dt'] in predictor"),
+        (_set(None, predictor={"horizon": 6}), "unknown key(s) ['predictor'] in config"),
         (_set("sensor", score_near=0.9), "unknown key(s) ['score_near'] in sensor"),
-        (_set("predictor", model="constant_velocity"), "unknown key(s) ['model'] in predictor"),
-        (_set("predictor", feed_step=1), "unknown key(s) ['feed_step'] in predictor"),
-        (_set("predictor", feed_all=False), "unknown key(s) ['feed_all'] in predictor"),
         (_set(None, embedding_dim=16), "unknown key(s) ['embedding_dim'] in config"),
         (_set("perception", confirm_threshold=0), "confirm_threshold must be >= 1"),
         (_set("perception", max_misses=-1), "max_misses must be >= 0"),
@@ -633,7 +630,7 @@ def _set(section, **values):
     ],
     ids=["policy_int", "n_queries_str", "n_queries_bool", "rho_values_int", "top_level_list", "seed_str", "seed_repeated",
          "frame_count_float", "class_counts_list", "class_count_float", "speed_range_short", "scenario_path_int", "bank_capacity",
-         "predictor_dt", "sensor_score_near", "model", "feed_step", "feed_all", "embedding_dim", "confirm_threshold_0",
+         "predictor", "sensor_score_near", "embedding_dim", "confirm_threshold_0",
          "max_misses_negative", "predicted_priority_eps_negative"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
@@ -1002,7 +999,7 @@ def test_cli_missing_file_exits_3(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# artefacts of the schema-1 format that still carried `bank_capacity`, `embedding_dim`, `predictor.dt`,
+# artefacts of the schema-1 format that still carried `bank_capacity`, `embedding_dim`, `predictor`,
 # `counters.query_refinements` and the sensor's `score_near`, `score_far` and `clutter_score_range`:
 # the config `tests/data/v1_bank_capacity/config.json` run in ab_compare mode with --dump-debug,
 # before those keys were removed
@@ -1022,9 +1019,9 @@ def test_old_dump_still_replays_to_its_report(tmp_path, capsys):
 
 def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     assert main(["run", "--config", str(OLD / "config.json"), "--out", str(tmp_path / "refused")]) == 2
-    assert "unknown key(s) ['bank_capacity', 'embedding_dim'] in config" in capsys.readouterr().err
+    assert "unknown key(s) ['bank_capacity', 'embedding_dim', 'predictor'] in config" in capsys.readouterr().err
     doc = json.loads((OLD / "config.json").read_text())
-    del doc["bank_capacity"], doc["predictor"]["feed_step"], doc["embedding_dim"]
+    del doc["bank_capacity"], doc["predictor"], doc["embedding_dim"]
     doc["mode"] = "pap"
     path, new = tmp_path / "config.json", tmp_path / "new"
     path.write_text(json.dumps(doc))
@@ -1032,9 +1029,8 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
 
     # the new report is the old one without the removed keys (and with this run's mode)
     old, now = (json.loads((d / "report_pap_seed1.json").read_text()) for d in (OLD, new))
-    del old["config_echo"]["bank_capacity"], old["config_echo"]["embedding_dim"], old["counters"]["query_refinements"]
-    for key in ("dt", "model", "feed_step", "feed_all"):
-        del old["config_echo"]["predictor"][key]
+    del old["config_echo"]["bank_capacity"], old["config_echo"]["embedding_dim"], old["config_echo"]["predictor"]
+    del old["counters"]["query_refinements"]
     for key in ("score_near", "score_far", "clutter_score_range"):
         del old["config_echo"]["sensor"][key]
     old["config_echo"]["mode"] = "pap"
@@ -1051,8 +1047,8 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     assert [row["seed"] for row in summary["per_seed"]] == [1, 2]
 
 
-def test_same_reports_names_the_first_path_at_which_two_reports_differ():
-    from same_reports import first_difference
+def test_same_reports_names_every_path_at_which_two_reports_differ():
+    from same_reports import differences
 
     report = {"aggregate": {"amota": 0.5, "ids": 3}, "per_class": {"car": {"ids": 1}}, "per_frame_cost_evaluations": [4, 5]}
     edits = [
@@ -1065,5 +1061,10 @@ def test_same_reports_names_the_first_path_at_which_two_reports_differ():
     for edit, path in edits:
         other = copy.deepcopy(report)
         edit(other)
-        assert first_difference(report, other) == path
-        assert first_difference(other, report) == path
+        assert list(differences(report, other)) == [path]
+        assert list(differences(other, report)) == [path]
+    every = copy.deepcopy(report)
+    for edit, _ in edits[:4]:
+        edit(every)
+    assert list(differences(report, every)) == ["aggregate.ids", "per_class.car.ids", "per_frame_cost_evaluations[1]", "per_frame_cost_evaluations[2]"]
+    assert list(differences(report, copy.deepcopy(report))) == []

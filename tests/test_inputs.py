@@ -20,7 +20,15 @@ import pytest
 from paptrack.cli import main
 from paptrack.harness import ExperimentConfig, MetricConfig, config_to_dict
 from paptrack.perception import MAX_QUERIES
-from paptrack.world import MAX_CLUTTER_RATE, MAX_HALF_EXTENT, ScenarioConfig, generate_scenario, scenario_to_dict
+from paptrack.world import (
+    MAX_CLUTTER_RATE,
+    MAX_EGO_SPEED,
+    MAX_HALF_EXTENT,
+    MAX_TURN_RATE,
+    ScenarioConfig,
+    generate_scenario,
+    scenario_to_dict,
+)
 
 HUGE = 10**400  # past int64 and past a float
 NOT_INTEGER = [True, None, "1", [], HUGE, 2**64]  # each wrong for an integer that becomes an int64
@@ -32,15 +40,23 @@ NOT_PAIR = [*NOT_NUMBER, [0.0], *([value, 0.0] for value in NOT_NUMBER)]
 NOT_SEED = [True, None, "1", [], -1]  # a seed is not bounded above
 NOT_CLASS = [*NOT_STRING, "1"]
 NOT_ROWS = [True, None, "1", [], HUGE, math.nan]
-# values past the upper bound of a config field that sizes an array or feeds the RNG, each once a traceback
-PAST_BOUND = {"n_queries": [2**62, MAX_QUERIES + 1], "clutter_rate": [1e300, MAX_CLUTTER_RATE + 0.5], "world_half_extent": [1e308, 1.5 * MAX_HALF_EXTENT]}
+# values past a bound of a config field that sizes an array, feeds the RNG or moves the ego, each once a
+# traceback or a run of infinite positions
+PAST_BOUND = {
+    "n_queries": [2**62, MAX_QUERIES + 1],
+    "clutter_rate": [1e300, MAX_CLUTTER_RATE + 0.5],
+    "world_half_extent": [1e308, 1.5 * MAX_HALF_EXTENT],
+    "turn_rate_range": [[-1e308, 1e308], [0.6, 0.1], [-0.1, 0.1], [0.0, 1.5 * MAX_TURN_RATE]],
+    "spawn_margin": [-1e308, -1.5 * MAX_HALF_EXTENT, 1.5 * MAX_HALF_EXTENT],
+    "ego_speed": [1e308, 1.5 * MAX_EGO_SPEED, -1.5 * MAX_EGO_SPEED],
+}
 
 
 def tiny_config(**fields) -> ExperimentConfig:
+    """Two cars, both turning (so that `turn_rate_range` is drawn from), for 8 frames."""
     fields = {"seeds": [1], **fields}
-    return ExperimentConfig(
-        mode="pap", scenario=ScenarioConfig(frame_count=8, class_counts={"car": 2}), metrics=MetricConfig(n_recall_points=5), **fields
-    )
+    scenario = ScenarioConfig(frame_count=8, class_counts={"car": 2}, turn_fraction=1.0)
+    return ExperimentConfig(mode="pap", scenario=scenario, metrics=MetricConfig(n_recall_points=5), **fields)
 
 
 def _config_rows(doc: dict, path: tuple = ()):
@@ -59,7 +75,7 @@ def _config_rows(doc: dict, path: tuple = ()):
         elif name == "scenario_path":
             yield where, [True, [], HUGE]  # a string is a path, and null reads no file
         elif isinstance(value, tuple):
-            yield where, NOT_PAIR
+            yield where, [*NOT_PAIR, *PAST_BOUND.get(name, [])]
         elif isinstance(value, str):
             yield where, NOT_CLASS  # no mode is named "1"
         elif isinstance(value, int):
@@ -249,7 +265,10 @@ def test_a_negative_seed_is_a_config_error_that_writes_nothing(tmp_path, capsys)
 def test_a_config_at_every_upper_bound_runs(tmp_path):
     """The bounds refuse only what is past them: a run at all of them at once completes."""
     doc = config_to_dict(tiny_config())
-    doc["policy"]["n_queries"], doc["sensor"]["clutter_rate"], doc["scenario"]["world_half_extent"] = MAX_QUERIES, MAX_CLUTTER_RATE, MAX_HALF_EXTENT
+    doc["policy"]["n_queries"], doc["sensor"]["clutter_rate"] = MAX_QUERIES, MAX_CLUTTER_RATE
+    doc["scenario"].update(
+        world_half_extent=MAX_HALF_EXTENT, turn_rate_range=[0.0, MAX_TURN_RATE], spawn_margin=-MAX_HALF_EXTENT, ego_speed=MAX_EGO_SPEED
+    )
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 0

@@ -107,6 +107,31 @@ def test_match_frame_prefers_continuing_previous_match_on_tie():
     assert prev[1, 0] == 7
 
 
+def test_match_frame_keeps_a_tied_previous_match_beside_boxes_without_candidates():
+    """A gt box equidistant from its previous track and another keeps the previous one, whatever else the frame holds.
+
+    Beside the tie, 0-7 gt boxes and 0-7 hypotheses have no candidate, and
+    rows and columns are shuffled.  Their entries are the solver's sentinel;
+    one far above the costs (1e12, say) has float64 steps ~1e-4 wide, which
+    swamp the 1e-9 continuity hair.  Points lie on a 1/8 m grid, where the
+    two distances of a tie are equal.
+    """
+    rng = np.random.default_rng(27)
+    lost = 0
+    for _ in range(3000):
+        center = rng.integers(-80, 81, size=2) / 8
+        offsets = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]]) * rng.integers(1, 16) / 8
+        near = center + offsets[rng.choice(4, size=2, replace=False)]
+        gt = [(0, center)] + [(g, xy(100.0 * g, 100.0)) for g in range(1, int(rng.integers(0, 8)) + 1)]
+        hyps = [(7, near[0]), (9, near[1])] + [(20 + j, xy(-100.0 * j, -100.0)) for j in range(int(rng.integers(0, 8)))]
+        prev = unmatched(n_ids=8)
+        prev[0, 0] = 7
+        ev = match([gt[i] for i in rng.permutation(len(gt))], [hyps[j] for j in rng.permutation(len(hyps))], prev)
+        assert ev.tp.tolist() == [1]
+        lost += int(prev[0, 0] != 7)
+    assert lost == 0
+
+
 def test_match_frame_hand_traced_switch_sequence():
     # gt 1 is followed by track 7 for two frames, then track 9 takes over,
     # then 9 keeps it: exactly one switch.

@@ -48,9 +48,9 @@ def table(rows):
     return np.concatenate([np.empty(0, query_dtype), *rows])
 
 
-def assignment_of(matches, queries, measurements):
-    """An assignment of the given ``(query, measurement, cost)`` matches of a query table to a box table."""
-    return Assignment(np.array(matches, match_dtype), len(queries), len(measurements))
+def assignment_of(matches):
+    """An assignment of the given ``(query, measurement, cost)`` matches."""
+    return Assignment(np.array(matches, match_dtype))
 
 
 def pairs(assignment):
@@ -211,17 +211,14 @@ def test_associate_respects_sentinels():
     costs = np.array([[np.inf, 3.0], [np.inf, np.inf]])
     a = associate(costs)
     assert pairs(a) == [(0, 1)]
-    assert a.unmatched_queries.tolist() == [1]
-    assert a.unmatched_measurements.tolist() == [0]
 
 
 def test_associate_no_double_assignment():
     rng = np.random.default_rng(2)
     costs = rng.uniform(0, 10, size=(6, 4))
     a = associate(costs)
-    qs = a.matches["query"].tolist() + a.unmatched_queries.tolist()
-    ms = a.matches["measurement"].tolist() + a.unmatched_measurements.tolist()
-    assert sorted(qs) == list(range(6))
+    qs, ms = a.matches["query"].tolist(), a.matches["measurement"].tolist()
+    assert len(set(qs)) == len(qs) == 4 and set(qs) <= set(range(6))  # every measurement matched, no query twice
     assert sorted(ms) == list(range(4))
 
 
@@ -392,7 +389,7 @@ def test_deferred_match_continues_nearest_free_track_lowest_id_on_ties():
     qs = table([predicted_query(2, (0.5, 0.0)), embed_center(np.zeros(2))])
     ms = boxes(meas((0.5, 0.1), frame=1), meas((0.0, 0.0), frame=1))
     params = PerceptionParams()
-    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)], qs, ms), qs, ms, 1, params, 0.1)
+    out = update_tracks(tracks, assignment_of([(0, 0, 0.1), (1, 1, 0.0)]), qs, ms, 1, params, 0.1)
     assert len(out) == 4  # no birth: the random match continued track 1
     assert out["frames"][:, -1].tolist() == [1, 1, 1, 0]
     assert out["coasted"][:, -1].tolist() == [False, False, True, False]
@@ -404,12 +401,17 @@ def random_query(center):
     return embed_center(np.asarray(center, dtype=float))
 
 
-def update_case(rows, queries, points, params=PerceptionParams()):
-    """(tracks, queries, measurements, matches, params): query i is matched to measurement i at frame 3."""
-    return track_table(*rows), table(queries), boxes(*[meas(xy, frame=3) for xy in points]), [(i, i, 0.0) for i in range(len(queries))], params
+def update_case(rows, queries, points, params=PerceptionParams(), classes=None):
+    """(tracks, queries, measurements, matches, params): query i is matched to measurement i at frame 3.
+
+    Measurement i has class ``classes[i]``, by default "car".
+    """
+    ms = boxes(*[meas(xy, cls, frame=3) for xy, cls in zip(points, classes or ["car"] * len(points))])
+    return track_table(*rows), table(queries), ms, [(i, i, 0.0) for i in range(len(queries))], params
 
 
 LIVE = (TENTATIVE, CONFIRMED, COASTING)
+TWO_CLASSES = ("car", "pedestrian")
 
 
 def drawn_update_case(case: int):
@@ -417,6 +419,9 @@ def drawn_update_case(case: int):
 
     Drawn by `np.random.default_rng(case)`, so a case changes only when its
     draws do.  Points lie on a half-meter grid, where distances tie exactly.
+    Each row, measurement and predicted query is a car or a pedestrian,
+    drawn after everything else, so that the geometry is that of the
+    cases drawn when all were cars.
     """
     rng = np.random.default_rng(case)
 
@@ -430,17 +435,24 @@ def drawn_update_case(case: int):
         status = int(rng.choice(LIVE + (TERMINATED,)))
         rows.append(dict(states=states, status=status, hits=int(rng.integers(0, 4)), misses=int(rng.integers(0, 5))))
     points = [point() for _ in range(int(rng.integers(0, 9)))]
-    queries = [
-        predicted_query(int(rng.integers(1, len(rows) + 3)), point()) if rng.integers(2) else random_query(point())
-        for _ in points
-    ]
+    queries = []  # (source track id, or None for a random query; center)
+    for _ in points:
+        source = int(rng.integers(1, len(rows) + 3)) if rng.integers(2) else None
+        queries.append((source, point()))
     params = PerceptionParams(
         gate_threshold=float(rng.choice([1.0, 1.5, 3.0])),
         max_misses=int(rng.integers(0, 4)),
         confirm_threshold=int(rng.integers(1, 4)),
         velocity_window=int(rng.integers(1, 6)),
     )
-    return update_case(rows, queries, points, params)
+    for row in rows:
+        row["cls"] = TWO_CLASSES[rng.integers(2)]
+    classes = [TWO_CLASSES[rng.integers(2)] for _ in points]
+    queries = [
+        random_query(xy) if source is None else predicted_query(source, xy, TWO_CLASSES[rng.integers(2)])
+        for source, xy in queries
+    ]
+    return update_case(rows, queries, points, params, classes)
 
 
 UPDATE_CORNERS = {
@@ -484,7 +496,7 @@ UPDATE_CORNERS = {
 )
 def test_update_tracks_equals_all_rows_oracle_byte_for_byte(case):
     tracks, queries, measurements, matches, params = case
-    assignment = assignment_of(matches, queries, measurements)
+    assignment = assignment_of(matches)
     want = continue_deferred_oracle(tracks.copy(), assignment, queries, measurements, 3, params, 0.1)
     got = update_tracks(tracks.copy(), assignment, queries, measurements, 3, params, 0.1)
     assert got.dtype == want.dtype and len(got) == len(want)

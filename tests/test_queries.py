@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paptrack.perception import COASTING, CONFIRMED, TENTATIVE, QueryAssemblyPolicy, assemble_queries
-from paptrack.prediction import fed_rows, forecast, predict_and_store
+from paptrack.prediction import fed_rows, predict_and_store
 from paptrack.queries import (
     ANY_CLASS,
     PREDICTED,
@@ -17,6 +17,7 @@ from paptrack.queries import (
 )
 from paptrack.rng import stream
 
+from oracles import forecast_oracle
 from tables import field_bytes, track_table
 
 
@@ -41,7 +42,8 @@ def test_query_centers_are_exactly_the_drawn_and_forecast_points():
     )
     fed = tracks[fed_rows(tracks)]
     bank = predict_and_store(tracks, QueryBank(), 0, 0.1)
-    assert bank.fetch(0)["center"].tobytes() == np.ascontiguousarray(forecast(fed, 1, 0.1)[:, 0]).tobytes()
+    forecasts = [forecast_oracle(row["centers"], [row["velocity"]], 1, 0.1)[0] for row in fed]
+    assert bank.fetch(0)["center"].tobytes() == np.array(forecasts).tobytes()
 
     query_rng = stream(4, "queries")
     drawn = copy.deepcopy(query_rng).uniform(-30.0, 30.0, size=(256 - 20, 2))
