@@ -299,6 +299,25 @@ def test_dump_has_one_frame_record_per_frame(tmp_path):
     assert [r["frame"] for r in frames] == list(range(cfg.scenario.frame_count))
 
 
+def test_dump_frame_record_writes_each_fact_once(tmp_path):
+    """A frame record holds its matches alone, which determine the unmatched rows, and no forecasts: each
+    predicted query is the step-1 point of a track the frame before fed."""
+    cfg = small_config(seeds=(9,))
+    dump = tmp_path / "dump.jsonl"
+    run_single(cfg, 9, rho=0.8, arm="pap", dump_path=dump)
+    frames = [r for r in map(json.loads, dump.read_text().splitlines()) if r["type"] == "frame"]
+    keys = {"type", "frame", "measurements", "gt", "queries", "assignment", "detections", "tracks"}
+    assert all(set(r) == keys and list(r["assignment"]) == ["matches"] for r in frames)
+    fed = set()
+    for r in frames:
+        queries, measurements = ([match[i] for match in r["assignment"]["matches"]] for i in (0, 1))
+        assert len(set(queries)) == len(queries) and set(queries) <= set(range(len(r["queries"])))
+        assert len(set(measurements)) == len(measurements) and set(measurements) <= set(range(len(r["measurements"])))
+        assert {q["source_track_id"] for q in r["queries"] if q["provenance"] == "predicted"} <= fed
+        fed = {t["id"] for t in r["tracks"] if t["status"] in ("confirmed", "coasting")}
+    assert any(q["provenance"] == "predicted" for r in frames for q in r["queries"])
+
+
 def test_cost_evaluation_counter_matches_independent_recount(tmp_path):
     cfg = small_config(seeds=(9,))
     dump = tmp_path / "dump.jsonl"
@@ -1047,24 +1066,33 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     assert [row["seed"] for row in summary["per_seed"]] == [1, 2]
 
 
-def test_same_reports_names_every_path_at_which_two_reports_differ():
+SAME_REPORTS_REPORT = {"aggregate": {"amota": 0.5, "ids": 3}, "per_class": {"car": {"ids": 1}}, "per_frame_cost_evaluations": [4, 5]}
+# (an edit of a copy of SAME_REPORTS_REPORT, the one path at which it then differs)
+SAME_REPORTS_EDITS = [
+    (lambda r: r["per_class"]["car"].update(ids=2), "per_class.car.ids"),
+    (lambda r: r["per_frame_cost_evaluations"].__setitem__(1, 6), "per_frame_cost_evaluations[1]"),
+    (lambda r: r["per_frame_cost_evaluations"].append(7), "per_frame_cost_evaluations[2]"),
+    (lambda r: r["aggregate"].pop("ids"), "aggregate.ids"),
+    (lambda r: r.update(aggregate=[]), "aggregate"),
+]
+
+
+def test_same_reports_names_the_first_path_at_which_two_reports_differ():
     from same_reports import differences
 
-    report = {"aggregate": {"amota": 0.5, "ids": 3}, "per_class": {"car": {"ids": 1}}, "per_frame_cost_evaluations": [4, 5]}
-    edits = [
-        (lambda r: r["per_class"]["car"].update(ids=2), "per_class.car.ids"),
-        (lambda r: r["per_frame_cost_evaluations"].__setitem__(1, 6), "per_frame_cost_evaluations[1]"),
-        (lambda r: r["per_frame_cost_evaluations"].append(7), "per_frame_cost_evaluations[2]"),
-        (lambda r: r["aggregate"].pop("ids"), "aggregate.ids"),
-        (lambda r: r.update(aggregate=[]), "aggregate"),
-    ]
-    for edit, path in edits:
+    report = SAME_REPORTS_REPORT
+    for edit, path in SAME_REPORTS_EDITS:
         other = copy.deepcopy(report)
         edit(other)
         assert list(differences(report, other)) == [path]
         assert list(differences(other, report)) == [path]
-    every = copy.deepcopy(report)
-    for edit, _ in edits[:4]:
+
+
+def test_same_reports_names_every_path_at_which_two_reports_differ():
+    from same_reports import differences
+
+    report, every = SAME_REPORTS_REPORT, copy.deepcopy(SAME_REPORTS_REPORT)
+    for edit, _ in SAME_REPORTS_EDITS[:4]:
         edit(every)
     assert list(differences(report, every)) == ["aggregate.ids", "per_class.car.ids", "per_frame_cost_evaluations[1]", "per_frame_cost_evaluations[2]"]
     assert list(differences(report, copy.deepcopy(report))) == []

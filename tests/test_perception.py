@@ -455,6 +455,16 @@ def drawn_update_case(case: int):
     return update_case(rows, queries, points, params, classes)
 
 
+def test_drawn_update_cases_match_across_classes():
+    """Most drawn cases hold a matched measurement and a live row of different classes, which a class lock must tell apart."""
+    mixed = 0
+    for case in range(300):
+        tracks, _, measurements, _, _ = drawn_update_case(case)
+        live = set(tracks["cls"][np.isin(tracks["status"], LIVE)].tolist())
+        mixed += any(m != r for m in set(measurements["cls"].tolist()) for r in live)
+    assert mixed >= 200  # 227 of 300
+
+
 UPDATE_CORNERS = {
     # terminated rows nearer to the deferred match than any live row
     "terminated_rows_nearest": update_case(

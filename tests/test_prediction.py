@@ -24,6 +24,18 @@ def make_track(**kwargs):
     return track_table(track_row(**kwargs))
 
 
+def test_constant_velocity_extrapolation_exact():
+    """A track banks its newest center moved one step of `dt` at its velocity."""
+    track = make_track(center=(0.0, 0.0), velocity=(10.0, 0.0))
+    points = [predict_and_store(track, QueryBank(), 0, dt).fetch(0)["center"][0] for dt in (0.1, 0.2, 0.3)]
+    assert np.allclose(points, [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]], atol=0)
+
+
+def test_zero_velocity_stays_put():
+    track = make_track(center=(2.5, -4.0), velocity=(0.0, 0.0))
+    assert predict_and_store(track, QueryBank(), 0, DT).fetch(0)["center"].tolist() == [[2.5, -4.0]]
+
+
 def test_banked_centers_equal_per_track_oracle_bit_for_bit():
     """Each banked center is the step-1 point of a one-track forecast from the track's history."""
     rng = np.random.default_rng(12)

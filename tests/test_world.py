@@ -8,6 +8,9 @@ import pytest
 from paptrack.harness import config_from_dict
 from paptrack.rng import stream
 from paptrack.world import (
+    MAX_EGO_SPEED,
+    MAX_HALF_EXTENT,
+    MAX_TURN_RATE,
     ConfigError,
     ScenarioConfig,
     SensorConfig,
@@ -104,12 +107,35 @@ def test_lifespans_within_bounds():
         ({"world_half_extent": -5.0}, "world_half_extent"),
         ({"class_counts": {"dragon": 1}}, "class_counts"),
         ({"turn_fraction": 1.5}, "turn_fraction"),
+        # each once numpy's OverflowError or ValueError, or a run with the ego at infinity
+        ({"turn_fraction": 1.0, "turn_rate_range": (-1e308, 1e308)}, "turn_rate_range"),
+        ({"turn_fraction": 1.0, "turn_rate_range": (0.6, 0.1)}, "turn_rate_range"),
+        ({"turn_fraction": 1.0, "turn_rate_range": (0.0, MAX_TURN_RATE * 1.5)}, "turn_rate_range"),
+        ({"spawn_margin": -1e308}, "spawn_margin"),
+        ({"ego_speed": 1e308}, "ego_speed"),
+        ({"ego_speed": -1.5 * MAX_EGO_SPEED}, "ego_speed"),
     ],
 )
 def test_invalid_config_names_field(kwargs, field):
     cfg = ScenarioConfig(**kwargs)
     with pytest.raises(ConfigError, match=field):
         generate_scenario(cfg, seed=1)
+
+
+def test_range_rules_accept_the_far_end_of_each_bound():
+    """The ends of the range rules that a run at every upper bound leaves untried generate a finite scenario."""
+    cfg = ScenarioConfig(
+        frame_count=8,
+        class_counts={"car": 2},
+        turn_fraction=1.0,
+        turn_rate_range=(MAX_TURN_RATE, MAX_TURN_RATE),
+        spawn_margin=MAX_HALF_EXTENT,
+        ego_speed=-MAX_EGO_SPEED,
+    )
+    scn = generate_scenario(cfg, seed=1)
+    assert len(scn.agents) == 2
+    assert all(np.isfinite(agent.states).all() for agent in scn.agents)
+    assert np.isfinite(scn.ego).all() and scn.ego[-1, 0] < 0.0
 
 
 def noise_free_sensor():
