@@ -118,7 +118,7 @@ def _from_mapping(cls, doc: dict, path: str):
         if dataclasses.is_dataclass(default):
             kwargs[name] = _from_mapping(type(default), value, name if path == "config" else f"{path}.{name}")
             continue
-        if default is not None:  # scenario_path and explicit_agents, which `validate` checks
+        if default is not None:  # scenario_path, which `validate` checks
             words, valid = VALUE_KINDS[_CONFIG_KINDS[type(default)]]
             if not valid(value):
                 raise ConfigError(f"{path}.{name} must be {words}, got {value!r}")
@@ -179,14 +179,18 @@ def run_single(
     arm: str = "pap",
     dump_path=None,
 ) -> dict:
-    """Execute the full per-frame loop for one seed and build its report."""
+    """Execute the full per-frame loop for one seed and build its report.
+
+    The config and the arm's policy are checked before anything is read or written.
+    """
     cfg.validate()
+    effective_rho = cfg.policy.rho if rho is None else rho
+    policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
+    policy.validate()
     if cfg.scenario_path is not None:
         scenario = load_scenario(cfg.scenario_path)
     else:
         scenario = generate_scenario(cfg.scenario, seed)
-    effective_rho = cfg.policy.rho if rho is None else rho
-    policy = QueryAssemblyPolicy(n_queries=cfg.policy.n_queries, rho=effective_rho, mode=cfg.policy.mode)
     params = cfg.perception
     bank = QueryBank()
     reads_bank = policy.banked_share > 0  # else assemble_queries never reads the bank

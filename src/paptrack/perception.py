@@ -148,8 +148,8 @@ def assemble_queries(
     nor when its `banked_share` floor(rho * N) is 0, as for rho=0, the open-loop baseline;
     the table is then all-random.  Up to floor(rho * N) queries are banked
     ones; fixed mode fills N with random ones, reduced mode adds N - floor(rho * N).
+    `policy` is taken as valid: `run_single` checks it once a run.
     """
-    policy.validate()
     k = share = policy.banked_share if frame > 0 else 0
     if k:
         predicted = bank.fetch(frame - 1)

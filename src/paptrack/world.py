@@ -60,6 +60,17 @@ MAX_EGO_SPEED = MAX_HALF_EXTENT / MAX_SCENARIO_SECONDS
 # refuses, or of 1e9, which it would draw, cannot run; 1e2 is 12.5 times the heaviest clutter in use.
 MAX_CLUTTER_RATE = 1e2
 
+# The largest `position_noise_sigma`, in meters.  A measurement lands a few sigma from its agent, and the
+# gate squares its distance to every query, which overflows past ~1e154 m: at 1e308 m the run reports
+# AMOTA 0 after overflow warnings.  1e6 m scatters measurements across the largest world, two million
+# times the noise in use (0.5 m), and keeps every squared distance far inside float64.
+MAX_NOISE_SIGMA = MAX_HALF_EXTENT
+
+# The largest `detection_range`, in meters.  Clutter is drawn within it of the ego, and the gate squares
+# each clutter box's distance to every query, which overflows past ~1e154 m.  1e7 m reaches every agent
+# a generated world holds (within 4e6 m of the ego) and keeps every squared distance far inside float64.
+MAX_DETECTION_RANGE = 10 * MAX_HALF_EXTENT
+
 
 class ConfigError(ValueError):
     """Invalid configuration; the message names the offending field."""
@@ -144,9 +155,6 @@ class ScenarioConfig:
     partial_lifespan_fraction: float = 0.25
     spawn_margin: float = 8.0
     ego_speed: float = 0.0
-    # explicit agent layout overrides random placement entirely:
-    # [{"class", "start", "velocity", "turn_rate"?, "spawn"?, "despawn"?}, ...]
-    explicit_agents: list[dict] | None = None
 
     def validate(self) -> None:
         if self.frame_count < 1:
@@ -178,32 +186,6 @@ class ScenarioConfig:
             raise ConfigError(f"ego_speed must be in [-{MAX_EGO_SPEED:g}, {MAX_EGO_SPEED:g}], got {self.ego_speed!r}")
         if not 0.0 <= self.partial_lifespan_fraction <= 1.0:
             raise ConfigError("partial_lifespan_fraction must be in [0, 1]")
-        if self.explicit_agents is not None:
-            if not isinstance(self.explicit_agents, list):
-                raise ConfigError("explicit_agents must be a list of objects")
-            for k, agent in enumerate(self.explicit_agents):
-                _check_explicit_agent(agent, f"explicit_agents[{k}]", self.frame_count)
-
-
-def _check_explicit_agent(agent, where: str, frame_count: int) -> None:
-    """Raise `ConfigError` naming the field if `agent` is not a valid explicit agent spec."""
-    if not isinstance(agent, dict):
-        raise ConfigError(f"{where} must be an object")
-    for name in ("class", "start", "velocity"):
-        if name not in agent:
-            raise ConfigError(f"{where} lacks field {name!r}")
-    if agent["class"] not in CLASSES:
-        raise ConfigError(f"{where} field 'class' names unknown class {agent['class']!r}")
-    for name, kind in (("start", "pair"), ("velocity", "pair"), ("turn_rate", "number")):
-        words, valid = VALUE_KINDS[kind]
-        if name in agent and not valid(agent[name]):
-            raise ConfigError(f"{where} field {name!r} must be {words}, got {agent[name]!r}")
-    spawn, despawn = agent.get("spawn", 0), agent.get("despawn", frame_count)
-    if not (_is_int(spawn) and _is_int(despawn) and 0 <= spawn < despawn <= frame_count):
-        raise ConfigError(
-            f"{where} fields 'spawn' and 'despawn' ({spawn!r}, {despawn!r}) must be integers with "
-            f"0 <= spawn < despawn <= frame_count ({frame_count})"
-        )
 
 
 @dataclass
@@ -214,14 +196,14 @@ class SensorConfig:
     detection_range: float = 75.0
 
     def validate(self) -> None:
-        if self.position_noise_sigma < 0:
-            raise ConfigError("position_noise_sigma must be >= 0")
+        if not 0 <= self.position_noise_sigma <= MAX_NOISE_SIGMA:
+            raise ConfigError(f"position_noise_sigma must be in [0, {MAX_NOISE_SIGMA:g}], got {self.position_noise_sigma!r}")
         if not 0.0 <= self.miss_probability <= 1.0:
             raise ConfigError("miss_probability must be in [0, 1]")
         if not 0 <= self.clutter_rate <= MAX_CLUTTER_RATE:
             raise ConfigError(f"clutter_rate must be in [0, {MAX_CLUTTER_RATE:g}], got {self.clutter_rate!r}")
-        if self.detection_range <= 0:
-            raise ConfigError("detection_range must be positive")
+        if not 0 < self.detection_range <= MAX_DETECTION_RANGE:
+            raise ConfigError(f"detection_range must be in (0, {MAX_DETECTION_RANGE:g}], got {self.detection_range!r}")
 
 
 # one box: a measurement, a ground-truth box or a detection
@@ -255,7 +237,6 @@ class AgentTrack:
     spawn: int
     despawn: int
     states: np.ndarray  # (despawn - spawn, 5): x, y, vx, vy, yaw
-    model: str = "constant_velocity"
     turn_rate: float = 0.0
 
 
@@ -294,49 +275,31 @@ def integrate_states(x0: np.ndarray, v0: np.ndarray, n: int, dt: float, turn_rat
 def generate_scenario(cfg: ScenarioConfig, seed: int) -> Scenario:
     cfg.validate()
     fc = cfg.frame_count
+    rng = stream(seed, "scenario")
+    span = cfg.world_half_extent - cfg.spawn_margin
+    if span <= 0:
+        span = cfg.world_half_extent * 0.5
+    agents = []
+    for cls in CLASSES:
+        for _ in range(cfg.class_counts.get(cls, 0)):
+            pos = rng.uniform(-span, span, size=2)
+            speed = min(rng.uniform(*cfg.speed_range), CLASS_MAX_SPEED[cls])
+            heading = rng.uniform(0.0, 2.0 * np.pi)
+            turn_rate = 0.0
+            if rng.random() < cfg.turn_fraction:
+                turn_rate = rng.uniform(*cfg.turn_rate_range) * (1.0 if rng.random() < 0.5 else -1.0)
+            spawn, despawn = 0, fc
+            if fc >= 4 and rng.random() < cfg.partial_lifespan_fraction:
+                if rng.random() < 0.5:
+                    spawn = int(rng.integers(1, max(2, fc // 2)))
+                else:
+                    despawn = int(rng.integers(fc // 2, fc))
+            velocity = speed * np.array([np.cos(heading), np.sin(heading)])
+            states = integrate_states(pos, velocity, despawn - spawn, cfg.dt, turn_rate)
+            agents.append(AgentTrack(agent_id=len(agents) + 1, cls=cls, spawn=spawn, despawn=despawn, states=states, turn_rate=turn_rate))
     ego = np.zeros((fc, 3))
-    # one spec per agent: class, start, velocity, spawn, despawn, turn rate
-    specs = []
-    if cfg.explicit_agents is not None:
-        # an explicit layout has a standing ego, whatever `ego_speed` says
-        for spec_agent in cfg.explicit_agents:  # each one checked by `cfg.validate`
-            start, velocity = (np.asarray(spec_agent[name], dtype=float) for name in ("start", "velocity"))
-            spawn, despawn = int(spec_agent.get("spawn", 0)), int(spec_agent.get("despawn", fc))
-            specs.append((spec_agent["class"], start, velocity, spawn, despawn, float(spec_agent.get("turn_rate", 0.0))))
-    else:
-        rng = stream(seed, "scenario")
-        span = cfg.world_half_extent - cfg.spawn_margin
-        if span <= 0:
-            span = cfg.world_half_extent * 0.5
-        for cls in CLASSES:
-            for _ in range(cfg.class_counts.get(cls, 0)):
-                pos = rng.uniform(-span, span, size=2)
-                speed = min(rng.uniform(*cfg.speed_range), CLASS_MAX_SPEED[cls])
-                heading = rng.uniform(0.0, 2.0 * np.pi)
-                turn_rate = 0.0
-                if rng.random() < cfg.turn_fraction:
-                    turn_rate = rng.uniform(*cfg.turn_rate_range) * (1.0 if rng.random() < 0.5 else -1.0)
-                spawn, despawn = 0, fc
-                if fc >= 4 and rng.random() < cfg.partial_lifespan_fraction:
-                    if rng.random() < 0.5:
-                        spawn = int(rng.integers(1, max(2, fc // 2)))
-                    else:
-                        despawn = int(rng.integers(fc // 2, fc))
-                specs.append((cls, pos, speed * np.array([np.cos(heading), np.sin(heading)]), spawn, despawn, turn_rate))
-        if cfg.ego_speed != 0.0:
-            ego[:, 0] = cfg.ego_speed * cfg.dt * np.arange(fc)
-    agents = [
-        AgentTrack(
-            agent_id=agent_id,
-            cls=cls,
-            spawn=spawn,
-            despawn=despawn,
-            states=integrate_states(start, velocity, despawn - spawn, cfg.dt, turn_rate),
-            model="constant_turn" if turn_rate != 0.0 else "constant_velocity",
-            turn_rate=turn_rate,
-        )
-        for agent_id, (cls, start, velocity, spawn, despawn, turn_rate) in enumerate(specs, start=1)
-    ]
+    if cfg.ego_speed != 0.0:
+        ego[:, 0] = cfg.ego_speed * cfg.dt * np.arange(fc)
     return Scenario(scenario_id=f"scn-{seed}", dt=cfg.dt, frame_count=fc, seed=int(seed), agents=agents, ego=ego)
 
 
@@ -436,7 +399,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 "states": a.states.tolist(),
                 "spawn": a.spawn,
                 "despawn": a.despawn,
-                "model": a.model,
                 "turn_rate": a.turn_rate,
             }
             for a in scenario.agents
@@ -486,7 +448,7 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     A document that is not an object, lacks a field, holds a value of the
     wrong JSON type (`frame_count`, `seed` and each agent's `id`, `spawn`
     and `despawn` are integers, not bools; `scenario_id` and each agent's
-    `class` and `model` are strings; `dt`, `turn_rate`, states and ego are
+    `class` are strings; `dt`, `turn_rate`, states and ego are
     finite numbers, not bools), an integer other than `seed` outside int64,
     an integer `dt`, `turn_rate`, state or ego value outside ±2^53, a `dt`
     <= 0, a `frame_count` below 1 or an agent `id` below 0, names an
@@ -494,6 +456,8 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
     lifespan outside ``0 <= spawn < despawn <= frame_count`` or states that
     do not fit its lifespan raises `InputError` naming `source` and the
     field.  Every field is taken as it is or refused: nothing is rounded.
+    A field not named here, such as the agent `model` of an older file, is
+    not read.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{source} is not a JSON object")
@@ -525,7 +489,6 @@ def scenario_from_dict(doc: dict, source: str = "scenario") -> Scenario:
                 spawn=spawn,
                 despawn=despawn,
                 states=_read_rows(a, "states", (despawn - spawn, 5), where),
-                model=_read(a, "model", "string", where),
                 turn_rate=float(_read(a, "turn_rate", "number", where)),
             )
         )

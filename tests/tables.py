@@ -1,4 +1,4 @@
-"""Track and box tables built by hand for tests, their field bytes, and one frame of a scenario's sensor."""
+"""Track and box tables and scenes built by hand for tests, their field bytes, and one frame of a scenario's sensor."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 from numpy.lib.recfunctions import repack_fields
 
 from paptrack.perception import CONFIRMED, TENTATIVE, track_dtype
-from paptrack.world import CLASS_INDEX, box_dtype, scenario_ground_truth, sense
+from paptrack.world import CLASS_INDEX, AgentTrack, Scenario, box_dtype, integrate_states, scenario_ground_truth, sense
 
 
 def track_table(*rows: dict, velocity_window: int = 5) -> np.ndarray:
@@ -50,6 +50,24 @@ def centers(tracks: np.ndarray) -> np.ndarray:
 def boxes(*rows) -> np.ndarray:
     """A box table with one row per ``(frame, id, class name, center, score)``."""
     return np.array([(frame, id_, CLASS_INDEX[cls], center, score) for frame, id_, cls, center, score in rows], dtype=box_dtype)
+
+
+def scene(*agents: tuple, frame_count: int, dt: float = 0.1) -> Scenario:
+    """A hand-made scenario: the agents in `agents` and an ego standing at the origin.
+
+    Each agent is ``(class name, start, velocity)``, optionally followed by
+    its turn rate (default 0), spawn frame (default 0) and despawn frame
+    (default `frame_count`); agent ids count from 1.  Its states are
+    `world.integrate_states`'s, as a generated agent's are.  Nothing is
+    checked here: `world.save_scenario` writes the scene for a run's
+    `scenario_path`, and the run's `load_scenario` checks it.
+    """
+    tracks = []
+    for agent_id, (cls, start, velocity, *rest) in enumerate(agents, start=1):
+        turn_rate, spawn, despawn = (*rest, *(0.0, 0, frame_count)[len(rest) :])
+        states = integrate_states(start, velocity, despawn - spawn, dt, turn_rate)
+        tracks.append(AgentTrack(agent_id=agent_id, cls=cls, spawn=spawn, despawn=despawn, states=states, turn_rate=turn_rate))
+    return Scenario(scenario_id="hand-made", dt=dt, frame_count=frame_count, seed=0, agents=tracks, ego=np.zeros((frame_count, 3)))
 
 
 def sense_frame(scenario, frame: int, sensor, rng) -> np.ndarray:

@@ -21,7 +21,7 @@ from paptrack.queries import embed_center
 from paptrack.world import generate_scenario
 
 from oracles import amota_amotp_oracle, brute_force_assignment
-from tables import boxes, sense_frame
+from tables import boxes, scene, sense_frame
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -220,15 +220,9 @@ def test_criterion_6_round_trip_and_loop_closure():
     from paptrack.prediction import predict_and_store
     from paptrack.queries import QueryBank
     from paptrack.rng import stream
-    from paptrack.world import ScenarioConfig, SensorConfig
+    from paptrack.world import SensorConfig
 
-    scn_cfg = ScenarioConfig(
-        frame_count=10,
-        dt=0.1,
-        world_half_extent=10.0,
-        explicit_agents=[{"class": "car", "start": [-2.0, 1.0], "velocity": [1.5, -0.5]}],
-    )
-    scenario = generate_scenario(scn_cfg, seed=6)
+    scenario = scene(("car", (-2.0, 1.0), (1.5, -0.5)), frame_count=10)
     sensor = SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=0.0)
     params = PerceptionParams()
     bank = QueryBank()

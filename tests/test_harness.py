@@ -39,11 +39,13 @@ from paptrack.world import (
     box_dtype,
     generate_scenario,
     scenario_ground_truth,
+    save_scenario,
     scenario_to_dict,
     sense,
 )
 
 from oracles import measurement_hash_oracle, recompute_cost_evaluations
+from tables import scene
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -368,19 +370,36 @@ def test_degenerate_inputs_run_and_replay(tmp_path, scenario, sensor, policy):
     assert report_to_json(replay_dump(dump)) == report_to_json(report)
 
 
-def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
+# hand-made scenes of agents that cross, as `tables.scene` takes them
+CROSSINGS = {
     # two cars cross at the origin at t = 3 s; two pedestrians walk side by side 0.5 m apart
+    "two_cars": [
+        ("car", (-6.0, 0.0), (2.0, 0.0)),
+        ("car", (0.0, -6.0), (0.0, 2.0)),
+        ("pedestrian", (-3.0, 5.0), (1.0, 0.0)),
+        ("pedestrian", (-3.0, 5.5), (1.0, 0.0)),
+    ],
+    # three cars meet at the origin at t = 3 s from 120 degrees apart; two pedestrians spawn 0.2 m apart
+    # on parallel paths
+    "three_way": [
+        *(("car", (-6.0 * math.cos(a), -6.0 * math.sin(a)), (2.0 * math.cos(a), 2.0 * math.sin(a))) for a in (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)),
+        ("pedestrian", (-3.0, 5.0), (1.0, 0.0)),
+        ("pedestrian", (-3.0, 5.2), (1.0, 0.0)),
+    ],
+}
+
+
+def crossing_config(tmp_path, name: str) -> ExperimentConfig:
+    """The standard suite on the 60-frame scene `CROSSINGS[name]`, read from a scenario file."""
     cfg = config_from_dict(json.loads((ROOT / "configs" / "standard_suite.json").read_text()))
-    cfg.scenario = dataclasses.replace(
-        cfg.scenario,
-        frame_count=60,
-        explicit_agents=[
-            {"class": "car", "start": [-6.0, 0.0], "velocity": [2.0, 0.0]},
-            {"class": "car", "start": [0.0, -6.0], "velocity": [0.0, 2.0]},
-            {"class": "pedestrian", "start": [-3.0, 5.0], "velocity": [1.0, 0.0]},
-            {"class": "pedestrian", "start": [-3.0, 5.5], "velocity": [1.0, 0.0]},
-        ],
-    )
+    path = tmp_path / "scenario.json"
+    save_scenario(scene(*CROSSINGS[name], frame_count=60, dt=cfg.scenario.dt), path)
+    cfg.scenario_path = str(path)
+    return cfg
+
+
+def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
+    cfg = crossing_config(tmp_path, "two_cars")
     ids = {"baseline": 0, "pap": 0}
     for seed in range(1, 6):
         for arm, rho in (("baseline", 0.0), ("pap", cfg.policy.rho)):
@@ -392,19 +411,7 @@ def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
 
 
 def test_three_way_crossing_and_near_coincident_spawns_replay_to_their_reports(tmp_path):
-    # three cars meet at the origin at t = 3 s from 120 degrees apart; two pedestrians spawn 0.2 m apart
-    # on parallel paths
-    cfg = config_from_dict(json.loads((ROOT / "configs" / "standard_suite.json").read_text()))
-    headings = (0.0, 2.0 * math.pi / 3.0, 4.0 * math.pi / 3.0)
-    cfg.scenario = dataclasses.replace(
-        cfg.scenario,
-        frame_count=60,
-        explicit_agents=[
-            *({"class": "car", "start": [-6.0 * math.cos(a), -6.0 * math.sin(a)], "velocity": [2.0 * math.cos(a), 2.0 * math.sin(a)]} for a in headings),
-            {"class": "pedestrian", "start": [-3.0, 5.0], "velocity": [1.0, 0.0]},
-            {"class": "pedestrian", "start": [-3.0, 5.2], "velocity": [1.0, 0.0]},
-        ],
-    )
+    cfg = crossing_config(tmp_path, "three_way")
     for seed in (1, 2):
         for arm, rho in (("baseline", 0.0), ("pap", cfg.policy.rho)):
             dump = tmp_path / f"dump_{arm}_seed{seed}.jsonl"
@@ -443,6 +450,14 @@ def test_run_single_forecasts_only_when_a_banked_query_can_be_taken(banked_frame
     cfg.policy.n_queries = 128
     run_single(cfg, 1, rho=0.8, arm="pap")
     assert banked_frames == list(range(cfg.scenario.frame_count))
+
+
+@pytest.mark.parametrize("rho", [1.5, -0.1, math.nan])
+def test_run_single_refuses_a_bad_arm_rho_before_writing_a_dump(tmp_path, rho):
+    dump = tmp_path / "dump.jsonl"
+    with pytest.raises(ConfigError, match="rho must be in"):
+        run_single(small_config(seeds=(1,)), 1, rho=rho, dump_path=dump)
+    assert not dump.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -515,16 +530,22 @@ def test_cli_run_success(tmp_path, capsys):
 
 
 def test_cli_generate_and_replay_chain(tmp_path, capsys):
-    cfg_path = write_cli_config(tmp_path)
-    out = tmp_path / "dumps"
-    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--dump-debug"]) == 0
-    dump = out / "dump_pap_seed1.jsonl"
-    assert dump.exists()
-    replay_out = tmp_path / "replayed"
-    assert main(["replay", str(dump), "--out", str(replay_out)]) == 0
-    replayed = json.loads((replay_out / "replayed_report.json").read_text())
-    original = json.loads((out / "report_pap_seed1.json").read_text())
-    assert replayed == original
+    """`generate` writes a scenario file that a run reads back to the same reports, whose dumps replay to them."""
+    cfg_path = write_cli_config(tmp_path, seeds=(3,))
+    assert main(["generate", "--config", str(cfg_path), "--out", str(tmp_path / "scn")]) == 0
+    scenario = str(tmp_path / "scn" / "scenario_seed3.json")
+    from_file = tmp_path / "from_file.json"
+    from_file.write_text(json.dumps({**json.loads(cfg_path.read_text()), "scenario_path": scenario}))
+    generated, read_back = tmp_path / "generated", tmp_path / "read_back"
+    assert main(["run", "--config", str(cfg_path), "--out", str(generated)]) == 0
+    assert main(["run", "--config", str(from_file), "--out", str(read_back), "--dump-debug"]) == 0
+    for arm in ("baseline", "pap"):
+        want, got = (json.loads((d / f"report_{arm}_seed3.json").read_text()) for d in (generated, read_back))
+        assert got.pop("config_echo") == {**want.pop("config_echo"), "scenario_path": scenario}
+        assert strip_timing(got) == strip_timing(want)
+        assert main(["replay", str(read_back / f"dump_{arm}_seed3.jsonl"), "--out", str(tmp_path / arm)]) == 0
+        replayed = json.loads((tmp_path / arm / "replayed_report.json").read_text())
+        assert replayed == json.loads((read_back / f"report_{arm}_seed3.json").read_text())
 
 
 def test_cli_dump_debug_follows_the_configured_mode(tmp_path, capsys):
@@ -643,13 +664,14 @@ def _set(section, **values):
         (_set(None, predictor={"horizon": 6}), "unknown key(s) ['predictor'] in config"),
         (_set("sensor", score_near=0.9), "unknown key(s) ['score_near'] in sensor"),
         (_set(None, embedding_dim=16), "unknown key(s) ['embedding_dim'] in config"),
+        (_set("scenario", explicit_agents=[]), "unknown key(s) ['explicit_agents'] in scenario"),
         (_set("perception", confirm_threshold=0), "confirm_threshold must be >= 1"),
         (_set("perception", max_misses=-1), "max_misses must be >= 0"),
         (_set("perception", predicted_priority_eps=-1e-6), "predicted_priority_eps must be >= 0"),
     ],
     ids=["policy_int", "n_queries_str", "n_queries_bool", "rho_values_int", "top_level_list", "seed_str", "seed_repeated",
          "frame_count_float", "class_counts_list", "class_count_float", "speed_range_short", "scenario_path_int", "bank_capacity",
-         "predictor", "sensor_score_near", "embedding_dim", "confirm_threshold_0",
+         "predictor", "sensor_score_near", "embedding_dim", "explicit_agents", "confirm_threshold_0",
          "max_misses_negative", "predicted_priority_eps_negative"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
@@ -658,45 +680,6 @@ def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, m
     assert main(["generate", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err == f"config error: {message}\n"
-    assert not (tmp_path / "out").exists()
-
-
-GOOD_AGENT = {"class": "car", "start": [0.0, 0.0], "velocity": [1.0, 0.0]}
-
-
-@pytest.mark.parametrize(
-    "agent, message",
-    [
-        ("car", "explicit_agents[1] must be an object"),
-        ({"start": [0.0, 0.0], "velocity": [1.0, 0.0]}, "explicit_agents[1] lacks field 'class'"),
-        ({"class": "car", "velocity": [1.0, 0.0]}, "explicit_agents[1] lacks field 'start'"),
-        ({"class": "car", "start": [0.0, 0.0]}, "explicit_agents[1] lacks field 'velocity'"),
-        ({**GOOD_AGENT, "start": [0.0]}, "field 'start' must be 2 finite numbers"),
-        ({**GOOD_AGENT, "start": [0.0, "1"]}, "field 'start' must be 2 finite numbers"),
-        ({**GOOD_AGENT, "start": 3.0}, "field 'start' must be 2 finite numbers"),
-        ({**GOOD_AGENT, "velocity": [float("nan"), 0.0]}, "field 'velocity' must be 2 finite numbers"),
-        ({**GOOD_AGENT, "velocity": [float("inf"), 0.0]}, "field 'velocity' must be 2 finite numbers"),
-        ({**GOOD_AGENT, "velocity": [True, 0.0]}, "field 'velocity' must be 2 finite numbers"),
-        ({**GOOD_AGENT, "class": "dragon"}, "field 'class' names unknown class 'dragon'"),
-        ({**GOOD_AGENT, "turn_rate": "fast"}, "field 'turn_rate' must be a finite number"),
-        ({**GOOD_AGENT, "spawn": 5, "despawn": 5}, "fields 'spawn' and 'despawn' (5, 5)"),
-        ({**GOOD_AGENT, "spawn": -1}, "fields 'spawn' and 'despawn' (-1, 40)"),
-        ({**GOOD_AGENT, "despawn": 41}, "fields 'spawn' and 'despawn' (0, 41)"),
-        ({**GOOD_AGENT, "spawn": 1.5}, "fields 'spawn' and 'despawn' (1.5, 40)"),
-    ],
-    ids=["not_object", "no_class", "no_start", "no_velocity", "start_short", "start_str", "start_scalar", "velocity_nan",
-         "velocity_inf", "velocity_bool", "unknown_class", "turn_rate_str", "empty_lifespan", "spawn_negative",
-         "despawn_late", "spawn_float"],
-)
-def test_cli_bad_explicit_agent_exits_2_naming_the_field(tmp_path, capsys, agent, message):
-    doc = config_to_dict(small_config(seeds=(1,)))
-    doc["scenario"]["explicit_agents"] = [GOOD_AGENT, agent]
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
-    for command in ("generate", "run"):
-        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and message in err
     assert not (tmp_path / "out").exists()
 
 
@@ -980,7 +963,6 @@ def test_cli_run_on_bad_scenario_file_exits_4(tmp_path, capsys, edit, problem):
         (lambda doc: _agent(doc, spawn=0.6), "agent 0 field 'spawn' is not valid: must be an integer, got 0.6"),
         (lambda doc: _agent(doc, despawn=20.0), "agent 0 field 'despawn' is not valid: must be an integer, got 20.0"),
         (lambda doc: _agent(doc, id=True), "agent 0 field 'id' is not valid: must be an integer, got True"),
-        (lambda doc: _agent(doc, model=5), "agent 0 field 'model' is not valid: must be a string, got 5"),
         (lambda doc: _agent(doc, **{"class": 0}), "agent 0 field 'class' is not valid: must be a string, got 0"),
         (lambda doc: _agent(doc, turn_rate="0.1"), "agent 0 field 'turn_rate' is not valid: must be a finite number, got '0.1'"),
         (lambda doc: _agent(doc, turn_rate=math.inf), "agent 0 field 'turn_rate' is not valid: must be a finite number, got inf"),
@@ -988,7 +970,7 @@ def test_cli_run_on_bad_scenario_file_exits_4(tmp_path, capsys, edit, problem):
         (lambda doc: doc | {"ego": _with_value(doc["ego"], 5, 0, None)}, "field 'ego' is not valid: must hold only numbers"),
     ],
     ids=["dt-nan", "dt-zero", "states-inf", "ego-nan", "frame_count-float", "frame_count-bool", "seed-str", "scenario_id-int", "dt-str",
-         "spawn-float", "despawn-float", "id-bool", "model-int", "class-int", "turn_rate-str", "turn_rate-inf", "states-str", "ego-null"],
+         "spawn-float", "despawn-float", "id-bool", "class-int", "turn_rate-str", "turn_rate-inf", "states-str", "ego-null"],
 )
 def test_cli_run_on_non_finite_or_non_positive_scenario_value_exits_4(tmp_path, capsys, edit, problem):
     doc = edit(scenario_to_dict(generate_scenario(ScenarioConfig(frame_count=20, class_counts={"car": 2}), 1)))
@@ -1019,9 +1001,9 @@ def test_cli_missing_file_exits_3(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # artefacts of the schema-1 format that still carried `bank_capacity`, `embedding_dim`, `predictor`,
-# `counters.query_refinements` and the sensor's `score_near`, `score_far` and `clutter_score_range`:
-# the config `tests/data/v1_bank_capacity/config.json` run in ab_compare mode with --dump-debug,
-# before those keys were removed
+# `scenario.explicit_agents`, `counters.query_refinements` and the sensor's `score_near`, `score_far`
+# and `clutter_score_range`: the config `tests/data/v1_bank_capacity/config.json` run in ab_compare
+# mode with --dump-debug, before those keys were removed
 
 
 OLD = Path(__file__).resolve().parent / "data" / "v1_bank_capacity"
@@ -1049,6 +1031,7 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     # the new report is the old one without the removed keys (and with this run's mode)
     old, now = (json.loads((d / "report_pap_seed1.json").read_text()) for d in (OLD, new))
     del old["config_echo"]["bank_capacity"], old["config_echo"]["embedding_dim"], old["config_echo"]["predictor"]
+    del old["config_echo"]["scenario"]["explicit_agents"]
     del old["counters"]["query_refinements"]
     for key in ("score_near", "score_far", "clutter_score_range"):
         del old["config_echo"]["sensor"][key]

@@ -1,7 +1,6 @@
 """Every reader of outside JSON against values of the wrong kind.
 
-The five readers are configs, a config's explicit agents, scenario files,
-debug dumps and reports.  Each must refuse a value of the wrong kind with
+The four readers are configs, scenario files, debug dumps and reports.  Each must refuse a value of the wrong kind with
 its own exit code, 2 for a config and 4 for the rest, and with one stderr
 line that names the field (and the file, for the readers whose messages
 name one), never with a traceback.  The table of each reader is built from
@@ -22,8 +21,10 @@ from paptrack.harness import ExperimentConfig, MetricConfig, config_to_dict
 from paptrack.perception import MAX_QUERIES
 from paptrack.world import (
     MAX_CLUTTER_RATE,
+    MAX_DETECTION_RANGE,
     MAX_EGO_SPEED,
     MAX_HALF_EXTENT,
+    MAX_NOISE_SIGMA,
     MAX_TURN_RATE,
     ScenarioConfig,
     generate_scenario,
@@ -40,8 +41,8 @@ NOT_PAIR = [*NOT_NUMBER, [0.0], *([value, 0.0] for value in NOT_NUMBER)]
 NOT_SEED = [True, None, "1", [], -1]  # a seed is not bounded above
 NOT_CLASS = [*NOT_STRING, "1"]
 NOT_ROWS = [True, None, "1", [], HUGE, math.nan]
-# values past a bound of a config field that sizes an array, feeds the RNG or moves the ego, each once a
-# traceback or a run of infinite positions
+# values past a bound of a config field that sizes an array, feeds the RNG, moves the ego or places a
+# measurement, each once a traceback or a run of infinite positions or distances
 PAST_BOUND = {
     "n_queries": [2**62, MAX_QUERIES + 1],
     "clutter_rate": [1e300, MAX_CLUTTER_RATE + 0.5],
@@ -49,6 +50,8 @@ PAST_BOUND = {
     "turn_rate_range": [[-1e308, 1e308], [0.6, 0.1], [-0.1, 0.1], [0.0, 1.5 * MAX_TURN_RATE]],
     "spawn_margin": [-1e308, -1.5 * MAX_HALF_EXTENT, 1.5 * MAX_HALF_EXTENT],
     "ego_speed": [1e308, 1.5 * MAX_EGO_SPEED, -1.5 * MAX_EGO_SPEED],
+    "position_noise_sigma": [1e308, 1.5 * MAX_NOISE_SIGMA],
+    "detection_range": [1e308, 1.5 * MAX_DETECTION_RANGE],
 }
 
 
@@ -108,19 +111,9 @@ def artefacts(tmp_path_factory):
 
 def _config_cases(root, config, scenario, dump, report):
     path = root / "config.json"
-    for where, values in _config_rows({k: v for k, v in config.items() if k != "explicit_agents"}):
+    for where, values in _config_rows(config):
         for value in values:
             yield path, json.dumps(_replace(config, where, value)), ["run", "--config", str(path)], where[-1]
-
-
-def _explicit_agent_cases(root, config, scenario, dump, report):
-    path = root / "config.json"
-    good = {"class": "car", "start": [0.0, 0.0], "velocity": [1.0, 0.0], "turn_rate": 0.1, "spawn": 0, "despawn": 8}
-    rows = {"class": NOT_CLASS, "start": NOT_PAIR, "velocity": NOT_PAIR, "turn_rate": NOT_NUMBER, "spawn": NOT_ID, "despawn": NOT_ID}
-    for name, values in rows.items():
-        for value in values:
-            doc = _replace(config, ("scenario", "explicit_agents"), [good, {**good, name: value}])
-            yield path, json.dumps(doc), ["run", "--config", str(path)], name
 
 
 def _scenario_cases(root, config, scenario, dump, report):
@@ -141,7 +134,6 @@ def _scenario_cases(root, config, scenario, dump, report):
         ("agents", 0, "states"): NOT_ROWS,
         ("agents", 0, "states", 0, 0): [True, 2**53 + 1],  # numpy would take them as 1.0 and 2^53
         ("ego", 0, 0): [True, 2**53 + 1],
-        ("agents", 0, "model"): NOT_STRING,
         ("agents", 0, "turn_rate"): NOT_NUMBER,
     }
     for where, values in rows.items():
@@ -195,7 +187,6 @@ def _report_cases(root, config, scenario, dump, report):
 # reader -> (its cases, its exit code, whether its messages name the file); a config's messages name only the field
 READERS = {
     "config": (_config_cases, 2, False),
-    "explicit_agent": (_explicit_agent_cases, 2, False),
     "scenario_file": (_scenario_cases, 4, True),
     "dump": (_dump_cases, 4, True),
     "report": (_report_cases, 4, True),
@@ -265,7 +256,8 @@ def test_a_negative_seed_is_a_config_error_that_writes_nothing(tmp_path, capsys)
 def test_a_config_at_every_upper_bound_runs(tmp_path):
     """The bounds refuse only what is past them: a run at all of them at once completes."""
     doc = config_to_dict(tiny_config())
-    doc["policy"]["n_queries"], doc["sensor"]["clutter_rate"] = MAX_QUERIES, MAX_CLUTTER_RATE
+    doc["policy"]["n_queries"] = MAX_QUERIES
+    doc["sensor"].update(clutter_rate=MAX_CLUTTER_RATE, position_noise_sigma=MAX_NOISE_SIGMA, detection_range=MAX_DETECTION_RANGE)
     doc["scenario"].update(
         world_half_extent=MAX_HALF_EXTENT, turn_rate_range=[0.0, MAX_TURN_RATE], spawn_margin=-MAX_HALF_EXTENT, ego_speed=MAX_EGO_SPEED
     )

@@ -27,7 +27,7 @@ from paptrack.rng import stream
 from paptrack.world import CLASS_INDEX
 
 from oracles import associate_full_oracle, brute_force_assignment, continue_deferred_oracle
-from tables import boxes, centers, field_bytes, sense_frame, track_table
+from tables import boxes, centers, field_bytes, scene, sense_frame, track_table
 
 HALF_EXTENT = 30.0
 
@@ -529,15 +529,9 @@ def test_associate_returns_matches_in_query_order():
 
 def close_loop_noise_free(n_frames=10, velocity=(1.0, 0.0), dt=0.1):
     """Single agent, exact sensor, recycled queries; returns the track table and every detection."""
-    from paptrack.world import ScenarioConfig, SensorConfig, generate_scenario
+    from paptrack.world import SensorConfig
 
-    cfg = ScenarioConfig(
-        frame_count=n_frames,
-        dt=dt,
-        world_half_extent=10.0,
-        explicit_agents=[{"class": "car", "start": [0.0, 0.0], "velocity": list(velocity)}],
-    )
-    scenario = generate_scenario(cfg, seed=21)
+    scenario = scene(("car", (0.0, 0.0), velocity), frame_count=n_frames, dt=dt)
     sensor = SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=0.0)
     sensor_rng = stream(21, "sensor")
     query_rng = stream(21, "queries")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -8,14 +9,18 @@ import pytest
 from paptrack.harness import config_from_dict
 from paptrack.rng import stream
 from paptrack.world import (
+    MAX_DETECTION_RANGE,
     MAX_EGO_SPEED,
     MAX_HALF_EXTENT,
+    MAX_NOISE_SIGMA,
     MAX_TURN_RATE,
     ConfigError,
     ScenarioConfig,
     SensorConfig,
     generate_scenario,
     integrate_states,
+    load_scenario,
+    save_scenario,
     scenario_from_dict,
     scenario_ground_truth,
     scenario_to_dict,
@@ -23,30 +28,26 @@ from paptrack.world import (
 )
 
 from oracles import integrate_states_oracle, reintegrate, sense_oracle
-from tables import sense_frame
+from tables import scene, sense_frame
 from test_golden import CROWD, ROOT
+from test_harness import CROSSINGS
 
 
-def single_car_config(frame_count=10, dt=0.5):
-    return ScenarioConfig(
-        frame_count=frame_count,
-        dt=dt,
-        world_half_extent=30.0,
-        explicit_agents=[{"class": "car", "start": [0.0, 0.0], "velocity": [1.0, 0.0]}],
-    )
+def single_car(frame_count=10, dt=0.5):
+    return scene(("car", (0.0, 0.0), (1.0, 0.0)), frame_count=frame_count, dt=dt)
 
 
 def test_constant_velocity_kinematics_exact():
-    scn = generate_scenario(single_car_config(), seed=7)
-    car = scn.agents[0]
+    car = single_car().agents[0]
     for k in range(10):
         assert car.states[k, 0] == pytest.approx(0.5 * k, abs=0)
         assert car.states[k, 1] == 0.0
 
 
 def test_same_seed_same_config_is_byte_identical():
-    a = json.dumps(scenario_to_dict(generate_scenario(single_car_config(), 7)), sort_keys=True)
-    b = json.dumps(scenario_to_dict(generate_scenario(single_car_config(), 7)), sort_keys=True)
+    cfg = ScenarioConfig(frame_count=10, class_counts={"car": 2, "pedestrian": 1})
+    a = json.dumps(scenario_to_dict(generate_scenario(cfg, 7)), sort_keys=True)
+    b = json.dumps(scenario_to_dict(generate_scenario(cfg, 7)), sort_keys=True)
     assert a == b
 
 
@@ -138,21 +139,35 @@ def test_range_rules_accept_the_far_end_of_each_bound():
     assert np.isfinite(scn.ego).all() and scn.ego[-1, 0] < 0.0
 
 
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"position_noise_sigma": -0.1}, "position_noise_sigma"),
+        # each once a run of overflowing gate distances
+        ({"position_noise_sigma": 1e308}, "position_noise_sigma"),
+        ({"position_noise_sigma": 1.5 * MAX_NOISE_SIGMA}, "position_noise_sigma"),
+        ({"detection_range": 0.0}, "detection_range"),
+        ({"detection_range": 1e308}, "detection_range"),
+        ({"detection_range": 1.5 * MAX_DETECTION_RANGE}, "detection_range"),
+    ],
+)
+def test_invalid_sensor_config_names_field(kwargs, field):
+    scn = single_car(frame_count=3)
+    with pytest.raises(ConfigError, match=field):
+        sense(scenario_ground_truth(scn), scn.ego[:, 0:2], SensorConfig(**kwargs), stream(1, "sensor"))
+
+
 def noise_free_sensor():
     return SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=0.0)
 
 
 def test_sense_noise_free_returns_exact_centers():
-    cfg = ScenarioConfig(
+    scn = scene(
+        ("car", (0.0, 0.0), (1.0, 0.0)),
+        ("pedestrian", (5.0, 5.0), (0.0, 1.0)),
+        ("bus", (-10.0, 2.0), (0.5, 0.0)),
         frame_count=5,
-        dt=0.1,
-        explicit_agents=[
-            {"class": "car", "start": [0.0, 0.0], "velocity": [1.0, 0.0]},
-            {"class": "pedestrian", "start": [5.0, 5.0], "velocity": [0.0, 1.0]},
-            {"class": "bus", "start": [-10.0, 2.0], "velocity": [0.5, 0.0]},
-        ],
     )
-    scn = generate_scenario(cfg, seed=1)
     meas = sense_frame(scn, 2, noise_free_sensor(), stream(1, "sensor"))
     assert len(meas) == 3
     for m, agent in zip(meas, scn.agents):
@@ -161,13 +176,13 @@ def test_sense_noise_free_returns_exact_centers():
 
 
 def test_sense_total_occlusion_is_empty():
-    scn = generate_scenario(single_car_config(), seed=1)
+    scn = single_car()
     sensor = SensorConfig(miss_probability=1.0, clutter_rate=0.0)
     assert len(sense_frame(scn, 0, sensor, stream(1, "sensor"))) == 0
 
 
 def test_sense_monte_carlo_matches_configured_noise():
-    scn = generate_scenario(single_car_config(frame_count=1, dt=0.1), seed=5)
+    scn = single_car(frame_count=1, dt=0.1)
     sensor = SensorConfig(position_noise_sigma=0.5, miss_probability=0.1, clutter_rate=0.0)
     rng = stream(5, "sensor")
     centers = []
@@ -186,7 +201,7 @@ def test_sense_monte_carlo_matches_configured_noise():
 
 
 def test_clutter_never_carries_agent_id():
-    scn = generate_scenario(single_car_config(), seed=9)
+    scn = single_car()
     sensor = SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=5.0)
     rng = stream(9, "sensor")
     seen_clutter = False
@@ -200,7 +215,7 @@ def test_clutter_never_carries_agent_id():
 
 
 def test_sense_deterministic_given_stream():
-    scn = generate_scenario(single_car_config(), seed=2)
+    scn = single_car()
     sensor = SensorConfig()
     a = sense_frame(scn, 0, sensor, stream(2, "sensor"))
     b = sense_frame(scn, 0, sensor, stream(2, "sensor"))
@@ -262,7 +277,7 @@ def test_sense_of_a_run_equals_the_per_frame_oracle_byte_for_byte(case):
 
 
 def test_sense_rejects_truth_out_of_frame_order_or_range():
-    scn = generate_scenario(single_car_config(frame_count=3), seed=1)
+    scn = single_car(frame_count=3)
     gt = scenario_ground_truth(scn)  # frames 0, 1 and 2
     late = gt.copy()
     late["frame"][-1] = 3  # past the ego track's last frame
@@ -283,12 +298,44 @@ def test_scenario_json_round_trip_lossless():
     assert np.array_equal(back.ego, scn.ego)
     for a, b in zip(scn.agents, back.agents):
         assert (a.agent_id, a.cls, a.spawn, a.despawn) == (b.agent_id, b.cls, b.spawn, b.despawn)
-        assert (a.model, a.turn_rate) == (b.model, b.turn_rate)
+        assert a.turn_rate == b.turn_rate
         assert np.array_equal(a.states, b.states)
     assert any(a.turn_rate != 0.0 for a in back.agents)  # the turning fields were exercised
 
 
+HAND_MADE = {
+    **CROSSINGS,
+    "single_car": [("car", (0.0, 0.0), (1.0, 0.0))],
+    # turning both ways, one agent born late and gone early
+    "turning": [("bicycle", (1.0, -2.0), (0.3, 1.1), 0.4, 3, 50), ("car", (0.1, 0.2), (-2.0, 0.7), -0.25)],
+}
+
+
+@pytest.mark.parametrize("case", HAND_MADE)
+def test_a_hand_made_scene_round_trips_through_its_scenario_file(tmp_path, case):
+    """A scene written with `save_scenario` loads back bit for bit: a run on its file runs the scene itself."""
+    scn = scene(*HAND_MADE[case], frame_count=60)
+    save_scenario(scn, tmp_path / "scenario.json")
+    back = load_scenario(tmp_path / "scenario.json")
+    assert (back.scenario_id, back.dt, back.frame_count, back.seed) == (scn.scenario_id, scn.dt, scn.frame_count, scn.seed)
+    assert back.ego.tobytes() == scn.ego.tobytes()
+    assert len(back.agents) == len(scn.agents)
+    for a, b in zip(scn.agents, back.agents):
+        assert (a.agent_id, a.cls, a.spawn, a.despawn, a.turn_rate) == (b.agent_id, b.cls, b.spawn, b.despawn, b.turn_rate)
+        assert a.states.tobytes() == b.states.tobytes()
+
+
+@pytest.mark.parametrize("model", ["constant_velocity", "constant_turn", 5, None])
+def test_a_scenario_file_that_still_names_an_agent_model_loads_unchanged(model):
+    """Agents no longer carry a motion model; the reader reads only the fields it names, so an older file's `model` is ignored."""
+    doc = scenario_to_dict(generate_scenario(ScenarioConfig(frame_count=20, class_counts={"car": 2}, turn_fraction=0.5), 3))
+    old = copy.deepcopy(doc)
+    for agent in old["agents"]:
+        agent["model"] = model
+    assert scenario_to_dict(scenario_from_dict(old)) == doc
+
+
 def test_scenario_schema_keys():
-    doc = scenario_to_dict(generate_scenario(single_car_config(), 7))
+    doc = scenario_to_dict(single_car())
     assert set(doc) == {"scenario_id", "dt", "frame_count", "seed", "agents", "ego"}
-    assert set(doc["agents"][0]) == {"id", "class", "states", "spawn", "despawn", "model", "turn_rate"}
+    assert set(doc["agents"][0]) == {"id", "class", "states", "spawn", "despawn", "turn_rate"}
