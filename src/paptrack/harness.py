@@ -194,12 +194,14 @@ def run_single(
     params = cfg.perception
     bank = QueryBank()
     reads_bank = policy.banked_share > 0  # else assemble_queries never reads the bank
-    tracks = np.zeros(0, track_dtype(params.velocity_window))
+    tracks = np.zeros(0, track_dtype)
     sensor_rng = stream(seed, "sensor")
     query_rng = stream(seed, "queries")
 
     config_echo = config_to_dict(cfg)
     config_echo["run"] = {"seed": int(seed), "rho": float(effective_rho), "arm": arm}
+    if cfg.scenario_path is not None:  # the one generator setting that a scenario file's run reads
+        config_echo["scenario"] = {"world_half_extent": cfg.scenario.world_half_extent}
 
     gt = scenario_ground_truth(scenario)
     gt_bounds = np.searchsorted(gt["frame"], np.arange(scenario.frame_count + 1)).tolist()  # frame f is gt[bounds[f]:bounds[f + 1]]
@@ -336,19 +338,25 @@ def _check_fields(rec: dict, names: tuple[str, ...], where: str) -> None:
 def replay_dump(path) -> dict:
     """Rebuild a run's report from its frame-by-frame debug dump.
 
-    A line that is not JSON, not a header, frame or footer record, lacks
-    a field read here, or holds a metric setting, frame number, id, class,
-    center, confidence or footer field that cannot be evaluated or copied
-    into the report is an `InputError` naming the line.
+    A dump is the one shape a run writes: a header on its first line, then
+    frame records numbered 0, 1, 2, ... in order, then a footer on its last
+    line, whose `counters.frames` is the number of frame records.  A line
+    that is not JSON, not a header, frame or footer record, out of that
+    shape, lacks a field read here, or holds a metric setting, frame number,
+    id, class, center, confidence or footer field that cannot be evaluated
+    or copied into the report is an `InputError` naming the line.
     """
     echo = None
     footer = None
+    n_frames = 0  # the frame records read so far: the next one is frame `n_frames`
     gt, hyps = [], []  # box table rows
     for lineno, rec in read_json_lines(path, f"dump {path}", InputError):
         kind = rec.get("type") if isinstance(rec, dict) else None
         if kind not in ("header", "frame", "footer"):
             raise InputError(f"dump {path} line {lineno} is not a header, frame or footer record")
         where = f"dump {path} line {lineno}:"
+        if footer is not None or (kind == "header") != (lineno == 1):
+            raise InputError(f"dump {path} line {lineno} is a {kind} record out of place: a dump is one header, then its frame records, then one footer")
         try:
             if kind == "header":
                 _check_fields(rec, ("config_echo",), f"{where} header")
@@ -359,6 +367,8 @@ def replay_dump(path) -> dict:
             elif kind == "footer":
                 _check_fields(rec, _FOOTER_KEYS, f"{where} footer")
                 _check_fields(rec["counters"], ("frames", "wall_seconds", "cost_evaluations"), f"{where} footer counters")
+                if rec["counters"]["frames"] != n_frames:
+                    raise InputError(f"{where} footer counters frames {rec['counters']['frames']} is not the dump's {n_frames} frame records")
                 footer = {k: rec[k] for k in _FOOTER_KEYS}
             else:
                 _check_fields(rec, ("frame",), where)
@@ -369,6 +379,9 @@ def replay_dump(path) -> dict:
                 for d in rec["detections"]:
                     _check_fields(d, ("track_id", "class", "center", "confidence"), f"{where} detection")
                     hyps.append((frame, d["track_id"], CLASS_INDEX[d["class"]], d["center"], d["confidence"]))
+                if frame != n_frames:
+                    raise InputError(f"{where} frame {frame} is out of order: frame {n_frames} is due")
+                n_frames += 1
         except (KeyError, TypeError, AttributeError) as exc:
             raise InputError(f"dump {path} line {lineno} is a {kind} record without a field replay reads: {exc!r}") from exc
     if echo is None or footer is None:

@@ -4,7 +4,7 @@ Per frame: assemble the query set (recycled predicted queries first, then
 fresh random ones), gate query center hypotheses against the frame's
 measurements, solve the optimal assignment, and fold the matches into
 track state.  The tracks of a run are one track table (a structured array
-of :func:`track_dtype`): row i is track id i + 1, and rows are never
+of `track_dtype`): row i is track id i + 1, and rows are never
 removed.  A frame's measurements come in, and its detections go out, as
 box tables (`world.box_dtype`).
 Attention-based matching is replaced by distance gating plus an optimal
@@ -15,7 +15,6 @@ initialized.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -63,12 +62,8 @@ class PerceptionParams:
     alpha: float = 0.7  # measurement weight in the center blend
     confirm_threshold: int = 2
     max_misses: int = 3
-    predicted_priority_eps: float = 1e-6
-    velocity_window: int = 5
 
     def validate(self) -> None:
-        if self.velocity_window < 1:
-            raise ConfigError("velocity_window must be >= 1")
         if not self.gate_threshold > 0:
             raise ConfigError("gate_threshold must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -77,8 +72,6 @@ class PerceptionParams:
             raise ConfigError("confirm_threshold must be >= 1")
         if self.max_misses < 0:
             raise ConfigError("max_misses must be >= 0")
-        if not self.predicted_priority_eps >= 0:  # a negative one would favour random queries
-            raise ConfigError("predicted_priority_eps must be >= 0")
 
 
 # one match of an assignment: query row, measurement row and their cost
@@ -92,32 +85,28 @@ class Assignment:
     matches: np.ndarray  # match_dtype rows, in query order
 
 
-@functools.cache
-def track_dtype(velocity_window: int) -> np.dtype:
-    """Row type of a track table.
+# Row type of a track table.  A row keeps its last 5 states in `frames`, `centers` and `coasted`, newest
+# last: all that the velocity estimate reads.  A newborn row's older slots repeat its birth state, which
+# gives the estimate the same result as a history of one state.  `velocity` is the newest state's
+# velocity, the only one that the forecast and the coast step read.  The row is aligned, with the 8-byte
+# fields first: numpy reads and writes a column of aligned fields faster.
+track_dtype = np.dtype(
+    [
+        ("cls", np.int64),  # world.CLASS_INDEX code
+        ("hits", np.int64),  # consecutive matches
+        ("misses", np.int64),  # consecutive misses
+        ("velocity", np.float64, (2,)),
+        ("frames", np.int64, (5,)),
+        ("centers", np.float64, (5, 2)),
+        ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
+        ("ever_confirmed", np.bool_),
+        ("coasted", np.bool_, (5,)),
+    ],
+    align=True,
+)
 
-    A row keeps its last `velocity_window` states in `frames`, `centers`
-    and `coasted`, newest last: all that the velocity estimate reads.  A
-    newborn row's older slots repeat its birth state, which gives the
-    estimate the same result as a history of one state.  `velocity` is the
-    newest state's velocity, the only one that the forecast and the coast
-    step read.  The row is aligned, with the 8-byte fields first: numpy
-    reads and writes a column of aligned fields faster.
-    """
-    return np.dtype(
-        [
-            ("cls", np.int64),  # world.CLASS_INDEX code
-            ("hits", np.int64),  # consecutive matches
-            ("misses", np.int64),  # consecutive misses
-            ("velocity", np.float64, (2,)),
-            ("frames", np.int64, (velocity_window,)),
-            ("centers", np.float64, (velocity_window, 2)),
-            ("status", np.int8),  # TENTATIVE, CONFIRMED, COASTING or TERMINATED
-            ("ever_confirmed", np.bool_),
-            ("coasted", np.bool_, (velocity_window,)),
-        ],
-        align=True,
-    )
+# what a predicted query's cost is lowered by, so that it wins a tie against a random query
+PREDICTED_PRIORITY_EPS = 1e-6
 
 
 def track_confidence(hits: np.ndarray, misses: np.ndarray) -> np.ndarray:
@@ -218,14 +207,14 @@ def gate_costs(
     return gated_costs(q_xy, queries["cls"], measurements["center"], measurements["cls"], gate_threshold)
 
 
-def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray, eps: float) -> np.ndarray:
-    """Break cost ties in favor of predicted queries: their rows of `costs` less `eps`, clamped at 0, in place; returns `costs`."""
+def apply_predicted_priority(costs: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Break cost ties in favor of predicted queries: their rows of `costs` less `PREDICTED_PRIORITY_EPS`, clamped at 0, in place; returns `costs`."""
     predicted = queries["provenance"] == PREDICTED
     k = int(np.count_nonzero(predicted))
     if not k:
         return costs
     rows = slice(k) if predicted[:k].all() else predicted  # assemble_queries puts them first: a slice, not a gather
-    costs[rows] = np.maximum(costs[rows] - eps, 0.0)
+    costs[rows] = np.maximum(costs[rows] - PREDICTED_PRIORITY_EPS, 0.0)
     return costs
 
 
@@ -283,9 +272,6 @@ def update_tracks(
     The matches are those of a cost matrix from :func:`gate_costs`, which
     found their query centers finite; they are not checked again.
     """
-    window = params.velocity_window
-    if tracks.dtype["frames"].shape[0] < window:
-        raise ValueError("track table keeps fewer states than velocity_window")
     if len(tracks) and tracks["frames"][:, -1].max() >= frame:
         raise ValueError("track state frames must be strictly increasing")
     q_idx, m_idx = assignment.matches["query"], assignment.matches["measurement"]
@@ -350,8 +336,8 @@ def update_tracks(
                 by_prediction = list(first.values())
                 np.add((1.0 - params.alpha) * queries["center"][q_idx[by_prediction]], params.alpha * m_xy[by_prediction], out=centers[:p])
             centers[p:h] = m_xy[snapped]  # no current-frame prediction: snap to it
-            # velocity against the oldest non-coasted state of the window (coasted states are dead-reckoned)
-            ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
+            # velocity against the oldest non-coasted state (coasted states are dead-reckoned)
+            ref = (np.arange(h), np.argmax(~sub["coasted"][:h], axis=1))
             span = (frame - sub["frames"][ref]) * dt  # > 0 unless dt <= 0: every state precedes `frame`
             sub["velocity"][:h] = (centers[:h] - sub["centers"][ref]) / span[:, None] if dt > 0 else 0.0
             sub["hits"][:h] += 1
@@ -401,7 +387,7 @@ def perceive(
     """One full perception step: assemble -> gate -> associate -> update."""
     queries = assemble_queries(bank, frame, policy, world_half_extent, rng)
     costs, n_eval = gate_costs(queries, measurements, params.gate_threshold)
-    assignment = associate(apply_predicted_priority(costs, queries, params.predicted_priority_eps))
+    assignment = associate(apply_predicted_priority(costs, queries))
     tracks = update_tracks(tracks, assignment, queries, measurements, frame, params, dt)
     # a track is detected in the frames it is matched in; a terminated one keeps an older last state
     seen = ((tracks["frames"][:, -1] == frame) & ~tracks["coasted"][:, -1]).nonzero()[0]

@@ -371,9 +371,6 @@ def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, p
     terminated, already updated this frame or out of the gate are masked to
     +inf before the argmin.
     """
-    window = params.velocity_window
-    if tracks.dtype["frames"].shape[0] < window:
-        raise ValueError("track table keeps fewer states than velocity_window")
     if len(tracks) and tracks["frames"][:, -1].max() >= frame:
         raise ValueError("track state frames must be strictly increasing")
     nq, nm = len(queries), len(measurements)
@@ -428,7 +425,7 @@ def continue_deferred_oracle(tracks, assignment, queries, measurements, frame, p
     h, c = len(hit_rows), len(hit_rows) + int(np.count_nonzero(coasting))
     sub = tracks.view(raw)[rows].view(tracks.dtype)
 
-    ref = (np.arange(h), sub["frames"].shape[1] - window + np.argmax(~sub["coasted"][:h, -window:], axis=1))
+    ref = (np.arange(h), np.argmax(~sub["coasted"][:h], axis=1))
     span = (frame - sub["frames"][ref]) * dt
     moved = hit_centers - sub["centers"][ref]
     hit_velocities = moved / span[:, None] if dt > 0 else np.zeros_like(moved)

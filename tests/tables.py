@@ -9,19 +9,19 @@ from paptrack.perception import CONFIRMED, TENTATIVE, track_dtype
 from paptrack.world import CLASS_INDEX, AgentTrack, Scenario, box_dtype, integrate_states, scenario_ground_truth, sense
 
 
-def track_table(*rows: dict, velocity_window: int = 5) -> np.ndarray:
+def track_table(*rows: dict) -> np.ndarray:
     """A track table with one row per dict in `rows`; row i is track id i + 1.
 
     A dict may set `cls` (a class name, default "car"), `status` (default
     CONFIRMED), `hits` (default 2), `misses` (default 0), `ever_confirmed`
     (default: status is not TENTATIVE) and `states`, a list of ``(frame,
     center, velocity, coasted)`` oldest first, of which the row keeps the
-    last `velocity_window` and the newest state's velocity.  Without
+    last five and the newest state's velocity.  Without
     `states` the row has one state at `frame` (default 0), `center` and
     `velocity` (default zeros), not coasted.  Slots older than the first
     state repeat it, as for a newborn track.
     """
-    table = np.zeros(len(rows), track_dtype(velocity_window))
+    table = np.zeros(len(rows), track_dtype)
     depth = table.dtype["frames"].shape[0]
     for i, spec in enumerate(rows):
         status = spec.get("status", CONFIRMED)

@@ -226,7 +226,7 @@ def test_criterion_6_round_trip_and_loop_closure():
     sensor = SensorConfig(position_noise_sigma=0.0, miss_probability=0.0, clutter_rate=0.0)
     params = PerceptionParams()
     bank = QueryBank()
-    tracks = np.zeros(0, track_dtype(params.velocity_window))
+    tracks = np.zeros(0, track_dtype)
     detections = []  # one box table per frame
     sensor_rng = stream(6, "sensor")
     query_rng = stream(6, "queries")

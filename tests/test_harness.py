@@ -182,8 +182,11 @@ def test_config_validation_failures():
         ExperimentConfig(metrics=MetricConfig(match_distance=0.0)).validate()
     with pytest.raises(ConfigError, match="n_recall_points"):
         ExperimentConfig(metrics=MetricConfig(n_recall_points=0)).validate()
+    doc = config_to_dict(ExperimentConfig())
+    doc["perception"]["velocity_window"] = 0
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) \['velocity_window'\] in perception"):
+        config_from_dict(doc)
     for params, msg in (
-        (PerceptionParams(velocity_window=0), "velocity_window"),
         (PerceptionParams(gate_threshold=0.0), "gate_threshold"),
         (PerceptionParams(gate_threshold=-1.0), "gate_threshold"),
         (PerceptionParams(alpha=2.0), "alpha"),
@@ -410,6 +413,14 @@ def test_crossing_same_class_agents_closed_loop_switches_no_more_ids(tmp_path):
     assert ids["pap"] <= ids["baseline"]
 
 
+def test_scenario_file_run_echoes_only_the_generator_setting_it_reads(tmp_path):
+    cfg = crossing_config(tmp_path, "two_cars")
+    report = run_single(cfg, 1)
+    assert report["counters"]["frames"] == 60
+    assert report["config_echo"]["scenario_path"] == cfg.scenario_path
+    assert report["config_echo"]["scenario"] == {"world_half_extent": cfg.scenario.world_half_extent}
+
+
 def test_three_way_crossing_and_near_coincident_spawns_replay_to_their_reports(tmp_path):
     cfg = crossing_config(tmp_path, "three_way")
     for seed in (1, 2):
@@ -541,7 +552,9 @@ def test_cli_generate_and_replay_chain(tmp_path, capsys):
     assert main(["run", "--config", str(from_file), "--out", str(read_back), "--dump-debug"]) == 0
     for arm in ("baseline", "pap"):
         want, got = (json.loads((d / f"report_{arm}_seed3.json").read_text()) for d in (generated, read_back))
-        assert got.pop("config_echo") == {**want.pop("config_echo"), "scenario_path": scenario}
+        echo = want.pop("config_echo")
+        # a file run echoes, of the generator's settings, only the one it reads
+        assert got.pop("config_echo") == {**echo, "scenario_path": scenario, "scenario": {"world_half_extent": echo["scenario"]["world_half_extent"]}}
         assert strip_timing(got) == strip_timing(want)
         assert main(["replay", str(read_back / f"dump_{arm}_seed3.jsonl"), "--out", str(tmp_path / arm)]) == 0
         replayed = json.loads((tmp_path / arm / "replayed_report.json").read_text())
@@ -667,12 +680,12 @@ def _set(section, **values):
         (_set("scenario", explicit_agents=[]), "unknown key(s) ['explicit_agents'] in scenario"),
         (_set("perception", confirm_threshold=0), "confirm_threshold must be >= 1"),
         (_set("perception", max_misses=-1), "max_misses must be >= 0"),
-        (_set("perception", predicted_priority_eps=-1e-6), "predicted_priority_eps must be >= 0"),
+        (_set("perception", predicted_priority_eps=-1e-6), "unknown key(s) ['predicted_priority_eps'] in perception"),
     ],
     ids=["policy_int", "n_queries_str", "n_queries_bool", "rho_values_int", "top_level_list", "seed_str", "seed_repeated",
          "frame_count_float", "class_counts_list", "class_count_float", "speed_range_short", "scenario_path_int", "bank_capacity",
          "predictor", "sensor_score_near", "embedding_dim", "explicit_agents", "confirm_threshold_0",
-         "max_misses_negative", "predicted_priority_eps_negative"],
+         "max_misses_negative", "predicted_priority_eps"],
 )
 def test_cli_malformed_config_exits_2_naming_the_field(tmp_path, capsys, edit, message):
     path = tmp_path / "config.json"
@@ -706,7 +719,7 @@ def test_cli_truncated_dump_exits_4(tmp_path, capsys):
     footless.write_text("\n".join(lines[:-1]) + "\n")
     assert main(["replay", str(footless)]) == 4
     err = capsys.readouterr().err
-    assert err.count("input error:") == 2 and "missing header or footer" in err
+    assert err.count("input error:") == 2 and "line 1 is a frame record out of place" in err and "missing header or footer" in err
     assert "Traceback" not in err
 
 
@@ -838,6 +851,39 @@ def test_cli_dump_footer_field_replay_cannot_copy_exits_4(tmp_path, capsys, suit
     assert main(["replay", str(broken)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("input error:") and f"line {len(lines)}: " in err and problem in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def _second_footer(lines):
+    footer = json.loads(lines[-1])
+    footer["counters"]["cost_evaluations"] += 999
+    return [*lines, json.dumps(footer)]
+
+
+def _second_header(lines):
+    header = json.loads(lines[0])
+    header["config_echo"]["metrics"]["n_recall_points"] = 10
+    return [lines[0], json.dumps(header), *lines[1:]]
+
+
+@pytest.mark.parametrize(
+    "edit, problem",
+    [
+        (_second_footer, "line 23 is a footer record out of place"),
+        (_second_header, "line 2 is a header record out of place"),
+        (lambda lines: lines[:6] + lines[5:], "line 7: frame 4 is out of order: frame 5 is due"),  # frame 4 twice
+        (lambda lines: lines[:-2] + lines[-1:], "line 21: footer counters frames 20 is not the dump's 19 frame records"),
+    ],
+    ids=["second_footer", "second_header", "repeated_frame", "frame_dropped"],
+)
+def test_cli_dump_that_is_not_one_run_exits_4(tmp_path, capsys, suite_dump_lines, edit, problem):
+    """Only the shape a run writes replays: one header, then frames 0, 1, 2, ... in order, then one footer."""
+    lines = edit(list(suite_dump_lines))
+    broken = tmp_path / "broken.jsonl"
+    broken.write_text("\n".join(lines) + "\n")
+    assert main(["replay", str(broken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and problem in err
     assert len(err.strip().splitlines()) == 1
 
 
@@ -1032,6 +1078,7 @@ def test_compare_accepts_old_reports_against_new_ones(tmp_path, capsys):
     old, now = (json.loads((d / "report_pap_seed1.json").read_text()) for d in (OLD, new))
     del old["config_echo"]["bank_capacity"], old["config_echo"]["embedding_dim"], old["config_echo"]["predictor"]
     del old["config_echo"]["scenario"]["explicit_agents"]
+    del old["config_echo"]["perception"]["velocity_window"], old["config_echo"]["perception"]["predicted_priority_eps"]
     del old["counters"]["query_refinements"]
     for key in ("score_near", "score_far", "clutter_score_range"):
         del old["config_echo"]["sensor"][key]

@@ -8,6 +8,7 @@ import pytest
 from paptrack.perception import (
     COASTING,
     CONFIRMED,
+    PREDICTED_PRIORITY_EPS,
     TENTATIVE,
     TERMINATED,
     Assignment,
@@ -299,7 +300,7 @@ def make_track(center=(1.0, 0.0), cls="car", frame=0, hits=2):
 def run_update(tracks, queries, measurements, frame=1, alpha=0.7):
     params = PerceptionParams(alpha=alpha)
     costs, _ = gate_costs(queries, measurements, params.gate_threshold)
-    assignment = associate(apply_predicted_priority(costs, queries, params.predicted_priority_eps))
+    assignment = associate(apply_predicted_priority(costs, queries))
     return update_tracks(tracks, assignment, queries, measurements, frame, params, 0.1)
 
 
@@ -431,7 +432,7 @@ def drawn_update_case(case: int):
     rows = []
     for _ in range(int(rng.integers(0, 11))):
         frames = sorted(set(rng.integers(0, 3, size=int(rng.integers(1, 4))).tolist()))
-        states = [(f, point(), point(), bool(rng.integers(2)) and k > 0) for k, f in enumerate(frames)]
+        states = [(f, point(), point(), bool(rng.integers(2))) for f in frames]
         status = int(rng.choice(LIVE + (TERMINATED,)))
         rows.append(dict(states=states, status=status, hits=int(rng.integers(0, 4)), misses=int(rng.integers(0, 5))))
     points = [point() for _ in range(int(rng.integers(0, 9)))]
@@ -443,7 +444,6 @@ def drawn_update_case(case: int):
         gate_threshold=float(rng.choice([1.0, 1.5, 3.0])),
         max_misses=int(rng.integers(0, 4)),
         confirm_threshold=int(rng.integers(1, 4)),
-        velocity_window=int(rng.integers(1, 6)),
     )
     for row in rows:
         row["cls"] = TWO_CLASSES[rng.integers(2)]
@@ -462,7 +462,25 @@ def test_drawn_update_cases_match_across_classes():
         tracks, _, measurements, _, _ = drawn_update_case(case)
         live = set(tracks["cls"][np.isin(tracks["status"], LIVE)].tolist())
         mixed += any(m != r for m in set(measurements["cls"].tolist()) for r in live)
-    assert mixed >= 200  # 227 of 300
+    assert mixed >= 200  # 229 of 300
+
+
+def test_drawn_and_corner_update_cases_hit_rows_with_coasted_oldest_states():
+    """Many cases update a row whose oldest state is coasted, whose velocity reference is then not that state.
+
+    Counted apart: a row whose reference is a newer, non-coasted state, and
+    a row of only coasted states, whose reference is its oldest.
+    """
+    past_oldest = every_coasted = 0
+    for tracks, queries, measurements, matches, params in [*UPDATE_CORNERS.values(), *map(drawn_update_case, range(300))]:
+        n = len(tracks)
+        out = update_tracks(tracks.copy(), assignment_of(matches), queries, measurements, 3, params, 0.1)
+        hit = (out["frames"][:n, -1] == 3) & ~out["coasted"][:n, -1]
+        coasted = tracks["coasted"][hit]
+        past_oldest += bool((coasted[:, 0] & ~coasted.all(axis=1)).any())
+        every_coasted += bool(coasted.all(axis=1).any())
+    assert past_oldest >= 50  # 72 of 306
+    assert every_coasted >= 100  # 139 of 306
 
 
 UPDATE_CORNERS = {
@@ -495,6 +513,14 @@ UPDATE_CORNERS = {
     ),
     "every_row_terminated": update_case(
         [dict(center=(0.0, 0.0), status=TERMINATED)] * 4, [random_query((0.0, 0.0)), predicted_query(2, (0.0, 0.0))], [(0.0, 0.0), (0.5, 0.0)]
+    ),
+    # hit rows whose oldest states are coasted: the velocity reference is row 1's newest state and
+    # row 2's oldest, as every state of row 2 is coasted
+    "coasted_velocity_references": update_case(
+        [dict(states=[(0, (0.0, 0.0), (1.0, 0.0), True), (1, (0.1, 0.0), (1.0, 0.0), True), (2, (0.5, 0.0), (4.0, 0.0), False)]),
+         dict(states=[(1, (0.0, 2.0), (0.0, 1.0), True), (2, (0.0, 2.1), (0.0, 1.0), True)], status=COASTING, misses=2)],
+        [predicted_query(1, (0.5, 0.0)), predicted_query(2, (0.0, 2.0))],
+        [(1.0, 0.0), (0.0, 2.5)],
     ),
 }
 
@@ -581,7 +607,7 @@ def test_perceive_equals_manual_composition():
     # manual composition with an identical query stream
     qs = assemble_queries(bank, 1, policy, HALF_EXTENT, stream(9, "queries"))
     costs, _ = gate_costs(qs, ms, params.gate_threshold)
-    assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
+    assignment = associate(apply_predicted_priority(costs, qs))
     manual_tracks = update_tracks(track.copy(), assignment, qs, ms, 1, params, 0.1)
 
     assert pairs(result.assignment) == pairs(assignment)
@@ -605,7 +631,7 @@ def full_matrix_priority(costs, queries, eps):
     ids=["none", "head", "not-head", "scattered", "all"],
 )
 def test_predicted_priority_equals_the_full_matrix_formula_bit_for_bit(predicted_rows):
-    eps = 1e-6
+    eps = PREDICTED_PRIORITY_EPS
     rng = np.random.default_rng(7)
     costs = rng.uniform(0.0, 3.0, size=(10, 6))
     costs[rng.random(costs.shape) < 0.3] = np.inf
@@ -614,7 +640,7 @@ def test_predicted_priority_equals_the_full_matrix_formula_bit_for_bit(predicted
     queries["provenance"] = RANDOM
     queries["provenance"][predicted_rows] = PREDICTED
     before = costs.copy()
-    adjusted = apply_predicted_priority(costs, queries, eps)
+    adjusted = apply_predicted_priority(costs, queries)
     assert adjusted is costs  # edited in place: the gate's matrix is fresh and read by nothing else
     assert adjusted.tobytes() == full_matrix_priority(before, queries, eps).tobytes()
     assert adjusted.min() >= 0.0 and np.array_equal(np.isinf(adjusted), np.isinf(before))
@@ -628,14 +654,13 @@ def test_predicted_priority_wins_cost_ties():
     params = PerceptionParams()
     qs = table([q_rand, q_pred])
     costs, _ = gate_costs(qs, ms, params.gate_threshold)
-    assignment = associate(apply_predicted_priority(costs, qs, params.predicted_priority_eps))
+    assignment = associate(apply_predicted_priority(costs, qs))
     assert pairs(assignment) == [(1, 0)]
 
 
 def test_predicted_priority_wins_ties_beside_measurements_without_a_candidate():
     # 256 queries x 13 measurements, as a suite frame: some measurements have no candidate, so the
     # solver takes non-finite entries, and the predicted query 0 ties a random query for measurement j
-    eps = PerceptionParams().predicted_priority_eps
     queries = np.zeros(256, query_dtype)
     queries["provenance"] = RANDOM
     queries["provenance"][0] = PREDICTED
@@ -650,5 +675,5 @@ def test_predicted_priority_wins_ties_beside_measurements_without_a_candidate():
         j, rival = int(rng.integers(13)), int(rng.integers(1, 256))
         costs[:, j] = np.inf
         costs[[0, rival], j] = rng.uniform(0.0, 3.0)  # measurement j's only candidates, at one cost
-        matches = associate(apply_predicted_priority(costs, queries, eps)).matches
+        matches = associate(apply_predicted_priority(costs, queries)).matches
         assert matches["query"][matches["measurement"] == j].tolist() == [0], case

@@ -33,7 +33,7 @@ from paptrack.world import CLASSES, ScenarioConfig, SensorConfig, generate_scena
 from tables import sense_frame
 
 
-def config(frames=30, agents=None, clutter=1.0, miss=0.1, n_queries=16, rho=0.8, mode="fixed", window=5, max_misses=3):
+def config(frames=30, agents=None, clutter=1.0, miss=0.1, n_queries=16, rho=0.8, mode="fixed", max_misses=3):
     """A small config on a 30 m square; `agents` maps class names to counts (default: two cars and a pedestrian)."""
     return ExperimentConfig(
         seeds=[1],
@@ -42,14 +42,14 @@ def config(frames=30, agents=None, clutter=1.0, miss=0.1, n_queries=16, rho=0.8,
         ),
         sensor=SensorConfig(clutter_rate=clutter, miss_probability=miss),
         policy=QueryAssemblyPolicy(n_queries=n_queries, rho=rho, mode=mode),
-        perception=PerceptionParams(velocity_window=window, max_misses=max_misses),
+        perception=PerceptionParams(max_misses=max_misses),
         metrics=MetricConfig(n_recall_points=10),
     )
 
 
 CORNERS = {
     # one frame of four cars and seven random queries: AMOTP, a mean distance in meters, is ~1.08
-    "one_frame_amotp": (config(frames=1, agents={"car": 4}, clutter=0.0, miss=0.0, n_queries=7, rho=0.0, window=1, max_misses=0), 0),
+    "one_frame_amotp": (config(frames=1, agents={"car": 4}, clutter=0.0, miss=0.0, n_queries=7, rho=0.0, max_misses=0), 0),
     "no_agents": (config(agents={}), 1),
     "all_missed_clutter_only": (config(miss=1.0), 2),
     "all_missed_empty_frames": (config(miss=1.0, clutter=0.0), 3),
@@ -58,7 +58,7 @@ CORNERS = {
     "rho_one_empty_bank": (config(rho=1.0), 6),
     "rho_one_reduced": (config(rho=1.0, mode="reduced"), 7),
     "rho_zero": (config(rho=0.0), 8),
-    "no_misses_allowed": (config(max_misses=0, window=1), 9),
+    "no_misses_allowed": (config(max_misses=0), 9),
 }
 
 
@@ -74,7 +74,6 @@ def drawn(case: int) -> tuple[ExperimentConfig, int]:
         n_queries=int(rng.integers(1, 33)),
         rho=float(rng.uniform(0.0, 1.0)),
         mode=str(rng.choice(["fixed", "reduced"])),
-        window=int(rng.integers(1, 6)),
         max_misses=int(rng.integers(0, 4)),
     )
     return cfg, int(rng.integers(0, 10_001))
@@ -127,7 +126,7 @@ def test_reduced_mode_never_makes_more_cost_evaluations_than_fixed_on_the_same_f
     reduced = dataclasses.replace(cfg.policy, mode="reduced")
     params, half_extent = cfg.perception, cfg.scenario.world_half_extent
     scenario = generate_scenario(cfg.scenario, seed)
-    bank, tracks = QueryBank(), np.zeros(0, track_dtype(params.velocity_window))
+    bank, tracks = QueryBank(), np.zeros(0, track_dtype)
     sensor_rng, query_rng = stream(seed, "sensor"), stream(seed, "queries")
     for frame in range(scenario.frame_count):
         measurements = sense_frame(scenario, frame, cfg.sensor, sensor_rng)
